@@ -5,10 +5,15 @@ complex: collapse a spanning tree of the vertex classes, take the
 remaining edge classes as generators, and one relator per face pairing
 (the boundary walk of the glued triangle written in edge-class letters).
 
-``smith_normal_form`` diagonalises integer matrices by row and column
-operations over arbitrary-precision integers; the count of nonzero
-invariant factors is the rational rank, which drives the abelianization
-rank used everywhere else.
+``smith_normal_form`` computes invariant factors in polynomial time by
+determinant-modular elimination (Hafner and McCurley 1991): fraction-free
+Bareiss elimination yields the rank r and a nonzero r x r minor D, and the
+extended-gcd row and column steps that follow reduce mod D, so no entry
+reaches D (Bareiss entries are themselves minors, bounded by Hadamard's
+inequality).  The count of invariant factors is the rational rank, which
+drives the abelianization rank used everywhere else.  ``tietze_simplify``
+deduplicates relators by their least rotation (Booth's algorithm), in
+memory linear in the relator length.
 
 ``rank_audit`` replays, case by case, an arithmetic chain bounding twice
 the rank of the fundamental group of an ambient manifold from below and
@@ -22,6 +27,7 @@ arithmetic between them is exact and the final inequality must be strict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
@@ -133,13 +139,31 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
 # -- Tietze simplification -----------------------------------------------------
 
 
+def _least_rotation(word: Word) -> Word:
+    """Lexicographically least rotation, by Booth's algorithm in O(len) time
+    and memory."""
+    doubled = word + word
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        c = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != doubled[k + i + 1]:
+            if c < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and c != doubled[k]:
+            if c < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return doubled[k:k + len(word)]
+
+
 def _cyclic_canonical(word: Word) -> Word:
     """Least rotation among the word and its inverse, for deduplication."""
-    candidates = []
-    for w in (word, inverse_word(word)):
-        for i in range(len(w) or 1):
-            candidates.append(w[i:] + w[:i])
-    return min(candidates) if candidates else ()
+    return min(_least_rotation(word), _least_rotation(inverse_word(word)))
 
 
 def _substitute(word: Word, gen: int, image: Word) -> Word:
@@ -217,76 +241,136 @@ def tietze_simplify(p: Presentation, max_relator_length: int = 16) -> Presentati
 # -- Smith normal form ---------------------------------------------------------
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Invariant factors d1 | d2 | ... of an integer matrix.
-
-    Integer row and column operations only; exact over arbitrary-precision
-    integers.  The number of factors is the rank over the rationals.
-    """
-    a = [[int(x) for x in row] for row in matrix]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
+def _distinct_rows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Nonzero rows of an integer matrix, one per class of rows equal up to
+    sign.  Dropping the others leaves the row lattice, and so the invariant
+    factors and the rank, unchanged."""
+    rows = [tuple(map(int, row)) for row in matrix]
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
         raise ValueError("ragged matrix")
-    factors: list[int] = []
-    t = 0
-    while t < min(m, n):
-        # Pivot: a nonzero entry of least magnitude in the trailing block.
-        pivot = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
+    distinct: dict[tuple[int, ...], None] = {}
+    for row in dict.fromkeys(rows):
+        lead = next((x for x in row if x), 0)
+        if lead:
+            distinct[row if lead > 0 else tuple(-x for x in row)] = None
+    return list(distinct)
 
-        while True:
-            progress = False
-            for i in range(t + 1, m):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    for j in range(t, n):
-                        a[i][j] -= q * a[t][j]
-                    if a[i][t]:
-                        a[t], a[i] = a[i], a[t]
-                        progress = True
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    for i in range(t, m):
-                        a[i][j] -= q * a[i][t]
-                    if a[t][j]:
-                        for row in a:
-                            row[t], row[j] = row[j], row[t]
-                        progress = True
-            if not progress:
-                break
 
-        # Divisibility: fold any non-multiple into the pivot's column and redo.
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            for j in range(t, n):
-                a[t][j] += a[offender][j]
+def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Rank r and D = |last nonzero pivot| of fraction-free elimination with
+    row and column pivoting.  D is a nonzero r x r minor of the matrix, and
+    every entry met along the way is a minor too (Bareiss 1968)."""
+    prev, rank = 1, 0
+    while rows:
+        top = rows[0]
+        c = next(j for j, x in enumerate(top) if x)
+        p, rest = top[c], top[:c] + top[c + 1:]
+        nxt = []
+        for row in rows[1:]:
+            f = row[c]
+            new = [(p * x - f * y) // prev for x, y in zip(row[:c] + row[c + 1:], rest)]
+            if any(new):
+                nxt.append(new)
+        rows, prev, rank = nxt, p, rank + 1
+    return rank, abs(prev)
+
+
+def _xgcd(p: int, x: int) -> tuple[int, int, int]:
+    """(g, s, u) with g = gcd(p, x) = s*p + u*x for p, x > 0, and (p, 1, 0)
+    when p divides x, so that a pivot dividing its row and column clears
+    them without moving."""
+    if x % p == 0:
+        return p, 1, 0
+    s0, s1, u0, u1 = 1, 0, 0, 1
+    while x:
+        q = p // x
+        p, x = x, p - q * x
+        s0, s1 = s1, s0 - q * s1
+        u0, u1 = u1, u0 - q * u1
+    return p, s0, u0
+
+
+def _clear_first_column(rows: list[Sequence[int]], d: int) -> None:
+    """Unimodular row steps mod d that leave rows[0][0] = gcd of column 0
+    and zeros below it; rows[0][0] must be nonzero."""
+    for i in range(1, len(rows)):
+        x = rows[i][0]
+        if not x:
             continue
+        top, row = rows[0], rows[i]
+        g, s, u = _xgcd(top[0], x)
+        p, x = top[0] // g, x // g
+        if g != top[0]:
+            rows[0] = [(s * a + u * b) % d for a, b in zip(top, row)]
+        rows[i] = [(p * b - x * a) % d for a, b in zip(top, row)]
 
-        factors.append(abs(a[t][t]))
-        t += 1
+
+def _diagonal_mod(rows: Sequence[Sequence[int]], d: int) -> list[int]:
+    """Diagonalise the lattice spanned by ``rows`` and d*Z^n by unimodular
+    row and column steps, every entry reduced mod d."""
+    diagonal: list[int] = []
+    rows = [[x % d for x in row] for row in rows]
+    while True:
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            return diagonal
+        # Pivot: the least nonzero entry of the first column, moved to the top.
+        _, i = min((row[0] or d, i) for i, row in enumerate(rows))
+        if not rows[i][0]:  # a zero column only adds a factor d
+            rows = [row[1:] for row in rows]
+            continue
+        rows[0], rows[i] = rows[i], rows[0]
+        while True:
+            _clear_first_column(rows, d)
+            # A pivot dividing its row is cleared by column steps that
+            # change nothing else: column 0 is zero below it.
+            if not any(x % rows[0][0] for x in rows[0]):
+                break
+            cols = list(zip(*rows))
+            _clear_first_column(cols, d)
+            rows = list(zip(*cols))
+            if not any(row[0] for row in rows[1:]):
+                break
+        diagonal.append(rows[0][0])
+        rows = [row[1:] for row in rows[1:]]
+
+
+def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Invariant factors d1 | d2 | ... | dr of an integer matrix; r is its
+    rank over the rationals.
+
+    Determinant-modular elimination after Hafner and McCurley (1991):
+    zero rows and rows repeated up to sign are dropped; fraction-free
+    Bareiss elimination gives the rank r and a nonzero r x r minor D, which
+    every determinantal divisor Delta_k (k <= r) divides; extended-gcd row
+    and column steps then diagonalise the matrix modulo D, so every entry
+    stays below D.  With the diagonal's gcds with D put into a divisibility
+    chain c1 | c2 | ..., Delta_k = gcd(D, c1*...*ck) and d_k =
+    Delta_k / Delta_(k-1).  Exact over arbitrary-precision integers.
+    """
+    rows = _distinct_rows(matrix)
+    rank, d = _bareiss(rows)
+    if d == 1:
+        return (1,) * rank
+    chain = [math.gcd(x, d) for x in _diagonal_mod(rows, d)]
+    chain += [d] * (rank - len(chain))
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    factors, minor, prev = [], 1, 1
+    for c in chain[:rank]:
+        minor *= c
+        delta = math.gcd(d, minor)
+        factors.append(delta // prev)
+        prev = delta
     return tuple(factors)
 
 
 def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    return len(smith_normal_form(matrix))
+    """Rank over the rationals, by fraction-free elimination alone."""
+    return _bareiss(_distinct_rows(matrix))[0]
 
 
 # -- abelianization -------------------------------------------------------------

@@ -260,6 +260,26 @@ def minors_invariant_factors(matrix) -> tuple[int, ...]:
     return tuple(dets_gcd[k] // dets_gcd[k - 1] for k in range(1, len(dets_gcd)))
 
 
+def _det_over_q(matrix) -> int:
+    """Determinant by Gaussian elimination over the rationals, for sizes the
+    cofactor expansion in ``_det`` cannot reach."""
+    mat = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for c in range(len(mat)):
+        pivot = next((i for i in range(c, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            mat[c], mat[pivot] = mat[pivot], mat[c]
+            det = -det
+        det *= mat[c][c]
+        for i in range(c + 1, len(mat)):
+            f = mat[i][c] / mat[c][c]
+            if f:
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
+    return int(det)
+
+
 # -- chain-complex H1 rank ---------------------------------------------------------
 
 

@@ -1,9 +1,14 @@
+import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from geodouble.cli import main
 from geodouble.construction import family_complex
+from geodouble.freegroups import inverse_word, word_to_str
 from geodouble.freegroups import word_from_str as w
 from geodouble.presentations import (
     AuditCase,
@@ -17,13 +22,21 @@ from geodouble.presentations import (
     presentation_from_complex,
     rank_audit,
     rational_rank,
+    relator_matrix,
     smith_normal_form,
     surface_rank,
     tietze_simplify,
+    _cyclic_canonical,
 )
 from geodouble.triangulation import GluingError, glue, parse_scheme
 
-from oracles import chain_h1_rank, minors_invariant_factors
+from oracles import (
+    _det,
+    _det_over_q,
+    _rank_over_q,
+    chain_h1_rank,
+    minors_invariant_factors,
+)
 
 
 def surface_presentation(genus):
@@ -38,6 +51,36 @@ def random_matrix(rng, max_dim=5, bound=9):
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)
     return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+
+
+def dense_matrix(rng, k, bound=9):
+    return [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(k)]
+
+
+def random_unimodular(rng, k):
+    """The identity after random row additions and row swaps."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        c = rng.randint(-2, 2)
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+        u[i], u[j] = u[j], u[i]
+    return u
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def assert_divisibility_chain(factors):
+    assert all(f > 0 for f in factors)
+    for a, b in zip(factors, factors[1:]):
+        assert b % a == 0
+
+
+def random_relators(rng, generators, count):
+    return [tuple(rng.choice((1, -1)) * rng.randint(1, generators)
+                  for _ in range(rng.randint(2, 30))) for _ in range(count)]
 
 
 class TestPresentationBasics:
@@ -77,6 +120,15 @@ class TestPresentationFromComplex:
                 "pair 2.132 2.453\npair 2.264 2.516\n")
         with pytest.raises(GluingError):
             presentation_from_complex(glue(parse_scheme(text)))
+
+    def test_h1rank_cli_on_twenty_generators(self, capsys):
+        rng = random.Random(61)
+        p = Presentation(20, tuple(random_relators(rng, 20, 20)))
+        code = main(["--machine", "pres", "h1rank", "--gens", "20",
+                     "--relators", ",".join(word_to_str(r) for r in p.relators)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"h1_rank={20 - _rank_over_q(relator_matrix(p))}" in out.splitlines()
 
     def test_h1_rank_matches_chain_complex(self):
         # Independent path: boundary matrices without a spanning tree.
@@ -135,6 +187,21 @@ class TestTietze:
             assert pa.rank == qa.rank
             assert pa.torsion == qa.torsion
 
+    def test_dedupe_key_is_least_rotation_of_word_or_inverse(self):
+        def brute(word):
+            return min(v[i:] + v[:i] for v in (word, inverse_word(word))
+                       for i in range(len(word) or 1))
+
+        words = [(), w("aA"), w("abBA"), w("aAbB")]  # the last three: own inverse up to rotation
+        for length in range(1, 7):
+            words += itertools.product((1, -1, 2, -2), repeat=length)
+        rng = random.Random(67)
+        for _ in range(3000):
+            words.append(tuple(rng.choice((1, -1, 2, -2, 3, -3))
+                               for _ in range(rng.randint(7, 12))))
+        for word in words:
+            assert _cyclic_canonical(tuple(word)) == brute(tuple(word)), word
+
     def test_long_relators_left_alone(self):
         long_rel = tuple([1] + [2] * 20)
         p = Presentation(2, (long_rel,))
@@ -176,6 +243,90 @@ class TestSmithNormalForm:
                     k = rng.randint(-3, 3)
                     m[i] = [x + k * y for x, y in zip(m[i], m[j])]
             assert smith_normal_form(m) == factors
+
+    def test_degenerate_shapes(self):
+        assert smith_normal_form([]) == ()
+        assert smith_normal_form([[]]) == ()
+        assert smith_normal_form([[0, 0, 0]] * 4) == ()
+        assert rational_rank([]) == 0
+        with pytest.raises(ValueError):
+            smith_normal_form([[1, 2], [3]])
+
+    def test_bezout_pivot_that_divides(self):
+        # The pivot divides the entries it clears; elimination must not cycle.
+        m = [[-1, 0], [-1, 0], [0, 2], [3, 0], [-1, 1]]
+        assert smith_normal_form(m) == minors_invariant_factors(m) == (1, 1)
+
+    def test_dense_product_is_determinant(self):
+        rng = random.Random(71)
+        for k in list(range(1, 13)) + [16, 20, 25, 30]:
+            m = dense_matrix(rng, k)
+            factors = smith_normal_form(m)
+            det = _det_over_q(m)
+            if k <= 6:
+                assert det == _det(m)
+            assert len(factors) == _rank_over_q(m) == rational_rank(m)
+            assert_divisibility_chain(factors)
+            if det:
+                assert math.prod(factors) == abs(det)
+
+    def test_rank_deficient_matches_rank_over_q(self):
+        rng = random.Random(73)
+        for _ in range(20):
+            k, rank = rng.randint(2, 12), rng.randint(0, 6)
+            left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(k)]
+            right = [[rng.randint(-4, 4) for _ in range(k + 1)] for _ in range(rank)]
+            m = matmul(left, right) if rank else [[0] * (k + 1) for _ in range(k)]
+            factors = smith_normal_form(m)
+            assert len(factors) == _rank_over_q(m) == rational_rank(m) <= rank
+            assert_divisibility_chain(factors)
+            if k <= 4:
+                assert factors == minors_invariant_factors(m)
+
+    def test_unimodular_change_of_basis(self):
+        rng = random.Random(79)
+        for _ in range(25):
+            rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+            chain = [1]
+            for _ in range(min(rows, cols) - 1):
+                chain.append(chain[-1] * rng.choice((1, 1, 2, 3, 6)))
+            rank = rng.randint(0, min(rows, cols))
+            diag = [[chain[i] if i == j and i < rank else 0 for j in range(cols)]
+                    for i in range(rows)]
+            m = matmul(matmul(random_unimodular(rng, rows), diag),
+                       random_unimodular(rng, cols))
+            assert smith_normal_form(m) == tuple(chain[:rank])
+            a = dense_matrix(rng, rows)
+            moved = matmul(matmul(random_unimodular(rng, rows), a),
+                           random_unimodular(rng, rows))
+            assert smith_normal_form(moved) == smith_normal_form(a)
+
+    def test_tall_matrices_with_repeated_rows(self):
+        rng = random.Random(83)
+        for _ in range(5):
+            base = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(rng.randint(1, 4))]
+            tall = base + [[s * x for x in rng.choice(base)]
+                           for s in rng.choices((1, -1, 2, -3), k=2000 - len(base))]
+            rng.shuffle(tall)
+            assert smith_normal_form(tall) == minors_invariant_factors(base)
+            assert rational_rank(tall) == _rank_over_q(base)
+
+    def test_dense_stalling_sizes_finish(self):
+        # Dense 8x8 and 9x9 with entries in [-9, 9] used to run for minutes.
+        rng = random.Random(1)
+        for k in (8, 9):
+            m = dense_matrix(rng, k)
+            factors = smith_normal_form(m)
+            assert math.prod(factors) == abs(_det_over_q(m))
+
+    def test_dense_sixty_by_sixty(self):
+        m = dense_matrix(random.Random(89), 60)
+        start = time.perf_counter()
+        factors = smith_normal_form(m)
+        assert time.perf_counter() - start < 10.0
+        assert len(factors) == 60
+        assert_divisibility_chain(factors)
+        assert math.prod(factors) == abs(_det_over_q(m))
 
 
 class TestAbelianization:
