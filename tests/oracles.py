@@ -179,6 +179,62 @@ def brute_link_orientable(complex: GluedComplex, vertex_class: int) -> bool:
     return False
 
 
+# -- identification classes by flood fill ---------------------------------------
+
+
+def _flood(items, links) -> list[tuple[tuple, bool]]:
+    """Classes of ``items`` under ``links`` (x, y, rel), each meaning
+    value(x) = rel * value(y), by breadth-first search from the least
+    unvisited item.  Each class is (sorted (item, sign) pairs with signs
+    relative to its least item, consistent); consistent is False when a
+    link contradicts a sign already assigned."""
+    nbrs: dict = {x: [] for x in items}
+    for x, y, rel in links:
+        nbrs[x].append((y, rel))
+        nbrs[y].append((x, rel))
+    sign: dict = {}
+    classes = []
+    for start in sorted(nbrs):
+        if start in sign:
+            continue
+        sign[start] = 1
+        queue = [start]
+        consistent = True
+        for x in queue:
+            for y, rel in nbrs[x]:
+                if y not in sign:
+                    sign[y] = rel * sign[x]
+                    queue.append(y)
+                elif sign[y] != rel * sign[x]:
+                    consistent = False
+        classes.append((tuple(sorted((x, sign[x]) for x in queue)), consistent))
+    return classes
+
+
+def flood_identifications(scheme: GluingScheme):
+    """(edge classes, vertex classes, tetrahedron components) of a possibly
+    open scheme, read from each pairing's matches by flood fill.
+
+    Edge classes are (members, consistent) with members (tet, edge, sign),
+    the sign relative to the class's least edge; vertex classes are sorted
+    tuples of (tet, vertex); components are frozensets of tetrahedra.
+    """
+    tets = range(1, scheme.tet_count + 1)
+    edge_links, corner_links, tet_links = [], [], []
+    for p in scheme.pairings:
+        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
+            edge_links.append(((ta, ea), (tb, eb), wa * wb))
+        corner_links.extend((ca, cb, 1) for ca, cb in p.corner_matches())
+        tet_links.append((p.a.tet, p.b.tet, 1))
+    edges = [(tuple((t, e, s) for (t, e), s in members), consistent)
+             for members, consistent in
+             _flood([(t, e) for t in tets for e in EDGE_ENDS], edge_links)]
+    verts = [tuple(v for v, _ in members) for members, _ in
+             _flood([(t, v) for t in tets for v in range(4)], corner_links)]
+    comps = [frozenset(t for t, _ in members) for members, _ in _flood(tets, tet_links)]
+    return edges, verts, comps
+
+
 # -- doubling: leftward-pushing normal form --------------------------------------
 
 

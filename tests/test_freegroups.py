@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from geodouble.freegroups import (
+    SubgroupGraph,
     WordError,
     concat,
     free_reduce,
@@ -152,6 +153,32 @@ class TestStallingsGraph:
         g = stallings_graph([word_from_str("aA")], 2)
         assert g.vertex_count == 1
         assert g.subgroup_rank() == 0
+
+    def test_folding_gives_core_graphs(self):
+        # Empty, unreduced and non-cyclically-reduced (conjugated) words:
+        # folding must still leave no non-base vertex of degree <= 1, so
+        # from_adjacency, which rejects dangling vertices, accepts the result.
+        rng = random.Random(31)
+        for _ in range(2000):
+            rank = rng.randint(1, 3)
+            alphabet = [s for s in range(-rank, rank + 1) if s]
+            gens = []
+            for _ in range(rng.randint(0, 4)):
+                w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+                if rng.random() < 0.4:
+                    u = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                    w = u + w + inverse_word(u)
+                gens.append(w)
+            g = stallings_graph(gens, rank)
+            degree = [0] * g.vertex_count
+            adjacency = [{} for _ in range(g.vertex_count)]
+            for v, s, w in g.edges():
+                degree[v] += 1
+                degree[w] += 1
+                adjacency[v][s] = w
+                adjacency[w][-s] = v
+            assert all(d >= 2 for d in degree[1:]), gens
+            assert SubgroupGraph.from_adjacency(rank, adjacency) == g
 
     def test_export_edge_list(self):
         g = stallings_graph(["a"], 2)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from geodouble.construction import family_scheme
+from geodouble.presentations import presentation_from_complex
 from geodouble.triangulation import (
     EDGE_ENDS,
     FACES,
@@ -23,7 +24,7 @@ from geodouble.triangulation import (
     render_scheme,
 )
 
-from oracles import brute_link_orientable, brute_orientable
+from oracles import brute_link_orientable, brute_orientable, flood_identifications
 
 IDENTITY_DOUBLE = """tets 2
 pair 1.132 2.132
@@ -50,6 +51,13 @@ pair 3.132 3.516 edgeorder 6 5 1
 """
 
 
+# Edge 1 of the single tetrahedron is identified with its own reverse.
+SELF_REVERSED_EDGE = """tets 1
+pair 1.132 1.516 edgeorder 1 6 5
+pair 1.264 1.453
+"""
+
+
 def random_closed_scheme(rng, max_tets=3):
     while True:
         tets = rng.randint(1, max_tets)
@@ -64,6 +72,31 @@ def random_closed_scheme(rng, max_tets=3):
             return GluingScheme(tets, tuple(pairings))
         except SchemeError:
             continue
+
+
+def assert_glue_matches_flood(scheme):
+    """Compare glue's identification data with the flood-fill oracle;
+    return the number of orientation-inconsistent edge classes."""
+    c = glue(scheme, require_closed=False)
+    edges, verts, comps = flood_identifications(scheme)
+    assert [ec.orientation_consistent for ec in c.edge_classes] == \
+           [consistent for _, consistent in edges]
+    assert len(c.edge_lookup) == 6 * scheme.tet_count
+    for idx, (ec, (members, consistent)) in enumerate(zip(c.edge_classes, edges)):
+        # Member signs are only defined up to a choice in a class that is
+        # glued to itself reversed; compare the members alone there.
+        if consistent:
+            assert ec.members == members
+        else:
+            assert [m[:2] for m in ec.members] == [m[:2] for m in members]
+        for t, e, s in members:
+            cls, sign = c.edge_lookup[(t, e)]
+            assert cls == idx and (sign == s or not consistent)
+    assert c.vertex_classes == tuple(verts)
+    assert c.vertex_lookup == {v: i for i, vc in enumerate(verts) for v in vc}
+    assert c.tet_components == tuple(comps)
+    assert c.orientable == brute_orientable(scheme)
+    return sum(1 for _, consistent in edges if not consistent)
 
 
 class TestModelConstants:
@@ -191,6 +224,26 @@ class TestGlue:
         for _ in range(150):
             scheme = random_closed_scheme(rng)
             assert glue(scheme).orientable == brute_orientable(scheme)
+
+    def test_identifications_match_flood_fill_oracle(self):
+        rng = random.Random(37)
+        inconsistent = 0
+        for i in range(150):
+            scheme = random_closed_scheme(rng, max_tets=6)
+            if i % 2:
+                scheme = GluingScheme(scheme.tet_count, tuple(
+                    p for p in scheme.pairings if rng.random() < 0.6))
+            inconsistent += assert_glue_matches_flood(scheme)
+        assert inconsistent > 0
+
+    def test_edge_glued_to_itself_reversed(self):
+        scheme = parse_scheme(SELF_REVERSED_EDGE)
+        c = glue(scheme)
+        assert c.edge_classes[0].members == ((1, 1, 1),)
+        assert not c.edge_classes[0].orientation_consistent
+        assert assert_glue_matches_flood(scheme) > 0
+        with pytest.raises(GluingError, match="reversed"):
+            presentation_from_complex(c)
 
     def test_open_scheme_rejected_by_default(self):
         scheme = parse_scheme("tets 1\npair 1.132 1.453\n")
