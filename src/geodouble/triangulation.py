@@ -474,27 +474,18 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
     scheme = complex.scheme
     tets = range(1, scheme.tet_count + 1)
 
-    ends = _DSU((t, e, i) for t in tets for e in EDGE_ENDS for i in (0, 1))
     corners = _DSU((t, v) for t in tets for v in range(4))
     triangles = {(t, v): _corner_ends(t, v) for t in tets for v in range(4)}
 
     for p in scheme.pairings:
-        matches = list(p.edge_matches())
         end_map: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        for (ta, ea, wa), (tb, eb, wb) in matches:
+        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
             # Walk-start maps to walk-start: same intrinsic ends when the
             # walk signs agree, crossed ends otherwise.
-            if wa * wb == 1:
-                pairs = [((ta, ea, 0), (tb, eb, 0)), ((ta, ea, 1), (tb, eb, 1))]
-            else:
-                pairs = [((ta, ea, 0), (tb, eb, 1)), ((ta, ea, 1), (tb, eb, 0))]
-            for x, y in pairs:
-                ends.union(x, y)
-                end_map[x] = y
-        corner_pairs = list(p.corner_matches())
-        ea_list, eb_list = FACES[p.a.face], FACES[p.b.face]
-        wa_list = FACE_WALK_SIGNS[p.a.face]
-        for j, (ca, cb) in enumerate(corner_pairs):
+            for i in (0, 1):
+                end_map[(ta, ea, i)] = (tb, eb, i if wa == wb else 1 - i)
+        ea_list, wa_list = FACES[p.a.face], FACE_WALK_SIGNS[p.a.face]
+        for j, (ca, cb) in enumerate(p.corner_matches()):
             # The link-triangle side at corner j joins the walk-end of edge j
             # to the walk-start of edge j+1; transport both ends to face b.
             e_in, e_out = ea_list[j], ea_list[(j + 1) % 3]
@@ -507,23 +498,24 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
             # on the glued side: o1*d1 = -o2*d2.
             corners.union(ca, cb, -d1 * d2)
 
-    end_class: dict[tuple[int, int, int], object] = {}
-    for t in tets:
-        for e in EDGE_ENDS:
-            for i in (0, 1):
-                end_class[(t, e, i)] = ends.find((t, e, i))[0]
-
     components = []
     for idx, vclass in enumerate(complex.vertex_classes):
         tri_count = len(vclass)
         side_count, rem = divmod(3 * tri_count, 2)
         if rem:
             raise GluingError("odd number of link triangle sides; scheme not closed")
-        roots = set()
-        for (t, v) in vclass:
-            for (te, ee, ie) in triangles[(t, v)]:
-                roots.add(end_class[(te, ee, ie)])
-        vertex_count = len(roots)
+        # Link vertices are edge ends, identified exactly as glue identified
+        # their edges: end i of a member with edge_lookup sign -1 is end 1-i
+        # of its class, and a class glued to itself reversed has one end.
+        ends = set()
+        for corner in vclass:
+            for t, e, i in triangles[corner]:
+                cls, sign = complex.edge_lookup[(t, e)]
+                if not complex.edge_classes[cls].orientation_consistent:
+                    ends.add((cls, 0))
+                else:
+                    ends.add((cls, i if sign == 1 else 1 - i))
+        vertex_count = len(ends)
         orientable = not any(corners.is_bad(c) for c in vclass)
         chi = vertex_count - side_count + tri_count
         genus = (2 - chi) // 2 if orientable else 2 - chi

@@ -58,6 +58,89 @@ def bounded_products(generators: list[Word], length: int) -> set[Word]:
     return out
 
 
+# -- Stallings folding and coset trees by brute force --------------------------
+
+
+def _signed_order(rank: int) -> list[int]:
+    return list(range(1, rank + 1)) + [-s for s in range(1, rank + 1)]
+
+
+def _breadth_first(adjacency: dict, rank: int) -> dict:
+    """Tree word of every vertex reachable from 0, scanning labels a, b, ...,
+    A, B, ...; the dict's insertion order is the breadth-first order."""
+    words = {0: ()}
+    queue = [0]
+    for v in queue:
+        for s in _signed_order(rank):
+            w = adjacency.get(v, {}).get(s)
+            if w is not None and w not in words:
+                words[w] = words[v] + (s,)
+                queue.append(w)
+    return words
+
+
+def _unfolded_pair(edges) -> tuple[int, int] | None:
+    """The other ends of two same-label edges at one vertex, if any."""
+    seen: dict = {}
+    for u, s, x in sorted(edges):
+        for key, end in (((u, s), x), ((x, -s), u)):
+            other = seen.setdefault(key, end)
+            if other != end:
+                return other, end
+    return None
+
+
+def naive_fold_key(generators, rank: int) -> tuple:
+    """``SubgroupGraph.canonical_key()`` of the subgroup the words generate.
+
+    Folds the wedge of loops of the reduced words by repeated search: find
+    two edges with the same label leaving one vertex (or entering it) whose
+    other ends differ, identify those ends, and start over, until no such
+    pair is left.  Then number the vertices breadth-first from the base.
+    """
+    edges: set[tuple[int, int, int]] = set()  # (source, positive label, target)
+    size = 1
+    for g in generators:
+        w = free_reduce(g)
+        if not w:
+            continue
+        path = [0, *range(size, size + len(w) - 1), 0]
+        size += len(w) - 1
+        for v, s, x in zip(path, w, path[1:]):
+            edges.add((v, s, x) if s > 0 else (x, -s, v))
+    while (pair := _unfolded_pair(edges)) is not None:
+        keep, drop = min(pair), max(pair)
+        edges = {(keep if u == drop else u, s, keep if x == drop else x)
+                 for u, s, x in edges}
+    adjacency: dict = {}
+    for u, s, x in edges:
+        adjacency.setdefault(u, {})[s] = x
+        adjacency.setdefault(x, {})[-s] = u
+    pos = {v: i for i, v in enumerate(_breadth_first(adjacency, rank))}
+    return (rank, len(pos), tuple(sorted((pos[u], s, pos[x]) for u, s, x in edges)))
+
+
+def tree_coset_representatives(graph: SubgroupGraph, probes) -> list[Word]:
+    """Coset representative of each probe: the breadth-first tree word of
+    the vertex reached by reading the reduced probe from the base as far as
+    the graph allows, followed by the unread rest, freely reduced.  The tree
+    words are whole tuples computed from ``graph.edges()`` alone."""
+    adjacency: dict = {}
+    for v, s, w in graph.edges():
+        adjacency.setdefault(v, {})[s] = w
+        adjacency.setdefault(w, {})[-s] = v
+    words = _breadth_first(adjacency, graph.ambient_rank)
+    reps = []
+    for probe in probes:
+        w = free_reduce(probe)
+        v, read = 0, 0
+        while read < len(w) and w[read] in adjacency.get(v, {}):
+            v = adjacency[v][w[read]]
+            read += 1
+        reps.append(free_reduce(words[v] + w[read:]))
+    return reps
+
+
 # -- permutation-action membership (exact for complete graphs) ------------------
 
 
@@ -233,6 +316,41 @@ def flood_identifications(scheme: GluingScheme):
              _flood([(t, v) for t in tets for v in range(4)], corner_links)]
     comps = [frozenset(t for t, _ in members) for members, _ in _flood(tets, tet_links)]
     return edges, verts, comps
+
+
+def flood_link_counts(scheme: GluingScheme) -> dict:
+    """(link triangles, link vertices, Euler characteristic) of the link of
+    each vertex class of a closed scheme, keyed by the class's sorted
+    (tet, vertex) tuple.
+
+    Link vertices are classes of edge ends (tet, edge, 0 for the tail or 1
+    for the head), flooded over the end identifications each pairing's
+    ``edge_matches`` makes: walk-start to walk-start, so the same ends when
+    the walk signs agree and crossed ends otherwise.  Each link triangle has
+    three sides and the sides glue in pairs.
+    """
+    tets = range(1, scheme.tet_count + 1)
+    end_links = []
+    for p in scheme.pairings:
+        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
+            for i in (0, 1):
+                end_links.append(((ta, ea, i), (tb, eb, i if wa == wb else 1 - i), 1))
+    end_class = {}
+    for k, (members, _) in enumerate(
+            _flood([(t, e, i) for t in tets for e in EDGE_ENDS for i in (0, 1)], end_links)):
+        for end, _ in members:
+            end_class[end] = k
+    _, verts, _ = flood_identifications(scheme)
+    counts = {}
+    for vclass in verts:
+        link_vertices = {end_class[(t, e, i)]
+                         for t, v in vclass
+                         for e, ends in EDGE_ENDS.items()
+                         for i in (0, 1) if ends[i] == v}
+        triangles = len(vclass)
+        sides = 3 * triangles // 2
+        counts[vclass] = (triangles, len(link_vertices), len(link_vertices) - sides + triangles)
+    return counts
 
 
 # -- doubling: leftward-pushing normal form --------------------------------------

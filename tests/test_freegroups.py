@@ -14,7 +14,14 @@ from geodouble.freegroups import (
     word_to_str,
 )
 
-from oracles import bounded_products, naive_reduce, permutation_graph, permutation_member
+from oracles import (
+    bounded_products,
+    naive_fold_key,
+    naive_reduce,
+    permutation_graph,
+    permutation_member,
+    tree_coset_representatives,
+)
 
 letters = st.integers(min_value=-3, max_value=3).filter(lambda s: s != 0)
 words = st.lists(letters, max_size=30).map(tuple)
@@ -216,6 +223,47 @@ class TestCosetRepresentative:
             w = free_reduce(rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 8)))
             rep = g.coset_representative(w)
             assert g.coset_representative(rep) == rep
+
+
+class TestFoldOracles:
+    def test_fold_and_representatives_match_oracles(self):
+        # Unreduced, empty and conjugated generators and probe words.
+        rng = random.Random(43)
+        for _ in range(300):
+            rank = rng.randint(1, 3)
+            alphabet = [s for s in range(-rank, rank + 1) if s]
+            gens = []
+            for _ in range(rng.randint(0, 4)):
+                w = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+                if rng.random() < 0.4:
+                    u = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3)))
+                    w = u + w + inverse_word(u)
+                gens.append(w)
+            g = stallings_graph(gens, rank)
+            assert g.canonical_key() == naive_fold_key(gens, rank), gens
+            probes = gens + [tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+                             for _ in range(20)]
+            assert [g.coset_representative(p) for p in probes] == \
+                   tree_coset_representatives(g, probes), gens
+
+    def test_deep_graph_representatives(self):
+        # One cyclically reduced generator of 3000 letters folds to a
+        # 3000-vertex cycle, so tree words run up to 1500 letters.
+        rng = random.Random(47)
+        word = [rng.choice((1, 2, -1, -2))]
+        while len(word) < 3000:
+            s = rng.choice((1, 2, -1, -2))
+            if s != -word[-1] and (len(word) < 2999 or s != -word[0]):
+                word.append(s)
+        word = tuple(word)
+        g = stallings_graph([word], 2)
+        assert g.vertex_count == 3000
+        assert g.canonical_key() == naive_fold_key([word], 2)
+        probes = [word[:k] + tuple(rng.choice((1, 2, -1, -2)) for _ in range(rng.randint(0, 3)))
+                  for k in rng.sample(range(3001), 150)]
+        reps = [g.coset_representative(p) for p in probes]
+        assert reps == tree_coset_representatives(g, probes)
+        assert max(len(r) for r in reps) >= 1400
 
 
 class TestSchreier:

@@ -24,7 +24,12 @@ from geodouble.triangulation import (
     render_scheme,
 )
 
-from oracles import brute_link_orientable, brute_orientable, flood_identifications
+from oracles import (
+    brute_link_orientable,
+    brute_orientable,
+    flood_identifications,
+    flood_link_counts,
+)
 
 IDENTITY_DOUBLE = """tets 2
 pair 1.132 2.132
@@ -337,6 +342,26 @@ class TestBoundarySurfaces:
             stats = boundary_surfaces(c)
             for comp in stats.components:
                 assert comp.orientable == brute_link_orientable(c, comp.vertex_class)
+
+    def test_link_counts_match_flood_fill_oracle(self):
+        rng = random.Random(53)
+        schemes = [parse_scheme(SELF_REVERSED_EDGE)] + \
+                  [random_closed_scheme(rng) for _ in range(200)]
+        self_reversed = 0
+        for scheme in schemes:
+            c = glue(scheme)
+            self_reversed += any(not ec.orientation_consistent for ec in c.edge_classes)
+            expected = flood_link_counts(scheme)
+            components = boundary_surfaces(c).components
+            assert len(components) == len(expected)
+            for comp in components:
+                triangles, vertices, chi = expected[c.vertex_classes[comp.vertex_class]]
+                assert comp.triangle_count == triangles
+                assert comp.vertex_count == vertices
+                assert comp.euler_characteristic == chi
+                orientable = brute_link_orientable(c, comp.vertex_class)
+                assert comp.genus == ((2 - chi) // 2 if orientable else 2 - chi)
+        assert self_reversed > 50
 
     def test_orientable_components_have_even_euler(self):
         rng = random.Random(37)
