@@ -14,13 +14,15 @@ on a merge queue, and queued pairs are identified through a union-find
 folding process", IJAC 2006).  The graph answers membership, computes the
 subgroup rank as its first Betti number, detects finite index (the graph
 is complete), and produces canonical coset representatives from a fixed
-breadth-first spanning tree.
+breadth-first spanning tree.  For the double's normal forms it also reads
+whole words: forward with free cancellation, backwards from the base, and,
+on complete graphs, from every vertex at once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -109,6 +111,7 @@ class SubgroupGraph:
         self._adj = adjacency
         self.generators = generators
         self._tree = self._spanning_tree()
+        self._columns: dict[int, list[int]] | None = None  # built by walk
 
     # -- construction ---------------------------------------------------
 
@@ -226,15 +229,77 @@ class SubgroupGraph:
         coset, and word * rep(word)^-1 always lies in the subgroup.
         """
         v, rest = self._read(free_reduce(word))
-        rep: list[int] = []
-        while v:
-            v, s = self._tree[v]
-            rep.append(s)
-        rep.reverse()
         # Already reduced: the unread rest cannot start with the inverse of
         # the tree edge into v, since that letter can be read at v.
-        rep.extend(rest)
-        return tuple(rep)
+        return self.tree_word(v) + rest
+
+    def tree_word(self, vertex: int) -> Word:
+        """The spanning-tree word from the base to ``vertex``."""
+        word: list[int] = []
+        while vertex:
+            vertex, s = self._tree[vertex]
+            word.append(s)
+        word.reverse()
+        return tuple(word)
+
+    # -- whole-word reading -------------------------------------------------
+
+    def extend_read(self, word: list[int], path: list[int],
+                    letters: Iterable[int]) -> bool:
+        """Multiply the reduced ``word`` by ``letters`` in place and say
+        whether the product lies in the subgroup.
+
+        ``path`` is kept as the vertices met reading ``word`` from the base:
+        path[i] is reached after i letters, up to the first letter the graph
+        cannot read.  Start both from ``[]`` and ``[0]``.  A cancelled letter
+        pops its vertex, so each letter costs O(1).
+        """
+        adj = self._adj
+        for s in letters:
+            if word and word[-1] == -s:
+                word.pop()
+                if len(path) > len(word) + 1:
+                    path.pop()
+            else:
+                word.append(s)
+                if len(path) == len(word):
+                    nxt = adj[path[-1]].get(s)
+                    if nxt is not None:
+                        path.append(nxt)
+        return len(path) > len(word) and path[-1] == 0
+
+    def read_back(self, word: Sequence[int]) -> tuple[int, int]:
+        """Read the reduced ``word`` backwards, that is read its inverse,
+        from the base as far as the graph allows.
+
+        Returns (vertex reached, j) where ``word[j:]`` is the part read.
+        """
+        adj = self._adj
+        vertex, j = 0, len(word)
+        for s in reversed(word):
+            nxt = adj[vertex].get(-s)
+            if nxt is None:
+                break
+            vertex = nxt
+            j -= 1
+        return vertex, j
+
+    def walk(self, word: Iterable[int], starts: Iterable[int]) -> list[int]:
+        """The vertex reached reading ``word`` from each of ``starts``.
+
+        Only for complete graphs (finite index), where every word reads from
+        every vertex and each label permutes the vertices; each letter then
+        costs one C-level pass over the starts.
+        """
+        if self._columns is None:
+            if self.index() is None:
+                raise ValueError("walk needs a complete graph (finite index)")
+            self._columns = {s: [nbrs[s] for nbrs in self._adj]
+                             for s in _signed_labels(self.ambient_rank)}
+        ends = list(starts)
+        for s in word:
+            ends = list(map(self._columns[s].__getitem__, ends))
+        return ends
 
     def schreier_rank_check(self) -> bool:
         """For finite index n in rank k: rank == n(k-1)+1, with the covering

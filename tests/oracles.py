@@ -10,9 +10,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 from geodouble.freegroups import SubgroupGraph, Word, concat, free_reduce, inverse_word
-from geodouble.doubling import Double, DoubleWord
+from geodouble.doubling import Double, DoubleWord, NormalForm, Syllable
 from geodouble.triangulation import (
     EDGE_ENDS,
     FACES,
@@ -398,6 +399,50 @@ def leftward_normal_form(double: Double, dword: DoubleWord):
 
 def project_leftward(double: Double, head: Word, syllables) -> Word:
     return concat(head, *(w for _, w in syllables))
+
+
+def _merge_syllables(syllables: Iterable[Syllable]) -> list[Syllable]:
+    # Reduce words, drop empties, merge same-side neighbours.
+    stack: list[Syllable] = []
+    for side, word in syllables:
+        w = free_reduce(word)
+        if not w:
+            continue
+        if stack and stack[-1][0] == side:
+            merged = concat(stack.pop()[1], w)
+            if merged:
+                stack.append((side, merged))
+        else:
+            stack.append((side, w))
+    return stack
+
+
+def reference_normal_form(self: Double, dword: DoubleWord) -> NormalForm:
+    """The rightward normal form by the direct quadratic rewrite: the carried
+    tail is concatenated onto each syllable, re-reduced and re-traced from
+    the base, and a syllable absorbed into H merges the previous
+    representative back.  Kept as the reference ``Double.normal_form`` must
+    match exactly."""
+    contains = self.subgroup.contains
+    out: list[Syllable] = []
+    carry: Word = ()
+    for side, word in _merge_syllables(dword.syllables):
+        w = concat(carry, word)
+        carry = ()
+        while True:
+            if not w or contains(w):
+                carry = w
+                break
+            if out and out[-1][0] == side:
+                # The previous representative is same-side adjacent after
+                # an absorbed subgroup syllable: merge back and redo.
+                w = concat(out.pop()[1], w)
+                continue
+            rep = self.left_representative(w)
+            carry = concat(inverse_word(rep), w)
+            out.append((side, rep))
+            break
+    return NormalForm(tuple(out), carry)
 
 
 # -- Smith normal form: gcd-of-minors ---------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,9 +11,14 @@ from geodouble.doubling import (
     NormalForm,
     random_double_word,
 )
-from geodouble.freegroups import concat, inverse_word, word_from_str
+from geodouble.freegroups import SubgroupGraph, WordError, concat, inverse_word, word_from_str
 
-from oracles import leftward_normal_form, project_leftward
+from oracles import (
+    leftward_normal_form,
+    permutation_graph,
+    project_leftward,
+    reference_normal_form,
+)
 
 
 @pytest.fixture
@@ -28,6 +34,27 @@ def random_subgroup(rng, max_gens=4, max_len=6):
                   for _ in range(rng.randint(1, max_len)))
         gens.append(w)
     return Double.from_generators(gens, rank), rank
+
+
+def schreier_double(rng, index, rank=2):
+    """Double over the base-point stabiliser of a random transitive action."""
+    while True:
+        perms = [rng.sample(range(index), index) for _ in range(rank)]
+        try:
+            return Double(permutation_graph(perms, rank))
+        except ValueError:  # not transitive
+            continue
+
+
+def splice_subgroup_words(rng, dbl, dword, rank):
+    """Insert subgroup elements, on random sides, between the syllables."""
+    syllables = []
+    for syllable in dword.syllables:
+        syllables.append(syllable)
+        if rng.random() < 0.5:
+            h = random_double_word(rng, rank, dbl.subgroup, max_syllables=2, in_subgroup=True)
+            syllables.extend(h.syllables)
+    return DoubleWord(tuple(syllables))
 
 
 class TestDoubleWordParsing:
@@ -220,3 +247,136 @@ class TestLeftwardOracle:
         nf = dbl.normal_form(DoubleWord.from_str("u:a p:a"))
         assert nf.syllable_count == 2
         assert nf.tail == ()
+
+
+class TestLettersOutsideRank:
+    @pytest.mark.parametrize("letter", [3, -3])
+    def test_raises_word_error_naming_the_letter(self, dbl, letter):
+        rng = random.Random(13)
+        syllables = tuple((i % 2, (rng.choice([1, 2, -1, -2]),)) for i in range(60))
+        word = DoubleWord(syllables + ((1, (letter, 2)),))
+        name = "c" if letter > 0 else "C"
+        with pytest.raises(WordError, match=f"'{name}'"):
+            dbl.normal_form(word)
+
+    def test_raises_on_finite_index_and_in_the_first_syllable(self):
+        dbl = schreier_double(random.Random(14), 16)
+        with pytest.raises(WordError, match="'c'"):
+            dbl.normal_form(DoubleWord(((0, (1, 3)), (1, (2,)))))
+        with pytest.raises(WordError, match="'d'"):
+            Double.from_generators([], 3).normal_form(DoubleWord(((0, (4,)),)))
+
+
+class TestReferenceOracle:
+    """Exact agreement with the direct quadratic rewrite, on every class of
+    input, and ``is_fixed`` against the reference's syllable count."""
+
+    @staticmethod
+    def check(dbl, dword):
+        nf = dbl.normal_form(dword)
+        assert nf == reference_normal_form(dbl, dword)
+        assert dbl.is_fixed(dword) == (nf.syllable_count == 0)
+
+    def test_random_subgroups_rank_1_to_3(self):
+        rng = random.Random(20)
+        for _ in range(30):
+            rank = rng.randint(1, 3)
+            gens = [tuple(rng.choice([s for s in range(-rank, rank + 1) if s])
+                          for _ in range(rng.randint(1, 6)))
+                    for _ in range(rng.randint(1, 4))]
+            dbl = Double.from_generators(gens, rank)
+            for _ in range(40):
+                self.check(dbl, random_double_word(rng, rank, dbl.subgroup, max_syllables=12,
+                                                   in_subgroup=rng.random() < 0.3))
+
+    @pytest.mark.parametrize("index", [2, 3, 5, 16, 40])
+    def test_schreier_subgroups(self, index):
+        rng = random.Random(index)
+        for _ in range(3):
+            dbl = schreier_double(rng, index, rank=rng.choice([2, 3]))
+            rank = dbl.rank
+            for _ in range(30):
+                self.check(dbl, random_double_word(rng, rank, dbl.subgroup, max_syllables=20,
+                                                   in_subgroup=rng.random() < 0.3))
+
+    @pytest.mark.parametrize("gens", [["a", "b"], [], ["aa", "b", "abA"]])
+    def test_whole_trivial_and_index_two(self, gens):
+        rng = random.Random(21)
+        dbl = Double.from_generators(gens, 2)
+        for _ in range(150):
+            self.check(dbl, random_double_word(rng, 2, dbl.subgroup, max_syllables=15,
+                                               in_subgroup=rng.random() < 0.3))
+
+    def test_subgroup_words_spliced_between_syllables(self):
+        rng = random.Random(22)
+        doubles = [Double.from_generators(["aa", "b", "abA"], 2),
+                   Double.from_generators(["ab", "bbA"], 2),
+                   schreier_double(rng, 5), schreier_double(rng, 16)]
+        for dbl in doubles:
+            for _ in range(60):
+                w = random_double_word(rng, 2, dbl.subgroup, max_syllables=10)
+                self.check(dbl, splice_subgroup_words(rng, dbl, w, 2))
+
+    def test_long_words_switch_to_the_action_table(self, monkeypatch):
+        # Tails of 50-400 syllables outgrow TABLE_FACTOR * V on index 2-16,
+        # so the coset action takes over part way through the word.
+        walks = []
+        real_walk = SubgroupGraph.walk
+
+        def counting_walk(graph, word, starts):
+            walks.append(len(word))
+            return real_walk(graph, word, starts)
+
+        monkeypatch.setattr(SubgroupGraph, "walk", counting_walk)
+        rng = random.Random(23)
+        doubles = [Double.from_generators(["aa", "b", "abA"], 2),
+                   schreier_double(rng, 3), schreier_double(rng, 16)]
+        for dbl in doubles:
+            before = len(walks)
+            for length in (50, 120, 400):
+                word = DoubleWord(tuple(
+                    (i % 2, tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randint(1, 3))))
+                    for i in range(length)))
+                self.check(dbl, word)
+            assert len(walks) > before
+
+    def test_index_1024_short_words(self):
+        rng = random.Random(24)
+        dbl = schreier_double(rng, 1024)
+        for length in (8, 32, 64):
+            for _ in range(2):
+                self.check(dbl, random_double_word(rng, 2, None, max_syllables=length))
+
+
+class TestScaling:
+    """5000 syllables stay well under the quadratic cost of the direct
+    rewrite (several seconds); 300 syllables agree with the leftward form."""
+
+    @staticmethod
+    def long_word(rng, length):
+        return DoubleWord(tuple(
+            (i % 2 if rng.random() < 0.8 else rng.randint(0, 1),
+             tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randint(1, 3))))
+            for i in range(length)))
+
+    @pytest.mark.parametrize("make", [
+        lambda rng: schreier_double(rng, 16),
+        lambda rng: Double.from_generators(["aa", "b", "abA"], 2),
+    ], ids=["index16", "aa_b_abA"])
+    def test_5000_syllables_under_two_seconds(self, make):
+        rng = random.Random(30)
+        dbl = make(rng)
+        word = self.long_word(rng, 5000)
+        start = time.perf_counter()
+        nf = dbl.normal_form(word)
+        assert time.perf_counter() - start < 2.0
+        assert dbl.subgroup.contains(nf.tail)
+        assert dbl.project(word) == dbl.project(dbl.nf_as_element(nf))
+
+        short = self.long_word(rng, 300)
+        nf = dbl.normal_form(short)
+        head, syls = leftward_normal_form(dbl, short)
+        assert len(syls) == nf.syllable_count
+        assert dbl.subgroup.contains(nf.tail)
+        assert project_leftward(dbl, head, syls) == dbl.project(short)
+        assert dbl.project(dbl.nf_as_element(nf)) == dbl.project(short)

@@ -225,6 +225,50 @@ class TestCosetRepresentative:
             assert g.coset_representative(rep) == rep
 
 
+class TestWholeWordReading:
+    GENS = (["aba", "bb", "aBa"], ["aa", "b", "abA"], ["ab", "bbA"], [])
+
+    @given(words, st.sampled_from(GENS))
+    def test_extend_read_tracks_membership_and_reduction(self, letters, gens):
+        g = stallings_graph(gens, 3)
+        word, path = [], [0]
+        for cut in range(0, len(letters), 4):
+            in_h = g.extend_read(word, path, letters[cut:cut + 4])
+            assert tuple(word) == free_reduce(letters[:cut + 4])
+            assert in_h == g.contains(word)
+        v = 0
+        for i, s in enumerate(word):
+            assert path[i] == v
+            v = g.step(v, s)
+            if v is None:
+                assert len(path) == i + 1
+                break
+        else:
+            assert path[-1] == v and len(path) == len(word) + 1
+
+    @given(words, st.sampled_from(GENS))
+    def test_read_back_gives_the_left_representative(self, letters, gens):
+        g = stallings_graph(gens, 3)
+        w = free_reduce(letters)
+        u, j = g.read_back(w)
+        assert w[:j] + inverse_word(g.tree_word(u)) == \
+            inverse_word(g.coset_representative(inverse_word(w)))
+
+    def test_walk_matches_the_permutation_action(self):
+        rng = random.Random(15)
+        perms = [rng.sample(range(6), 6) for _ in range(2)]
+        perms[0] = [1, 2, 3, 4, 5, 0]   # transitive
+        g = permutation_graph(perms, 2)
+        for _ in range(50):
+            w = tuple(rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 9)))
+            assert g.walk(w, [0]) == [g.trace(w)]
+            assert sorted(g.walk(w, range(6))) == list(range(6))
+
+    def test_walk_rejects_incomplete_graphs(self):
+        with pytest.raises(ValueError):
+            stallings_graph(["ab"], 2).walk((1,), [0])
+
+
 class TestFoldOracles:
     def test_fold_and_representatives_match_oracles(self):
         # Unreduced, empty and conjugated generators and probe words.
