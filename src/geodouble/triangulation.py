@@ -20,13 +20,22 @@ and every pairing must join faces whose effective normal directions
 each vertex class is a closed surface assembled from one corner triangle
 per tetrahedron vertex; its Euler characteristic and orientability give
 the genus of the corresponding boundary component after truncation.
+
+What a pairing identifies depends only on its two face names and its
+rotation, so a table built at import holds all 4 * 4 * 3 = 48 cases: three
+edge links with their relative arrow signs, three corner links with the
+sign that coherent link-triangle orientations need across the glued side,
+and the orientation relation of the two tetrahedra.  ``glue`` and
+``boundary_surfaces`` feed these links to one signed union-find over flat
+integers: edge e of tetrahedron t is 6(t-1)+(e-1), its vertex v is the
+corner 4(t-1)+v, and the tetrahedron itself is t-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 EDGE_ENDS: dict[int, tuple[int, int]] = {
     1: (0, 1), 2: (2, 0), 3: (1, 2), 4: (2, 3), 5: (3, 1), 6: (3, 0),
@@ -120,11 +129,12 @@ class FacePairing:
                 raise SchemeError(f"unknown face name {slot.face!r}")
             if slot.tet < 1:
                 raise SchemeError(f"tetrahedron index {slot.tet} out of range")
-        if self.a == self.b:
+        ka, kb = (self.a.tet, self.a.face), (self.b.tet, self.b.face)
+        if ka == kb:
             raise SchemeError(f"face {self.a} paired with itself")
         if self.rotation not in (0, 1, 2):
             raise SchemeError(f"rotation {self.rotation} not in 0..2")
-        if self.b < self.a:
+        if kb < ka:
             first, second = self.b, self.a
             object.__setattr__(self, "a", first)
             object.__setattr__(self, "b", second)
@@ -155,15 +165,17 @@ class GluingScheme:
         if self.tet_count < 1:
             raise SchemeError(f"tet count must be positive, got {self.tet_count}")
         object.__setattr__(self, "pairings",
-                           tuple(sorted(self.pairings, key=lambda p: (p.a, p.b))))
-        seen: set[FaceSlot] = set()
+                           tuple(sorted(self.pairings, key=lambda p: (
+                               p.a.tet, p.a.face, p.b.tet, p.b.face))))
+        seen: set[tuple[int, str]] = set()
         for p in self.pairings:
             for slot in (p.a, p.b):
                 if slot.tet > self.tet_count:
                     raise SchemeError(f"face {slot} beyond tet count {self.tet_count}")
-                if slot in seen:
+                key = (slot.tet, slot.face)
+                if key in seen:
                     raise SchemeError(f"face {slot} appears in more than one pairing")
-                seen.add(slot)
+                seen.add(key)
 
     @property
     def is_closed(self) -> bool:
@@ -248,23 +260,87 @@ def render_scheme(scheme: GluingScheme) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- the face-gluing table ----------------------------------------------------
+
+
+# The three edge-ends (edge, 0 for the tail or 1 for the head) meeting each
+# vertex, sorted; these are the corners of the link triangle there.
+_CORNER_ENDS = tuple(
+    tuple(sorted((e, i) for e, ends in EDGE_ENDS.items() for i in (0, 1) if ends[i] == v))
+    for v in range(4))
+
+
+def _ref_direction(tri: tuple[tuple[int, int], ...],
+                   p: tuple[int, int], q: tuple[int, int]) -> int:
+    # Reference boundary cycle of a link triangle is tri[0]->tri[1]->tri[2];
+    # +1 if it traverses p->q, -1 for q->p.
+    for j in range(3):
+        if tri[j] == p and tri[(j + 1) % 3] == q:
+            return 1
+        if tri[j] == q and tri[(j + 1) % 3] == p:
+            return -1
+    raise ValueError("ends do not span a side of the triangle")
+
+
+def _face_gluing(face_a: str, face_b: str, rotation: int):
+    """(edge links, corner links, orientation relation) of gluing face_a of
+    one tetrahedron to face_b of another, in tetrahedron-local indices.
+
+    Edge links are (edge a - 1, edge b - 1, relative arrow sign); corner
+    links are (vertex a, vertex b, link-side sign), the sign that coherent
+    orientations of the two link triangles must have relative to each other.
+    """
+    p = FacePairing(FaceSlot(1, face_a), FaceSlot(2, face_b), rotation)
+    edge_links, end_map = [], {}
+    for (_, ea, wa), (_, eb, wb) in p.edge_matches():
+        edge_links.append((ea - 1, eb - 1, wa * wb))
+        # Walk-start maps to walk-start: same intrinsic ends when the walk
+        # signs agree, crossed ends otherwise.
+        for i in (0, 1):
+            end_map[(ea, i)] = (eb, i if wa == wb else 1 - i)
+    edges, walks = FACES[face_a], FACE_WALK_SIGNS[face_a]
+    corner_links = []
+    for j, ((_, va), (_, vb)) in enumerate(p.corner_matches()):
+        # The link-triangle side at corner j joins the walk-end of edge j
+        # to the walk-start of edge j+1; transport both ends to face b.
+        p1 = (edges[j], 1 if walks[j] == 1 else 0)
+        q1 = (edges[(j + 1) % 3], 0 if walks[(j + 1) % 3] == 1 else 1)
+        d1 = _ref_direction(_CORNER_ENDS[va], p1, q1)
+        d2 = _ref_direction(_CORNER_ENDS[vb], end_map[p1], end_map[q1])
+        # Coherent triangle orientations must induce opposite directions
+        # on the glued side: o1*d1 = -o2*d2.
+        corner_links.append((va, vb, -d1 * d2))
+    # Coherent orientation needs the glued faces' normals to point in
+    # opposite effective directions: eps_a * eps_b = -s(Fa) * s(Fb).
+    return tuple(edge_links), tuple(corner_links), -FACE_SIGN[face_a] * FACE_SIGN[face_b]
+
+
+# One entry per (face a, face b, rotation): 4 * 4 * 3 = 48.
+_GLUINGS = {(fa, fb, r): _face_gluing(fa, fb, r)
+            for fa in FACES for fb in FACES for r in range(3)}
+
+
 # -- union-find ---------------------------------------------------------------
 
 
-class _DSU:
-    """Union-find where each item carries a +-1 sign relative to its root.
+class _UnionFind:
+    """Union-find on 0..size-1 where each item carries a +-1 sign relative
+    to its root.
 
     A union whose relation contradicts the signs already imposed marks the
-    component bad instead of raising.  Plain partitions use the default
-    relation +1, so their signs all stay +1 and no component turns bad.
+    class bad instead of raising.  Plain partitions use the default
+    relation +1, so their signs all stay +1 and no class turns bad.  Signs
+    relative to a class's least item do not depend on which root a union
+    keeps: each is the product along the forest of the unions that merged
+    two classes, even in a bad class.
     """
 
-    def __init__(self, items: Iterable):
-        self.parent = {x: x for x in items}
-        self.sign = {x: 1 for x in self.parent}
-        self.bad: set = set()
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.sign = [1] * size
+        self.bad: set[int] = set()
 
-    def find(self, x) -> tuple[object, int]:
+    def find(self, x: int) -> tuple[int, int]:
         """(root, s) with value(x) = s * value(root)."""
         # Path halving: each visited item skips to its grandparent, and its
         # sign composes over the skipped link (roots always carry +1).
@@ -280,7 +356,7 @@ class _DSU:
             s *= sign[x]
             x = g
 
-    def union(self, x, y, rel: int = 1) -> None:
+    def union(self, x: int, y: int, rel: int = 1) -> None:
         """Impose value(x) = rel * value(y)."""
         rx, sx = self.find(x)
         ry, sy = self.find(y)
@@ -295,16 +371,14 @@ class _DSU:
             self.bad.discard(ry)
             self.bad.add(rx)
 
-    def components(self) -> list[list[tuple[object, int]]]:
-        """Each class as sorted (item, sign to root) pairs, by least item."""
-        groups: dict = {}
-        for x in self.parent:
+    def classes(self) -> dict[int, list[tuple[int, int]]]:
+        """Each class as increasing (item, sign to root) pairs, keyed by its
+        root; the classes come in order of least item."""
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for x in range(len(self.parent)):
             root, s = self.find(x)
             groups.setdefault(root, []).append((x, s))
-        return sorted(sorted(g) for g in groups.values())
-
-    def is_bad(self, x) -> bool:
-        return self.find(x)[0] in self.bad
+        return groups
 
 
 # -- glued complexes ----------------------------------------------------------
@@ -373,49 +447,44 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
             f"scheme is not closed: {len(scheme.pairings)} pairings for "
             f"{scheme.tet_count} tetrahedra")
 
-    tets = range(1, scheme.tet_count + 1)
-    edges = _DSU((t, e) for t in tets for e in EDGE_ENDS)
-    verts = _DSU((t, v) for t in tets for v in range(4))
-    orient = _DSU(tets)
-    comps = _DSU(tets)
-
+    n = scheme.tet_count
+    edges, corners, tets = _UnionFind(6 * n), _UnionFind(4 * n), _UnionFind(n)
     for p in scheme.pairings:
-        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
-            edges.union((ta, ea), (tb, eb), wa * wb)
-        for ca, cb in p.corner_matches():
-            verts.union(ca, cb)
-        # Coherent orientation needs the glued faces' normals to point in
-        # opposite effective directions: eps_a * eps_b = -s(Fa) * s(Fb).
-        orient.union(p.a.tet, p.b.tet, -FACE_SIGN[p.a.face] * FACE_SIGN[p.b.face])
-        comps.union(p.a.tet, p.b.tet)
+        edge_links, corner_links, orient = _GLUINGS[p.a.face, p.b.face, p.rotation]
+        ta, tb = p.a.tet - 1, p.b.tet - 1
+        for ea, eb, rel in edge_links:
+            edges.union(6 * ta + ea, 6 * tb + eb, rel)
+        for va, vb, _ in corner_links:
+            corners.union(4 * ta + va, 4 * tb + vb)
+        tets.union(ta, tb, orient)
 
     edge_classes = []
     edge_lookup: dict[tuple[int, int], tuple[int, int]] = {}
-    for members in edges.components():
+    for root, members in edges.classes().items():
         base_sign = members[0][1]
-        rebased = tuple((t, e, s * base_sign) for (t, e), s in members)
-        edge_classes.append(EdgeClass(rebased, not edges.is_bad(members[0][0])))
-        for (t, e), s in members:
-            edge_lookup[(t, e)] = (len(edge_classes) - 1, s * base_sign)
+        rebased = tuple((x // 6 + 1, x % 6 + 1, s * base_sign) for x, s in members)
+        for t, e, s in rebased:
+            edge_lookup[(t, e)] = (len(edge_classes), s)
+        edge_classes.append(EdgeClass(rebased, root not in edges.bad))
 
     vertex_classes = []
     vertex_lookup: dict[tuple[int, int], int] = {}
-    for members in verts.components():
-        vertex_classes.append(tuple(m for m, _ in members))
-        for m, _ in members:
-            vertex_lookup[m] = len(vertex_classes) - 1
-
-    components = tuple(frozenset(t for t, _ in ts) for ts in comps.components())
+    for members in corners.classes().values():
+        vclass = tuple((x // 4 + 1, x % 4) for x, _ in members)
+        for corner in vclass:
+            vertex_lookup[corner] = len(vertex_classes)
+        vertex_classes.append(vclass)
 
     return GluedComplex(
         scheme=scheme,
         edge_classes=tuple(edge_classes),
         vertex_classes=tuple(vertex_classes),
-        orientable=not orient.bad,
+        orientable=not tets.bad,
         closed=scheme.is_closed,
         edge_lookup=edge_lookup,
         vertex_lookup=vertex_lookup,
-        tet_components=components,
+        tet_components=tuple(frozenset(x + 1 for x, _ in members)
+                             for members in tets.classes().values()),
     )
 
 
@@ -442,61 +511,32 @@ class BoundarySurfaceStats:
         return sum(c.triangle_count for c in self.components)
 
 
-def _corner_ends(tet: int, vertex: int) -> tuple[tuple[int, int, int], ...]:
-    # The three edge-ends meeting the given tetrahedron vertex, sorted;
-    # these are the corners of the link triangle there.
-    ends = []
-    for e, (i, t) in EDGE_ENDS.items():
-        if i == vertex:
-            ends.append((tet, e, 0))
-        if t == vertex:
-            ends.append((tet, e, 1))
-    return tuple(sorted(ends))
-
-
-def _ref_direction(tri: tuple[tuple[int, int, int], ...],
-                   p: tuple[int, int, int], q: tuple[int, int, int]) -> int:
-    # Reference boundary cycle of a link triangle is tri[0]->tri[1]->tri[2];
-    # +1 if it traverses p->q, -1 for q->p.
-    for j in range(3):
-        if tri[j] == p and tri[(j + 1) % 3] == q:
-            return 1
-        if tri[j] == q and tri[(j + 1) % 3] == p:
-            return -1
-    raise ValueError("ends do not span a side of the triangle")
-
-
 def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
     """Count V, E, F, Euler characteristic, orientability and genus of the
     link surface of every vertex class of a closed complex."""
     if not complex.closed:
         raise GluingError("boundary surfaces need a closed scheme")
     scheme = complex.scheme
-    tets = range(1, scheme.tet_count + 1)
 
-    corners = _DSU((t, v) for t in tets for v in range(4))
-    triangles = {(t, v): _corner_ends(t, v) for t in tets for v in range(4)}
-
+    # Link triangles are corners, glued with the table's link-side signs;
+    # the classes are the vertex classes, bad where a link is non-orientable.
+    corners = _UnionFind(4 * scheme.tet_count)
     for p in scheme.pairings:
-        end_map: dict[tuple[int, int, int], tuple[int, int, int]] = {}
-        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
-            # Walk-start maps to walk-start: same intrinsic ends when the
-            # walk signs agree, crossed ends otherwise.
-            for i in (0, 1):
-                end_map[(ta, ea, i)] = (tb, eb, i if wa == wb else 1 - i)
-        ea_list, wa_list = FACES[p.a.face], FACE_WALK_SIGNS[p.a.face]
-        for j, (ca, cb) in enumerate(p.corner_matches()):
-            # The link-triangle side at corner j joins the walk-end of edge j
-            # to the walk-start of edge j+1; transport both ends to face b.
-            e_in, e_out = ea_list[j], ea_list[(j + 1) % 3]
-            p1 = (p.a.tet, e_in, 1 if wa_list[j] == 1 else 0)
-            q1 = (p.a.tet, e_out, 0 if wa_list[(j + 1) % 3] == 1 else 1)
-            p2, q2 = end_map[p1], end_map[q1]
-            d1 = _ref_direction(triangles[ca], p1, q1)
-            d2 = _ref_direction(triangles[cb], p2, q2)
-            # Coherent triangle orientations must induce opposite directions
-            # on the glued side: o1*d1 = -o2*d2.
-            corners.union(ca, cb, -d1 * d2)
+        ta, tb = 4 * (p.a.tet - 1), 4 * (p.b.tet - 1)
+        for va, vb, rel in _GLUINGS[p.a.face, p.b.face, p.rotation][1]:
+            corners.union(ta + va, tb + vb, rel)
+
+    # Link vertices are edge ends, identified as glue identified their
+    # edges: an edge class has a tail and a head end (one end when it is
+    # glued to itself reversed), each in the link of the vertex class at
+    # its first member's tail or head.
+    vertex_counts = [0] * len(complex.vertex_classes)
+    for ec in complex.edge_classes:
+        t, e, _ = ec.members[0]
+        tail, head = EDGE_ENDS[e]
+        vertex_counts[complex.vertex_lookup[(t, tail)]] += 1
+        if ec.orientation_consistent:
+            vertex_counts[complex.vertex_lookup[(t, head)]] += 1
 
     components = []
     for idx, vclass in enumerate(complex.vertex_classes):
@@ -504,26 +544,15 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
         side_count, rem = divmod(3 * tri_count, 2)
         if rem:
             raise GluingError("odd number of link triangle sides; scheme not closed")
-        # Link vertices are edge ends, identified exactly as glue identified
-        # their edges: end i of a member with edge_lookup sign -1 is end 1-i
-        # of its class, and a class glued to itself reversed has one end.
-        ends = set()
-        for corner in vclass:
-            for t, e, i in triangles[corner]:
-                cls, sign = complex.edge_lookup[(t, e)]
-                if not complex.edge_classes[cls].orientation_consistent:
-                    ends.add((cls, 0))
-                else:
-                    ends.add((cls, i if sign == 1 else 1 - i))
-        vertex_count = len(ends)
-        orientable = not any(corners.is_bad(c) for c in vclass)
-        chi = vertex_count - side_count + tri_count
+        t, v = vclass[0]
+        orientable = corners.find(4 * (t - 1) + v)[0] not in corners.bad
+        chi = vertex_counts[idx] - side_count + tri_count
         genus = (2 - chi) // 2 if orientable else 2 - chi
         components.append(BoundaryComponent(
             vertex_class=idx,
             triangle_count=tri_count,
             edge_count=side_count,
-            vertex_count=vertex_count,
+            vertex_count=vertex_counts[idx],
             euler_characteristic=chi,
             orientable=orientable,
             genus=genus,

@@ -205,7 +205,13 @@ def _pairing_compatible(p, eps) -> bool:
 
 
 def brute_link_orientable(complex: GluedComplex, vertex_class: int) -> bool:
-    """Exhaustive sign search over the link triangles of one vertex class."""
+    """Backtracking sign search over the link triangles of one vertex class.
+
+    Triangles are signed depth first, in breadth-first order of the side
+    constraints, and a partial assignment is dropped at the first constraint
+    it breaks.  No assignment is skipped unchecked, so the search is
+    exhaustive; since each later triangle meets a signed neighbour, at most
+    one sign survives per step and the search stays short."""
     scheme = complex.scheme
     corners = list(complex.vertex_classes[vertex_class])
     pos = {c: i for i, c in enumerate(corners)}
@@ -255,12 +261,33 @@ def brute_link_orientable(complex: GluedComplex, vertex_class: int) -> bool:
             d2 = direction(cb, p2, q2)
             constraints.append((pos[ca], pos[cb], -d1 * d2))
 
-    m = len(corners)
-    for signs in itertools.product((1, -1), repeat=m - 1):
-        o = (1,) + signs
-        if all(o[i] * o[j] == rel for i, j, rel in constraints):
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in corners]
+    for i, j, rel in constraints:
+        nbrs[i].append((j, rel))
+        nbrs[j].append((i, rel))
+    order = []
+    for start in range(len(corners)):
+        if start not in order:
+            order.append(start)
+            for i in order:
+                for j, _ in nbrs[i]:
+                    if j not in order:
+                        order.append(j)
+    signs: dict[int, int] = {}
+
+    def extend(k: int) -> bool:
+        if k == len(order):
             return True
-    return False
+        i = order[k]
+        for s in (1, -1):
+            signs[i] = s
+            if all(signs[j] * s == rel for j, rel in nbrs[i] if j in signs) \
+                    and extend(k + 1):
+                return True
+            del signs[i]
+        return False
+
+    return extend(0)
 
 
 # -- identification classes by flood fill ---------------------------------------
@@ -317,6 +344,32 @@ def flood_identifications(scheme: GluingScheme):
              _flood([(t, v) for t in tets for v in range(4)], corner_links)]
     comps = [frozenset(t for t, _ in members) for members, _ in _flood(tets, tet_links)]
     return edges, verts, comps
+
+
+def forest_edge_signs(scheme: GluingScheme) -> dict:
+    """Sign of every (tet, edge) relative to the least edge of its class,
+    read along the spanning forest that keeps each edge link, in pairing
+    and match order, that joins two different classes.
+
+    In a class glued to itself reversed no signs satisfy every link; these
+    are the ones a union-find reports that imposes the links in that order,
+    whichever root it keeps: each item's sign to its root is the product
+    along its forest path.  Classes are tracked by naive relabelling.
+    """
+    tets = range(1, scheme.tet_count + 1)
+    items = [(t, e) for t in tets for e in EDGE_ENDS]
+    label = {x: x for x in items}
+    members = {x: [x] for x in items}
+    forest = []
+    for p in scheme.pairings:
+        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
+            lx, ly = label[(ta, ea)], label[(tb, eb)]
+            if lx != ly:
+                forest.append(((ta, ea), (tb, eb), wa * wb))
+                for z in members[ly]:
+                    label[z] = lx
+                members[lx] += members.pop(ly)
+    return {x: s for members, _ in _flood(items, forest) for x, s in members}
 
 
 def flood_link_counts(scheme: GluingScheme) -> dict:
