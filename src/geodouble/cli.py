@@ -17,10 +17,13 @@ Exit status: 0 all checks passed, 1 a check or domain error failed,
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import os
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import construction, doubling, isometries, presentations, triangulation
 from .freegroups import stallings_graph, word_from_str, word_to_str
@@ -67,12 +70,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GEODOUBLE_SEED", "0"))
-
-
 def parse_complex_number(text: str) -> complex:
-    """Parse complex literals written with i, e.g. ``1+2i``, ``-0.5i``, ``3``."""
+    """Parse finite complex literals written with i, e.g. ``1+2i``, ``-0.5i``, ``3``."""
     cleaned = text.strip().replace(" ", "")
     out = []
     for idx, ch in enumerate(cleaned):
@@ -84,9 +83,12 @@ def parse_complex_number(text: str) -> complex:
         else:
             out.append(ch)
     try:
-        return complex("".join(out))
+        value = complex("".join(out))
     except ValueError:
         raise ValueError(f"bad complex literal {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return value
 
 
 def parse_matrix(text: str) -> list[list[complex]]:
@@ -106,11 +108,62 @@ def _gen_words(text: str, rank: int):
     return [word_from_str(tok, rank) for tok in text.split(",") if tok.strip()]
 
 
-# -- family ------------------------------------------------------------------
+def _read_scheme(path: str) -> triangulation.GluingScheme:
+    with open(path, encoding="utf-8") as fh:
+        return triangulation.parse_scheme(fh.read())
 
 
-def cmd_family_report(args) -> Report:
-    rep = Report(f"family report --n-min {args.n_min} --n-max {args.n_max}")
+# -- command table -------------------------------------------------------------
+
+
+def _arg(*flags, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+class _OneOf(NamedTuple):
+    """Argument specs that form one mutually exclusive group."""
+    specs: tuple
+    required: bool = False
+
+
+_RANK = _arg("--rank", type=int, required=True)
+_GENS = _arg("--gens", type=str, required=True, help="comma-separated generator words")
+_WORD = _arg("--word", type=str, required=True)
+_H = _arg("--H", type=str, required=True)
+_TOL = _arg("--tol", type=float, default=isometries.DEFAULT_TOL)
+_PRES_INPUT = (_arg("--scheme", type=str, default=None), _arg("--gens", type=int, default=0),
+               _arg("--relators", type=str, default=""))
+
+# Help string of each top-level subcommand.
+GROUP_HELP = {
+    "family": "cyclic tetrahedron family",
+    "scheme": "scheme files",
+    "fg": "free-group subgroup graphs",
+    "double": "amalgamated double",
+    "iso": "isometry classification",
+    "pres": "finite presentations",
+    "audit": "rank-inequality audit",
+}
+
+# Subcommand path -> (argument specs, handler), in help order; ``@command``
+# adds each row.  A handler fills the Report that ``main`` hands it, or
+# returns text for ``main`` to print as it is (the scheme emitters).
+COMMANDS: dict[str, tuple] = {}
+
+
+def command(path: str, *specs):
+    """Register the decorated handler as the row for ``path``."""
+    def register(handler):
+        COMMANDS[path] = (specs, handler)
+        return handler
+    return register
+
+
+@command("family report", _arg("--n-min", type=int, default=4),
+         _arg("--n-max", type=int, default=13), _arg("--epsilon", type=str, default=None))
+def cmd_family_report(args, rep: Report) -> None:
+    rep.command += f" --n-min {args.n_min} --n-max {args.n_max}"
     rep.kv("columns", "n bgenus rank_bound fix_rank ratio ratio_dec "
                       "cusped_fix cusped_bound cusped_ratio cusped_ratio_dec")
     strict = True
@@ -125,21 +178,20 @@ def cmd_family_report(args) -> Report:
             rep.kv(f"row.{n}.fix_rank_closed", st.fix_rank_closed)
             rep.kv(f"row.{n}.ratio_closed", st.ratio_closed)
             rep.kv(f"row.{n}.fix_rank_cusped", st.fix_rank_cusped)
-            rep.kv(f"row.{n}.rank_upper_cusped", f"<{st.rank_upper_cusped + 1}")
+            rep.kv(f"row.{n}.rank_upper_cusped", f"<{st.rank_upper_cusped}")
             rep.kv(f"row.{n}.ratio_cusped", st.ratio_cusped)
         else:
             rep.text(
                 f"{n:5d} {st.boundary_genus:6d} {st.rank_upper_closed:10d} "
                 f"{st.fix_rank_closed:8d} {str(st.ratio_closed):>9s} "
                 f"{float(st.ratio_closed):.6f} {st.fix_rank_cusped:10d} "
-                f"{'<' + str(st.rank_upper_cusped + 1):>12s} "
+                f"{'<' + str(st.rank_upper_cusped):>12s} "
                 f"{str(st.ratio_cusped):>12s} {float(st.ratio_cusped):.6f}")
     rep.check("all_ratios_below_two", strict)
     if args.epsilon is not None:
         eps = Fraction(args.epsilon)
         rep.kv("epsilon", eps)
         rep.kv("min_n_for_ratio", construction.min_n_for_ratio(eps))
-    return rep
 
 
 def _fmt(value) -> str:
@@ -148,20 +200,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def cmd_family_verify(args) -> Report:
-    rep = Report(f"family verify --n {args.n}")
+@command("family verify", _arg("--n", type=int, required=True))
+def cmd_family_verify(args, rep: Report) -> None:
+    rep.command += f" --n {args.n}"
     report = construction.verify_family(args.n)
     rep.kv("n", args.n)
     for chk in report.checks:
         rep.check(chk.name, chk.ok,
                   f"expected {_fmt(chk.expected)}, got {_fmt(chk.actual)}")
-    return rep
 
 
-# -- scheme ------------------------------------------------------------------
-
-
-def _complex_summary(rep: Report, complex) -> None:
+@command("scheme info", _arg("file"))
+def cmd_scheme_info(args, rep: Report) -> None:
+    rep.command += f" {args.file}"
+    complex = triangulation.glue(_read_scheme(args.file), require_closed=False)
     rep.kv("tets", complex.scheme.tet_count)
     rep.kv("pairings", len(complex.scheme.pairings))
     rep.kv("closed", complex.closed)
@@ -185,66 +237,66 @@ def _complex_summary(rep: Report, complex) -> None:
             genus, handles = triangulation.handle_structure(complex)
             rep.kv("handlebody_genus", genus)
             rep.kv("two_handles", handles)
-    return None
 
 
-def cmd_scheme_info(args) -> Report:
-    rep = Report(f"scheme info {args.file}")
-    with open(args.file, encoding="utf-8") as fh:
-        scheme = triangulation.parse_scheme(fh.read())
-    complex = triangulation.glue(scheme, require_closed=False)
-    _complex_summary(rep, complex)
-    return rep
+@command("scheme canon", _arg("file"))
+def cmd_scheme_canon(args, rep: Report) -> str:
+    return triangulation.render_scheme(_read_scheme(args.file))
 
 
-def cmd_scheme_canon(args) -> Report:
-    with open(args.file, encoding="utf-8") as fh:
-        scheme = triangulation.parse_scheme(fh.read())
-    sys.stdout.write(triangulation.render_scheme(scheme))
-    return Report("scheme canon")
+@command("scheme family", _arg("--n", type=int, required=True))
+def cmd_scheme_family(args, rep: Report) -> str:
+    return triangulation.render_scheme(construction.family_scheme(args.n))
 
 
-def cmd_scheme_family(args) -> Report:
-    sys.stdout.write(triangulation.render_scheme(construction.family_scheme(args.n)))
-    return Report("scheme family")
-
-
-# -- fg ----------------------------------------------------------------------
-
-
-def _graph_from_args(args):
+def _fg(args, rep: Report):
+    """The folded graph of ``--gens`` that every ``fg`` row reports on."""
+    rep.command += f" --rank {args.rank} --gens {args.gens}"
     return stallings_graph(_gen_words(args.gens, args.rank), args.rank)
 
 
-def cmd_fg(args) -> Report:
-    rep = Report(f"fg {args.fg_cmd} --rank {args.rank} --gens {args.gens}")
-    graph = _graph_from_args(args)
-    if args.fg_cmd == "fold":
-        rep.kv("vertices", graph.vertex_count)
-        rep.kv("edges", graph.edge_count)
-        for line in graph.export_edge_list().splitlines():
-            rep.text(line)
-    elif args.fg_cmd == "member":
-        w = word_from_str(args.word, args.rank)
-        rep.kv("word", word_to_str(w))
-        rep.kv("member", graph.contains(w))
-    elif args.fg_cmd == "rank":
-        rep.kv("rank", graph.subgroup_rank())
-    elif args.fg_cmd == "index":
-        idx = graph.index()
-        rep.kv("index", "infinite" if idx is None else idx)
-    elif args.fg_cmd == "rep":
-        w = word_from_str(args.word, args.rank)
-        rep.kv("word", word_to_str(w))
-        rep.kv("representative", word_to_str(graph.coset_representative(w)))
-    return rep
+@command("fg fold", _RANK, _GENS)
+def cmd_fg_fold(args, rep: Report) -> None:
+    graph = _fg(args, rep)
+    rep.kv("vertices", graph.vertex_count)
+    rep.kv("edges", graph.edge_count)
+    for line in graph.export_edge_list().splitlines():
+        rep.text(line)
 
 
-# -- double ------------------------------------------------------------------
+@command("fg member", _RANK, _GENS, _WORD)
+def cmd_fg_member(args, rep: Report) -> None:
+    graph = _fg(args, rep)
+    w = word_from_str(args.word, args.rank)
+    rep.kv("word", word_to_str(w))
+    rep.kv("member", graph.contains(w))
 
 
-def cmd_double_nf(args) -> Report:
-    rep = Report(f"double nf --rank {args.rank} --H {args.H} --word {args.word}")
+@command("fg rank", _RANK, _GENS)
+def cmd_fg_rank(args, rep: Report) -> None:
+    graph = _fg(args, rep)
+    rep.kv("rank", graph.subgroup_rank())
+
+
+@command("fg index", _RANK, _GENS)
+def cmd_fg_index(args, rep: Report) -> None:
+    graph = _fg(args, rep)
+    idx = graph.index()
+    rep.kv("index", "infinite" if idx is None else idx)
+
+
+@command("fg rep", _RANK, _GENS, _WORD)
+def cmd_fg_rep(args, rep: Report) -> None:
+    graph = _fg(args, rep)
+    w = word_from_str(args.word, args.rank)
+    rep.kv("word", word_to_str(w))
+    rep.kv("representative", word_to_str(graph.coset_representative(w)))
+
+
+@command("double nf", _RANK, _H,
+         _arg("--word", type=str, required=True, help="syllables like 'u:abA p:bb u:a'"))
+def cmd_double_nf(args, rep: Report) -> None:
+    rep.command += f" --rank {args.rank} --H {args.H} --word {args.word}"
     dbl = doubling.Double.from_generators(_gen_words(args.H, args.rank), args.rank)
     word = doubling.DoubleWord.from_str(args.word, args.rank)
     nf = dbl.normal_form(word)
@@ -252,16 +304,26 @@ def cmd_double_nf(args) -> Report:
     rep.kv("syllables", nf.syllable_count)
     rep.kv("tail", word_to_str(nf.tail))
     rep.kv("fixed_by_swap", dbl.is_fixed(word))
-    return rep
 
 
-def cmd_double_fixtest(args) -> Report:
-    rep = Report(
-        f"double fixtest --rank {args.rank} --H {args.H} "
-        f"--samples {args.samples} --seed {args.seed}")
+@command("double fixtest", _RANK, _H, _arg("--samples", type=int, default=1000),
+         _arg("--seed", type=int, default=None))
+def cmd_double_fixtest(args, rep: Report) -> None:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be non-negative, got {args.samples}")
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("GEODOUBLE_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValueError(f"GEODOUBLE_SEED must be an integer, got {text!r}") from None
+    rep.command += (
+        f" --rank {args.rank} --H {args.H} "
+        f"--samples {args.samples} --seed {seed}")
     dbl = doubling.Double.from_generators(_gen_words(args.H, args.rank), args.rank)
-    rng = random.Random(args.seed)
-    rep.kv("seed", args.seed)
+    rng = random.Random(seed)
+    rep.kv("seed", seed)
     rep.kv("samples", args.samples)
     agree = 0
     fixed_count = 0
@@ -281,37 +343,34 @@ def cmd_double_fixtest(args) -> Report:
     rep.kv("fixed_elements", fixed_count)
     rep.kv("agreements", f"{agree}/{args.samples}")
     rep.check("fixed_iff_zero_syllables", agree == args.samples)
-    return rep
 
 
-# -- iso ---------------------------------------------------------------------
-
-
-def cmd_iso_classify(args) -> Report:
-    rep = Report(f"iso classify --m {args.m}" + (" --rev" if args.rev else ""))
+@command("iso classify", _arg("--m", type=str, required=True, help='matrix "a,b;c,d"'),
+         _arg("--rev", action="store_true"), _TOL)
+def cmd_iso_classify(args, rep: Report) -> None:
+    rep.command += f" --m {args.m}" + (" --rev" if args.rev else "")
     g = isometries.Isometry.from_rows(parse_matrix(args.m), reversing=args.rev)
     if args.rev:
-        fps = isometries.fixed_points(g, args.tol)
         rep.kv("reversing", True)
-        rep.kv("fixed_set", fps.kind)
-        if fps.kind == "circle":
-            rep.kv("center", fps.center)
-            rep.kv("radius", fps.radius)
-        elif fps.kind == "line":
-            rep.kv("line_point", fps.line_point)
-            rep.kv("line_direction", fps.line_direction)
     else:
-        cls = isometries.classify(g, args.tol)
-        rep.kv("class", cls.value)
-        fps = isometries.fixed_points(g, args.tol)
-        rep.kv("fixed_set", fps.kind)
-        if fps.points:
-            rep.kv("fixed_points", " ".join(str(p) for p in fps.points))
-    return rep
+        rep.kv("class", isometries.classify(g, args.tol).value)
+    # Preserving maps fix points; reversing ones fix a circle, a line or nothing.
+    fps = isometries.fixed_points(g, args.tol)
+    rep.kv("fixed_set", fps.kind)
+    if fps.points:
+        rep.kv("fixed_points", " ".join(str(p) for p in fps.points))
+    if fps.kind == "circle":
+        rep.kv("center", fps.center)
+        rep.kv("radius", fps.radius)
+    elif fps.kind == "line":
+        rep.kv("line_point", fps.line_point)
+        rep.kv("line_direction", fps.line_direction)
 
 
-def cmd_iso_commute(args) -> Report:
-    rep = Report(f"iso commute --m1 {args.m1} --m2 {args.m2}")
+@command("iso commute", _arg("--m1", type=str, required=True),
+         _arg("--m2", type=str, required=True), _TOL)
+def cmd_iso_commute(args, rep: Report) -> None:
+    rep.command += f" --m1 {args.m1} --m2 {args.m2}"
     g1 = isometries.Isometry.from_rows(parse_matrix(args.m1))
     g2 = isometries.Isometry.from_rows(parse_matrix(args.m2))
     com = isometries.commute(g1, g2, args.tol)
@@ -319,57 +378,73 @@ def cmd_iso_commute(args) -> Report:
     tag = isometries.commuting_criterion(g1, g2, args.tol)
     rep.kv("criterion", tag.value)
     rep.check("commute_iff_criterion", com == (tag is not isometries.CommutingCase.NONE))
-    return rep
 
 
-def cmd_iso_table(args) -> Report:
+@command("iso table",
+         _OneOf((_arg("--preserving", action="store_true"),
+                 _arg("--reversing", action="store_true")), required=True),
+         _OneOf((_arg("--closed", dest="closed", action="store_true", default=True),
+                 _arg("--cusped", dest="closed", action="store_false"))),
+         _OneOf((_arg("--phi2-id", dest="phi2_id", action="store_true", default=False),
+                 _arg("--phi2-nonid", dest="phi2_id", action="store_false"))))
+def cmd_iso_table(args, rep: Report) -> None:
     preserving = not args.reversing
-    rep = Report(
-        f"iso table --{'preserving' if preserving else 'reversing'} "
-        f"--{'closed' if args.closed else 'cusped'} "
-        f"--{'phi2-id' if args.phi2_id else 'phi2-nonid'}")
+    rep.command += (f" --{'preserving' if preserving else 'reversing'}"
+                    f" --{'closed' if args.closed else 'cusped'}"
+                    f" --{'phi2-id' if args.phi2_id else 'phi2-nonid'}")
     types = isometries.fix_type_table(preserving, args.phi2_id, args.closed)
     rep.kv("fix_types", " ".join(sorted(t.value for t in types)))
-    return rep
 
 
-# -- pres / audit --------------------------------------------------------------
-
-
-def _presentation_from_args(args) -> presentations.Presentation:
+def _pres(args, rep: Report) -> presentations.Presentation:
+    """The input presentation, which every ``pres`` row reports first."""
     if args.scheme:
-        with open(args.scheme, encoding="utf-8") as fh:
-            scheme = triangulation.parse_scheme(fh.read())
-        complex = triangulation.glue(scheme, require_closed=False)
-        return presentations.presentation_from_complex(complex)
-    relators = [word_from_str(tok, args.gens)
-                for tok in (args.relators or "").split(",") if tok.strip()]
-    return presentations.Presentation(args.gens, tuple(relators))
-
-
-def cmd_pres(args) -> Report:
-    rep = Report(f"pres {args.pres_cmd}")
-    p = _presentation_from_args(args)
+        complex = triangulation.glue(_read_scheme(args.scheme), require_closed=False)
+        p = presentations.presentation_from_complex(complex)
+    else:
+        relators = [word_from_str(tok, args.gens)
+                    for tok in (args.relators or "").split(",") if tok.strip()]
+        p = presentations.Presentation(args.gens, tuple(relators))
     rep.kv("presentation", str(p))
-    if args.pres_cmd == "simplify":
-        simplified = presentations.tietze_simplify(p)
-        rep.kv("simplified", str(simplified))
-        rep.kv("generators", simplified.generator_count)
-        rep.kv("relators", len(simplified.relators))
-    elif args.pres_cmd == "h1rank":
-        inv = presentations.abelianization(p)
-        rep.kv("h1_rank", inv.rank)
-        rep.kv("torsion", ",".join(map(str, inv.torsion)) or "none")
-    else:  # from-scheme
-        rep.kv("generators", p.generator_count)
-        rep.kv("relators", len(p.relators))
-    return rep
+    return p
 
 
-def cmd_audit(args) -> Report:
+@command("pres from-scheme", _arg("scheme"))
+def cmd_pres_from_scheme(args, rep: Report) -> None:
+    p = _pres(args, rep)
+    rep.kv("generators", p.generator_count)
+    rep.kv("relators", len(p.relators))
+
+
+@command("pres simplify", *_PRES_INPUT)
+def cmd_pres_simplify(args, rep: Report) -> None:
+    p = _pres(args, rep)
+    simplified = presentations.tietze_simplify(p)
+    rep.kv("simplified", str(simplified))
+    rep.kv("generators", simplified.generator_count)
+    rep.kv("relators", len(simplified.relators))
+
+
+@command("pres h1rank", *_PRES_INPUT)
+def cmd_pres_h1rank(args, rep: Report) -> None:
+    p = _pres(args, rep)
+    inv = presentations.abelianization(p)
+    rep.kv("h1_rank", inv.rank)
+    rep.kv("torsion", ",".join(map(str, inv.torsion)) or "none")
+
+
+@command("audit", _arg("--g", type=int, default=0), _arg("--m", type=int, default=0),
+         _arg("--l", type=int, default=0),
+         _arg("--orientable", dest="orientable", action="store_true", default=True),
+         _arg("--non-orientable", dest="orientable", action="store_false"),
+         _arg("--separating", action="store_true"),
+         _arg("--same-component", dest="same_component", action="store_true"),
+         _arg("--sweep", action="store_true"), _arg("--g-max", type=int, default=10),
+         _arg("--m-max", type=int, default=5), _arg("--l-max", type=int, default=5))
+def cmd_audit(args, rep: Report) -> None:
     if args.sweep:
-        rep = Report(f"audit sweep --g-max {args.g_max} --m-max {args.m_max} "
-                     f"--l-max {args.l_max}")
+        rep.command += (f" sweep --g-max {args.g_max} --m-max {args.m_max} "
+                        f"--l-max {args.l_max}")
         total = 0
         all_strict = True
         for case in presentations.enumerate_audit_cases(args.g_max, args.m_max,
@@ -379,152 +454,70 @@ def cmd_audit(args) -> Report:
             all_strict = all_strict and report.strict
         rep.kv("cases", total)
         rep.check("all_final_inequalities_strict", all_strict)
-        return rep
+        return
     case = presentations.AuditCase(
         genus=args.g, torus_pairs=args.m, single_circles=args.l,
         orientable=args.orientable, separating=args.separating,
         same_component=args.same_component)
-    rep = Report(
-        f"audit --g {args.g} --m {args.m} --l {args.l}"
-        f"{' --orientable' if args.orientable else ' --non-orientable'}"
-        f"{' --separating' if args.separating else ''}"
-        f"{' --same-component' if args.same_component else ''}")
+    rep.command += (f" --g {args.g} --m {args.m} --l {args.l}"
+                    f"{' --orientable' if args.orientable else ' --non-orientable'}"
+                    f"{' --separating' if args.separating else ''}"
+                    f"{' --same-component' if args.same_component else ''}")
     report = presentations.rank_audit(case)
     for line in report.lines():
         rep.text(line)
     rep.check("final_inequality_strict", report.strict,
               f"margin {report.margin}")
-    return rep
 
 
-# -- parser --------------------------------------------------------------------
+# -- parser and entry point ------------------------------------------------------
 
 
+def _add_arguments(parser, specs) -> None:
+    for spec in specs:
+        if isinstance(spec, _OneOf):
+            group = parser.add_mutually_exclusive_group(required=spec.required)
+            _add_arguments(group, spec.specs)
+        else:
+            flags, kwargs = spec
+            parser.add_argument(*flags, **kwargs)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser for every row of ``COMMANDS``, built once per process."""
     parser = argparse.ArgumentParser(prog="geodouble")
     parser.add_argument("--machine", action="store_true",
                         help="emit line-oriented key=value output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fam = sub.add_parser("family", help="cyclic tetrahedron family")
-    fam_sub = fam.add_subparsers(dest="family_cmd", required=True)
-    fr = fam_sub.add_parser("report")
-    fr.add_argument("--n-min", type=int, default=4)
-    fr.add_argument("--n-max", type=int, default=13)
-    fr.add_argument("--epsilon", type=str, default=None)
-    fr.set_defaults(func=cmd_family_report)
-    fv = fam_sub.add_parser("verify")
-    fv.add_argument("--n", type=int, required=True)
-    fv.set_defaults(func=cmd_family_verify)
-
-    sch = sub.add_parser("scheme", help="scheme files")
-    sch_sub = sch.add_subparsers(dest="scheme_cmd", required=True)
-    si = sch_sub.add_parser("info")
-    si.add_argument("file")
-    si.set_defaults(func=cmd_scheme_info)
-    sc = sch_sub.add_parser("canon")
-    sc.add_argument("file")
-    sc.set_defaults(func=cmd_scheme_canon)
-    sf = sch_sub.add_parser("family")
-    sf.add_argument("--n", type=int, required=True)
-    sf.set_defaults(func=cmd_scheme_family)
-
-    fg = sub.add_parser("fg", help="free-group subgroup graphs")
-    fg_sub = fg.add_subparsers(dest="fg_cmd", required=True)
-    for name, needs_word in (("fold", False), ("member", True), ("rank", False),
-                             ("index", False), ("rep", True)):
-        fp = fg_sub.add_parser(name)
-        fp.add_argument("--rank", type=int, required=True)
-        fp.add_argument("--gens", type=str, required=True,
-                        help="comma-separated generator words")
-        if needs_word:
-            fp.add_argument("--word", type=str, required=True)
-        fp.set_defaults(func=cmd_fg)
-
-    dbl = sub.add_parser("double", help="amalgamated double")
-    dbl_sub = dbl.add_subparsers(dest="double_cmd", required=True)
-    dn = dbl_sub.add_parser("nf")
-    dn.add_argument("--rank", type=int, required=True)
-    dn.add_argument("--H", type=str, required=True)
-    dn.add_argument("--word", type=str, required=True,
-                    help="syllables like 'u:abA p:bb u:a'")
-    dn.set_defaults(func=cmd_double_nf)
-    df = dbl_sub.add_parser("fixtest")
-    df.add_argument("--rank", type=int, required=True)
-    df.add_argument("--H", type=str, required=True)
-    df.add_argument("--samples", type=int, default=1000)
-    df.add_argument("--seed", type=int, default=_default_seed())
-    df.set_defaults(func=cmd_double_fixtest)
-
-    iso = sub.add_parser("iso", help="isometry classification")
-    iso_sub = iso.add_subparsers(dest="iso_cmd", required=True)
-    ic = iso_sub.add_parser("classify")
-    ic.add_argument("--m", type=str, required=True, help='matrix "a,b;c,d"')
-    ic.add_argument("--rev", action="store_true")
-    ic.add_argument("--tol", type=float, default=isometries.DEFAULT_TOL)
-    ic.set_defaults(func=cmd_iso_classify)
-    im = iso_sub.add_parser("commute")
-    im.add_argument("--m1", type=str, required=True)
-    im.add_argument("--m2", type=str, required=True)
-    im.add_argument("--tol", type=float, default=isometries.DEFAULT_TOL)
-    im.set_defaults(func=cmd_iso_commute)
-    it = iso_sub.add_parser("table")
-    group = it.add_mutually_exclusive_group(required=True)
-    group.add_argument("--preserving", action="store_true")
-    group.add_argument("--reversing", action="store_true")
-    g2 = it.add_mutually_exclusive_group()
-    g2.add_argument("--closed", dest="closed", action="store_true", default=True)
-    g2.add_argument("--cusped", dest="closed", action="store_false")
-    g3 = it.add_mutually_exclusive_group()
-    g3.add_argument("--phi2-id", dest="phi2_id", action="store_true", default=False)
-    g3.add_argument("--phi2-nonid", dest="phi2_id", action="store_false")
-    it.set_defaults(func=cmd_iso_table)
-
-    pres = sub.add_parser("pres", help="finite presentations")
-    pres_sub = pres.add_subparsers(dest="pres_cmd", required=True)
-    for name in ("from-scheme", "simplify", "h1rank"):
-        pp = pres_sub.add_parser(name)
-        if name == "from-scheme":
-            pp.add_argument("scheme")
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for path, (specs, handler) in COMMANDS.items():
+        group, _, name = path.partition(" ")
+        if not name:
+            sub = top.add_parser(group, help=GROUP_HELP[group])
         else:
-            pp.add_argument("--scheme", type=str, default=None)
-            pp.add_argument("--gens", type=int, default=0)
-            pp.add_argument("--relators", type=str, default="")
-        pp.set_defaults(func=cmd_pres)
-
-    aud = sub.add_parser("audit", help="rank-inequality audit")
-    aud.add_argument("--g", type=int, default=0)
-    aud.add_argument("--m", type=int, default=0)
-    aud.add_argument("--l", type=int, default=0)
-    aud.add_argument("--orientable", dest="orientable", action="store_true",
-                     default=True)
-    aud.add_argument("--non-orientable", dest="orientable", action="store_false")
-    aud.add_argument("--separating", action="store_true")
-    aud.add_argument("--same-component", dest="same_component", action="store_true")
-    aud.add_argument("--sweep", action="store_true")
-    aud.add_argument("--g-max", type=int, default=10)
-    aud.add_argument("--m-max", type=int, default=5)
-    aud.add_argument("--l-max", type=int, default=5)
-    aud.set_defaults(func=cmd_audit)
-
+            if group not in groups:
+                parent = top.add_parser(group, help=GROUP_HELP[group])
+                groups[group] = parent.add_subparsers(dest=f"{group}_cmd", required=True)
+            sub = groups[group].add_parser(name)
+        _add_arguments(sub, specs)
+        sub.set_defaults(func=handler, path=path)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    rep = Report(args.path)
     try:
-        report = args.func(args)
+        text = args.func(args, rep)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    out = report.render(machine=args.machine)
-    if report.rows:
-        sys.stdout.write(out)
-    return 1 if report.failed else 0
+    sys.stdout.write(rep.render(machine=args.machine) if text is None else text)
+    return 1 if rep.failed else 0
 
 
 if __name__ == "__main__":

@@ -66,7 +66,7 @@ class FamilyStats:
 
     The cusped variant removes a curve from the boundary; only its
     arithmetic consequences are tracked here: the fixed-subgroup rank drops
-    to 2n-3 and the rank bound becomes strict below n+4 (stored as n+3 with
+    to 2n-3 and the rank bound becomes strict below n+4 (stored as n+4 with
     the strict flag; reports print the "< n+4" form).
     """
 
@@ -91,7 +91,7 @@ def family_stats(n: int) -> FamilyStats:
         rank_upper_closed=n + 3,
         fix_rank_closed=2 * (n - 1),
         ratio_closed=Fraction(2 * n - 2, n + 3),
-        rank_upper_cusped=n + 3,
+        rank_upper_cusped=n + 4,
         rank_upper_cusped_strict=True,
         fix_rank_cusped=2 * n - 3,
         ratio_cusped=Fraction(2 * n - 3, n + 4),

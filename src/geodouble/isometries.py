@@ -43,16 +43,17 @@ class Tolerance:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        _tol_value(self.tol)
 
 
 def _tol_value(tol: float | Tolerance | None) -> float:
+    """The tolerance as a float; the one check that it is positive and finite."""
     if tol is None:
         return DEFAULT_TOL
-    if isinstance(tol, Tolerance):
-        return tol.tol
-    return float(tol)
+    t = tol.tol if isinstance(tol, Tolerance) else float(tol)
+    if not 0 < t < math.inf:
+        raise ValueError(f"tolerance must be a positive finite number, got {t!r}")
+    return t
 
 
 class Isometry:

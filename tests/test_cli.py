@@ -1,5 +1,6 @@
 import pytest
 
+from geodouble import cli
 from geodouble.cli import main, parse_complex_number, parse_matrix
 from geodouble.construction import family_scheme
 from geodouble.triangulation import render_scheme
@@ -11,6 +12,17 @@ def run(capsys, *argv):
     return code, captured.out
 
 
+def run_error(capsys, *argv):
+    """Run a command that must fail with one ``error:`` line; return that line."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
 class TestParsing:
     def test_complex_literals(self):
         assert parse_complex_number("1+2i") == 1 + 2j
@@ -20,6 +32,11 @@ class TestParsing:
         assert parse_complex_number("2-i") == 2 - 1j
         with pytest.raises(ValueError):
             parse_complex_number("zz")
+
+    @pytest.mark.parametrize("text", ["nan", "1e999", "-1e999", "1e999i", "nan+1i"])
+    def test_complex_literal_must_be_finite(self, text):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_complex_number(text)
 
     def test_matrix(self):
         assert parse_matrix("i,0;0,-i") == [[1j, 0], [0, -1j]]
@@ -89,6 +106,24 @@ class TestScheme:
         assert code == 0
         assert out == render_scheme(family_scheme(4))
 
+    @pytest.mark.parametrize("text,message", [
+        ("# comment\ntetz 2\n", "line 2: expected header 'tets N'"),
+        ("tets two\n", "line 1: bad tet count 'two'"),
+        ("tets 2\npair 1.132 2.132 order 1 2 3\n", "line 2: expected 'edgeorder', got 'order'"),
+        ("tets 2\npair 1-132 2.132\n", "line 2: bad face token '1-132'"),
+        ("tets 2\npair x.132 2.132\n", "line 2: bad tetrahedron index in 'x.132'"),
+        ("tets 2\n\npair 1.132 2.132 edgeorder 1 2 z\n",
+         "line 3: bad edge order ['1', '2', 'z']"),
+        ("tets 2\npair 0.132 1.453\n", "line 2: tetrahedron index 0 out of range"),
+        # No line holds a header, so this one error names no line.
+        ("# comment only\n\n", "missing 'tets N' header"),
+    ], ids=["bad-header", "bad-tet-count", "no-edgeorder-keyword", "bad-face-token",
+            "bad-tet-index", "bad-edge-order", "tet-below-one", "missing-header"])
+    def test_scheme_errors_name_their_line(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.scheme"
+        path.write_text(text)
+        assert run_error(capsys, "scheme", "info", str(path)) == f"error: {message}"
+
 
 class TestFg:
     def test_fold_edge_list(self, capsys):
@@ -130,6 +165,21 @@ class TestDouble:
         assert out1 == out2
         assert "agreements = 300/300" in out1
 
+    def test_negative_samples_rejected(self, capsys):
+        line = run_error(capsys, "double", "fixtest", "--rank", "2", "--H", "aa",
+                         "--samples", "-3")
+        assert line == "error: --samples must be non-negative, got -3"
+
+    def test_bad_seed_variable_only_fails_fixtest_without_seed(self, capsys, monkeypatch):
+        monkeypatch.setenv("GEODOUBLE_SEED", "x")
+        code, out = run(capsys, "family", "verify", "--n", "4")
+        assert code == 0 and "FAIL" not in out
+        fixtest = ("double", "fixtest", "--rank", "2", "--H", "aa", "--samples", "5")
+        line = run_error(capsys, *fixtest)
+        assert line == "error: GEODOUBLE_SEED must be an integer, got 'x'"
+        code, out = run(capsys, *fixtest, "--seed", "3")
+        assert code == 0 and "seed = 3" in out
+
     def test_fixtest_seed_changes_stream(self, capsys):
         _, out1 = run(capsys, "double", "fixtest", "--rank", "2", "--H", "aa",
                       "--samples", "50", "--seed", "1")
@@ -155,6 +205,22 @@ class TestIso:
         assert code == 0
         assert "commute = True" in out
         assert "criterion = perpendicular_pi_rotations" in out
+
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        for argv in (("iso", "classify", "--m", "1,1;0,1"),
+                     ("iso", "commute", "--m1", "i,0;0,-i", "--m2", "0,1;-1,0")):
+            line = run_error(capsys, *argv, "--tol", tol)
+            assert line.startswith("error: tolerance must be a positive finite number")
+
+    def test_tiny_tolerance_accepted(self, capsys):
+        code, out = run(capsys, "iso", "classify", "--m", "1,1;0,1", "--tol", "1e-300")
+        assert code == 0
+        assert "class = parabolic" in out
+
+    def test_non_finite_matrix_entry_rejected(self, capsys):
+        line = run_error(capsys, "iso", "classify", "--m", "nan,0;0,1")
+        assert line == "error: complex literal 'nan' is not finite"
 
     def test_table(self, capsys):
         code, out = run(capsys, "iso", "table", "--preserving", "--closed")
@@ -208,3 +274,24 @@ class TestExitCodes:
 
     def test_missing_required_usage_error(self, capsys):
         assert main(["family", "verify"]) == 2
+
+
+class TestCommandTable:
+    def test_every_group_and_path_has_a_parser(self, capsys):
+        for path in cli.COMMANDS:
+            assert main([*path.split(), "--help"]) == 0
+            assert capsys.readouterr().out.startswith(f"usage: geodouble {path} ")
+        for group in cli.GROUP_HELP:
+            assert main([group, "--help"]) == 0
+            assert f"usage: geodouble {group} " in capsys.readouterr().out
+
+    def test_parser_built_once_seed_read_per_call(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        argv = ("--machine", "double", "fixtest", "--rank", "2", "--H", "aa", "--samples", "5")
+        monkeypatch.setenv("GEODOUBLE_SEED", "11")
+        code, out = run(capsys, *argv)
+        assert code == 0 and "seed=11" in out.splitlines()
+        monkeypatch.setenv("GEODOUBLE_SEED", "12")
+        code, out = run(capsys, *argv)
+        assert code == 0 and "seed=12" in out.splitlines()
+        assert cli.build_parser.cache_info().misses == 1

@@ -65,7 +65,7 @@ class TestFamilyStats:
         assert st.fix_rank_closed == 6
         assert st.rank_upper_closed == 7
         assert st.fix_rank_cusped == 5
-        assert st.rank_upper_cusped == 7 and st.rank_upper_cusped_strict
+        assert st.rank_upper_cusped == 8 and st.rank_upper_cusped_strict
 
     def test_n100_ratio(self):
         assert family_stats(100).ratio_closed == Fraction(198, 103)

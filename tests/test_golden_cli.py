@@ -15,6 +15,7 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import shlex
 import tempfile
 from pathlib import Path
 
@@ -23,6 +24,7 @@ import pytest
 from geodouble.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 EXAMPLES: dict[str, list[str]] = {
     "family_verify": ["family", "verify", "--n", "4"],
@@ -73,6 +75,20 @@ def test_readme_example_matches_golden(name, machine, tmp_path, monkeypatch):
     _write_scheme()
     argv = (["--machine"] if machine else []) + EXAMPLES[name]
     assert _run(argv) == _golden_path(name, machine).read_text()
+
+
+def test_readme_examples_are_exactly_the_golden_examples():
+    """Every ``geodouble ...`` line of the README's CLI block is one EXAMPLES entry."""
+    block = README.read_text().split("## CLI examples", 1)[1].split("```", 2)[1]
+    argvs = []
+    for line in block.splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] != ["geodouble"]:
+            continue
+        if ">" in words:
+            words = words[:words.index(">")]
+        argvs.append(words[1:])
+    assert sorted(argvs) == sorted(EXAMPLES.values())
 
 
 if __name__ == "__main__":

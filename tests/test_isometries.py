@@ -278,6 +278,19 @@ class TestTolerance:
         with pytest.raises(ValueError):
             Tolerance(0)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_every_form_rejects_non_positive_or_non_finite(self, tol):
+        g = Isometry(1, 1, 0, 1)
+        for call in (lambda: Tolerance(tol), lambda: classify(g, tol),
+                     lambda: fixed_points(g, tol), lambda: commute(g, g, tol),
+                     lambda: g.is_identity(tol)):
+            with pytest.raises(ValueError, match="positive finite"):
+                call()
+
+    def test_tiny_positive_tolerance_accepted(self):
+        assert classify(Isometry(1, 1, 0, 1), 1e-300) is ElementClass.PARABOLIC
+        assert Tolerance(1e-300).tol == 1e-300
+
     def test_tolerance_object_accepted(self):
         assert classify(Isometry(1, 1, 0, 1), Tolerance(1e-6)) is ElementClass.PARABOLIC
 
