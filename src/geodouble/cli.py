@@ -309,6 +309,8 @@ def cmd_double_nf(args, rep: Report) -> None:
 @command("double fixtest", _RANK, _H, _arg("--samples", type=int, default=1000),
          _arg("--seed", type=int, default=None))
 def cmd_double_fixtest(args, rep: Report) -> None:
+    if args.rank < 1:
+        raise ValueError(f"--rank must be at least 1, got {args.rank}")
     if args.samples < 0:
         raise ValueError(f"--samples must be non-negative, got {args.samples}")
     seed = args.seed
@@ -397,8 +399,12 @@ def cmd_iso_table(args, rep: Report) -> None:
 
 
 def _pres(args, rep: Report) -> presentations.Presentation:
-    """The input presentation, which every ``pres`` row reports first."""
-    if args.scheme:
+    """The input presentation, which every ``pres`` row reports first.
+
+    ``pres from-scheme`` always reads its scheme file; the other rows read
+    ``--scheme`` only when it is non-empty, else ``--gens``/``--relators``.
+    """
+    if args.scheme or "gens" not in args:
         complex = triangulation.glue(_read_scheme(args.scheme), require_closed=False)
         p = presentations.presentation_from_complex(complex)
     else:

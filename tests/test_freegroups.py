@@ -269,6 +269,22 @@ class TestWholeWordReading:
             stallings_graph(["ab"], 2).walk((1,), [0])
 
 
+def _reads(prev, word, rank):
+    """How folding meets ``word`` on the graph of ``prev``: the forward read
+    stops after i letters at u; reading backwards without the stop at i
+    leaves ``word[j:]`` read and ends at v."""
+    g = stallings_graph(prev, rank)
+    w = free_reduce(word_from_str(word, rank))
+    i = max(k for k in range(len(w) + 1) if g.trace(w[:k]) is not None)
+    v, j = g.read_back(w)
+    return w, i, g.trace(w[:i]), j, v
+
+
+def _assert_fold_matches_oracle(prev, word):
+    gens = [word_from_str(g) for g in prev + [word]]
+    assert stallings_graph(gens, 2).canonical_key() == naive_fold_key(gens, 2)
+
+
 class TestFoldOracles:
     def test_fold_and_representatives_match_oracles(self):
         # Unreduced, empty and conjugated generators and probe words.
@@ -308,6 +324,84 @@ class TestFoldOracles:
         reps = [g.coset_representative(p) for p in probes]
         assert reps == tree_coset_representatives(g, probes)
         assert max(len(r) for r in reps) >= 1400
+
+    # Folding reads each generator forwards and backwards along the graph
+    # already folded; the cases below are built to reach each way the two
+    # reads can meet.
+
+    @pytest.mark.parametrize("prev, word", [(["aa"], "a"), (["ab", "aB"], "a")])
+    def test_read_to_end_at_other_vertex(self, prev, word):
+        w, i, u, _, _ = _reads(prev, word, 2)
+        assert i == len(w) and u != 0
+        _assert_fold_matches_oracle(prev, word)
+
+    def test_reads_meet_between_two_vertices(self):
+        w, i, u, j, v = _reads(["ab"], "aab", 2)
+        assert i == j < len(w) and u != v
+        _assert_fold_matches_oracle(["ab"], "aab")
+
+    @pytest.mark.parametrize("prev, word", [([], "abA"), (["aa"], "abaBA")])
+    def test_first_and_last_letters_collide(self, prev, word):
+        w, i, u, j, v = _reads(prev, word, 2)
+        assert i < j - 1 and u == v and w[i] == -w[j - 1]
+        _assert_fold_matches_oracle(prev, word)
+        _assert_fold_matches_oracle(prev + [word], "aBA")
+
+    @pytest.mark.parametrize("prev, word", [(["aa"], "aba"), (["aaa"], "aba"),
+                                            (["ab"], "aB"), ([], "a")])
+    def test_one_letter_middle(self, prev, word):
+        _, i, _, j, _ = _reads(prev, word, 2)
+        assert j - i == 1
+        _assert_fold_matches_oracle(prev, word)
+
+    @pytest.mark.parametrize("word", ["ba", "aBa", "bAA"])
+    def test_reads_that_would_overlap(self, word):
+        w, i, _, j, _ = _reads(["a", "bb"], word, 2)
+        assert j < i < len(w)
+        _assert_fold_matches_oracle(["a", "bb"], word)
+
+    def test_words_along_paths_of_the_graph(self):
+        # Heads of generators, a short middle, then inverted heads of
+        # generators: the reads from both ends go far and meet anywhere.
+        rng = random.Random(59)
+        for _ in range(200):
+            rank = rng.randint(1, 3)
+            alphabet = [s for s in range(-rank, rank + 1) if s]
+            gens = [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
+                    for _ in range(rng.randint(1, 3))]
+            for _ in range(3):
+                head = rng.choice(gens)[:rng.randint(0, 6)]
+                tail = rng.choice(gens)[:rng.randint(0, 6)]
+                middle = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 2)))
+                gens.append(head + middle + inverse_word(tail))
+            assert stallings_graph(gens, rank).canonical_key() == \
+                naive_fold_key(gens, rank), gens
+
+    @pytest.mark.parametrize("size", [64, 128, 256, 512])
+    def test_schreier_generators_of_large_index(self, size):
+        rng = random.Random(size)
+        rank = 2 + size % 3
+        while True:
+            perms = [rng.sample(range(size), size) for _ in range(rank)]
+            try:
+                expected = permutation_graph(perms, rank)
+                break
+            except ValueError:
+                continue
+        gens = [concat(expected.tree_word(v), (s,), inverse_word(expected.tree_word(w)))
+                for v, s, w in expected.edges()]
+        rng.shuffle(gens)
+        g = stallings_graph([x for x in gens if x], rank)
+        assert g.index() == size
+        assert g._adj == expected._adj
+        assert all(list(nbrs) == sorted(nbrs) for nbrs in g._adj)
+        # The same graph adopted with shuffled vertex names and base.
+        names = rng.sample(range(size), size)
+        shuffled = [{} for _ in range(size)]
+        for v, s, w in expected.edges():
+            shuffled[names[v]][s] = names[w]
+            shuffled[names[w]][-s] = names[v]
+        assert SubgroupGraph.from_adjacency(rank, shuffled, base=names[0])._adj == g._adj
 
 
 class TestSchreier:
