@@ -11,16 +11,19 @@ vertex carries two equally-labelled edges in the same direction.  Folding
 adds one generator at a time to a graph that is already folded: the word
 is read along the graph forwards from the base and then backwards from the
 base, and only its unread middle adds vertices (Kapovich and Myasnikov,
-"Stallings foldings and subgroups of free groups", J. Algebra 2002).  A
-vertex stores one target per label; a second target for a label is put on
-a merge queue, and queued pairs are identified through a union-find (the
-near-linear scheme of Touikan, "A fast algorithm for Stallings' folding
-process", IJAC 2006).  The graph answers membership, computes the
-subgroup rank as its first Betti number, detects finite index (the graph
-is complete), and produces canonical coset representatives from a fixed
-breadth-first spanning tree.  For the double's normal forms it also reads
-whole words: forward with free cancellation, backwards from the base, and,
-on complete graphs, from every vertex at once.
+"Stallings foldings and subgroups of free groups", J. Algebra 2002).  While
+folding, a vertex stores one target per label; a second target for a label
+is put on a merge queue, and queued pairs are identified through a
+union-find (the near-linear scheme of Touikan, "A fast algorithm for
+Stallings' folding process", IJAC 2006).  One breadth-first pass then
+renumbers the folded graph canonically and stores it as one target column
+per signed label that occurs, with the breadth-first spanning tree it
+found as a parent and a label per vertex.  The graph answers membership,
+computes the subgroup rank as its first Betti number, detects finite index
+(the graph is complete), and produces canonical coset representatives from
+that tree.  For the double's normal forms it also reads whole words:
+forward with free cancellation, backwards from the base, and, on complete
+graphs, from every vertex at once, one column per letter.
 """
 
 from __future__ import annotations
@@ -91,10 +94,11 @@ def concat(*words: Iterable[int]) -> Word:
     return free_reduce(joined)
 
 
-def _signed_labels(rank: int) -> list[int]:
-    # Fixed scan order: a, b, ..., then A, B, ...  Canonical labelling and
-    # the spanning tree both depend on this order staying put.
-    return list(range(1, rank + 1)) + list(range(-1, -rank - 1, -1))
+def _check_letters(word: Sequence[int], rank: int) -> None:
+    # Three C-level passes; the letter is looked for only on failure.
+    if word and (min(word) < -rank or max(word) > rank or 0 in word):
+        bad = next(s for s in word if not 1 <= abs(s) <= rank)
+        raise WordError(f"letter {bad} outside the rank-{rank} alphabet")
 
 
 class SubgroupGraph:
@@ -102,20 +106,26 @@ class SubgroupGraph:
 
     Vertices are numbered 0..V-1 in breadth-first order from the base
     vertex 0, scanning labels a, b, ..., A, B, ...; this relabelling is the
-    canonical form used for equality tests.  Coset representatives read off
-    the breadth-first spanning tree in the same label order, so they are
-    canonical too (and depend on that choice).  The tree is stored as parent
-    pointers, one (parent, label) pair per vertex; a vertex's tree word is
-    built on demand by walking the parents back to the base.
+    canonical form used for equality tests.  The graph is stored as one
+    target column per signed label that occurs: column s holds, at v, the
+    target of v's s-edge, or None.  Coset representatives read off the
+    breadth-first spanning tree that the relabelling finds, so they are
+    canonical too (and depend on that choice).  The tree is two flat lists,
+    each vertex's parent and the label of the edge that found it; a
+    vertex's tree word is built on demand by walking the parents back to
+    the base.
     """
 
-    def __init__(self, ambient_rank: int, adjacency: tuple[dict[int, int], ...],
-                 generators: tuple[Word, ...] = ()):
+    def __init__(self, ambient_rank: int, columns: dict[int, list[int | None]],
+                 parent: list[int], label: list[int], generators: tuple[Word, ...] = ()):
         self.ambient_rank = ambient_rank
-        self._adj = adjacency
+        self._col = columns
+        self._parent = parent
+        self._label = label
         self.generators = generators
-        self._tree = self._spanning_tree()
-        self._columns: dict[int, list[int]] | None = None  # built by walk
+        complete = len(columns) == 2 * ambient_rank and \
+            all(None not in col for col in columns.values())
+        self._index = len(parent) if complete else None
 
     # -- construction ---------------------------------------------------
 
@@ -127,80 +137,84 @@ class SubgroupGraph:
         gens = []
         for g in generators:
             w = word_from_str(g, ambient_rank) if isinstance(g, str) else tuple(g)
-            for s in w:
-                if not 1 <= abs(s) <= ambient_rank:
-                    raise WordError(f"letter {s} outside the rank-{ambient_rank} alphabet")
+            _check_letters(w, ambient_rank)
             w = free_reduce(w)
             if w:
                 gens.append(w)
-        # The fold's own lists are dropped before the graph builds its tree.
-        return cls(ambient_rank, _canonical_relabel(*_fold(gens), 0, ambient_rank),
-                   tuple(gens))
+        # The fold's own lists are dropped once the columns are built.
+        return cls(ambient_rank, *_canonical_relabel(*_fold(gens), 0), tuple(gens))
 
     @classmethod
     def from_adjacency(cls, ambient_rank: int, adjacency: Iterable[dict[int, int]],
                        base: int = 0) -> "SubgroupGraph":
         """Adopt an explicit folded graph (labels +i/-i, both directions listed).
 
-        The graph must be folded, connected from the base, and core (no
-        dangling vertices besides possibly the base).
+        The graph must be nonempty, folded, connected from the base, and
+        core (no dangling vertices besides possibly the base).
         """
         adj = [dict(d) for d in adjacency]
+        n = len(adj)
+        if not n:
+            raise ValueError("graph has no vertices")
+        if not 0 <= base < n:
+            raise ValueError(f"base {base} is not a vertex of a {n}-vertex graph")
         for v, nbrs in enumerate(adj):
             for s, w in nbrs.items():
                 if not 1 <= abs(s) <= ambient_rank:
                     raise ValueError(f"label {s} outside rank {ambient_rank}")
+                if not 0 <= w < n:
+                    raise ValueError(f"edge {v} --{s}--> {w} leaves the {n}-vertex graph")
                 if adj[w].get(-s) != v:
                     raise ValueError(f"edge {v} --{s}--> {w} lacks its reverse entry")
         for v, nbrs in enumerate(adj):
-            if v != base and sum(1 for _ in nbrs) <= 1:
+            if v != base and len(nbrs) <= 1:
                 raise ValueError(f"vertex {v} is dangling; graph is not core")
-        canonical = _canonical_relabel(adj, range(len(adj)), base, ambient_rank)
-        if len(canonical) != len(adj):
+        columns, parent, label = _canonical_relabel(adj, range(n), base)
+        if len(parent) != n:
             raise ValueError("graph is not connected from the base vertex")
-        return cls(ambient_rank, canonical)
-
-    def _spanning_tree(self) -> list[tuple[int, int]]:
-        # (parent, label) of each vertex's tree edge, (0, 0) at the base.
-        # Numbering is breadth-first, so the first edge into w met in index
-        # and _signed_labels order is the one that discovered w.
-        tree: list[tuple[int, int] | None] = [None] * len(self._adj)
-        tree[0] = (0, 0)
-        labels = _signed_labels(self.ambient_rank)
-        for v, nbrs in enumerate(self._adj):
-            for s in labels:
-                w = nbrs.get(s)
-                if w is not None and tree[w] is None:
-                    tree[w] = (v, s)
-        return tree  # type: ignore[return-value]
+        return cls(ambient_rank, columns, parent, label)
 
     # -- queries ----------------------------------------------------------
 
     @property
     def vertex_count(self) -> int:
-        return len(self._adj)
+        return len(self._parent)
 
     @property
     def edge_count(self) -> int:
         """Number of geometric (positively labelled) edges."""
-        return sum(1 for nbrs in self._adj for s in nbrs if s > 0)
+        n = len(self._parent)
+        return sum(n - col.count(None) for s, col in self._col.items() if s > 0)
 
     def step(self, vertex: int, label: int) -> int | None:
-        return self._adj[vertex].get(label)
+        col = self._col.get(label)
+        return None if col is None else col[vertex]
 
     def _read(self, word: Word) -> tuple[int, Word]:
         # (vertex reached, unread rest) following the reduced word from the
-        # base as far as the graph allows.
+        # base as far as the graph allows.  Only labels of the rank have
+        # columns, so only the unread rest needs its letters checked.
+        cols = self._col
         v = 0
         for i, s in enumerate(word):
-            nxt = self._adj[v].get(s)
-            if nxt is None:
-                return v, word[i:]
-            v = nxt
+            col = cols.get(s)
+            if col is not None:
+                nxt = col[v]
+                if nxt is not None:
+                    v = nxt
+                    continue
+            rest = word[i:]
+            _check_letters(rest, self.ambient_rank)
+            return v, rest
         return v, ()
 
     def trace(self, word: Iterable[int]) -> int | None:
-        """Endpoint of the path reading ``word`` from the base, or None."""
+        """Endpoint of the path reading ``word`` from the base, or None.
+
+        A letter outside the rank that free reduction leaves in ``word``
+        raises WordError, here and in ``contains`` and
+        ``coset_representative``.
+        """
         v, rest = self._read(free_reduce(word))
         return None if rest else v
 
@@ -218,11 +232,7 @@ class SubgroupGraph:
         Finite index means the graph is complete: every vertex carries all
         2k labelled directions, and the index is the vertex count.
         """
-        full = 2 * self.ambient_rank
-        for nbrs in self._adj:
-            if len(nbrs) != full:
-                return None
-        return len(self._adj)
+        return self._index
 
     def coset_representative(self, word: Iterable[int]) -> Word:
         """Canonical representative of the coset H*word.
@@ -240,10 +250,11 @@ class SubgroupGraph:
 
     def tree_word(self, vertex: int) -> Word:
         """The spanning-tree word from the base to ``vertex``."""
+        parent, label = self._parent, self._label
         word: list[int] = []
         while vertex:
-            vertex, s = self._tree[vertex]
-            word.append(s)
+            word.append(label[vertex])
+            vertex = parent[vertex]
         word.reverse()
         return tuple(word)
 
@@ -259,7 +270,7 @@ class SubgroupGraph:
         cannot read.  Start both from ``[]`` and ``[0]``.  A cancelled letter
         pops its vertex, so each letter costs O(1).
         """
-        adj = self._adj
+        cols = self._col
         for s in letters:
             if word and word[-1] == -s:
                 word.pop()
@@ -268,9 +279,11 @@ class SubgroupGraph:
             else:
                 word.append(s)
                 if len(path) == len(word):
-                    nxt = adj[path[-1]].get(s)
-                    if nxt is not None:
-                        path.append(nxt)
+                    col = cols.get(s)
+                    if col is not None:
+                        nxt = col[path[-1]]
+                        if nxt is not None:
+                            path.append(nxt)
         return len(path) > len(word) and path[-1] == 0
 
     def read_back(self, word: Sequence[int]) -> tuple[int, int]:
@@ -279,10 +292,11 @@ class SubgroupGraph:
 
         Returns (vertex reached, j) where ``word[j:]`` is the part read.
         """
-        adj = self._adj
+        cols = self._col
         vertex, j = 0, len(word)
         for s in reversed(word):
-            nxt = adj[vertex].get(-s)
+            col = cols.get(-s)
+            nxt = None if col is None else col[vertex]
             if nxt is None:
                 break
             vertex = nxt
@@ -296,14 +310,12 @@ class SubgroupGraph:
         every vertex and each label permutes the vertices; each letter then
         costs one C-level pass over the starts.
         """
-        if self._columns is None:
-            if self.index() is None:
-                raise ValueError("walk needs a complete graph (finite index)")
-            self._columns = {s: [nbrs[s] for nbrs in self._adj]
-                             for s in _signed_labels(self.ambient_rank)}
+        if self._index is None:
+            raise ValueError("walk needs a complete graph (finite index)")
+        cols = self._col
         ends = list(starts)
         for s in word:
-            ends = list(map(self._columns[s].__getitem__, ends))
+            ends = list(map(cols[s].__getitem__, ends))
         return ends
 
     def schreier_rank_check(self) -> bool:
@@ -320,23 +332,28 @@ class SubgroupGraph:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (source, positive label, target), sorted."""
-        for v in range(len(self._adj)):
-            for s in sorted(k for k in self._adj[v] if k > 0):
-                yield (v, s, self._adj[v][s])
+        positive = sorted((s, col) for s, col in self._col.items() if s > 0)
+        for v in range(len(self._parent)):
+            for s, col in positive:
+                w = col[v]
+                if w is not None:
+                    yield (v, s, w)
 
     def canonical_key(self) -> tuple:
-        return (self.ambient_rank, len(self._adj), tuple(self.edges()))
+        return (self.ambient_rank, len(self._parent), tuple(self.edges()))
 
     def export_edge_list(self) -> str:
         return "\n".join(f"{v} --{letter_str(s)}--> {w}" for v, s, w in self.edges())
 
     def __eq__(self, other: object) -> bool:
+        # The columns are in canonical numbering, so they are the graph.
         if not isinstance(other, SubgroupGraph):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return self.ambient_rank == other.ambient_rank and self._col == other._col
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        # Equal columns give equal breadth-first trees.
+        return hash((self.ambient_rank, tuple(self._parent), tuple(self._label)))
 
     def __repr__(self) -> str:
         return (f"SubgroupGraph(rank={self.ambient_rank}, vertices={self.vertex_count}, "
@@ -425,23 +442,39 @@ def _fold(gens: list[Word]) -> tuple[list[dict[int, int]], list[int]]:
     return adj, parent
 
 
-def _canonical_relabel(adj: list[dict[int, int]], root: Sequence[int], base: int,
-                       rank: int) -> tuple[dict[int, int], ...]:
-    # Breadth-first relabelling from the base, reading each stored target t
-    # as root[t]; vertices it cannot reach are dropped, so a shorter result
-    # means the graph was not connected.
-    labels = _signed_labels(rank)
-    order = [base]
-    pos = [-1] * len(adj)
+def _canonical_relabel(adj: list[dict[int, int]], root: Sequence[int], base: int
+                       ) -> tuple[dict[int, list[int | None]], list[int], list[int]]:
+    # One breadth-first pass from the base, reading each stored target t as
+    # root[t] and scanning the labels that occur in the order a, b, ...,
+    # A, B, ...  It numbers the vertices, writes each edge it reads into its
+    # label's column (the target's number is known by then) and records the
+    # edge that found each vertex as its tree edge.  Vertices it cannot
+    # reach are dropped, so a shorter result means the graph was not
+    # connected.
+    present = set().union(*adj)
+    scan = sorted(s for s in present if s > 0) + \
+        sorted((s for s in present if s < 0), reverse=True)
+    n = len(adj)
+    columns = {s: [None] * n for s in scan}
+    pairs = list(columns.items())
+    pos = [-1] * n
     pos[base] = 0
-    for v in order:
+    order = [base]
+    parent = [0]
+    label = [0]
+    for i, v in enumerate(order):
         nbrs = adj[v]
-        for s in labels:
-            w = nbrs.get(s)
-            if w is not None:
-                w = root[w]
-                if pos[w] < 0:
-                    pos[w] = len(order)
-                    order.append(w)
-    pos = [pos[r] for r in root]
-    return tuple({s: pos[t] for s, t in sorted(adj[v].items())} for v in order)
+        for s, col in pairs:
+            t = nbrs.get(s)
+            if t is not None:
+                t = root[t]
+                w = pos[t]
+                if w < 0:
+                    w = pos[t] = len(order)
+                    order.append(t)
+                    parent.append(i)
+                    label.append(s)
+                col[i] = w
+    for col in columns.values():
+        del col[len(order):]
+    return columns, parent, label

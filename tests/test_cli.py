@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from geodouble import cli
@@ -146,6 +151,16 @@ class TestFg:
         _, out = run(capsys, "fg", "rep", "--rank", "2", "--gens", "aa,b,abA",
                      "--word", "aaa")
         assert "representative = a" in out
+
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        argv = ["fg", "fold", "--rank", "2", "--gens", "aa,b"]
+        code, out = run(capsys, *argv)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-m", "geodouble", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 class TestDouble:

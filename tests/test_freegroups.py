@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -393,15 +394,112 @@ class TestFoldOracles:
         rng.shuffle(gens)
         g = stallings_graph([x for x in gens if x], rank)
         assert g.index() == size
-        assert g._adj == expected._adj
-        assert all(list(nbrs) == sorted(nbrs) for nbrs in g._adj)
+        assert (g._col, g._parent, g._label) == \
+            (expected._col, expected._parent, expected._label)
+        assert list(g._col) == list(expected._col)
         # The same graph adopted with shuffled vertex names and base.
         names = rng.sample(range(size), size)
         shuffled = [{} for _ in range(size)]
         for v, s, w in expected.edges():
             shuffled[names[v]][s] = names[w]
             shuffled[names[w]][-s] = names[v]
-        assert SubgroupGraph.from_adjacency(rank, shuffled, base=names[0])._adj == g._adj
+        adopted = SubgroupGraph.from_adjacency(rank, shuffled, base=names[0])
+        assert (adopted._col, adopted._parent, adopted._label) == (g._col, g._parent, g._label)
+
+
+def _random_reduced(rng, rank, length):
+    word = [rng.choice([s for s in range(-rank, rank + 1) if s])]
+    while len(word) < length:
+        s = rng.randint(-rank, rank)
+        if s and s != -word[-1]:
+            word.append(s)
+    return tuple(word)
+
+
+def _transitive_perms(rng, size, rank):
+    while True:
+        perms = [rng.sample(range(size), size) for _ in range(rank)]
+        try:
+            permutation_graph(perms, rank)
+            return perms
+        except ValueError:
+            continue
+
+
+class TestColumnLayout:
+    """The graph kept as one target column per label, with the tree found
+    by the relabelling pass, against oracles that see only ``edges()``."""
+
+    @pytest.mark.parametrize("kind", ["schreier-1024", "fold-10000"])
+    def test_tree_words_match_the_breadth_first_oracle(self, kind):
+        rng = random.Random(61)
+        if kind == "schreier-1024":
+            g = permutation_graph(_transitive_perms(rng, 1024, 2), 2)
+            assert g.index() == 1024
+        else:
+            # 10 000 letters in 40 generators: the oracle reads every tree
+            # word letter by letter, so the trees are kept a few hundred deep.
+            g = stallings_graph([_random_reduced(rng, 2, 250) for _ in range(40)], 2)
+            assert g.vertex_count > 8000
+        words = [g.tree_word(v) for v in range(g.vertex_count)]
+        vertex = {w: v for v, w in enumerate(words)}
+        assert len(vertex) == g.vertex_count and words[0] == ()
+        assert all(g.step(vertex[w[:-1]], w[-1]) == v for v, w in enumerate(words) if v)
+        assert tree_coset_representatives(g, words) == words
+        probes = [_random_reduced(rng, 2, rng.randint(1, 60)) for _ in range(300)]
+        assert [g.coset_representative(p) for p in probes] == \
+            tree_coset_representatives(g, probes)
+
+    def test_permuted_generators_give_equal_graphs_and_hashes(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            rank = rng.randint(1, 3)
+            gens = [_random_reduced(rng, rank, rng.randint(1, 8))
+                    for _ in range(rng.randint(1, 4))]
+            g = stallings_graph(gens, rank)
+            shuffled = gens[:]
+            rng.shuffle(shuffled)
+            h = stallings_graph(shuffled, rank)
+            assert g == h and hash(g) == hash(h)
+            assert g.canonical_key() == h.canonical_key()
+
+    def test_ambient_rank_tells_graphs_apart(self):
+        assert stallings_graph(["ab"], 2) != stallings_graph(["ab"], 3)
+        assert stallings_graph([], 1) != stallings_graph([], 2)
+        assert stallings_graph(["ab"], 2).export_edge_list() == \
+            stallings_graph(["ab"], 3).export_edge_list()
+
+    def test_large_rank_with_few_labels_is_fast(self):
+        # Only labels that occur get a column: rank 200000 costs nothing.
+        start = time.perf_counter()
+        g = stallings_graph(["abc", "ddd"], 200000)
+        text = g.export_edge_list()
+        assert time.perf_counter() - start < 1.0
+        assert (g.vertex_count, g.edge_count, g.index()) == (5, 6, None)
+        assert text.splitlines()[0] == "0 --a--> 1"
+
+    @pytest.mark.parametrize("call", ["trace", "contains", "coset_representative"])
+    def test_letters_outside_the_rank_raise(self, call):
+        g = stallings_graph(["aa", "b"], 2)
+        for word in [(3,), (3, 1), (1, 1, -3), (2, 1, 2, 4), (1, -2, -2, 3, 1)]:
+            with pytest.raises(WordError, match="outside the rank-2 alphabet"):
+                getattr(g, call)(word)
+        with pytest.raises(WordError, match="letter 3 outside the rank-2"):
+            g.coset_representative((3, 1))
+        with pytest.raises(WordError, match="letter -4 outside the rank-2"):
+            g.contains((1, 2, -4, 3))
+        assert g.step(0, 3) is None and g.step(0, -3) is None
+
+    @pytest.mark.parametrize("adjacency, base, message", [
+        ([], 0, "no vertices"),
+        ([{1: 5}], 0, "leaves the 1-vertex graph"),
+        ([{1: -1}, {-1: 0}], 0, "leaves the 2-vertex graph"),
+        ([{1: 0, -1: 0}], -1, "base -1 is not a vertex"),
+        ([{1: 0, -1: 0}], 1, "base 1 is not a vertex"),
+    ])
+    def test_from_adjacency_rejects_malformed_input(self, adjacency, base, message):
+        with pytest.raises(ValueError, match=message):
+            SubgroupGraph.from_adjacency(1, adjacency, base=base)
 
 
 class TestSchreier:
