@@ -128,9 +128,8 @@ def verify_family(n: int) -> FamilyReport:
     Each failed check is reported by name; nothing is adjusted silently if
     the counts come out differently than claimed.
     """
-    _check_admissible(n)
-    scheme = family_scheme(n)
-    complex = glue(scheme)
+    stats = family_stats(n)
+    complex = family_complex(n)
     boundary = boundary_surfaces(complex)
     genus, two_handles = handle_structure(complex)
     dihedral = dihedral_report(complex)
@@ -144,9 +143,9 @@ def verify_family(n: int) -> FamilyReport:
         FamilyCheck("boundary_component_count", 1, len(boundary.components)),
         FamilyCheck("boundary_orientable", True,
                     all(c.orientable for c in boundary.components)),
-        FamilyCheck("boundary_genus", n - 1,
+        FamilyCheck("boundary_genus", stats.boundary_genus,
                     boundary.components[0].genus if boundary.components else None),
-        FamilyCheck("handlebody_genus", n + 1, genus),
+        FamilyCheck("handlebody_genus", stats.handlebody_genus, genus),
         FamilyCheck("two_handle_count", 2, two_handles),
         FamilyCheck("dihedral_angle_degrees", (Fraction(360, 3 * n),) * 2,
                     tuple(d.angle_degrees for d in dihedral)),

@@ -114,8 +114,6 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
                 seen[w] = True
                 in_tree[idx] = True
                 queue.append(w)
-    if not all(seen):
-        raise GluingError("vertex classes are disconnected")
 
     gen_index: dict[int, int] = {}
     for idx in range(len(complex.edge_classes)):

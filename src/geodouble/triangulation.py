@@ -25,10 +25,11 @@ What a pairing identifies depends only on its two face names and its
 rotation, so a table built at import holds all 4 * 4 * 3 = 48 cases: three
 edge links with their relative arrow signs, three corner links with the
 sign that coherent link-triangle orientations need across the glued side,
-and the orientation relation of the two tetrahedra.  ``glue`` and
-``boundary_surfaces`` feed these links to one signed union-find over flat
-integers: edge e of tetrahedron t is 6(t-1)+(e-1), its vertex v is the
-corner 4(t-1)+v, and the tetrahedron itself is t-1.
+and the orientation relation of the two tetrahedra.  ``glue`` alone feeds
+these links to a signed union-find over flat integers: edge e of
+tetrahedron t is 6(t-1)+(e-1), its vertex v is the corner 4(t-1)+v, and
+the tetrahedron itself is t-1.  ``boundary_surfaces`` only counts what
+``glue`` recorded.
 """
 
 from __future__ import annotations
@@ -169,17 +170,22 @@ class GluingScheme:
                                p.a.tet, p.a.face, p.b.tet, p.b.face))))
         seen: set[tuple[int, str]] = set()
         for p in self.pairings:
-            for slot in (p.a, p.b):
-                if slot.tet > self.tet_count:
-                    raise SchemeError(f"face {slot} beyond tet count {self.tet_count}")
-                key = (slot.tet, slot.face)
-                if key in seen:
-                    raise SchemeError(f"face {slot} appears in more than one pairing")
-                seen.add(key)
+            _claim_faces(p, self.tet_count, seen)
 
     @property
     def is_closed(self) -> bool:
         return len(self.pairings) * 2 == 4 * self.tet_count
+
+
+def _claim_faces(p: FacePairing, tet_count: int, seen: set[tuple[int, str]],
+                 line: int | None = None) -> None:
+    for slot in (p.a, p.b):
+        if slot.tet > tet_count:
+            raise SchemeError(f"face {slot} beyond tet count {tet_count}", line)
+        key = (slot.tet, slot.face)
+        if key in seen:
+            raise SchemeError(f"face {slot} appears in more than one pairing", line)
+        seen.add(key)
 
 
 def parse_scheme(text: str) -> GluingScheme:
@@ -192,6 +198,7 @@ def parse_scheme(text: str) -> GluingScheme:
     """
     tet_count: int | None = None
     pairings: list[FacePairing] = []
+    seen: set[tuple[int, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -220,8 +227,6 @@ def parse_scheme(text: str) -> GluingScheme:
                 tet = int(bits[0])
             except ValueError:
                 raise SchemeError(f"bad tetrahedron index in {token!r}", lineno) from None
-            if bits[1] not in FACES:
-                raise SchemeError(f"unknown face name {bits[1]!r}", lineno)
             slots.append(FaceSlot(tet, bits[1]))
         rotation = 0
         if len(parts) == 7:
@@ -229,7 +234,8 @@ def parse_scheme(text: str) -> GluingScheme:
                 order = tuple(int(x) for x in parts[4:7])
             except ValueError:
                 raise SchemeError(f"bad edge order {parts[4:7]!r}", lineno) from None
-            b_edges = FACES[slots[1].face]
+            # An unknown face name is left for FacePairing to report.
+            b_edges = FACES.get(slots[1].face, order)
             for r in range(3):
                 if order == tuple(b_edges[(j + r) % 3] for j in range(3)):
                     rotation = r
@@ -239,9 +245,11 @@ def parse_scheme(text: str) -> GluingScheme:
                     f"edge order {order} must preserve the cyclic order of face "
                     f"{slots[1].face}", lineno)
         try:
-            pairings.append(FacePairing(slots[0], slots[1], rotation))
+            pairing = FacePairing(slots[0], slots[1], rotation)
         except SchemeError as exc:
             raise SchemeError(str(exc), lineno) from None
+        _claim_faces(pairing, tet_count, seen, lineno)
+        pairings.append(pairing)
     if tet_count is None:
         raise SchemeError("missing 'tets N' header")
     return GluingScheme(tet_count, tuple(pairings))
@@ -328,11 +336,9 @@ class _UnionFind:
     to its root.
 
     A union whose relation contradicts the signs already imposed marks the
-    class bad instead of raising.  Plain partitions use the default
-    relation +1, so their signs all stay +1 and no class turns bad.  Signs
-    relative to a class's least item do not depend on which root a union
-    keeps: each is the product along the forest of the unions that merged
-    two classes, even in a bad class.
+    class bad instead of raising.  Signs relative to a class's least item
+    do not depend on which root a union keeps: each is the product along
+    the forest of the unions that merged two classes, even in a bad class.
     """
 
     def __init__(self, size: int):
@@ -356,7 +362,7 @@ class _UnionFind:
             s *= sign[x]
             x = g
 
-    def union(self, x: int, y: int, rel: int = 1) -> None:
+    def union(self, x: int, y: int, rel: int) -> None:
         """Impose value(x) = rel * value(y)."""
         rx, sx = self.find(x)
         ry, sy = self.find(y)
@@ -424,6 +430,7 @@ class GluedComplex:
     closed: bool
     edge_lookup: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
     vertex_lookup: dict[tuple[int, int], int] = field(repr=False)
+    link_orientable: tuple[bool, ...] = field(repr=False)
     tet_components: tuple[frozenset[int], ...] = field(repr=False)
 
     @property
@@ -436,7 +443,8 @@ class GluedComplex:
 
 
 def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
-    """Compute edge classes, vertex classes and orientability of a scheme.
+    """Compute edge classes, vertex classes and the orientability of a
+    scheme and of each vertex link.
 
     With ``require_closed`` (the default) every face slot must be paired.
     Passing False computes the identification data of a partial gluing,
@@ -454,8 +462,8 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
         ta, tb = p.a.tet - 1, p.b.tet - 1
         for ea, eb, rel in edge_links:
             edges.union(6 * ta + ea, 6 * tb + eb, rel)
-        for va, vb, _ in corner_links:
-            corners.union(4 * ta + va, 4 * tb + vb)
+        for va, vb, rel in corner_links:
+            corners.union(4 * ta + va, 4 * tb + vb, rel)
         tets.union(ta, tb, orient)
 
     edge_classes = []
@@ -469,11 +477,13 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
 
     vertex_classes = []
     vertex_lookup: dict[tuple[int, int], int] = {}
-    for members in corners.classes().values():
+    link_orientable = []
+    for root, members in corners.classes().items():
         vclass = tuple((x // 4 + 1, x % 4) for x, _ in members)
         for corner in vclass:
             vertex_lookup[corner] = len(vertex_classes)
         vertex_classes.append(vclass)
+        link_orientable.append(root not in corners.bad)
 
     return GluedComplex(
         scheme=scheme,
@@ -483,6 +493,7 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
         closed=scheme.is_closed,
         edge_lookup=edge_lookup,
         vertex_lookup=vertex_lookup,
+        link_orientable=tuple(link_orientable),
         tet_components=tuple(frozenset(x + 1 for x, _ in members)
                              for members in tets.classes().values()),
     )
@@ -516,15 +527,6 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
     link surface of every vertex class of a closed complex."""
     if not complex.closed:
         raise GluingError("boundary surfaces need a closed scheme")
-    scheme = complex.scheme
-
-    # Link triangles are corners, glued with the table's link-side signs;
-    # the classes are the vertex classes, bad where a link is non-orientable.
-    corners = _UnionFind(4 * scheme.tet_count)
-    for p in scheme.pairings:
-        ta, tb = 4 * (p.a.tet - 1), 4 * (p.b.tet - 1)
-        for va, vb, rel in _GLUINGS[p.a.face, p.b.face, p.rotation][1]:
-            corners.union(ta + va, tb + vb, rel)
 
     # Link vertices are edge ends, identified as glue identified their
     # edges: an edge class has a tail and a head end (one end when it is
@@ -540,12 +542,11 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
 
     components = []
     for idx, vclass in enumerate(complex.vertex_classes):
+        # In a closed complex every link-triangle side is glued to exactly
+        # one other side, so the sides pair up.
         tri_count = len(vclass)
-        side_count, rem = divmod(3 * tri_count, 2)
-        if rem:
-            raise GluingError("odd number of link triangle sides; scheme not closed")
-        t, v = vclass[0]
-        orientable = corners.find(4 * (t - 1) + v)[0] not in corners.bad
+        side_count = 3 * tri_count // 2
+        orientable = complex.link_orientable[idx]
         chi = vertex_counts[idx] - side_count + tri_count
         genus = (2 - chi) // 2 if orientable else 2 - chi
         components.append(BoundaryComponent(

@@ -120,10 +120,14 @@ class TestScheme:
         ("tets 2\n\npair 1.132 2.132 edgeorder 1 2 z\n",
          "line 3: bad edge order ['1', '2', 'z']"),
         ("tets 2\npair 0.132 1.453\n", "line 2: tetrahedron index 0 out of range"),
+        ("tets 1\npair 1.132 2.453\n", "line 2: face 2.453 beyond tet count 1"),
+        ("tets 2\npair 1.132 2.453\n\npair 1.132 2.264\n",
+         "line 4: face 1.132 appears in more than one pairing"),
         # No line holds a header, so this one error names no line.
         ("# comment only\n\n", "missing 'tets N' header"),
     ], ids=["bad-header", "bad-tet-count", "no-edgeorder-keyword", "bad-face-token",
-            "bad-tet-index", "bad-edge-order", "tet-below-one", "missing-header"])
+            "bad-tet-index", "bad-edge-order", "tet-below-one", "tet-beyond-count",
+            "repeated-face", "missing-header"])
     def test_scheme_errors_name_their_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.scheme"
         path.write_text(text)

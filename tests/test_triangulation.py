@@ -100,6 +100,8 @@ def assert_glue_matches_flood(scheme):
             assert c.edge_lookup[(t, e)] == (idx, s)
     assert c.vertex_classes == tuple(verts)
     assert c.vertex_lookup == {v: i for i, vc in enumerate(verts) for v in vc}
+    assert c.link_orientable == tuple(
+        brute_link_orientable(c, i) for i in range(len(verts)))
     assert c.tet_components == tuple(comps)
     assert c.orientable == brute_orientable(scheme)
     return sum(1 for _, consistent in edges if not consistent)
