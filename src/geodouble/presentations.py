@@ -15,17 +15,21 @@ drives the abelianization rank used everywhere else.  ``tietze_simplify``
 deduplicates relators by their least rotation (Booth's algorithm), in
 memory linear in the relator length.
 
-``rank_audit`` replays, case by case, an arithmetic chain bounding twice
-the rank of the fundamental group of an ambient manifold from below and
-comparing it against the rank of a surface subgroup pointwise fixed by a
-reversing involution.  Topological inputs (rank does not drop under
-doubling, half of the boundary homology survives inside, the
-incompressible-boundary rank gap) enter as named assumed steps; all
-arithmetic between them is exact and the final inequality must be strict.
+``rank_audit`` evaluates a region table of affine steps: an arithmetic
+chain bounding twice the rank of the fundamental group of an ambient
+manifold from below, compared against the rank of a surface subgroup
+pointwise fixed by a reversing involution.  The consistent cases fall
+into seven regions, and each region's chain is written once as steps
+linear in the surface's genus and circle counts.  Topological inputs
+(rank does not drop under doubling, half of the boundary homology
+survives inside, the incompressible-boundary rank gap) enter as named
+assumed steps; all arithmetic between them is exact and the final
+inequality must be strict.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -522,82 +526,118 @@ class AuditReport:
         return out
 
 
+# Each region of the case space is keyed by (orientable, separating,
+# same_component, k > 0) and lists its steps in order as (label, form,
+# assumed, strict), where form = (c0, cg, cm, cl) gives the value
+# (c0 + cg*g + cm*m + cl*l) / 2.  The last step is the bound.  A "rounded
+# up" step takes an integer-valued x + 1/2 to x + 1, so it is affine too.
+_CUT_H1 = "first homology rank of the cut manifold (half survives)"
+_CUT_PI1 = "cut manifold rank >= its first homology rank"
+_DOUBLED = "doubled manifold rank (doubling keeps rank)"
+_INDEX_2 = "twice ambient rank >= doubled rank + 1 (index-2 cover)"
+_PIECE_BOUND = "twice ambient rank, via rank(double) >= rank(piece)"
+_TWO_COMPONENTS = (
+    ("sum of the two boundary component genera 2(g + m)", (0, 4, 4, 0), False, False),
+    (_CUT_H1, (0, 4, 4, 0), True, False),
+    (_CUT_PI1, (0, 4, 4, 0), False, False),
+    (_DOUBLED, (0, 4, 4, 0), True, False),
+    (_INDEX_2, (2, 4, 4, 0), False, False),
+)
+_REGIONS = {
+    (True, True, False, True): (
+        ("cut piece boundary genus (annuli cap the circle pairs)", (0, 2, 2, 1), False, False),
+        ("first homology rank of the cut piece (half of boundary homology survives)",
+         (0, 2, 2, 1), True, False),
+        (_PIECE_BOUND, (0, 4, 4, 2), True, False),
+    ),
+    (True, True, False, False): (
+        ("incompressible boundary rank gap witness g + 1/2", (1, 2, 0, 0), True, True),
+        ("cut piece rank, rounded up to the next integer", (2, 2, 0, 0), False, False),
+        (_PIECE_BOUND, (4, 4, 0, 0), True, False),
+    ),
+    (True, False, True, True): (
+        ("glued boundary component genus 2g + 2m + l - 1", (-2, 4, 4, 2), False, False),
+        (_CUT_H1, (-2, 4, 4, 2), True, False),
+        (_CUT_PI1, (-2, 4, 4, 2), False, False),
+        (_DOUBLED, (-2, 4, 4, 2), True, False),
+        (_INDEX_2, (0, 4, 4, 2), False, False),
+    ),
+    (True, False, False, True): _TWO_COMPONENTS,
+    (True, False, False, False): _TWO_COMPONENTS,
+    (False, False, False, True): (
+        ("glued boundary genus (orienting double cover plus annuli) g - 1 + 2m + l",
+         (-2, 2, 4, 2), False, False),
+        (_CUT_H1, (-2, 2, 4, 2), True, False),
+        (_CUT_PI1, (-2, 2, 4, 2), False, False),
+        (_DOUBLED, (-2, 2, 4, 2), True, False),
+        (_INDEX_2, (0, 2, 4, 2), False, False),
+    ),
+    (False, False, False, False): (
+        ("glued boundary genus (orienting double cover plus annuli) g - 1 + 2m + l",
+         (-2, 2, 4, 2), False, False),
+        ("incompressible boundary rank gap witness (g-1) + 1/2", (-1, 2, 4, 2), True, True),
+        ("cut manifold rank, rounded up to the next integer", (0, 2, 4, 2), False, False),
+        (_DOUBLED, (0, 2, 4, 2), True, False),
+        (_INDEX_2, (2, 2, 4, 2), False, False),
+    ),
+}
+
+
+# A sweep meets few distinct values and steps (302 and 1963 at 80/20/20), and
+# a cache hit costs a tenth of building a Fraction or a frozen AuditStep.
+@functools.lru_cache(maxsize=1024)
+def _half(numerator: int) -> Fraction:
+    return Fraction(numerator, 2)
+
+
+@functools.lru_cache(maxsize=4096)
+def _step(label: str, numerator: int, assumed: bool, strict: bool) -> AuditStep:
+    return AuditStep(label, _half(numerator), assumed, strict)
+
+
 def rank_audit(case: AuditCase) -> AuditReport:
-    """Replay the rank-comparison chain for the matching case and check that
-    the final inequality 2*rank(ambient) > rank(surface) is strict."""
+    """Evaluate the region table's affine steps for the case's region and
+    check that the final inequality 2*rank(ambient) > rank(surface) is
+    strict."""
     case.validate()
     g, m, l, k = case.genus, case.torus_pairs, case.single_circles, case.boundary_circles
     target = surface_rank(g, k, case.orientable)
-    steps: list[AuditStep] = []
-
-    def step(label: str, value, assumed: bool = False, strict: bool = False) -> Fraction:
-        value = Fraction(value)
-        steps.append(AuditStep(label, value, assumed, strict))
-        return value
-
-    if case.orientable and case.separating:
-        if k > 0:
-            capped = step("cut piece boundary genus (annuli cap the circle pairs)",
-                          g + Fraction(k, 2))
-            h1 = step("first homology rank of the cut piece (half of boundary "
-                      "homology survives)", capped, assumed=True)
-            bound = step("twice ambient rank, via rank(double) >= rank(piece)",
-                         2 * h1, assumed=True)
-        else:
-            step("incompressible boundary rank gap witness g + 1/2",
-                 g + Fraction(1, 2), assumed=True, strict=True)
-            piece = step("cut piece rank, rounded up to the next integer", g + 1)
-            bound = step("twice ambient rank, via rank(double) >= rank(piece)",
-                         2 * piece, assumed=True)
-    elif case.orientable and case.same_component:
-        sprime = step("glued boundary component genus 2g + 2m + l - 1",
-                      2 * g + 2 * m + l - 1)
-        h1 = step("first homology rank of the cut manifold (half survives)",
-                  sprime, assumed=True)
-        pi1 = step("cut manifold rank >= its first homology rank", h1)
-        doubled = step("doubled manifold rank (doubling keeps rank)", pi1, assumed=True)
-        bound = step("twice ambient rank >= doubled rank + 1 (index-2 cover)",
-                     doubled + 1)
-    elif case.orientable:
-        total = step("sum of the two boundary component genera 2(g + m)",
-                     2 * g + 2 * m)
-        h1 = step("first homology rank of the cut manifold (half survives)",
-                  total, assumed=True)
-        pi1 = step("cut manifold rank >= its first homology rank", h1)
-        doubled = step("doubled manifold rank (doubling keeps rank)", pi1, assumed=True)
-        bound = step("twice ambient rank >= doubled rank + 1 (index-2 cover)",
-                     doubled + 1)
-    else:
-        sprime = step("glued boundary genus (orienting double cover plus annuli) "
-                      "g - 1 + 2m + l", g - 1 + 2 * m + l)
-        if k > 0:
-            h1 = step("first homology rank of the cut manifold (half survives)",
-                      sprime, assumed=True)
-            pi1 = step("cut manifold rank >= its first homology rank", h1)
-        else:
-            step("incompressible boundary rank gap witness (g-1) + 1/2",
-                 sprime + Fraction(1, 2), assumed=True, strict=True)
-            pi1 = step("cut manifold rank, rounded up to the next integer",
-                       sprime + 1)
-        doubled = step("doubled manifold rank (doubling keeps rank)", pi1, assumed=True)
-        bound = step("twice ambient rank >= doubled rank + 1 (index-2 cover)",
-                     doubled + 1)
-
-    margin = bound - target
-    return AuditReport(case, tuple(steps), bound, target, margin)
+    steps = []
+    for label, (c0, cg, cm, cl), assumed, strict in _REGIONS[
+            case.orientable, case.separating, case.same_component, k > 0]:
+        num = c0 + cg * g + cm * m + cl * l
+        steps.append(_step(label, num, assumed, strict))
+    return AuditReport(case, tuple(steps), steps[-1].value, target, _half(num - 2 * target))
 
 
 def enumerate_audit_cases(genus_max: int, torus_pairs_max: int,
                           single_circles_max: int) -> Iterator[AuditCase]:
-    """All consistent parameter tuples within the given bounds."""
+    """All consistent parameter tuples with g <= G = genus_max, m <= M =
+    torus_pairs_max and l <= L = single_circles_max.  They come in (g, m, l)
+    order and, within each, as orientable separating, orientable
+    same-component, orientable different-component, non-orientable.
+
+    That is 2(G+1)(M+1) + (G+1)((M+1)(L+1) - 1) + G(M+1)(L+1) cases: 877
+    at the CLI default 10/5/5 and 74 322 at 80/20/20.  A negative maximum
+    raises ``AuditError``.
+    """
+    for name, value in (("genus_max", genus_max), ("torus_pairs_max", torus_pairs_max),
+                        ("single_circles_max", single_circles_max)):
+        if value < 0:
+            raise AuditError(f"{name} must be >= 0, got {value}")
+    return _consistent_cases(genus_max, torus_pairs_max, single_circles_max)
+
+
+def _consistent_cases(genus_max: int, torus_pairs_max: int,
+                      single_circles_max: int) -> Iterator[AuditCase]:
     for g, m, l in itertools.product(range(genus_max + 1),
                                      range(torus_pairs_max + 1),
                                      range(single_circles_max + 1)):
-        for orientable, separating, same in itertools.product(
-                (True, False), (True, False), (True, False)):
-            case = AuditCase(g, m, l, orientable, separating, same)
-            try:
-                case.validate()
-            except AuditError:
-                continue
-            yield case
+        if l == 0:
+            yield AuditCase(g, m, l, True, True, False)
+        if m or l:
+            yield AuditCase(g, m, l, True, False, True)
+        if l == 0:
+            yield AuditCase(g, m, l, True, False, False)
+        if g:
+            yield AuditCase(g, m, l, False, False, False)

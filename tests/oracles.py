@@ -10,10 +10,17 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from geodouble.freegroups import SubgroupGraph, Word, concat, free_reduce, inverse_word
 from geodouble.doubling import Double, DoubleWord, NormalForm, Syllable
+from geodouble.presentations import (
+    AuditCase,
+    AuditError,
+    AuditReport,
+    AuditStep,
+    surface_rank,
+)
 from geodouble.triangulation import (
     EDGE_ENDS,
     FACES,
@@ -608,3 +615,89 @@ def scan_min_n(epsilon: Fraction) -> int:
         if n % 3 != 0 and Fraction(2 * n - 2, n + 3) > 2 - epsilon:
             return n
         n += 1
+
+
+# -- rank audit: the case-by-case chain ---------------------------------------------
+
+
+def reference_rank_audit(case: AuditCase) -> AuditReport:
+    """The rank-comparison chain written out case by case, replaying each
+    step: kept as the reference the region table of ``rank_audit`` must
+    match exactly."""
+    case.validate()
+    g, m, l, k = case.genus, case.torus_pairs, case.single_circles, case.boundary_circles
+    target = surface_rank(g, k, case.orientable)
+    steps: list[AuditStep] = []
+
+    def step(label: str, value, assumed: bool = False, strict: bool = False) -> Fraction:
+        value = Fraction(value)
+        steps.append(AuditStep(label, value, assumed, strict))
+        return value
+
+    if case.orientable and case.separating:
+        if k > 0:
+            capped = step("cut piece boundary genus (annuli cap the circle pairs)",
+                          g + Fraction(k, 2))
+            h1 = step("first homology rank of the cut piece (half of boundary "
+                      "homology survives)", capped, assumed=True)
+            bound = step("twice ambient rank, via rank(double) >= rank(piece)",
+                         2 * h1, assumed=True)
+        else:
+            step("incompressible boundary rank gap witness g + 1/2",
+                 g + Fraction(1, 2), assumed=True, strict=True)
+            piece = step("cut piece rank, rounded up to the next integer", g + 1)
+            bound = step("twice ambient rank, via rank(double) >= rank(piece)",
+                         2 * piece, assumed=True)
+    elif case.orientable and case.same_component:
+        sprime = step("glued boundary component genus 2g + 2m + l - 1",
+                      2 * g + 2 * m + l - 1)
+        h1 = step("first homology rank of the cut manifold (half survives)",
+                  sprime, assumed=True)
+        pi1 = step("cut manifold rank >= its first homology rank", h1)
+        doubled = step("doubled manifold rank (doubling keeps rank)", pi1, assumed=True)
+        bound = step("twice ambient rank >= doubled rank + 1 (index-2 cover)",
+                     doubled + 1)
+    elif case.orientable:
+        total = step("sum of the two boundary component genera 2(g + m)",
+                     2 * g + 2 * m)
+        h1 = step("first homology rank of the cut manifold (half survives)",
+                  total, assumed=True)
+        pi1 = step("cut manifold rank >= its first homology rank", h1)
+        doubled = step("doubled manifold rank (doubling keeps rank)", pi1, assumed=True)
+        bound = step("twice ambient rank >= doubled rank + 1 (index-2 cover)",
+                     doubled + 1)
+    else:
+        sprime = step("glued boundary genus (orienting double cover plus annuli) "
+                      "g - 1 + 2m + l", g - 1 + 2 * m + l)
+        if k > 0:
+            h1 = step("first homology rank of the cut manifold (half survives)",
+                      sprime, assumed=True)
+            pi1 = step("cut manifold rank >= its first homology rank", h1)
+        else:
+            step("incompressible boundary rank gap witness (g-1) + 1/2",
+                 sprime + Fraction(1, 2), assumed=True, strict=True)
+            pi1 = step("cut manifold rank, rounded up to the next integer",
+                       sprime + 1)
+        doubled = step("doubled manifold rank (doubling keeps rank)", pi1, assumed=True)
+        bound = step("twice ambient rank >= doubled rank + 1 (index-2 cover)",
+                     doubled + 1)
+
+    margin = bound - target
+    return AuditReport(case, tuple(steps), bound, target, margin)
+
+
+def reference_audit_cases(genus_max: int, torus_pairs_max: int,
+                          single_circles_max: int) -> Iterator[AuditCase]:
+    """Every flag combination at every (g, m, l), kept when ``validate``
+    accepts it: the reference ``enumerate_audit_cases`` must match."""
+    for g, m, l in itertools.product(range(genus_max + 1),
+                                     range(torus_pairs_max + 1),
+                                     range(single_circles_max + 1)):
+        for orientable, separating, same in itertools.product(
+                (True, False), (True, False), (True, False)):
+            case = AuditCase(g, m, l, orientable, separating, same)
+            try:
+                case.validate()
+            except AuditError:
+                continue
+            yield case

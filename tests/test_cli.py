@@ -301,6 +301,13 @@ class TestPresAudit:
         assert main(["audit", "--g", "2", "--m", "1", "--l", "1",
                      "--separating"]) == 1
 
+    @pytest.mark.parametrize("flag, name", [("--g-max", "genus_max"),
+                                            ("--m-max", "torus_pairs_max"),
+                                            ("--l-max", "single_circles_max")])
+    def test_audit_sweep_negative_maximum_is_error(self, capsys, flag, name):
+        line = run_error(capsys, "audit", "--sweep", flag, "-1")
+        assert line == f"error: {name} must be >= 0, got -1"
+
 
 class TestExitCodes:
     def test_unknown_subcommand_usage_error(self, capsys):

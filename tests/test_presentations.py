@@ -5,6 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from geodouble.cli import main
 from geodouble.construction import family_complex
@@ -36,6 +37,8 @@ from oracles import (
     _rank_over_q,
     chain_h1_rank,
     minors_invariant_factors,
+    reference_audit_cases,
+    reference_rank_audit,
 )
 
 
@@ -457,3 +460,70 @@ class TestRankAudit:
                 assert case.single_circles == 0
             if not case.orientable:
                 assert not case.separating and case.genus >= 1
+
+
+def assert_same_report(report, expected):
+    assert report == expected
+    assert all(type(s.value) is Fraction for s in report.steps)
+    assert type(report.double_rank_lower_bound) is Fraction
+    assert type(report.margin) is Fraction
+    assert type(report.surface_group_rank) is int
+
+
+def region(case):
+    return (case.orientable, case.separating, case.same_component, case.boundary_circles > 0)
+
+
+class TestRankAuditTable:
+    @pytest.mark.parametrize("box", [(0, 0, 0), (1, 1, 1), (4, 2, 2), (10, 5, 5), (30, 8, 8)])
+    def test_matches_case_by_case_chain(self, box):
+        cases = list(enumerate_audit_cases(*box))
+        assert cases == list(reference_audit_cases(*box))
+        for case in cases:
+            assert_same_report(rank_audit(case), reference_rank_audit(case))
+
+    @given(st.integers(-3, 40), st.integers(-3, 12), st.integers(-3, 12),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_any_parameters_match_chain(self, g, m, l, orientable, separating, same):
+        case = AuditCase(g, m, l, orientable, separating, same)
+        try:
+            expected = reference_rank_audit(case)
+        except AuditError as exc:
+            with pytest.raises(AuditError) as caught:
+                rank_audit(case)
+            assert str(caught.value) == str(exc)
+        else:
+            assert_same_report(rank_audit(case), expected)
+
+    def test_one_constant_margin_per_region(self):
+        margins = {}
+        for case in enumerate_audit_cases(30, 8, 8):
+            margins.setdefault(region(case), set()).add(rank_audit(case).margin)
+        assert margins == {
+            (True, True, False, True): {1},
+            (True, True, False, False): {2},
+            (True, False, True, True): {1},
+            (True, False, False, True): {2},
+            (True, False, False, False): {1},
+            (False, False, False, True): {1},
+            (False, False, False, False): {1},
+        }
+
+    @pytest.mark.parametrize("box", [(0, 0, 0), (0, 0, 3), (0, 2, 0), (3, 0, 0), (1, 1, 1),
+                                     (2, 0, 4), (4, 3, 0), (10, 5, 5), (7, 2, 9)])
+    def test_case_count_formula(self, box):
+        gm, mm, lm = box
+        expected = (2 * (gm + 1) * (mm + 1) + (gm + 1) * ((mm + 1) * (lm + 1) - 1)
+                    + gm * (mm + 1) * (lm + 1))
+        assert sum(1 for _ in enumerate_audit_cases(*box)) == expected
+
+    def test_default_and_large_box_counts(self):
+        assert sum(1 for _ in enumerate_audit_cases(10, 5, 5)) == 877
+        assert sum(1 for _ in enumerate_audit_cases(80, 20, 20)) == 74322
+
+    @pytest.mark.parametrize("box, name", [((-1, 0, 0), "genus_max"),
+                                           ((0, -3, 0), "torus_pairs_max"),
+                                           ((2, 2, -1), "single_circles_max")])
+    def test_negative_maximum_rejected(self, box, name):
+        with pytest.raises(AuditError, match=f"{name} must be >= 0"):
+            enumerate_audit_cases(*box)
