@@ -435,7 +435,7 @@ class AuditError(ValueError):
     """Inconsistent audit-case parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditCase:
     """Parameters of one surface-versus-manifold rank comparison.
 
@@ -487,7 +487,7 @@ class AuditCase:
                     "forcing same_component")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditStep:
     label: str
     value: Fraction
@@ -504,7 +504,7 @@ class AuditStep:
         return f"{self.label} = {self.value}{suffix}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuditReport:
     case: AuditCase
     steps: tuple[AuditStep, ...]

@@ -165,16 +165,28 @@ class GluingScheme:
     def __post_init__(self) -> None:
         if self.tet_count < 1:
             raise SchemeError(f"tet count must be positive, got {self.tet_count}")
-        object.__setattr__(self, "pairings",
-                           tuple(sorted(self.pairings, key=lambda p: (
-                               p.a.tet, p.a.face, p.b.tet, p.b.face))))
+        object.__setattr__(self, "pairings", _sorted_pairings(self.pairings))
         seen: set[tuple[int, str]] = set()
         for p in self.pairings:
             _claim_faces(p, self.tet_count, seen)
 
+    @classmethod
+    def _from_claimed(cls, tet_count: int,
+                      pairings: tuple[FacePairing, ...]) -> "GluingScheme":
+        """Build without ``__post_init__``: the caller has already checked
+        the tet count and claimed every face with ``_claim_faces``."""
+        scheme = object.__new__(cls)
+        object.__setattr__(scheme, "tet_count", tet_count)
+        object.__setattr__(scheme, "pairings", _sorted_pairings(pairings))
+        return scheme
+
     @property
     def is_closed(self) -> bool:
         return len(self.pairings) * 2 == 4 * self.tet_count
+
+
+def _sorted_pairings(pairings: tuple[FacePairing, ...]) -> tuple[FacePairing, ...]:
+    return tuple(sorted(pairings, key=lambda p: (p.a.tet, p.a.face, p.b.tet, p.b.face)))
 
 
 def _claim_faces(p: FacePairing, tet_count: int, seen: set[tuple[int, str]],
@@ -252,7 +264,7 @@ def parse_scheme(text: str) -> GluingScheme:
         pairings.append(pairing)
     if tet_count is None:
         raise SchemeError("missing 'tets N' header")
-    return GluingScheme(tet_count, tuple(pairings))
+    return GluingScheme._from_claimed(tet_count, tuple(pairings))
 
 
 def render_scheme(scheme: GluingScheme) -> str:

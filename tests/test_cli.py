@@ -123,11 +123,17 @@ class TestScheme:
         ("tets 1\npair 1.132 2.453\n", "line 2: face 2.453 beyond tet count 1"),
         ("tets 2\npair 1.132 2.453\n\npair 1.132 2.264\n",
          "line 4: face 1.132 appears in more than one pairing"),
+        # Two errors each: the earlier line is reported.
+        ("tets 2\npair 1.132 2.453\npair 3.132 1.264\npair 1.132 2.516\n",
+         "line 3: face 3.132 beyond tet count 2"),
+        ("tets 2\npair 2.264 2.516\npair 1.132 2.453\npair 1.132 2.516\n",
+         "line 4: face 1.132 appears in more than one pairing"),
         # No line holds a header, so this one error names no line.
         ("# comment only\n\n", "missing 'tets N' header"),
     ], ids=["bad-header", "bad-tet-count", "no-edgeorder-keyword", "bad-face-token",
             "bad-tet-index", "bad-edge-order", "tet-below-one", "tet-beyond-count",
-            "repeated-face", "missing-header"])
+            "repeated-face", "beyond-count-before-repeat", "repeat-after-sorted-pair",
+            "missing-header"])
     def test_scheme_errors_name_their_line(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.scheme"
         path.write_text(text)

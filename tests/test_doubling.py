@@ -217,6 +217,56 @@ class TestIsFixed:
             assert dbl.is_fixed(w) == (dbl.normal_form(w).syllable_count == 0)
 
 
+class TestIsFixedRunsPassOneOnly:
+    """``is_fixed`` answers from the syllable-reduction pass; with the split
+    pass made to raise it must still give the right answer."""
+
+    @staticmethod
+    def refuse_split(monkeypatch):
+        def refuse(self, stack):
+            raise AssertionError("is_fixed ran the split pass")
+
+        monkeypatch.setattr(Double, "_split", refuse)
+
+    def test_random_words_match_normal_form(self, dbl, monkeypatch):
+        rng = random.Random(15)
+        words = [random_double_word(rng, 2, dbl.subgroup, in_subgroup=rng.random() < 0.4)
+                 for _ in range(200)]
+        expected = [dbl.normal_form(w).syllable_count == 0 for w in words]
+        assert True in expected and False in expected
+        self.refuse_split(monkeypatch)
+        assert [dbl.is_fixed(w) for w in words] == expected
+
+    def test_long_words_on_infinite_index(self, monkeypatch):
+        self.refuse_split(monkeypatch)
+        dbl = Double.from_generators(["a", "bAB"], 2)
+        k = 4000
+        # u:a^k, then k syllables alternating p:B and u:b.
+        word = DoubleWord(((UNPRIMED, (1,) * k),) + tuple(
+            (PRIMED, (-2,)) if i % 2 == 0 else (UNPRIMED, (2,)) for i in range(k)))
+        assert not dbl.is_fixed(word)
+        assert dbl.is_fixed(DoubleWord(((UNPRIMED, (1,) * k),)))
+
+    def test_raises_the_normal_form_word_error(self, dbl, monkeypatch):
+        # The inputs of TestLettersOutsideRank.
+        rng = random.Random(13)
+        syllables = tuple((i % 2, (rng.choice([1, 2, -1, -2]),)) for i in range(60))
+        cases = [(dbl, DoubleWord(syllables + ((1, (letter, 2)),))) for letter in (3, -3)]
+        cases.append((schreier_double(random.Random(14), 16), DoubleWord(((0, (1, 3)), (1, (2,))))))
+        cases.append((Double.from_generators([], 3), DoubleWord(((0, (4,)),))))
+        messages = []
+        for double, word in cases:
+            with pytest.raises(WordError) as raised:
+                double.normal_form(word)
+            messages.append(str(raised.value))
+        assert [m.split("'")[1] for m in messages] == ["c", "C", "c", "d"]
+        self.refuse_split(monkeypatch)
+        for (double, word), message in zip(cases, messages):
+            with pytest.raises(WordError) as raised:
+                double.is_fixed(word)
+            assert str(raised.value) == message
+
+
 class TestLeftwardOracle:
     def test_agrees_on_syllable_count_and_membership(self):
         rng = random.Random(10)
@@ -269,13 +319,16 @@ class TestLettersOutsideRank:
 
 class TestReferenceOracle:
     """Exact agreement with the direct quadratic rewrite, on every class of
-    input, and ``is_fixed`` against the reference's syllable count."""
+    input, and ``is_fixed`` against the definition of fixedness: the
+    reference normal forms of w and swap(w) agree."""
 
     @staticmethod
     def check(dbl, dword):
         nf = dbl.normal_form(dword)
-        assert nf == reference_normal_form(dbl, dword)
+        reference = reference_normal_form(dbl, dword)
+        assert nf == reference
         assert dbl.is_fixed(dword) == (nf.syllable_count == 0)
+        assert dbl.is_fixed(dword) == (reference == reference_normal_form(dbl, dbl.swap(dword)))
 
     def test_random_subgroups_rank_1_to_3(self):
         rng = random.Random(20)

@@ -14,6 +14,8 @@ from geodouble.freegroups import word_from_str as w
 from geodouble.presentations import (
     AuditCase,
     AuditError,
+    AuditReport,
+    AuditStep,
     Presentation,
     abelianization,
     abelianization_rank,
@@ -527,3 +529,54 @@ class TestRankAuditTable:
     def test_negative_maximum_rejected(self, box, name):
         with pytest.raises(AuditError, match=f"{name} must be >= 0"):
             enumerate_audit_cases(*box)
+
+
+class TestAuditRecords:
+    """Equality, hash and repr of the audit records, pinned on three cases of
+    the 2/2/2 box: first, sixth and last."""
+
+    CASES = {
+        0: ((0, 0, 0, True, True, False),
+            "AuditCase(genus=0, torus_pairs=0, single_circles=0, orientable=True, "
+            "separating=True, same_component=False)",
+            ("twice ambient rank, via rank(double) >= rank(piece)", Fraction(2), True, False),
+            3, 0, Fraction(2)),
+        5: ((0, 1, 0, True, False, True),
+            "AuditCase(genus=0, torus_pairs=1, single_circles=0, orientable=True, "
+            "separating=False, same_component=True)",
+            ("twice ambient rank >= doubled rank + 1 (index-2 cover)", Fraction(2), False, False),
+            5, 1, Fraction(1)),
+        59: ((2, 2, 2, False, False, False),
+             "AuditCase(genus=2, torus_pairs=2, single_circles=2, orientable=False, "
+             "separating=False, same_component=False)",
+             ("twice ambient rank >= doubled rank + 1 (index-2 cover)", Fraction(8), False, False),
+             5, 7, Fraction(1)),
+    }
+
+    @pytest.mark.parametrize("index", sorted(CASES))
+    def test_eq_hash_and_repr(self, index):
+        fields, case_repr, last, step_count, surface, margin = self.CASES[index]
+        case = list(enumerate_audit_cases(2, 2, 2))[index]
+        assert case == AuditCase(*fields)
+        assert case != AuditCase(*fields[:5], not fields[5])
+        assert case != fields
+        assert hash(case) == hash(fields)
+        assert repr(case) == case_repr
+
+        report = rank_audit(case)
+        step = report.steps[-1]
+        assert step == AuditStep(*last)
+        assert step != AuditStep(*last[:3], not last[3])
+        assert hash(step) == hash(last)
+        assert repr(step) == (f"AuditStep(label={last[0]!r}, value={last[1]!r}, "
+                              f"assumed={last[2]}, strict={last[3]})")
+
+        assert len(report.steps) == step_count
+        expected = AuditReport(case, report.steps, last[1], surface, margin)
+        assert report == expected
+        assert report != AuditReport(case, report.steps, last[1], surface + 1, margin)
+        assert hash(report) == hash((case, report.steps, last[1], surface, margin))
+        assert repr(report) == (
+            f"AuditReport(case={case_repr}, steps=({', '.join(map(repr, report.steps))}), "
+            f"double_rank_lower_bound={last[1]!r}, surface_group_rank={surface}, "
+            f"margin={margin!r})")

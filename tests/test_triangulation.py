@@ -168,6 +168,15 @@ class TestParsing:
         with pytest.raises(SchemeError, match="more than one pairing"):
             parse_scheme(text)
 
+    def test_constructor_checks_faces_without_parsing(self):
+        a, b, c = FaceSlot(1, "132"), FaceSlot(2, "453"), FaceSlot(2, "516")
+        with pytest.raises(SchemeError, match="^face 1.132 appears in more than one pairing$"):
+            GluingScheme(2, (FacePairing(a, b), FacePairing(a, c)))
+        with pytest.raises(SchemeError, match="^face 3.453 beyond tet count 2$"):
+            GluingScheme(2, (FacePairing(a, FaceSlot(3, "453")),))
+        with pytest.raises(SchemeError, match="tet count must be positive"):
+            GluingScheme(0, ())
+
     def test_self_pairing_rejected(self):
         with pytest.raises(SchemeError, match="itself"):
             parse_scheme("tets 1\npair 1.132 1.132\n")
