@@ -48,10 +48,12 @@ from .triangulation import (
 
 def cyclic_reduce(word: Iterable[int]) -> Word:
     """Freely reduce, then strip cancelling first/last letters."""
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return tuple(w)
+    w = free_reduce(word)
+    i, j = 0, len(w) - 1
+    while i < j and w[i] == -w[j]:
+        i += 1
+        j -= 1
+    return w[i:j + 1]
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ rotation, so a table built at import holds all 4 * 4 * 3 = 48 cases: three
 edge links with their relative arrow signs, three corner links with the
 sign that coherent link-triangle orientations need across the glued side,
 and the orientation relation of the two tetrahedra.  ``glue`` alone feeds
-these links to a signed union-find over flat integers: edge e of
-tetrahedron t is 6(t-1)+(e-1), its vertex v is the corner 4(t-1)+v, and
-the tetrahedron itself is t-1.  ``boundary_surfaces`` only counts what
-``glue`` recorded.
+these links to one signed union-find over a single flat index space of 11n
+items for n tetrahedra: edge e of tetrahedron t is 6(t-1)+(e-1), in
+0..6n-1; its vertex v is the corner 6n+4(t-1)+v, in 6n..10n-1; and the
+tetrahedron itself is 10n+(t-1), in 10n..11n-1.  ``boundary_surfaces``
+only counts what ``glue`` recorded.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ for _name, _edges in FACES.items():
     FACE_SIGN[_name] = _face_orientation_sign(_name)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class FaceSlot:
     tet: int   # 1-based tetrahedron index
     face: str
@@ -116,7 +117,7 @@ class FaceSlot:
         return f"{self.tet}.{self.face}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FacePairing:
     """Glue face `a` to face `b`, matching edge j of a to edge j+rotation of b."""
 
@@ -124,22 +125,23 @@ class FacePairing:
     b: FaceSlot
     rotation: int = 0
 
-    def __post_init__(self) -> None:
-        for slot in (self.a, self.b):
+    def __init__(self, a: FaceSlot, b: FaceSlot, rotation: int = 0) -> None:
+        # Validate, then store with the lesser slot first: swapping the
+        # faces turns the offset of b against a into its negative.
+        for slot in (a, b):
             if slot.face not in FACES:
                 raise SchemeError(f"unknown face name {slot.face!r}")
             if slot.tet < 1:
                 raise SchemeError(f"tetrahedron index {slot.tet} out of range")
-        ka, kb = (self.a.tet, self.a.face), (self.b.tet, self.b.face)
-        if ka == kb:
-            raise SchemeError(f"face {self.a} paired with itself")
-        if self.rotation not in (0, 1, 2):
-            raise SchemeError(f"rotation {self.rotation} not in 0..2")
-        if kb < ka:
-            first, second = self.b, self.a
-            object.__setattr__(self, "a", first)
-            object.__setattr__(self, "b", second)
-            object.__setattr__(self, "rotation", (-self.rotation) % 3)
+        if a.tet == b.tet and a.face == b.face:
+            raise SchemeError(f"face {a} paired with itself")
+        if rotation not in (0, 1, 2):
+            raise SchemeError(f"rotation {rotation} not in 0..2")
+        if b.tet < a.tet or b.tet == a.tet and b.face < a.face:
+            a, b, rotation = b, a, -rotation % 3
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "rotation", rotation)
 
     def edge_matches(self) -> Iterator[tuple[tuple[int, int, int], tuple[int, int, int]]]:
         """Yield ((tet, edge, walk sign), (tet, edge, walk sign)) per matched edge."""
@@ -189,15 +191,30 @@ def _sorted_pairings(pairings: tuple[FacePairing, ...]) -> tuple[FacePairing, ..
     return tuple(sorted(pairings, key=lambda p: (p.a.tet, p.a.face, p.b.tet, p.b.face)))
 
 
-def _claim_faces(p: FacePairing, tet_count: int, seen: set[tuple[int, str]],
-                 line: int | None = None) -> None:
+def _claim_faces(p: FacePairing, tet_count: int, seen: set[tuple[int, str]]) -> None:
     for slot in (p.a, p.b):
         if slot.tet > tet_count:
-            raise SchemeError(f"face {slot} beyond tet count {tet_count}", line)
+            raise SchemeError(f"face {slot} beyond tet count {tet_count}")
         key = (slot.tet, slot.face)
         if key in seen:
-            raise SchemeError(f"face {slot} appears in more than one pairing", line)
+            raise SchemeError(f"face {slot} appears in more than one pairing")
         seen.add(key)
+
+
+# The three listings of each face's edges that keep their cyclic order, each
+# mapped to its rotation: edge j of the first face meets listed edge j.
+_EDGE_ORDERS: dict[str, dict[tuple[int, ...], int]] = {
+    name: {edges[r:] + edges[:r]: r for r in range(3)} for name, edges in FACES.items()}
+
+
+def _face_slot(token: str) -> FaceSlot:
+    tet, dot, face = token.partition(".")
+    if not dot or "." in face:
+        raise SchemeError(f"bad face token {token!r}")
+    try:
+        return FaceSlot(int(tet), face)
+    except ValueError:
+        raise SchemeError(f"bad tetrahedron index in {token!r}") from None
 
 
 def parse_scheme(text: str) -> GluingScheme:
@@ -212,55 +229,42 @@ def parse_scheme(text: str) -> GluingScheme:
     pairings: list[FacePairing] = []
     seen: set[tuple[int, str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if tet_count is None:
-            if parts[0] != "tets" or len(parts) != 2:
-                raise SchemeError("expected header 'tets N'", lineno)
-            try:
-                tet_count = int(parts[1])
-            except ValueError:
-                raise SchemeError(f"bad tet count {parts[1]!r}", lineno) from None
-            if tet_count < 1:
-                raise SchemeError(f"tet count must be positive, got {tet_count}", lineno)
-            continue
-        if parts[0] != "pair" or len(parts) not in (3, 7):
-            raise SchemeError(f"expected 'pair A B [edgeorder p q r]', got {line!r}", lineno)
-        if len(parts) == 7 and parts[3] != "edgeorder":
-            raise SchemeError(f"expected 'edgeorder', got {parts[3]!r}", lineno)
-        slots = []
-        for token in parts[1:3]:
-            bits = token.split(".")
-            if len(bits) != 2:
-                raise SchemeError(f"bad face token {token!r}", lineno)
-            try:
-                tet = int(bits[0])
-            except ValueError:
-                raise SchemeError(f"bad tetrahedron index in {token!r}", lineno) from None
-            slots.append(FaceSlot(tet, bits[1]))
-        rotation = 0
-        if len(parts) == 7:
-            try:
-                order = tuple(int(x) for x in parts[4:7])
-            except ValueError:
-                raise SchemeError(f"bad edge order {parts[4:7]!r}", lineno) from None
-            # An unknown face name is left for FacePairing to report.
-            b_edges = FACES.get(slots[1].face, order)
-            for r in range(3):
-                if order == tuple(b_edges[(j + r) % 3] for j in range(3)):
-                    rotation = r
-                    break
-            else:
-                raise SchemeError(
-                    f"edge order {order} must preserve the cyclic order of face "
-                    f"{slots[1].face}", lineno)
         try:
-            pairing = FacePairing(slots[0], slots[1], rotation)
+            if tet_count is None:
+                if parts[0] != "tets" or len(parts) != 2:
+                    raise SchemeError("expected header 'tets N'")
+                try:
+                    tet_count = int(parts[1])
+                except ValueError:
+                    raise SchemeError(f"bad tet count {parts[1]!r}") from None
+                if tet_count < 1:
+                    raise SchemeError(f"tet count must be positive, got {tet_count}")
+                continue
+            if parts[0] != "pair" or len(parts) not in (3, 7):
+                line = raw.split("#", 1)[0].strip()
+                raise SchemeError(f"expected 'pair A B [edgeorder p q r]', got {line!r}")
+            if len(parts) == 7 and parts[3] != "edgeorder":
+                raise SchemeError(f"expected 'edgeorder', got {parts[3]!r}")
+            a, b = _face_slot(parts[1]), _face_slot(parts[2])
+            rotation = 0
+            if len(parts) == 7:
+                try:
+                    order = tuple(map(int, parts[4:7]))
+                except ValueError:
+                    raise SchemeError(f"bad edge order {parts[4:7]!r}") from None
+                # An unknown face name is left for FacePairing to report.
+                orders = _EDGE_ORDERS.get(b.face)
+                rotation = orders.get(order) if orders else 0
+                if rotation is None:
+                    raise SchemeError(f"edge order {order} must preserve the cyclic "
+                                      f"order of face {b.face}")
+            pairing = FacePairing(a, b, rotation)
+            _claim_faces(pairing, tet_count, seen)
         except SchemeError as exc:
             raise SchemeError(str(exc), lineno) from None
-        _claim_faces(pairing, tet_count, seen, lineno)
         pairings.append(pairing)
     if tet_count is None:
         raise SchemeError("missing 'tets N' header")
@@ -271,9 +275,10 @@ def render_scheme(scheme: GluingScheme) -> str:
     """Canonical text form: sorted pairings, edgeorder only when non-trivial."""
     lines = [f"tets {scheme.tet_count}"]
     for p in scheme.pairings:
-        line = f"pair {p.a} {p.b}"
+        a, b = p.a, p.b
+        line = f"pair {a.tet}.{a.face} {b.tet}.{b.face}"
         if p.rotation:
-            b_edges = FACES[p.b.face]
+            b_edges = FACES[b.face]
             order = " ".join(str(b_edges[(j + p.rotation) % 3]) for j in range(3))
             line += f" edgeorder {order}"
         lines.append(line)
@@ -303,23 +308,25 @@ def _ref_direction(tri: tuple[tuple[int, int], ...],
 
 
 def _face_gluing(face_a: str, face_b: str, rotation: int):
-    """(edge links, corner links, orientation relation) of gluing face_a of
-    one tetrahedron to face_b of another, in tetrahedron-local indices.
+    """The seven links (m, ka, kb, rel) of gluing face_a of tetrahedron ta
+    to face_b of tetrahedron tb (both counted from 0): each joins the flat
+    items m * ta + ka and m * tb + kb of one kind, counted from the kind's
+    first item, with value(a) = rel * value(b).
 
-    Edge links are (edge a - 1, edge b - 1, relative arrow sign); corner
-    links are (vertex a, vertex b, link-side sign), the sign that coherent
-    orientations of the two link triangles must have relative to each other.
+    Three edge links (m = 6) carry the relative arrow sign; three corner
+    links (m = 4) carry the link-side sign, the sign that coherent
+    orientations of the two link triangles must have relative to each
+    other; one link (m = 1) relates the orientations of the tetrahedra.
     """
     p = FacePairing(FaceSlot(1, face_a), FaceSlot(2, face_b), rotation)
-    edge_links, end_map = [], {}
+    links, end_map = [], {}
     for (_, ea, wa), (_, eb, wb) in p.edge_matches():
-        edge_links.append((ea - 1, eb - 1, wa * wb))
+        links.append((6, ea - 1, eb - 1, wa * wb))
         # Walk-start maps to walk-start: same intrinsic ends when the walk
         # signs agree, crossed ends otherwise.
         for i in (0, 1):
             end_map[(ea, i)] = (eb, i if wa == wb else 1 - i)
     edges, walks = FACES[face_a], FACE_WALK_SIGNS[face_a]
-    corner_links = []
     for j, ((_, va), (_, vb)) in enumerate(p.corner_matches()):
         # The link-triangle side at corner j joins the walk-end of edge j
         # to the walk-start of edge j+1; transport both ends to face b.
@@ -329,74 +336,16 @@ def _face_gluing(face_a: str, face_b: str, rotation: int):
         d2 = _ref_direction(_CORNER_ENDS[vb], end_map[p1], end_map[q1])
         # Coherent triangle orientations must induce opposite directions
         # on the glued side: o1*d1 = -o2*d2.
-        corner_links.append((va, vb, -d1 * d2))
+        links.append((4, va, vb, -d1 * d2))
     # Coherent orientation needs the glued faces' normals to point in
     # opposite effective directions: eps_a * eps_b = -s(Fa) * s(Fb).
-    return tuple(edge_links), tuple(corner_links), -FACE_SIGN[face_a] * FACE_SIGN[face_b]
+    links.append((1, 0, 0, -FACE_SIGN[face_a] * FACE_SIGN[face_b]))
+    return tuple(links)
 
 
-# One entry per (face a, face b, rotation): 4 * 4 * 3 = 48.
-_GLUINGS = {(fa, fb, r): _face_gluing(fa, fb, r)
-            for fa in FACES for fb in FACES for r in range(3)}
-
-
-# -- union-find ---------------------------------------------------------------
-
-
-class _UnionFind:
-    """Union-find on 0..size-1 where each item carries a +-1 sign relative
-    to its root.
-
-    A union whose relation contradicts the signs already imposed marks the
-    class bad instead of raising.  Signs relative to a class's least item
-    do not depend on which root a union keeps: each is the product along
-    the forest of the unions that merged two classes, even in a bad class.
-    """
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.sign = [1] * size
-        self.bad: set[int] = set()
-
-    def find(self, x: int) -> tuple[int, int]:
-        """(root, s) with value(x) = s * value(root)."""
-        # Path halving: each visited item skips to its grandparent, and its
-        # sign composes over the skipped link (roots always carry +1).
-        parent, sign = self.parent, self.sign
-        s = 1
-        while True:
-            p = parent[x]
-            if p == x:
-                return x, s
-            g = parent[p]
-            sign[x] *= sign[p]
-            parent[x] = g
-            s *= sign[x]
-            x = g
-
-    def union(self, x: int, y: int, rel: int) -> None:
-        """Impose value(x) = rel * value(y)."""
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            if sx != rel * sy:
-                self.bad.add(rx)
-            return
-        # value(ry) = sy^-1 * rel^-1 * sx * value(rx)
-        self.parent[ry] = rx
-        self.sign[ry] = sx * rel * sy
-        if ry in self.bad:
-            self.bad.discard(ry)
-            self.bad.add(rx)
-
-    def classes(self) -> dict[int, list[tuple[int, int]]]:
-        """Each class as increasing (item, sign to root) pairs, keyed by its
-        root; the classes come in order of least item."""
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for x in range(len(self.parent)):
-            root, s = self.find(x)
-            groups.setdefault(root, []).append((x, s))
-        return groups
+# One entry per face a, face b and rotation: 4 * 4 * 3 = 48.
+_GLUINGS = {fa: {fb: {r: _face_gluing(fa, fb, r) for r in range(3)} for fb in FACES}
+            for fa in FACES}
 
 
 # -- glued complexes ----------------------------------------------------------
@@ -467,48 +416,84 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
             f"scheme is not closed: {len(scheme.pairings)} pairings for "
             f"{scheme.tet_count} tetrahedra")
 
+    # One signed union-find over the flat items of the module docstring,
+    # with value(x) = sign[x] * value(parent[x]).  A union hangs the greater
+    # root under the lesser, so parent[x] <= x and each root is the least
+    # item of its class; its signs are then products along the forest of
+    # the links that merged two classes, as path halving keeps them.  A link
+    # that contradicts the signs already imposed records its root in clashes.
     n = scheme.tet_count
-    edges, corners, tets = _UnionFind(6 * n), _UnionFind(4 * n), _UnionFind(n)
+    c0, t0 = 6 * n, 10 * n
+    first = {6: 0, 4: c0, 1: t0}
+    parent, sign, clashes = list(range(11 * n)), [1] * (11 * n), []
     for p in scheme.pairings:
-        edge_links, corner_links, orient = _GLUINGS[p.a.face, p.b.face, p.rotation]
-        ta, tb = p.a.tet - 1, p.b.tet - 1
-        for ea, eb, rel in edge_links:
-            edges.union(6 * ta + ea, 6 * tb + eb, rel)
-        for va, vb, rel in corner_links:
-            corners.union(4 * ta + va, 4 * tb + vb, rel)
-        tets.union(ta, tb, orient)
+        a, b = p.a, p.b
+        ta, tb = a.tet - 1, b.tet - 1
+        for m, ka, kb, rel in _GLUINGS[a.face][b.face][p.rotation]:
+            base = first[m]
+            x, y, sx = m * ta + ka + base, m * tb + kb + base, rel
+            while (q := parent[x]) != x:
+                sign[x] *= sign[q]
+                sx *= sign[x]
+                parent[x] = x = parent[q]
+            while (q := parent[y]) != y:
+                sign[y] *= sign[q]
+                sx *= sign[y]
+                parent[y] = y = parent[q]
+            # The link now asks value(x) = sx * value(y) of the two roots.
+            if x == y:
+                if sx != 1:
+                    clashes.append(x)
+            elif x < y:
+                parent[y], sign[y] = x, sx
+            else:
+                parent[x], sign[x] = y, sx
+
+    edges = _classes(parent, sign, 0, c0)
+    corners = _classes(parent, sign, c0, t0)
+    tets = _classes(parent, sign, t0, 11 * n)
+    bad = {parent[x] for x in clashes}
 
     edge_classes = []
     edge_lookup: dict[tuple[int, int], tuple[int, int]] = {}
-    for root, members in edges.classes().items():
-        base_sign = members[0][1]
-        rebased = tuple((x // 6 + 1, x % 6 + 1, s * base_sign) for x, s in members)
-        for t, e, s in rebased:
-            edge_lookup[(t, e)] = (len(edge_classes), s)
-        edge_classes.append(EdgeClass(rebased, root not in edges.bad))
+    for k, (root, items) in enumerate(edges.items()):
+        members = tuple((x // 6 + 1, x % 6 + 1, sign[x]) for x in items)
+        same, reversed_ = (k, 1), (k, -1)
+        for t, e, s in members:
+            edge_lookup[t, e] = same if s == 1 else reversed_
+        edge_classes.append(EdgeClass(members, root not in bad))
 
-    vertex_classes = []
-    vertex_lookup: dict[tuple[int, int], int] = {}
-    link_orientable = []
-    for root, members in corners.classes().items():
-        vclass = tuple((x // 4 + 1, x % 4) for x, _ in members)
-        for corner in vclass:
-            vertex_lookup[corner] = len(vertex_classes)
-        vertex_classes.append(vclass)
-        link_orientable.append(root not in corners.bad)
-
+    vertex_classes = tuple(tuple(((x - c0) // 4 + 1, (x - c0) % 4) for x in items)
+                           for items in corners.values())
+    vertex_lookup = {corner: k for k, vclass in enumerate(vertex_classes) for corner in vclass}
     return GluedComplex(
         scheme=scheme,
         edge_classes=tuple(edge_classes),
-        vertex_classes=tuple(vertex_classes),
-        orientable=not tets.bad,
+        vertex_classes=vertex_classes,
+        orientable=all(root < t0 for root in bad),
         closed=scheme.is_closed,
         edge_lookup=edge_lookup,
         vertex_lookup=vertex_lookup,
-        link_orientable=tuple(link_orientable),
-        tet_components=tuple(frozenset(x + 1 for x, _ in members)
-                             for members in tets.classes().values()),
+        link_orientable=tuple(root not in bad for root in corners),
+        tet_components=tuple(frozenset(x - t0 + 1 for x in items) for items in tets.values()),
     )
+
+
+def _classes(parent: list[int], sign: list[int], start: int, stop: int) -> dict[int, list[int]]:
+    """Items start..stop-1 by class, keyed by root in order of least item.
+
+    Points each item straight at its root: in increasing order, its parent
+    already does so and carries its sign to that root."""
+    buckets: dict[int, list[int]] = {}
+    for x in range(start, stop):
+        p = parent[x]
+        if p == x:
+            buckets[x] = [x]
+        else:
+            parent[x] = root = parent[p]
+            sign[x] *= sign[p]
+            buckets[root].append(x)
+    return buckets
 
 
 # -- boundary (vertex link) surfaces -----------------------------------------

@@ -48,6 +48,14 @@ def naive_reduce(word) -> Word:
     return tuple(w)
 
 
+def naive_cyclic_reduce(word) -> Word:
+    """Freely reduce, then strip one cancelling first/last pair at a time."""
+    w = list(free_reduce(word))
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return tuple(w)
+
+
 def bounded_products(generators: list[Word], length: int) -> set[Word]:
     """All reduced products of at most `length` generators or inverses."""
     basis = [free_reduce(g) for g in generators] + \

@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import inspect
+import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -79,6 +84,18 @@ def random_closed_scheme(rng, max_tets=3):
             return GluingScheme(tets, tuple(pairings))
         except SchemeError:
             continue
+
+
+def oracle_schemes():
+    """500 random schemes of up to 12 tetrahedra; every second one keeps
+    only about 60% of its pairings, so half of them are partial."""
+    rng = random.Random(37)
+    for i in range(500):
+        scheme = random_closed_scheme(rng, max_tets=12)
+        if i % 2:
+            scheme = GluingScheme(scheme.tet_count, tuple(
+                p for p in scheme.pairings if rng.random() < 0.6))
+        yield scheme
 
 
 def assert_glue_matches_flood(scheme):
@@ -202,6 +219,130 @@ class TestParsing:
             parse_scheme("tets 1\npair 1.132 1.453 edgeorder 4 3 5\n")
 
 
+class TestSchemeRecords:
+    """Pins the public behaviour of the scheme records: the text, equality,
+    ordering, hashing, copying and error text that callers can see."""
+
+    def test_face_slot(self):
+        s = FaceSlot(1, "132")
+        assert s == FaceSlot(1, "132") and s != FaceSlot(1, "453")
+        assert hash(s) == hash((1, "132"))
+        assert FaceSlot(1, "453") < FaceSlot(2, "132") and FaceSlot(1, "264") < FaceSlot(1, "453")
+        assert sorted([FaceSlot(2, "132"), FaceSlot(1, "516"), FaceSlot(1, "132")]) == \
+            [FaceSlot(1, "132"), FaceSlot(1, "516"), FaceSlot(2, "132")]
+        assert repr(s) == "FaceSlot(tet=1, face='132')"
+        assert str(s) == "1.132"
+        assert str(inspect.signature(FaceSlot, eval_str=True)) == \
+            "(tet: int, face: str) -> None"
+
+    def test_face_pairing(self):
+        p = FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453"))
+        assert p == FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453"), 0)
+        assert p != FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453"), 1)
+        assert hash(p) == hash((FaceSlot(1, "132"), FaceSlot(2, "453"), 0))
+        with pytest.raises(TypeError):
+            p < p  # noqa: B015
+        text = ("FacePairing(a=FaceSlot(tet=1, face='132'), "
+                "b=FaceSlot(tet=2, face='453'), rotation=0)")
+        assert repr(p) == str(p) == text
+        assert str(inspect.signature(FacePairing, eval_str=True)) == \
+            "(a: geodouble.triangulation.FaceSlot, b: geodouble.triangulation.FaceSlot, " \
+            "rotation: int = 0) -> None"
+        assert [f.name for f in dataclasses.fields(FacePairing)] == ["a", "b", "rotation"]
+
+    def test_swapped_pairing_normalises(self):
+        q = FacePairing(FaceSlot(2, "453"), FaceSlot(1, "132"), 1)
+        assert (q.a, q.b, q.rotation) == (FaceSlot(1, "132"), FaceSlot(2, "453"), 2)
+        assert q == FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453"), 2)
+        assert hash(q) == hash((FaceSlot(1, "132"), FaceSlot(2, "453"), 2))
+        assert repr(q) == ("FacePairing(a=FaceSlot(tet=1, face='132'), "
+                           "b=FaceSlot(tet=2, face='453'), rotation=2)")
+        same_tet = FacePairing(FaceSlot(1, "516"), FaceSlot(1, "132"), 2)
+        assert (same_tet.a, same_tet.b, same_tet.rotation) == \
+            (FaceSlot(1, "132"), FaceSlot(1, "516"), 1)
+
+    def test_replace_pickle_and_copy(self):
+        s = FaceSlot(3, "264")
+        assert dataclasses.replace(s, tet=4) == FaceSlot(4, "264")
+        p = FacePairing(FaceSlot(2, "453"), FaceSlot(1, "132"), 1)
+        assert dataclasses.replace(p, rotation=1) == \
+            FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453"), 1)
+        # replace goes through the constructor, so it normalises again.
+        r = dataclasses.replace(p, a=FaceSlot(3, "264"))
+        assert (r.a, r.b, r.rotation) == (FaceSlot(2, "453"), FaceSlot(3, "264"), 1)
+        for obj in (s, p, family_scheme(4)):
+            for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+                assert twin == obj and type(twin) is type(obj)
+                assert hash(twin) == hash(obj)
+
+    def test_records_are_frozen(self):
+        s, p = FaceSlot(1, "132"), FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.tet = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.rotation = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.a = FaceSlot(3, "132")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.b
+
+    @pytest.mark.parametrize("a, b, rotation, message", [
+        (FaceSlot(1, "123"), FaceSlot(1, "453"), 0, "unknown face name '123'"),
+        (FaceSlot(1, "132"), FaceSlot(2, "999"), 0, "unknown face name '999'"),
+        (FaceSlot(0, "132"), FaceSlot(1, "453"), 0, "tetrahedron index 0 out of range"),
+        (FaceSlot(1, "132"), FaceSlot(-2, "453"), 0, "tetrahedron index -2 out of range"),
+        (FaceSlot(1, "132"), FaceSlot(1, "132"), 1, "face 1.132 paired with itself"),
+        (FaceSlot(1, "132"), FaceSlot(2, "453"), 3, "rotation 3 not in 0..2"),
+        (FaceSlot(0, "123"), FaceSlot(0, "123"), 3, "unknown face name '123'"),
+    ])
+    def test_error_text(self, a, b, rotation, message):
+        with pytest.raises(SchemeError) as info:
+            FacePairing(a, b, rotation)
+        assert str(info.value) == message and info.value.line is None
+
+    @pytest.mark.parametrize("line, message", [
+        ("pair 1.123 1.453", "line 2: unknown face name '123'"),
+        ("pair 1.132 1.999 edgeorder 1 2 3", "line 2: unknown face name '999'"),
+        ("pair 0.132 1.453", "line 2: tetrahedron index 0 out of range"),
+        ("pair 1.132 1.132", "line 2: face 1.132 paired with itself"),
+        ("pair 1.132 2.453", "line 2: face 2.453 beyond tet count 1"),
+        ("pair 1.132", "line 2: expected 'pair A B [edgeorder p q r]', got 'pair 1.132'"),
+        ("pair  1.132   1.453 order 1 2 3  # x", "line 2: expected 'edgeorder', got 'order'"),
+        ("pair 1.132 1.453 edgeorder 3 4 5 6",
+         "line 2: expected 'pair A B [edgeorder p q r]', "
+         "got 'pair 1.132 1.453 edgeorder 3 4 5 6'"),
+        ("pair 1.132 1.453 edgeorder 4 3 5",
+         "line 2: edge order (4, 3, 5) must preserve the cyclic order of face 453"),
+        ("pair 1.132 1.453 edgeorder 4 x 5", "line 2: bad edge order ['4', 'x', '5']"),
+        ("pair 1.132 1.999 edgeorder 1 x 3", "line 2: bad edge order ['1', 'x', '3']"),
+        ("pair 1.999 0.453 edgeorder 4 3 5",
+         "line 2: edge order (4, 3, 5) must preserve the cyclic order of face 453"),
+        ("pair 1.999 0.453 edgeorder 3 4 5", "line 2: unknown face name '999'"),
+        ("pair 1.132.0 1.453", "line 2: bad face token '1.132.0'"),
+        ("pair 1132 1.453", "line 2: bad face token '1132'"),
+        ("pair x.132 1.453", "line 2: bad tetrahedron index in 'x.132'"),
+        ("tets 1", "line 2: expected 'pair A B [edgeorder p q r]', got 'tets 1'"),
+    ])
+    def test_parse_error_text(self, line, message):
+        with pytest.raises(SchemeError) as info:
+            parse_scheme(f"tets 1\n{line}\n")
+        assert str(info.value) == message and info.value.line == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing 'tets N' header"),
+        ("# only a comment\n", "missing 'tets N' header"),
+        ("pair 1.132 1.453\n", "line 1: expected header 'tets N'"),
+        ("tets 1 2\n", "line 1: expected header 'tets N'"),
+        ("tets x\n", "line 1: bad tet count 'x'"),
+        ("\n  tets -3\n", "line 2: tet count must be positive, got -3"),
+        ("tets 2\npair 1.132 2.132\npair 2.453 2.132\n",
+         "line 3: face 2.132 appears in more than one pairing"),
+    ])
+    def test_parse_header_and_claim_text(self, text, message):
+        with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
+            parse_scheme(text)
+
+
 class TestGlue:
     def test_family_n4_counts(self):
         c = glue(family_scheme(4))
@@ -243,13 +384,8 @@ class TestGlue:
             assert glue(scheme).orientable == brute_orientable(scheme)
 
     def test_identifications_match_flood_fill_oracle(self):
-        rng = random.Random(37)
         inconsistent = self_glued = 0
-        for i in range(500):
-            scheme = random_closed_scheme(rng, max_tets=12)
-            if i % 2:
-                scheme = GluingScheme(scheme.tet_count, tuple(
-                    p for p in scheme.pairings if rng.random() < 0.6))
+        for scheme in oracle_schemes():
             self_glued += any(p.a.tet == p.b.tet for p in scheme.pairings)
             inconsistent += assert_glue_matches_flood(scheme)
         assert inconsistent > 0
@@ -382,6 +518,27 @@ class TestBoundarySurfaces:
         assert self_glued > 100
         assert nonorientable > 50
 
+    def test_link_euler_characteristics_sum_to_edge_count(self):
+        # Without an edge glued to itself reversed, the links have 2E
+        # vertices in all, 4n triangles and 6n sides: sum chi = 2(E - n).
+        checked = 0
+        for scheme in oracle_schemes():
+            if not scheme.is_closed:
+                continue
+            c = glue(scheme)
+            if not all(ec.orientation_consistent for ec in c.edge_classes):
+                continue
+            chi = sum(comp.euler_characteristic for comp in boundary_surfaces(c).components)
+            assert chi == 2 * (len(c.edge_classes) - scheme.tet_count)
+            checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 100])
+    def test_family_link_euler_characteristic(self, n):
+        c = glue(family_scheme(n))
+        [comp] = boundary_surfaces(c).components
+        assert comp.euler_characteristic == 2 * (len(c.edge_classes) - n) == 4 - 2 * n
+
     def test_orientable_components_have_even_euler(self):
         rng = random.Random(37)
         for _ in range(60):
@@ -454,3 +611,14 @@ class TestScaling:
         assert [ec.valence for ec in c.edge_classes] == [3 * n, 3 * n]
         assert [(comp.genus, comp.orientable) for comp in stats.components] == [(n - 1, True)]
         assert handles == (n + 1, 2)
+
+    def test_family_text_round_trip_is_linear(self):
+        # About 1.5 s on a 2-vCPU x86 host, family_scheme to presentation.
+        n = 20000
+        start = time.perf_counter()
+        scheme = family_scheme(n)
+        parsed = parse_scheme(render_scheme(scheme))
+        pres = presentation_from_complex(glue(parsed))
+        assert time.perf_counter() - start < 10.0
+        assert parsed == scheme
+        assert pres.generator_count == 2
