@@ -57,7 +57,8 @@ def family_scheme(n: int) -> GluingScheme:
         j = i % n + 1
         pairings.append(FacePairing(FaceSlot(i, "132"), FaceSlot(j, "453")))
         pairings.append(FacePairing(FaceSlot(i, "264"), FaceSlot(j, "516")))
-    return GluingScheme(n, tuple(pairings))
+    # Valid by construction: each of the 4n faces is paired exactly once.
+    return GluingScheme._from_claimed(n, tuple(pairings))
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,21 @@ base, and only its unread middle adds vertices (Kapovich and Myasnikov,
 folding, a vertex stores one target per label; a second target for a label
 is put on a merge queue, and queued pairs are identified through a
 union-find (the near-linear scheme of Touikan, "A fast algorithm for
-Stallings' folding process", IJAC 2006).  One breadth-first pass then
-renumbers the folded graph canonically and stores it as one target column
-per signed label that occurs, with the breadth-first spanning tree it
-found as a parent and a label per vertex.  The graph answers membership,
+Stallings' folding process", IJAC 2006).
+
+The fold, and the graph it gives, keep one target column per signed
+label.  A dense column is a list indexed by vertex; a sparse column is a
+dict whose missing vertices read as None, so both read as ``col[v]``.
+The fold gives a label a dense column when the label carries at least 1/8
+of the letters, or when the rank is at most 8; the stored graph does when
+the label has at least one edge per 8 vertices.  At most 16 columns are
+dense, so memory stays linear in the letters however wide the alphabet.
+Each fold vertex lists its sparse labels, so a merge, and the
+breadth-first pass that renumbers the folded graph canonically, visit
+only the dense columns and that vertex's own sparse labels.  That pass
+stores the graph with the spanning tree it found as a parent and a label
+per vertex; a stored column's layout follows from the graph alone, so
+equal graphs have equal columns.  The graph answers membership,
 computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
 that tree.  For the double's normal forms it also reads whole words:
@@ -28,7 +39,10 @@ graphs, from every vertex at once, one column per letter.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, repeat
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -108,7 +122,10 @@ class SubgroupGraph:
     vertex 0, scanning labels a, b, ..., A, B, ...; this relabelling is the
     canonical form used for equality tests.  The graph is stored as one
     target column per signed label that occurs: column s holds, at v, the
-    target of v's s-edge, or None.  Coset representatives read off the
+    target of v's s-edge, or None.  A column is a list when its label has
+    at least V/8 edges and otherwise a dict whose missing vertices read as
+    None, so columns, like the graph, compare equal exactly when the
+    graphs do.  Coset representatives read off the
     breadth-first spanning tree that the relabelling finds, so they are
     canonical too (and depend on that choice).  The tree is two flat lists,
     each vertex's parent and the label of the edge that found it; a
@@ -116,16 +133,19 @@ class SubgroupGraph:
     the base.
     """
 
-    def __init__(self, ambient_rank: int, columns: dict[int, list[int | None]],
+    def __init__(self, ambient_rank: int, columns: dict[int, list[int | None] | dict[int, int]],
                  parent: list[int], label: list[int], generators: tuple[Word, ...] = ()):
         self.ambient_rank = ambient_rank
         self._col = columns
         self._parent = parent
         self._label = label
         self.generators = generators
-        complete = len(columns) == 2 * ambient_rank and \
-            all(None not in col for col in columns.values())
-        self._index = len(parent) if complete else None
+        n = len(parent)
+        self._edges = sum(n - col.count(None) if type(col) is list else len(col)
+                          for s, col in columns.items() if s > 0)
+        # Each label is injective on a folded graph, so k * V edges make
+        # every label a permutation: the graph is complete.
+        self._index = n if self._edges == ambient_rank * n else None
 
     # -- construction ---------------------------------------------------
 
@@ -138,11 +158,15 @@ class SubgroupGraph:
         for g in generators:
             w = word_from_str(g, ambient_rank) if isinstance(g, str) else tuple(g)
             _check_letters(w, ambient_rank)
-            w = free_reduce(w)
+            # Letters are nonzero, so a zero sum marks a cancelling pair;
+            # one C-level pass finds most generators already reduced.
+            if 0 in map(add, w, w[1:]):
+                w = free_reduce(w)
             if w:
                 gens.append(w)
-        # The fold's own lists are dropped once the columns are built.
-        return cls(ambient_rank, *_canonical_relabel(*_fold(gens), 0), tuple(gens))
+        # The fold's own columns are dropped once the graph's are built.
+        return cls(ambient_rank, *_canonical_relabel(*_fold(gens, ambient_rank), 0),
+                   tuple(gens))
 
     @classmethod
     def from_adjacency(cls, ambient_rank: int, adjacency: Iterable[dict[int, int]],
@@ -169,7 +193,17 @@ class SubgroupGraph:
         for v, nbrs in enumerate(adj):
             if v != base and len(nbrs) <= 1:
                 raise ValueError(f"vertex {v} is dangling; graph is not core")
-        columns, parent, label = _canonical_relabel(adj, range(n), base)
+        cols, dense, sparse = _fold_columns(ambient_rank, n, chain.from_iterable(adj))
+        for s in dense:
+            cols[s][:] = map(dict.get, adj, repeat(s))
+        sparse_at = {}
+        if sparse:
+            for v, nbrs in enumerate(adj):
+                if here := [s for s in nbrs if s in sparse]:
+                    sparse_at[v] = here
+                    for s in here:
+                        cols[s][v] = nbrs[s]
+        columns, parent, label = _canonical_relabel(cols, sparse_at, range(n), base)
         if len(parent) != n:
             raise ValueError("graph is not connected from the base vertex")
         return cls(ambient_rank, columns, parent, label)
@@ -183,8 +217,7 @@ class SubgroupGraph:
     @property
     def edge_count(self) -> int:
         """Number of geometric (positively labelled) edges."""
-        n = len(self._parent)
-        return sum(n - col.count(None) for s, col in self._col.items() if s > 0)
+        return self._edges
 
     def step(self, vertex: int, label: int) -> int | None:
         col = self._col.get(label)
@@ -332,12 +365,16 @@ class SubgroupGraph:
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """Yield (source, positive label, target), sorted."""
-        positive = sorted((s, col) for s, col in self._col.items() if s > 0)
-        for v in range(len(self._parent)):
-            for s, col in positive:
-                w = col[v]
+        # Bucketed by source, labels in increasing order: linear in the edges.
+        rows: list[list[tuple[int, int]]] = [[] for _ in self._parent]
+        for s in sorted(s for s in self._col if s > 0):
+            col = self._col[s]
+            for v, w in enumerate(col) if type(col) is list else col.items():
                 if w is not None:
-                    yield (v, s, w)
+                    rows[v].append((s, w))
+        for v, row in enumerate(rows):
+            for s, w in row:
+                yield (v, s, w)
 
     def canonical_key(self) -> tuple:
         return (self.ambient_rank, len(self._parent), tuple(self.edges()))
@@ -367,8 +404,48 @@ def stallings_graph(generators: Iterable[Word | str], ambient_rank: int) -> Subg
 
 # -- folding machinery ------------------------------------------------------
 
+# A label pair gets list columns, one entry per vertex, when it carries at
+# least 1/_DENSE of the fold's letters or, in a stored graph, has at least
+# one edge per _DENSE vertices; any other label gets dict columns.  At most
+# 2 * _DENSE labels then have lists, so columns take memory linear in the
+# letters.  In rank up to _DENSE every label may have a list within that
+# bound, and the fold skips the count.
+_DENSE = 8
 
-def _fold(gens: list[Word]) -> tuple[list[dict[int, int]], list[int]]:
+
+class _Sparse(dict):
+    """A dict column: a vertex without an edge of its label reads None, as
+    in a list column."""
+
+    __slots__ = ()
+
+    def __missing__(self, vertex: int) -> None:
+        return None
+
+
+def _fold_columns(rank: int, size: int, labels: Iterable[int]
+                  ) -> tuple[list, list[int], set[int]]:
+    # Empty fold columns over ``size`` vertices, indexed by signed label
+    # through negative list indexing: label s is cols[s].  ``labels`` holds
+    # every letter of the generators, or every label of an adjacency, and is
+    # counted only past rank _DENSE.  Returns the columns, the dense labels
+    # in the order a, b, ..., A, B, ... and the set of sparse labels.
+    if rank <= _DENSE:
+        dense, sparse = list(range(1, rank + 1)), []
+    else:
+        counts = Counter(map(abs, labels))
+        total = sum(counts.values())
+        dense = sorted(s for s, c in counts.items() if c * _DENSE >= total)
+        sparse = [s for s, c in counts.items() if c * _DENSE < total]
+    cols: list = [None] * (2 * max(dense + sparse, default=0) + 1)
+    for s in dense:
+        cols[s], cols[-s] = [None] * size, [None] * size
+    for s in sparse:
+        cols[s], cols[-s] = _Sparse(), _Sparse()
+    return cols, dense + [-s for s in dense], {*sparse, *(-s for s in sparse)}
+
+
+def _fold(gens: list[Word], rank: int) -> tuple[list, dict[int, list[int]], list[int]]:
     # Adds one generator at a time to a graph that is already folded.  Its
     # reduced word is read forwards from the base as far as the graph
     # allows, to letter i at vertex u, then backwards from the base, not
@@ -376,12 +453,14 @@ def _fold(gens: list[Word]) -> tuple[list[dict[int, int]], list[int]]:
     # and Myasnikov, J. Algebra 2002).  A vertex keeps one target per label; a
     # second target goes onto the merge queue instead, drained before the
     # next generator (Touikan 2006).  Stored targets may be merged-away
-    # vertices, so they are read through find.  Returns the adjacency and
-    # each vertex's root; merged-away vertices are left empty.
-    adj: list[dict[int, int]] = [{}]
-    # Its own list-based find, not triangulation's signed union-find: with
-    # that shared class, Schreier-graph folds of degree 256-1024 ran
-    # 1.2-1.6x slower (CPython 3.11 on a 2-vCPU x86 host).
+    # vertices, so they are read through find.  Each vertex lists its sparse
+    # labels, so a merge visits the dense columns and those alone.  Returns
+    # the columns, the sparse labels of each vertex that has any, and each
+    # vertex's root; merged-away vertices keep stale entries.
+    size = 1 + sum(map(len, gens))  # at least the vertex count
+    cols, dense, sparse = _fold_columns(rank, size, chain.from_iterable(gens))
+    dense_cols = [(s, cols[s]) for s in dense]
+    sparse_at: dict[int, list[int]] = {}
     parent = [0]
     merges: list[tuple[int, int]] = []
 
@@ -392,80 +471,116 @@ def _fold(gens: list[Word]) -> tuple[list[dict[int, int]], list[int]]:
         return x
 
     def link(v: int, s: int, w: int) -> None:
-        t = adj[v].setdefault(s, w)
-        if t != w:
+        col = cols[s]
+        t = col[v]
+        if t is None:
+            col[v] = w
+            if s in sparse:
+                sparse_at.setdefault(v, []).append(s)
+        elif t != w:
             merges.append((t, w))
 
     for word in gens:
         u, i = 0, 0
         for s in word:
-            t = adj[u].get(s)
+            t = cols[s][u]
             if t is None:
                 break
-            u = find(t)
+            u = t if parent[t] == t else find(t)
             i += 1
         v, j = 0, len(word)
         while j > i:
-            t = adj[v].get(-word[j - 1])
+            t = cols[-word[j - 1]][v]
             if t is None:
                 break
-            v = find(t)
+            v = t if parent[t] == t else find(t)
             j -= 1
         if i == j:
             merges.append((u, v))
+        elif j - i == 1:
+            # One new edge between vertices already there.
+            link(u, word[i], v)
+            link(v, -word[i], u)
         else:
-            # u, one new vertex per inner letter of word[i:j], then v.  The
-            # word is reduced, so an inner vertex's two labels differ; only
-            # the end edges can collide, when u == v and the first and last
-            # letters are inverse.
-            path = [u, *range(len(adj), len(adj) + j - i - 1), v]
-            adj.extend({-s: p, t: q} for s, t, p, q
-                       in zip(word[i:j - 1], word[i + 1:j], path, path[2:]))
-            parent.extend(path[1:-1])
-            link(u, word[i], path[1])
-            link(v, -word[j - 1], path[-2])
+            # u, one new vertex per inner letter of mid, then v.  The word is
+            # reduced, so an inner vertex's two labels differ; only the end
+            # edges can collide, when u == v and the first and last letters
+            # are inverse.
+            mid = word[i:j]
+            new = range(len(parent), len(parent) + j - i - 1)
+            path = [u, *new, v]
+            parent.extend(new)
+            for x, s, t, p, q in zip(new, mid, mid[1:], path, path[2:]):
+                cols[-s][x] = p
+                cols[t][x] = q
+            if sparse and not sparse.isdisjoint(mid):
+                for x, s, t in zip(new, mid, mid[1:]):
+                    here = [r for r in (-s, t) if r in sparse]
+                    if here:
+                        sparse_at[x] = here
+            link(u, mid[0], path[1])
+            link(v, -mid[-1], path[-2])
         while merges:
             x, y = merges.pop()
-            a, b = sorted((find(x), find(y)))
-            if a != b:
-                # Keeping the smaller root keeps the base at vertex 0.  Edges
-                # into b stay stored as b and resolve to a through find.
-                parent[b] = a
-                for s, w in adj[b].items():
-                    link(a, s, w)
-                adj[b].clear()
+            if parent[x] != x:
+                x = find(x)
+            if parent[y] != y:
+                y = find(y)
+            if x == y:
+                continue
+            if y < x:
+                x, y = y, x
+            # Keeping the smaller root keeps the base at vertex 0.  Edges
+            # into y stay stored as y and resolve to x through find.
+            parent[y] = x
+            for s, col in dense_cols:
+                w = col[y]
+                if w is not None:
+                    link(x, s, w)
+            for s in sparse_at.pop(y, ()):
+                link(x, s, cols[s][y])
     # Each entry becomes its root.  Finding from parent[x], not from x,
     # returns an int object the list already holds, so the roots add no
     # new ints: a fresh list of find(x) raised the subgroup_fold bench's
     # peak RSS by about 0.8 MB (CPython 3.11 on a 2-vCPU x86 host).
     parent[:] = map(find, parent)
-    return adj, parent
+    return cols, sparse_at, parent
 
 
-def _canonical_relabel(adj: list[dict[int, int]], root: Sequence[int], base: int
-                       ) -> tuple[dict[int, list[int | None]], list[int], list[int]]:
-    # One breadth-first pass from the base, reading each stored target t as
-    # root[t] and scanning the labels that occur in the order a, b, ...,
-    # A, B, ...  It numbers the vertices, writes each edge it reads into its
-    # label's column (the target's number is known by then) and records the
-    # edge that found each vertex as its tree edge.  Vertices it cannot
-    # reach are dropped, so a shorter result means the graph was not
-    # connected.
-    present = set().union(*adj)
-    scan = sorted(s for s in present if s > 0) + \
-        sorted((s for s in present if s < 0), reverse=True)
-    n = len(adj)
-    columns = {s: [None] * n for s in scan}
-    pairs = list(columns.items())
+def _canonical_relabel(cols: list, sparse_at: dict[int, list[int]], root: Sequence[int],
+                       base: int) -> tuple[dict[int, list | _Sparse], list[int], list[int]]:
+    # One breadth-first pass from the base over fold columns, reading each
+    # stored target t as root[t] and, at each vertex, the dense labels and
+    # that vertex's sparse labels in the order a, b, ..., A, B, ...  It
+    # numbers the vertices, writes each edge it reads into its label's
+    # column (the target's number is known by then) and records the edge
+    # that found each vertex as its tree edge.  Vertices it cannot reach are
+    # dropped, so a shorter result means the graph was not connected.  Each
+    # column is then a list or a dict by its own edge count against the
+    # vertex count, so the layout depends on the graph alone.
+    n = len(root)
+    top = len(cols) // 2
+    entries = [(s, col, [None] * n if type(col) is list else _Sparse())
+               for s in [*range(1, top + 1), *range(-1, -top - 1, -1)]
+               if (col := cols[s]) is not None]
+    scan = [e for e in entries if type(e[1]) is list]
+    by_label = {e[0]: e for e in entries}
+
+    def canonical(entry: tuple) -> int:
+        s = entry[0]
+        return s if s > 0 else top - s
+
     pos = [-1] * n
     pos[base] = 0
     order = [base]
     parent = [0]
     label = [0]
     for i, v in enumerate(order):
-        nbrs = adj[v]
-        for s, col in pairs:
-            t = nbrs.get(s)
+        row = scan
+        if sparse_at and v in sparse_at:
+            row = sorted(scan + [by_label[s] for s in sparse_at[v]], key=canonical)
+        for s, col, out in row:
+            t = col[v]
             if t is not None:
                 t = root[t]
                 w = pos[t]
@@ -474,7 +589,24 @@ def _canonical_relabel(adj: list[dict[int, int]], root: Sequence[int], base: int
                     order.append(t)
                     parent.append(i)
                     label.append(s)
-                col[i] = w
-    for col in columns.values():
-        del col[len(order):]
+                out[i] = w
+    size = len(order)
+    columns: dict[int, list | _Sparse] = {}
+    for s, _, out in entries:
+        if type(out) is list:
+            del out[size:]
+            edges = size - out.count(None)
+        else:
+            edges = len(out)
+        if not edges:
+            continue
+        if edges * _DENSE < size:
+            if type(out) is list:
+                out = _Sparse((v, w) for v, w in enumerate(out) if w is not None)
+        elif type(out) is not list:
+            dense = [None] * size
+            for v, w in out.items():
+                dense[v] = w
+            out = dense
+        columns[s] = out
     return columns, parent, label

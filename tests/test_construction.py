@@ -11,7 +11,14 @@ from geodouble.construction import (
     min_n_for_ratio,
     verify_family,
 )
-from geodouble.triangulation import boundary_surfaces, handle_structure
+from geodouble.triangulation import (
+    FacePairing,
+    FaceSlot,
+    GluingScheme,
+    SchemeError,
+    boundary_surfaces,
+    handle_structure,
+)
 
 from oracles import scan_min_n
 
@@ -35,6 +42,17 @@ class TestFamilyScheme:
 
     def test_admissibility_predicate(self):
         assert [n for n in range(1, 15) if is_admissible(n)] == [4, 5, 7, 8, 10, 11, 13, 14]
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 100])
+    def test_scheme_equals_the_checked_construction(self, n):
+        # family_scheme skips the face check; the checking constructor
+        # accepts the same pairings and gives an equal scheme.
+        scheme = family_scheme(n)
+        checked = GluingScheme(n, tuple(reversed(scheme.pairings)))
+        assert scheme == checked
+        repeated = scheme.pairings[:-1] + (FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453")),)
+        with pytest.raises(SchemeError, match="appears in more than one pairing"):
+            GluingScheme(n, repeated)
 
 
 class TestVerifyFamily:

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from geodouble.freegroups import (
     concat,
     free_reduce,
     inverse_word,
+    letter_str,
     stallings_graph,
     word_from_str,
     word_to_str,
@@ -468,6 +470,72 @@ class TestColumnLayout:
         assert stallings_graph([], 1) != stallings_graph([], 2)
         assert stallings_graph(["ab"], 2).export_edge_list() == \
             stallings_graph(["ab"], 3).export_edge_list()
+
+    def test_fold_matches_oracles_past_rank_three(self):
+        # Two labels carry most letters and the rest occur a few times, so
+        # past rank 8 the fold keeps the rare ones in dict columns, and
+        # graphs of nine or more vertices store labels with few edges so.
+        rng = random.Random(71)
+        mixed = 0
+        for _ in range(150):
+            rank = rng.randint(4, 12)
+            alphabet = [s for s in range(-rank, rank + 1) if s]
+            heavy = rng.sample(range(1, rank + 1), 2)
+            gens = [tuple(rng.choice(heavy) * rng.choice((1, -1))
+                          for _ in range(rng.randint(4, 14)))
+                    for _ in range(rng.randint(1, 3))]
+            gens += [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                     for _ in range(rng.randint(1, 3))]
+            g = stallings_graph(gens, rank)
+            assert g.canonical_key() == naive_fold_key(gens, rank), gens
+            probes = gens + [tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 10)))
+                             for _ in range(20)]
+            assert [g.coset_representative(p) for p in probes] == \
+                tree_coset_representatives(g, probes), gens
+            names = rng.sample(range(g.vertex_count), g.vertex_count)
+            adjacency = [{} for _ in names]
+            for v, s, w in g.edges():
+                adjacency[names[v]][s] = names[w]
+                adjacency[names[w]][-s] = names[v]
+            adopted = SubgroupGraph.from_adjacency(rank, adjacency, base=names[0])
+            assert adopted == g and hash(adopted) == hash(g), gens
+            mixed += len({isinstance(col, list) for col in g._col.values()}) == 2
+        assert mixed >= 30
+
+    @pytest.mark.parametrize("rank", [2, 12])
+    @pytest.mark.parametrize("n", [16, 17, 100])
+    def test_full_column_beside_a_one_edge_column(self, n, rank):
+        # The a-column is full and the b-column holds one edge.
+        g = stallings_graph(["a" * n, "b"], rank)
+        assert g.index() is None
+        assert (g.vertex_count, g.edge_count, g.subgroup_rank()) == (n, n + 1, 2)
+        _, _, edges = naive_fold_key([(1,) * n, (2,)], rank)
+        assert g.export_edge_list() == \
+            "\n".join(f"{v} --{letter_str(s)}--> {w}" for v, s, w in edges)
+        # With b fixing every coset the graph is complete.
+        conjugates = ["a" * k + "b" + "A" * k for k in range(1, n)]
+        g = stallings_graph(["a" * n, "b", *conjugates], 2)
+        assert (g.index(), g.edge_count) == (n, 2 * n)
+        assert g.schreier_rank_check()
+
+    def test_wide_alphabet_memory_is_linear(self):
+        # One generator of k distinct letters in rank k: every label has
+        # one edge.  With a list column per label this took about 146 MB
+        # at k = 3000 (tracemalloc peak, CPython 3.11).
+        def peak(k):
+            tracemalloc.start()
+            try:
+                g = stallings_graph([tuple(range(1, k + 1))], k)
+                return tracemalloc.get_traced_memory()[1], g
+            finally:
+                tracemalloc.stop()
+
+        small, g = peak(3000)
+        assert (g.vertex_count, g.edge_count, g.index()) == (3000, 3000, None)
+        assert small < 30_000_000
+        large, g = peak(12000)
+        assert g.edge_count == 12000
+        assert large <= 5 * small
 
     def test_large_rank_with_few_labels_is_fast(self):
         # Only labels that occur get a column: rank 200000 costs nothing.
