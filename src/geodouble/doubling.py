@@ -36,12 +36,19 @@ exactly when its normal form has no syllables at all, i.e. exactly the
 elements of H.  ``is_fixed`` therefore decides fixedness from the first
 pass alone, which already knows whether the element lies in H; the
 definitional check, that the normal forms of w and swap(w) agree, lives in
-the tests, against an independent reference normal form.
+the tests, against an independent reference normal form.  The first pass
+is shared: ``normal_form`` keeps a weak reference to the word it last
+reduced and that word's membership in H, and ``is_fixed`` on that same
+object reads the answer instead of reducing again.  Only the weak
+reference and a bool are kept, never the stack or the word, so the memo
+pins no memory and an equal but distinct word simply reduces again.  A
+double's subgroup is read-only, so the answer cannot outlive its graph.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -155,9 +162,19 @@ class Double:
     """The double of a rank-k free group over a folded subgroup graph."""
 
     def __init__(self, subgroup: SubgroupGraph):
-        self.subgroup = subgroup
+        self._subgroup = subgroup
         self.rank = subgroup.ambient_rank
         self._complete = subgroup.index() is not None
+        # (weak reference to the word normal_form last reduced, whether it
+        # lies in H).  One tuple, so a reader sees the two together; the
+        # first reference resolves to no word.
+        self._last_in_h: tuple = (lambda: None, False)
+
+    @property
+    def subgroup(self) -> SubgroupGraph:
+        """The folded graph of H; read-only, since ``rank`` and the pass-1
+        memo are derived from it."""
+        return self._subgroup
 
     @classmethod
     def from_generators(cls, generators: Iterable[Word | str], rank: int) -> "Double":
@@ -192,7 +209,9 @@ class Double:
         and u = act[0 * x^-1].
         """
         stack = self._reduce(dword)
-        if stack and stack[0][0] is None:
+        in_h = not stack or stack[0][0] is None
+        self._last_in_h = (weakref.ref(dword), in_h)
+        if stack and in_h:
             return NormalForm((), tuple(stack[0][1]))
         return self._split(stack)
 
@@ -257,10 +276,15 @@ class Double:
         """Does the swap fix this element?
 
         The swap fixes exactly H, and pass 1 of ``normal_form`` already
-        decides membership in H, so this runs pass 1 alone.  The comparison
+        decides membership in H, so this runs pass 1 alone, and not even
+        that when ``normal_form`` has just reduced this very object: its
+        answer is kept beside a weak reference to the word.  The comparison
         of the normal forms of w and swap(w) that defines fixedness is
         checked against it in the tests, through the reference oracle.
         """
+        ref, in_h = self._last_in_h
+        if ref() is dword:
+            return in_h
         stack = self._reduce(dword)
         return not stack or stack[0][0] is None
 
@@ -280,6 +304,7 @@ def random_double_word(rng: random.Random, rank: int,
     """Sample a random double word; with ``in_subgroup`` the element is built
     from subgroup generators only, so it is guaranteed to lie in H."""
     count = rng.randint(0 if in_subgroup else 1, max_syllables)
+    letters = [s for s in range(-rank, rank + 1) if s]
     syllables = []
     for _ in range(count):
         side = rng.randint(0, 1)
@@ -293,8 +318,6 @@ def random_double_word(rng: random.Random, rank: int,
                     parts.append(g if rng.random() < 0.5 else inverse_word(g))
                 word = concat(*parts)
         else:
-            word = free_reduce(
-                rng.choice([s for s in range(-rank, rank + 1) if s])
-                for _ in range(rng.randint(1, max_letters)))
+            word = free_reduce(rng.choice(letters) for _ in range(rng.randint(1, max_letters)))
         syllables.append((side, word))
     return DoubleWord(tuple(syllables))

@@ -108,6 +108,16 @@ def concat(*words: Iterable[int]) -> Word:
     return free_reduce(joined)
 
 
+def _reduced(word: Iterable[int]) -> Word:
+    # free_reduce(word), with its errors.  Letters are nonzero, so a zero
+    # sum marks a cancelling pair, and two C-level passes find most words
+    # already reduced without the Python loop.
+    w = tuple(word)
+    if 0 in w or 0 in map(add, w, w[1:]):
+        return free_reduce(w)
+    return w
+
+
 def _check_letters(word: Sequence[int], rank: int) -> None:
     # Three C-level passes; the letter is looked for only on failure.
     if word and (min(word) < -rank or max(word) > rank or 0 in word):
@@ -158,10 +168,7 @@ class SubgroupGraph:
         for g in generators:
             w = word_from_str(g, ambient_rank) if isinstance(g, str) else tuple(g)
             _check_letters(w, ambient_rank)
-            # Letters are nonzero, so a zero sum marks a cancelling pair;
-            # one C-level pass finds most generators already reduced.
-            if 0 in map(add, w, w[1:]):
-                w = free_reduce(w)
+            w = _reduced(w)
             if w:
                 gens.append(w)
         # The fold's own columns are dropped once the graph's are built.
@@ -248,7 +255,7 @@ class SubgroupGraph:
         raises WordError, here and in ``contains`` and
         ``coset_representative``.
         """
-        v, rest = self._read(free_reduce(word))
+        v, rest = self._read(_reduced(word))
         return None if rest else v
 
     def contains(self, word: Iterable[int]) -> bool:
@@ -276,7 +283,7 @@ class SubgroupGraph:
         subgroup map to the empty word, the output is constant on each
         coset, and word * rep(word)^-1 always lies in the subgroup.
         """
-        v, rest = self._read(free_reduce(word))
+        v, rest = self._read(_reduced(word))
         # Already reduced: the unread rest cannot start with the inverse of
         # the tree edge into v, since that letter can be read at v.
         return self.tree_word(v) + rest

@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 
@@ -69,6 +70,16 @@ class TestDoubleWordParsing:
 
     def test_empty_word(self):
         assert str(DoubleWord(())) == "1"
+
+    def test_syllables_stored_as_given_tuples(self):
+        w = DoubleWord(((UNPRIMED, [1, -1, 2]), (PRIMED, iter((2, 2)))))
+        assert w.syllables == ((UNPRIMED, (1, -1, 2)), (PRIMED, (2, 2)))
+
+    @pytest.mark.parametrize("word", [(0,), (1, 0), [2, -2, 0, 1], iter((1, 0))])
+    def test_zero_letter_raises(self, word):
+        with pytest.raises(WordError) as raised:
+            DoubleWord(((UNPRIMED, (1,)), (PRIMED, word)))
+        assert str(raised.value) == "0 is not a letter"
 
 
 class TestNormalForm:
@@ -265,6 +276,90 @@ class TestIsFixedRunsPassOneOnly:
             with pytest.raises(WordError) as raised:
                 double.is_fixed(word)
             assert str(raised.value) == message
+
+
+class TestSharedFirstPass:
+    """``normal_form`` then ``is_fixed`` on one object reduces the syllables
+    once; any other order or object reduces again and agrees with the
+    reference normal form."""
+
+    @staticmethod
+    def count_reduce(monkeypatch):
+        calls = []
+        real_reduce = Double._reduce
+
+        def counting_reduce(self, dword):
+            calls.append(dword)
+            return real_reduce(self, dword)
+
+        monkeypatch.setattr(Double, "_reduce", counting_reduce)
+        return calls
+
+    @staticmethod
+    def fixed_by_definition(dbl, dword):
+        return reference_normal_form(dbl, dword) == reference_normal_form(dbl, dbl.swap(dword))
+
+    def test_normal_form_then_is_fixed_reduces_once(self, monkeypatch):
+        calls = self.count_reduce(monkeypatch)
+        rng = random.Random(40)
+        for dbl in (Double.from_generators(["aa", "b", "abA"], 2), schreier_double(rng, 16)):
+            for _ in range(60):
+                w = random_double_word(rng, 2, dbl.subgroup, in_subgroup=rng.random() < 0.4)
+                del calls[:]
+                nf = dbl.normal_form(w)
+                fixed = dbl.is_fixed(w)
+                assert calls == [w]
+                assert fixed == (nf.syllable_count == 0) == self.fixed_by_definition(dbl, w)
+                assert dbl.is_fixed(w) == fixed and len(calls) == 1
+
+    def test_other_orders_and_objects_reduce_again(self, dbl, monkeypatch):
+        calls = self.count_reduce(monkeypatch)
+        rng = random.Random(41)
+        for _ in range(100):
+            w = random_double_word(rng, 2, dbl.subgroup, in_subgroup=rng.random() < 0.4)
+            twin = DoubleWord(w.syllables)
+            expected = self.fixed_by_definition(dbl, w)
+            del calls[:]
+            assert dbl.is_fixed(w) == expected  # before any normal form
+            dbl.normal_form(w)
+            assert dbl.is_fixed(twin) == expected  # equal, but another object
+            assert len(calls) == 3
+            # The last normal form was of w, not of the twin.
+            assert dbl.is_fixed(twin) == expected and len(calls) == 4
+
+    def test_after_a_word_error(self, dbl):
+        # One word in H and one outside it, so a stale answer would show.
+        for text in ("u:aa", "u:a p:b"):
+            good = DoubleWord.from_str(text)
+            bad = DoubleWord(((0, (1, 3)),))
+            dbl.normal_form(good)
+            with pytest.raises(WordError, match="'c'"):
+                dbl.normal_form(bad)
+            with pytest.raises(WordError, match="'c'"):
+                dbl.is_fixed(bad)
+            assert dbl.is_fixed(good) == self.fixed_by_definition(dbl, good)
+            assert dbl.is_fixed(DoubleWord.from_str(text)) == self.fixed_by_definition(dbl, good)
+
+    def test_memo_holds_the_word_weakly(self, dbl):
+        w = DoubleWord.from_str("u:a p:b u:A")
+        dbl.normal_form(w)
+        ref, in_h = dbl._last_in_h
+        assert ref() is w and in_h
+        del w
+        gc.collect()
+        assert ref() is None
+        assert dbl.is_fixed(DoubleWord.from_str("u:a p:b u:A"))
+
+    def test_subgroup_is_read_only(self, dbl):
+        # Odd in a, so outside <aa, b, abA>, but inside the whole group: a
+        # memo kept across a change of subgroup would answer wrongly.
+        w = DoubleWord.from_str("u:a p:b u:A p:a")
+        graph = dbl.subgroup
+        assert dbl.normal_form(w).syllable_count > 0
+        with pytest.raises(AttributeError):
+            dbl.subgroup = SubgroupGraph.from_generators(["a", "b"], 2)
+        assert dbl.subgroup is graph and dbl.rank == 2
+        assert not dbl.is_fixed(w)
 
 
 class TestLeftwardOracle:

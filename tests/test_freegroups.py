@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from geodouble.freegroups import (
     SubgroupGraph,
     WordError,
+    _reduced,
     concat,
     free_reduce,
     inverse_word,
@@ -568,6 +569,61 @@ class TestColumnLayout:
     def test_from_adjacency_rejects_malformed_input(self, adjacency, base, message):
         with pytest.raises(ValueError, match=message):
             SubgroupGraph.from_adjacency(1, adjacency, base=base)
+
+
+class TestWordIntake:
+    """Reads and folding skip the free-reduction loop on reduced words;
+    answers and error texts are those of reducing every word."""
+
+    @given(words)
+    def test_reduced_matches_free_reduce(self, w):
+        r = free_reduce(w)
+        for word in (w, r):
+            for make in (tuple, list, iter):
+                got = _reduced(make(word))
+                assert type(got) is tuple and got == r
+
+    def test_reads_match_the_free_reduce_path(self):
+        rng = random.Random(44)
+        graphs = [stallings_graph(gens, 2) for gens in
+                  (["aa", "b", "abA"], ["aba", "bb", "aBa"], ["ab"], [])]
+        graphs.append(SubgroupGraph.from_adjacency(2, [{1: 1, -1: 1, 2: 0, -2: 0},
+                                                       {1: 0, -1: 0, 2: 1, -2: 1}]))
+        for _ in range(400):
+            w = tuple(rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 12)))
+            r = free_reduce(w)
+            for g in graphs:
+                v, rest = g._read(r)
+                trace, rep = (None if rest else v), g.tree_word(v) + rest
+                for word in (w, r):
+                    for make in (tuple, list, iter):
+                        assert g.trace(make(word)) == trace
+                        assert g.contains(make(word)) == (trace == 0)
+                        assert g.coset_representative(make(word)) == rep
+
+    @pytest.mark.parametrize("word", [(0,), (1, 0), (2, -2, 0), (1, 2, 1, 0, 5)])
+    def test_zero_letter_texts(self, word):
+        g = stallings_graph(["aa", "b"], 2)
+        for call in (g.trace, g.contains, g.coset_representative):
+            for make in (tuple, list, iter):
+                with pytest.raises(WordError) as raised:
+                    call(make(word))
+                assert str(raised.value) == "0 is not a letter"
+        for rank in (2, 30):
+            with pytest.raises(WordError) as raised:
+                stallings_graph([(1,), word], rank)
+            assert str(raised.value) == f"letter 0 outside the rank-{rank} alphabet"
+
+    @pytest.mark.parametrize("rank", [0, 1, 2, 200000])
+    def test_from_generators_names_the_first_bad_letter(self, rank):
+        good = tuple(range(1, min(rank, 3) + 1))
+        for bad in (rank + 1, -rank - 1):
+            with pytest.raises(WordError) as raised:
+                stallings_graph([(), good, (*good, bad, 0), (2 * bad,)], rank)
+            assert str(raised.value) == f"letter {bad} outside the rank-{rank} alphabet"
+        gens = [good, (-rank, -rank)] if rank else [good]
+        g = stallings_graph(gens, rank)
+        assert all(map(g.contains, gens))
 
 
 class TestSchreier:
