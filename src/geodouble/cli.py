@@ -215,7 +215,7 @@ def cmd_scheme_info(args, rep: Report) -> None:
     rep.command += f" {args.file}"
     complex = triangulation.glue(_read_scheme(args.file), require_closed=False)
     rep.kv("tets", complex.scheme.tet_count)
-    rep.kv("pairings", len(complex.scheme.pairings))
+    rep.kv("pairings", len(complex.scheme.a_tets))
     rep.kv("closed", complex.closed)
     rep.kv("edge_classes", len(complex.edge_classes))
     rep.kv("edge_valences", ",".join(str(ec.valence) for ec in complex.edge_classes))

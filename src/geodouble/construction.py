@@ -24,8 +24,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .triangulation import (
-    FacePairing,
-    FaceSlot,
+    FACE_NAMES,
     GluedComplex,
     GluingScheme,
     boundary_surfaces,
@@ -52,13 +51,18 @@ def _check_admissible(n: int) -> None:
 def family_scheme(n: int) -> GluingScheme:
     """The closed scheme with 2n pairings described in the module docstring."""
     _check_admissible(n)
-    pairings = []
-    for i in range(1, n + 1):
-        j = i % n + 1
-        pairings.append(FacePairing(FaceSlot(i, "132"), FaceSlot(j, "453")))
-        pairings.append(FacePairing(FaceSlot(i, "264"), FaceSlot(j, "516")))
+    # The columns, sorted by face a: tetrahedron 1 holds the lesser face of
+    # four pairings, its two with tetrahedron 2 and the two that close the
+    # cycle from n; each i in 2..n-1 holds two, with i+1; n holds none.
     # Valid by construction: each of the 4n faces is paired exactly once.
-    return GluingScheme._from_claimed(n, tuple(pairings))
+    f132, f264, f453, f516 = map(FACE_NAMES.index, ("132", "264", "453", "516"))
+    inner = range(2, n)
+    return GluingScheme._from_columns(n, (
+        (1, 1, 1, 1, *(i for i in inner for _ in (0, 1))),
+        (f132, f264, f453, f516) + (f132, f264) * (n - 2),
+        (2, 2, n, n, *(i + 1 for i in inner for _ in (0, 1))),
+        (f453, f516, f132, f264) + (f453, f516) * (n - 2),
+        (0,) * (2 * n)))
 
 
 @dataclass(frozen=True)

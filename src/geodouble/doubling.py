@@ -85,7 +85,12 @@ class DoubleWord:
             if side not in (UNPRIMED, PRIMED):
                 raise ValueError(f"side must be 0 or 1, got {side}")
             word = tuple(word)
-            free_reduce(word)  # validates letters
+            # Letters are nonzero ints; both tests run in C, not per letter.
+            if not set(map(type, word)) <= {int}:
+                bad = next(x for x in word if type(x) is not int)
+                raise WordError(f"letter {bad!r} is not an integer")
+            if 0 in word:
+                raise WordError("0 is not a letter")
             syllables.append((side, word))
         object.__setattr__(self, "syllables", tuple(syllables))
 

@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, Sequence
 from .freegroups import Word, free_reduce, inverse_word, word_to_str
 from .triangulation import (
     EDGE_ENDS,
+    FACE_NAMES,
     FACES,
     FACE_WALK_SIGNS,
     GluedComplex,
@@ -80,6 +81,10 @@ class Presentation:
         gens = ", ".join(chr(ord("a") + i) for i in range(self.generator_count))
         rels = ", ".join(word_to_str(r) for r in self.relators)
         return f"< {gens} | {rels} >"
+
+
+# The edges of each face with their walk signs, by face index.
+_EDGE_WALKS = tuple(tuple(zip(FACES[name], FACE_WALK_SIGNS[name])) for name in FACE_NAMES)
 
 
 def presentation_from_complex(complex: GluedComplex) -> Presentation:
@@ -127,15 +132,14 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
             gen_index[idx] = len(gen_index) + 1
 
     relators = []
-    for p in complex.scheme.pairings:
+    scheme = complex.scheme
+    for tet, face in zip(scheme.a_tets, scheme.a_faces):
         word = []
-        edges = FACES[p.a.face]
-        walks = FACE_WALK_SIGNS[p.a.face]
-        for j in range(3):
-            idx, sign = eclass[(p.a.tet, edges[j])]
+        for edge, walk in _EDGE_WALKS[face]:
+            idx, sign = eclass[(tet, edge)]
             if in_tree[idx]:
                 continue
-            word.append(gen_index[idx] * walks[j] * sign)
+            word.append(gen_index[idx] * walk * sign)
         relators.append(tuple(word))
     return Presentation(len(gen_index), tuple(relators))
 

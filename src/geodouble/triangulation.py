@@ -21,11 +21,17 @@ each vertex class is a closed surface assembled from one corner triangle
 per tetrahedron vertex; its Euler characteristic and orientability give
 the genus of the corresponding boundary component after truncation.
 
-What a pairing identifies depends only on its two face names and its
-rotation, so a table built at import holds all 4 * 4 * 3 = 48 cases: three
-edge links with their relative arrow signs, three corner links with the
-sign that coherent link-triangle orientations need across the glued side,
-and the orientation relation of the two tetrahedra.  ``glue`` alone feeds
+A ``GluingScheme`` stores one entry per pairing in five integer columns,
+sorted by the lesser face a: the tetrahedron and face index of a and of b,
+and the rotation.  Face indices 0..3 follow name order (``FACE_NAMES``), so
+the slot 4t + index orders faces as (t, name) does.  ``FacePairing``
+records are made only when ``pairings`` is read.
+
+What a pairing identifies depends only on its two faces and its rotation,
+so a table built at import holds all 4 * 4 * 3 = 48 cases: three edge
+links with their relative arrow signs, three corner links with the sign
+that coherent link-triangle orientations need across the glued side, and
+the orientation relation of the two tetrahedra.  ``glue`` alone feeds
 these links to one signed union-find over a single flat index space of 11n
 items for n tetrahedra: edge e of tetrahedron t is 6(t-1)+(e-1), in
 0..6n-1; its vertex v is the corner 6n+4(t-1)+v, in 6n..10n-1; and the
@@ -37,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 EDGE_ENDS: dict[int, tuple[int, int]] = {
     1: (0, 1), 2: (2, 0), 3: (1, 2), 4: (2, 3), 5: (3, 1), 6: (3, 0),
@@ -62,42 +68,26 @@ class GluingError(ValueError):
     """Operation applied to a scheme or complex that cannot support it."""
 
 
-def _shared_vertex(e: int, f: int) -> int:
-    common = set(EDGE_ENDS[e]) & set(EDGE_ENDS[f])
-    if len(common) != 1:
-        raise ValueError(f"edges {e} and {f} do not meet in one vertex")
-    return common.pop()
-
-
 def _face_walk(edges: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     # Walking the listed triple head-to-tail: corner j is where edge j meets
-    # edge j+1; the walk traverses edge j with (+1) or against (-1) its arrow.
-    corners = []
-    signs = []
-    for j in range(3):
-        c = _shared_vertex(edges[j], edges[(j + 1) % 3])
+    # edge j+1, in one vertex; the walk traverses edge j with (+1) or against
+    # (-1) its arrow.
+    corners, signs = [], []
+    for e, f in zip(edges, edges[1:] + edges[:1]):
+        [c] = set(EDGE_ENDS[e]) & set(EDGE_ENDS[f])
         corners.append(c)
-        signs.append(1 if EDGE_ENDS[edges[j]][1] == c else -1)
+        signs.append(1 if EDGE_ENDS[e][1] == c else -1)
     return tuple(corners), tuple(signs)
 
 
-def _induced_cycle(missing: int) -> tuple[int, int, int]:
-    # Cyclic vertex order induced on the face opposite `missing` by the
-    # reference orientation (0,1,2,3) of the solid tetrahedron.
-    verts = [v for v in range(4) if v != missing]
-    if missing % 2 == 1:
-        verts[1], verts[2] = verts[2], verts[1]
-    return tuple(verts)  # type: ignore[return-value]
-
-
-def _same_cycle(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-    return b in (a, (a[1], a[2], a[0]), (a[2], a[0], a[1]))
-
-
-def _face_orientation_sign(name: str) -> int:
-    corners, _ = _face_walk(FACES[name])
+def _face_orientation_sign(corners: tuple[int, ...]) -> int:
+    # +1 when the corners run in the cyclic order that the orientation (0,1,2,3)
+    # of the solid induces on a face: ascending, the last two swapped when the
+    # missing vertex is odd.
     missing = ({0, 1, 2, 3} - set(corners)).pop()
-    return 1 if _same_cycle(corners, _induced_cycle(missing)) else -1
+    a, b, c = (v for v in range(4) if v != missing)
+    induced = (a, c, b) if missing % 2 else (a, b, c)
+    return 1 if induced in (corners, corners[1:] + corners[:1], corners[2:] + corners[:2]) else -1
 
 
 FACE_CORNERS: dict[str, tuple[int, ...]] = {}
@@ -105,7 +95,7 @@ FACE_WALK_SIGNS: dict[str, tuple[int, ...]] = {}
 FACE_SIGN: dict[str, int] = {}
 for _name, _edges in FACES.items():
     FACE_CORNERS[_name], FACE_WALK_SIGNS[_name] = _face_walk(_edges)
-    FACE_SIGN[_name] = _face_orientation_sign(_name)
+    FACE_SIGN[_name] = _face_orientation_sign(FACE_CORNERS[_name])
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -128,20 +118,15 @@ class FacePairing:
     def __init__(self, a: FaceSlot, b: FaceSlot, rotation: int = 0) -> None:
         # Validate, then store with the lesser slot first: swapping the
         # faces turns the offset of b against a into its negative.
-        for slot in (a, b):
-            if slot.face not in FACES:
-                raise SchemeError(f"unknown face name {slot.face!r}")
-            if slot.tet < 1:
-                raise SchemeError(f"tetrahedron index {slot.tet} out of range")
-        if a.tet == b.tet and a.face == b.face:
+        sa, sb = _slot(a.tet, a.face), _slot(b.tet, b.face)
+        if sa == sb:
             raise SchemeError(f"face {a} paired with itself")
         if rotation not in (0, 1, 2):
             raise SchemeError(f"rotation {rotation} not in 0..2")
-        if b.tet < a.tet or b.tet == a.tet and b.face < a.face:
+        if sb < sa:
             a, b, rotation = b, a, -rotation % 3
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "rotation", rotation)
+        for name, value in zip(self.__slots__, (a, b, rotation)):
+            object.__setattr__(self, name, value)
 
     def edge_matches(self) -> Iterator[tuple[tuple[int, int, int], tuple[int, int, int]]]:
         """Yield ((tet, edge, walk sign), (tet, edge, walk sign)) per matched edge."""
@@ -159,60 +144,92 @@ class FacePairing:
             yield (self.a.tet, ca[j]), (self.b.tet, cb[jb])
 
 
-@dataclass(frozen=True)
-class GluingScheme:
-    tet_count: int
-    pairings: tuple[FacePairing, ...]
+FACE_NAMES = tuple(sorted(FACES))
+_FACE_INDEX = {name: i for i, name in enumerate(FACE_NAMES)}
 
-    def __post_init__(self) -> None:
-        if self.tet_count < 1:
-            raise SchemeError(f"tet count must be positive, got {self.tet_count}")
-        object.__setattr__(self, "pairings", _sorted_pairings(self.pairings))
-        seen: set[tuple[int, str]] = set()
-        for p in self.pairings:
-            _claim_faces(p, self.tet_count, seen)
+
+def _slot(tet: int, name: str) -> int:
+    """The slot 4 * tet + face index of a valid face."""
+    face = _FACE_INDEX.get(name)
+    if face is None:
+        raise SchemeError(f"unknown face name {name!r}")
+    if tet < 1:
+        raise SchemeError(f"tetrahedron index {tet} out of range")
+    return 4 * tet + face
+
+
+def _claim(claimed: set[int], tet_count: int, sa: int, sb: int) -> None:
+    """Claim the two faces of a pairing, lesser slot first."""
+    for slot in (sa, sb):
+        if slot >> 2 > tet_count or slot in claimed:
+            fault = f"beyond tet count {tet_count}" if slot >> 2 > tet_count else \
+                "appears in more than one pairing"
+            raise SchemeError(f"face {slot >> 2}.{FACE_NAMES[slot & 3]} {fault}")
+        claimed.add(slot)
+
+
+@dataclass(frozen=True, slots=True, init=False, repr=False)
+class GluingScheme:
+    """Face pairings of ``tet_count`` tetrahedra, in the module docstring's columns."""
+
+    tet_count: int
+    a_tets: tuple[int, ...]
+    a_faces: tuple[int, ...]
+    b_tets: tuple[int, ...]
+    b_faces: tuple[int, ...]
+    rotations: tuple[int, ...]
+
+    def __init__(self, tet_count: int, pairings: Iterable[FacePairing]) -> None:
+        if tet_count < 1:
+            raise SchemeError(f"tet count must be positive, got {tet_count}")
+        rows = sorted((p.a.tet, _FACE_INDEX[p.a.face], p.b.tet, _FACE_INDEX[p.b.face],
+                       p.rotation) for p in pairings)
+        claimed: set[int] = set()
+        for at, af, bt, bf, _ in rows:
+            _claim(claimed, tet_count, 4 * at + af, 4 * bt + bf)
+        self._fill(tet_count, zip(*rows))
 
     @classmethod
-    def _from_claimed(cls, tet_count: int,
-                      pairings: tuple[FacePairing, ...]) -> "GluingScheme":
-        """Build without ``__post_init__``: the caller has already checked
-        the tet count and claimed every face with ``_claim_faces``."""
-        scheme = object.__new__(cls)
-        object.__setattr__(scheme, "tet_count", tet_count)
-        object.__setattr__(scheme, "pairings", _sorted_pairings(pairings))
-        return scheme
+    def _from_columns(cls, tet_count: int, columns: Iterable[tuple[int, ...]]) -> "GluingScheme":
+        """Build, without checks, from columns of sorted, normalised, claimed pairings."""
+        return object.__new__(cls)._fill(tet_count, columns)
+
+    def _fill(self, tet_count: int, columns: Iterable[tuple[int, ...]]) -> "GluingScheme":
+        for name, value in zip(self.__slots__, (tet_count, *(tuple(columns) or ((),) * 5))):
+            object.__setattr__(self, name, value)
+        return self
+
+    def _rows(self) -> Iterator[tuple[int, int, int, int, int]]:
+        return zip(self.a_tets, self.a_faces, self.b_tets, self.b_faces, self.rotations)
+
+    @property
+    def pairings(self) -> tuple[FacePairing, ...]:
+        """The pairings as records, in column order; built on each access."""
+        return tuple(FacePairing(FaceSlot(at, FACE_NAMES[af]), FaceSlot(bt, FACE_NAMES[bf]), r)
+                     for at, af, bt, bf, r in self._rows())
 
     @property
     def is_closed(self) -> bool:
-        return len(self.pairings) * 2 == 4 * self.tet_count
+        return len(self.a_tets) * 2 == 4 * self.tet_count
+
+    def __repr__(self) -> str:
+        return f"GluingScheme(tet_count={self.tet_count!r}, pairings={self.pairings!r})"
 
 
-def _sorted_pairings(pairings: tuple[FacePairing, ...]) -> tuple[FacePairing, ...]:
-    return tuple(sorted(pairings, key=lambda p: (p.a.tet, p.a.face, p.b.tet, p.b.face)))
-
-
-def _claim_faces(p: FacePairing, tet_count: int, seen: set[tuple[int, str]]) -> None:
-    for slot in (p.a, p.b):
-        if slot.tet > tet_count:
-            raise SchemeError(f"face {slot} beyond tet count {tet_count}")
-        key = (slot.tet, slot.face)
-        if key in seen:
-            raise SchemeError(f"face {slot} appears in more than one pairing")
-        seen.add(key)
-
-
-# The three listings of each face's edges that keep their cyclic order, each
-# mapped to its rotation: edge j of the first face meets listed edge j.
+# Each face's edge listings that keep its cyclic order, mapped to their rotation
+# (edge j of the first face meets listed edge j), and their edgeorder text.
 _EDGE_ORDERS: dict[str, dict[tuple[int, ...], int]] = {
     name: {edges[r:] + edges[:r]: r for r in range(3)} for name, edges in FACES.items()}
+_EDGE_ORDER_TEXT = tuple(("", *(" edgeorder %d %d %d" % order for order in list(orders)[1:]))
+                         for orders in map(_EDGE_ORDERS.get, FACE_NAMES))
 
 
-def _face_slot(token: str) -> FaceSlot:
+def _face_token(token: str) -> tuple[int, str]:
     tet, dot, face = token.partition(".")
     if not dot or "." in face:
         raise SchemeError(f"bad face token {token!r}")
     try:
-        return FaceSlot(int(tet), face)
+        return int(tet), face
     except ValueError:
         raise SchemeError(f"bad tetrahedron index in {token!r}") from None
 
@@ -226,8 +243,8 @@ def parse_scheme(text: str) -> GluingScheme:
     triple, and must preserve its cyclic order.
     """
     tet_count: int | None = None
-    pairings: list[FacePairing] = []
-    seen: set[tuple[int, str]] = set()
+    rows = []
+    claimed: set[int] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
@@ -248,40 +265,40 @@ def parse_scheme(text: str) -> GluingScheme:
                 raise SchemeError(f"expected 'pair A B [edgeorder p q r]', got {line!r}")
             if len(parts) == 7 and parts[3] != "edgeorder":
                 raise SchemeError(f"expected 'edgeorder', got {parts[3]!r}")
-            a, b = _face_slot(parts[1]), _face_slot(parts[2])
+            (at, a_name), (bt, b_name) = _face_token(parts[1]), _face_token(parts[2])
             rotation = 0
             if len(parts) == 7:
                 try:
                     order = tuple(map(int, parts[4:7]))
                 except ValueError:
                     raise SchemeError(f"bad edge order {parts[4:7]!r}") from None
-                # An unknown face name is left for FacePairing to report.
-                orders = _EDGE_ORDERS.get(b.face)
+                # An unknown face name is left for _slot to report.
+                orders = _EDGE_ORDERS.get(b_name)
                 rotation = orders.get(order) if orders else 0
                 if rotation is None:
                     raise SchemeError(f"edge order {order} must preserve the cyclic "
-                                      f"order of face {b.face}")
-            pairing = FacePairing(a, b, rotation)
-            _claim_faces(pairing, tet_count, seen)
+                                      f"order of face {b_name}")
+            # The checks and normalisation of FacePairing.
+            sa, sb = _slot(at, a_name), _slot(bt, b_name)
+            if sa == sb:
+                raise SchemeError(f"face {at}.{a_name} paired with itself")
+            if sb < sa:
+                sa, sb, rotation = sb, sa, -rotation % 3
+            _claim(claimed, tet_count, sa, sb)
         except SchemeError as exc:
             raise SchemeError(str(exc), lineno) from None
-        pairings.append(pairing)
+        rows.append((sa >> 2, sa & 3, sb >> 2, sb & 3, rotation))
     if tet_count is None:
         raise SchemeError("missing 'tets N' header")
-    return GluingScheme._from_claimed(tet_count, tuple(pairings))
+    return GluingScheme._from_columns(tet_count, zip(*sorted(rows)))
 
 
 def render_scheme(scheme: GluingScheme) -> str:
     """Canonical text form: sorted pairings, edgeorder only when non-trivial."""
+    names = FACE_NAMES
     lines = [f"tets {scheme.tet_count}"]
-    for p in scheme.pairings:
-        a, b = p.a, p.b
-        line = f"pair {a.tet}.{a.face} {b.tet}.{b.face}"
-        if p.rotation:
-            b_edges = FACES[b.face]
-            order = " ".join(str(b_edges[(j + p.rotation) % 3]) for j in range(3))
-            line += f" edgeorder {order}"
-        lines.append(line)
+    lines += [f"pair {at}.{names[af]} {bt}.{names[bf]}{_EDGE_ORDER_TEXT[bf][r]}"
+              for at, af, bt, bf, r in scheme._rows()]
     return "\n".join(lines) + "\n"
 
 
@@ -298,13 +315,8 @@ _CORNER_ENDS = tuple(
 def _ref_direction(tri: tuple[tuple[int, int], ...],
                    p: tuple[int, int], q: tuple[int, int]) -> int:
     # Reference boundary cycle of a link triangle is tri[0]->tri[1]->tri[2];
-    # +1 if it traverses p->q, -1 for q->p.
-    for j in range(3):
-        if tri[j] == p and tri[(j + 1) % 3] == q:
-            return 1
-        if tri[j] == q and tri[(j + 1) % 3] == p:
-            return -1
-    raise ValueError("ends do not span a side of the triangle")
+    # +1 if it traverses p->q, -1 for q->p (index checks both are corners).
+    return 1 if tri.index(q) == (tri.index(p) + 1) % 3 else -1
 
 
 def _face_gluing(face_a: str, face_b: str, rotation: int):
@@ -343,9 +355,9 @@ def _face_gluing(face_a: str, face_b: str, rotation: int):
     return tuple(links)
 
 
-# One entry per face a, face b and rotation: 4 * 4 * 3 = 48.
-_GLUINGS = {fa: {fb: {r: _face_gluing(fa, fb, r) for r in range(3)} for fb in FACES}
-            for fa in FACES}
+# One entry per face index a, face index b and rotation: 4 * 4 * 3 = 48.
+_GLUINGS = tuple(tuple(tuple(_face_gluing(fa, fb, r) for r in range(3)) for fb in FACE_NAMES)
+                 for fa in FACE_NAMES)
 
 
 # -- glued complexes ----------------------------------------------------------
@@ -412,9 +424,8 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
     which leaves some faces free.
     """
     if require_closed and not scheme.is_closed:
-        raise GluingError(
-            f"scheme is not closed: {len(scheme.pairings)} pairings for "
-            f"{scheme.tet_count} tetrahedra")
+        raise GluingError(f"scheme is not closed: {len(scheme.a_tets)} pairings for "
+                          f"{scheme.tet_count} tetrahedra")
 
     # One signed union-find over the flat items of the module docstring,
     # with value(x) = sign[x] * value(parent[x]).  A union hangs the greater
@@ -422,14 +433,13 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
     # item of its class; its signs are then products along the forest of
     # the links that merged two classes, as path halving keeps them.  A link
     # that contradicts the signs already imposed records its root in clashes.
+    # Items of kind m start at first[m] + m, as tetrahedra count from 1.
     n = scheme.tet_count
     c0, t0 = 6 * n, 10 * n
-    first = {6: 0, 4: c0, 1: t0}
+    first = {6: -6, 4: c0 - 4, 1: t0 - 1}
     parent, sign, clashes = list(range(11 * n)), [1] * (11 * n), []
-    for p in scheme.pairings:
-        a, b = p.a, p.b
-        ta, tb = a.tet - 1, b.tet - 1
-        for m, ka, kb, rel in _GLUINGS[a.face][b.face][p.rotation]:
+    for ta, fa, tb, fb, r in scheme._rows():
+        for m, ka, kb, rel in _GLUINGS[fa][fb][r]:
             base = first[m]
             x, y, sx = m * ta + ka + base, m * tb + kb + base, rel
             while (q := parent[x]) != x:
@@ -449,9 +459,8 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
             else:
                 parent[x], sign[x] = y, sx
 
-    edges = _classes(parent, sign, 0, c0)
-    corners = _classes(parent, sign, c0, t0)
-    tets = _classes(parent, sign, t0, 11 * n)
+    bounds = (0, c0, t0, 11 * n)
+    edges, corners, tets = (_classes(parent, sign, a, b) for a, b in zip(bounds, bounds[1:]))
     bad = {parent[x] for x in clashes}
 
     edge_classes = []
@@ -546,15 +555,8 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
         orientable = complex.link_orientable[idx]
         chi = vertex_counts[idx] - side_count + tri_count
         genus = (2 - chi) // 2 if orientable else 2 - chi
-        components.append(BoundaryComponent(
-            vertex_class=idx,
-            triangle_count=tri_count,
-            edge_count=side_count,
-            vertex_count=vertex_counts[idx],
-            euler_characteristic=chi,
-            orientable=orientable,
-            genus=genus,
-        ))
+        components.append(BoundaryComponent(idx, tri_count, side_count, vertex_counts[idx],
+                                            chi, orientable, genus))
     return BoundarySurfaceStats(tuple(components))
 
 
@@ -575,10 +577,8 @@ def dihedral_admissible(valence: int) -> bool:
 
 
 def dihedral_report(complex: GluedComplex) -> tuple[DihedralEntry, ...]:
-    return tuple(
-        DihedralEntry(i, ec.valence, ec.angle_degrees, ec.admissible)
-        for i, ec in enumerate(complex.edge_classes)
-    )
+    return tuple(DihedralEntry(i, ec.valence, ec.angle_degrees, ec.admissible)
+                 for i, ec in enumerate(complex.edge_classes))
 
 
 def handle_structure(complex: GluedComplex) -> tuple[int, int]:
@@ -591,5 +591,5 @@ def handle_structure(complex: GluedComplex) -> tuple[int, int]:
     """
     if not complex.connected:
         raise GluingError("complex is disconnected")
-    genus = len(complex.scheme.pairings) - complex.scheme.tet_count + 1
+    genus = len(complex.scheme.a_tets) - complex.scheme.tet_count + 1
     return genus, len(complex.edge_classes)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from geodouble import cli
+from geodouble import cli, presentations, triangulation
 from geodouble.cli import main, parse_complex_number, parse_matrix
 from geodouble.construction import family_scheme
 from geodouble.triangulation import render_scheme
@@ -342,3 +342,42 @@ class TestCommandTable:
         code, out = run(capsys, *argv)
         assert code == 0 and "seed=12" in out.splitlines()
         assert cli.build_parser.cache_info().misses == 1
+
+
+class TestNoRecordsOnHotPaths:
+    """The column layout of a scheme is read directly: no step of the family
+    pipeline, ``family verify`` or ``scheme info`` builds a FaceSlot or
+    FacePairing record."""
+
+    @pytest.fixture
+    def no_records(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            # Not a ValueError, so that cli.main does not report it as input.
+            raise AssertionError("a scheme record was built")
+
+        monkeypatch.setattr(triangulation.FaceSlot, "__init__", refuse)
+        monkeypatch.setattr(triangulation.FacePairing, "__init__", refuse)
+
+    def test_records_are_refused(self, no_records):
+        with pytest.raises(AssertionError):
+            family_scheme(4).pairings
+
+    def test_family_pipeline(self, no_records):
+        n = 64
+        scheme = family_scheme(n)
+        parsed = triangulation.parse_scheme(render_scheme(scheme))
+        assert parsed == scheme and hash(parsed) == hash(scheme)
+        cx = triangulation.glue(parsed)
+        assert [c.genus for c in triangulation.boundary_surfaces(cx).components] == [n - 1]
+        assert triangulation.handle_structure(cx) == (n + 1, 2)
+        assert len(triangulation.dihedral_report(cx)) == 2
+        pres = presentations.presentation_from_complex(cx)
+        assert presentations.abelianization(pres).rank == 0
+
+    def test_family_verify_and_scheme_info(self, capsys, tmp_path, no_records):
+        code, out = run(capsys, "family", "verify", "--n", "64")
+        assert code == 0 and "FAIL" not in out
+        path = tmp_path / "f8.scheme"
+        path.write_text(render_scheme(family_scheme(8)))
+        code, out = run(capsys, "--machine", "scheme", "info", str(path))
+        assert code == 0 and "pairings=16" in out.splitlines()

@@ -50,6 +50,11 @@ class TestFamilyScheme:
         scheme = family_scheme(n)
         checked = GluingScheme(n, tuple(reversed(scheme.pairings)))
         assert scheme == checked
+        # The pairings of the module docstring, one record each.
+        records = [FacePairing(FaceSlot(i, fa), FaceSlot(i % n + 1, fb))
+                   for i in range(1, n + 1) for fa, fb in (("132", "453"), ("264", "516"))]
+        built = GluingScheme(n, tuple(records))
+        assert scheme == built and hash(scheme) == hash(built)
         repeated = scheme.pairings[:-1] + (FacePairing(FaceSlot(1, "132"), FaceSlot(2, "453")),)
         with pytest.raises(SchemeError, match="appears in more than one pairing"):
             GluingScheme(n, repeated)

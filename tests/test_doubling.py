@@ -81,6 +81,18 @@ class TestDoubleWordParsing:
             DoubleWord(((UNPRIMED, (1,)), (PRIMED, word)))
         assert str(raised.value) == "0 is not a letter"
 
+    @pytest.mark.parametrize("word, message", [
+        (("a",), "letter 'a' is not an integer"),
+        ((1.5,), "letter 1.5 is not an integer"),
+        ("ab", "letter 'a' is not an integer"),
+        ((1, 2, "B"), "letter 'B' is not an integer"),
+        ((1, True), "letter True is not an integer"),
+    ])
+    def test_non_integer_letter_raises_at_construction(self, word, message):
+        with pytest.raises(WordError) as raised:
+            DoubleWord(((UNPRIMED, (1,)), (PRIMED, word)))
+        assert str(raised.value) == message
+
 
 class TestNormalForm:
     def test_subgroup_element_has_no_syllables(self, dbl):

@@ -8,6 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geodouble.construction import family_scheme
 from geodouble.presentations import presentation_from_complex
@@ -70,20 +71,19 @@ pair 1.264 1.453
 """
 
 
+def random_pairings(rng, max_tets=3):
+    """A tet count and FacePairing records that pair up all of its faces
+    at random, each with a random rotation."""
+    tets = rng.randint(1, max_tets)
+    slots = [(t, f) for t in range(1, tets + 1) for f in FACES]
+    rng.shuffle(slots)
+    return tets, [FacePairing(FaceSlot(*slots.pop()), FaceSlot(*slots.pop()), rng.randint(0, 2))
+                  for _ in range(2 * tets)]
+
+
 def random_closed_scheme(rng, max_tets=3):
-    while True:
-        tets = rng.randint(1, max_tets)
-        slots = [(t, f) for t in range(1, tets + 1) for f in FACES]
-        rng.shuffle(slots)
-        pairings = []
-        try:
-            while len(slots) >= 2:
-                a, b = slots.pop(), slots.pop()
-                pairings.append(FacePairing(FaceSlot(*a), FaceSlot(*b),
-                                            rng.randint(0, 2)))
-            return GluingScheme(tets, tuple(pairings))
-        except SchemeError:
-            continue
+    tets, pairings = random_pairings(rng, max_tets)
+    return GluingScheme(tets, tuple(pairings))
 
 
 def oracle_schemes():
@@ -321,7 +321,28 @@ class TestSchemeRecords:
         ("pair 1.132.0 1.453", "line 2: bad face token '1.132.0'"),
         ("pair 1132 1.453", "line 2: bad face token '1132'"),
         ("pair x.132 1.453", "line 2: bad tetrahedron index in 'x.132'"),
+        ("pair .132 1.453", "line 2: bad tetrahedron index in '.132'"),
+        ("pair 1. 1.453", "line 2: unknown face name ''"),
         ("tets 1", "line 2: expected 'pair A B [edgeorder p q r]', got 'tets 1'"),
+        ("pair 1.132 1.453 edgeorder 4 5",
+         "line 2: expected 'pair A B [edgeorder p q r]', "
+         "got 'pair 1.132 1.453 edgeorder 4 5'"),
+        # Lines with two faults: the check order decides the message.
+        ("pair 1.999 x order 1 2 3", "line 2: expected 'edgeorder', got 'order'"),
+        ("pair x 1.999 edgeorder a b c", "line 2: bad face token 'x'"),
+        ("pair 1.999 1132", "line 2: bad face token '1132'"),
+        ("pair 1.999 x.132", "line 2: bad tetrahedron index in 'x.132'"),
+        ("pair 1.132 x.999 edgeorder 4 3 5", "line 2: bad tetrahedron index in 'x.999'"),
+        ("pair 1.999 5.453", "line 2: unknown face name '999'"),
+        ("pair 5.132 1.999", "line 2: unknown face name '999'"),
+        ("pair 0.132 1.999", "line 2: tetrahedron index 0 out of range"),
+        ("pair 1.999 0.453", "line 2: unknown face name '999'"),
+        ("pair 0.132 -1.453", "line 2: tetrahedron index 0 out of range"),
+        ("pair 5.132 5.132", "line 2: face 5.132 paired with itself"),
+        ("pair 1.132 1.132 edgeorder 3 2 1", "line 2: face 1.132 paired with itself"),
+        # Faces are claimed lesser slot first, after normalisation.
+        ("pair 3.132 2.453", "line 2: face 2.453 beyond tet count 1"),
+        ("pair 2.132 2.453 edgeorder 5 3 4", "line 2: face 2.132 beyond tet count 1"),
     ])
     def test_parse_error_text(self, line, message):
         with pytest.raises(SchemeError) as info:
@@ -333,14 +354,50 @@ class TestSchemeRecords:
         ("# only a comment\n", "missing 'tets N' header"),
         ("pair 1.132 1.453\n", "line 1: expected header 'tets N'"),
         ("tets 1 2\n", "line 1: expected header 'tets N'"),
+        ("tets\n", "line 1: expected header 'tets N'"),
         ("tets x\n", "line 1: bad tet count 'x'"),
+        ("tets 0\n", "line 1: tet count must be positive, got 0"),
         ("\n  tets -3\n", "line 2: tet count must be positive, got -3"),
         ("tets 2\npair 1.132 2.132\npair 2.453 2.132\n",
          "line 3: face 2.132 appears in more than one pairing"),
+        ("tets 2\npair 1.132 2.132\npair 3.453 1.132\n",
+         "line 3: face 1.132 appears in more than one pairing"),
+        ("tets 2\npair 1.264 2.516\npair 2.516 1.132\n",
+         "line 3: face 2.516 appears in more than one pairing"),
     ])
     def test_parse_header_and_claim_text(self, text, message):
         with pytest.raises(SchemeError, match=f"^{re.escape(message)}$"):
             parse_scheme(text)
+
+    def test_parse_reads_indices_with_int(self):
+        text = "tets 1_0\npair +1.132 1_0.453\npair 01.264 10.516 edgeorder 6 5 1\n"
+        assert render_scheme(parse_scheme(text)) == \
+            "tets 10\npair 1.132 10.453\npair 1.264 10.516 edgeorder 6 5 1\n"
+
+    @pytest.mark.parametrize("tet_count, pairings, message", [
+        # The constructor claims faces in sorted order, not in input order.
+        (2, [((2, "132"), (2, "453")), ((1, "132"), (2, "453")), ((2, "132"), (1, "453"))],
+         "face 2.132 appears in more than one pairing"),
+        (2, [((1, "132"), (3, "453")), ((1, "132"), (2, "453"))],
+         "face 1.132 appears in more than one pairing"),
+        (1, [((2, "132"), (3, "453"))], "face 2.132 beyond tet count 1"),
+        (0, [], "tet count must be positive, got 0"),
+    ])
+    def test_constructor_claim_order(self, tet_count, pairings, message):
+        records = tuple(FacePairing(FaceSlot(*a), FaceSlot(*b)) for a, b in pairings)
+        with pytest.raises(SchemeError) as info:
+            GluingScheme(tet_count, records)
+        assert str(info.value) == message and info.value.line is None
+
+    def test_scheme_repr_and_hash(self):
+        s = parse_scheme("tets 2\npair 2.453 1.132 edgeorder 3 2 1\n")
+        assert repr(s) == ("GluingScheme(tet_count=2, pairings=(FacePairing("
+                           "a=FaceSlot(tet=1, face='132'), b=FaceSlot(tet=2, face='453'), "
+                           "rotation=2),))")
+        assert repr(parse_scheme("tets 1\n")) == "GluingScheme(tet_count=1, pairings=())"
+        twin = GluingScheme(2, s.pairings)
+        assert twin == s and hash(twin) == hash(s)
+        assert s != GluingScheme(3, s.pairings) and s != parse_scheme("tets 2\n")
 
 
 class TestGlue:
@@ -390,6 +447,21 @@ class TestGlue:
             inconsistent += assert_glue_matches_flood(scheme)
         assert inconsistent > 0
         assert self_glued > 100
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.randoms(use_true_random=False), st.integers(1, 12), st.floats(0, 1))
+    def test_round_trip_property(self, rng, max_tets, keep):
+        # Closed schemes when keep is 1, partial ones below that.
+        tets, records = random_pairings(rng, max_tets)
+        records = [p for p in records if rng.random() < keep]
+        s = GluingScheme(tets, tuple(records))
+        parsed = parse_scheme(render_scheme(s))
+        assert parsed == s and hash(parsed) == hash(s)
+        assert GluingScheme(tets, s.pairings) == s
+        assert s.pairings == tuple(sorted(
+            records, key=lambda p: (p.a.tet, p.a.face, p.b.tet, p.b.face)))
+        assert s.is_closed == (len(records) == 2 * tets)
+        assert_glue_matches_flood(s)
 
     def test_edge_glued_to_itself_reversed(self):
         scheme = parse_scheme(SELF_REVERSED_EDGE)
