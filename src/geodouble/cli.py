@@ -217,8 +217,8 @@ def cmd_scheme_info(args, rep: Report) -> None:
     rep.kv("tets", complex.scheme.tet_count)
     rep.kv("pairings", len(complex.scheme.a_tets))
     rep.kv("closed", complex.closed)
-    rep.kv("edge_classes", len(complex.edge_classes))
-    rep.kv("edge_valences", ",".join(str(ec.valence) for ec in complex.edge_classes))
+    rep.kv("edge_classes", len(complex.valences))
+    rep.kv("edge_valences", ",".join(map(str, complex.valences)))
     rep.kv("vertex_classes", complex.vertex_class_count)
     rep.kv("orientable", complex.orientable)
     rep.kv("connected", complex.connected)

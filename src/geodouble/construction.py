@@ -140,9 +140,8 @@ def verify_family(n: int) -> FamilyReport:
     dihedral = dihedral_report(complex)
 
     checks = [
-        FamilyCheck("edge_class_count", 2, len(complex.edge_classes)),
-        FamilyCheck("edge_class_valences", (3 * n, 3 * n),
-                    tuple(ec.valence for ec in complex.edge_classes)),
+        FamilyCheck("edge_class_count", 2, len(complex.valences)),
+        FamilyCheck("edge_class_valences", (3 * n, 3 * n), tuple(complex.valences)),
         FamilyCheck("vertex_class_count", 1, complex.vertex_class_count),
         FamilyCheck("orientable", True, complex.orientable),
         FamilyCheck("boundary_component_count", 1, len(boundary.components)),

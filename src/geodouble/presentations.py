@@ -38,7 +38,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .freegroups import Word, free_reduce, inverse_word, word_to_str
 from .triangulation import (
-    EDGE_ENDS,
     FACE_NAMES,
     FACES,
     FACE_WALK_SIGNS,
@@ -83,8 +82,9 @@ class Presentation:
         return f"< {gens} | {rels} >"
 
 
-# The edges of each face with their walk signs, by face index.
-_EDGE_WALKS = tuple(tuple(zip(FACES[name], FACE_WALK_SIGNS[name])) for name in FACE_NAMES)
+# The edges of each face, counted from 0, with their walk signs, by face index.
+_EDGE_WALKS = tuple(tuple((e - 1, w) for e, w in zip(FACES[name], FACE_WALK_SIGNS[name]))
+                    for name in FACE_NAMES)
 
 
 def presentation_from_complex(complex: GluedComplex) -> Presentation:
@@ -96,26 +96,19 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
     """
     if not complex.connected:
         raise GluingError("complex is disconnected")
-    for i, ec in enumerate(complex.edge_classes):
-        if not ec.orientation_consistent:
+    for i, consistent in enumerate(complex.edge_consistent):
+        if not consistent:
             raise GluingError(
                 f"edge class {i} is glued to itself reversed; no boundary words")
 
     # 1-skeleton on the vertex classes; spanning tree by breadth-first search.
-    vclass = complex.vertex_lookup
-    eclass = complex.edge_lookup
-    n_vertices = complex.vertex_class_count
+    n_vertices, n_edges = complex.vertex_class_count, len(complex.valences)
     incident: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-    endpoints = []
-    for idx, ec in enumerate(complex.edge_classes):
-        tet, edge, _ = ec.members[0]
-        i_end, t_end = EDGE_ENDS[edge]
-        vi, vt = vclass[(tet, i_end)], vclass[(tet, t_end)]
-        endpoints.append((vi, vt))
+    for idx, (vi, vt) in enumerate(complex.edge_end_classes()):
         incident[vi].append((idx, vt))
         incident[vt].append((idx, vi))
 
-    in_tree = [False] * len(complex.edge_classes)
+    in_tree = [False] * n_edges
     seen = [False] * n_vertices
     seen[0] = True
     queue = [0]
@@ -126,22 +119,20 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
                 in_tree[idx] = True
                 queue.append(w)
 
-    gen_index: dict[int, int] = {}
-    for idx in range(len(complex.edge_classes)):
-        if not in_tree[idx]:
-            gen_index[idx] = len(gen_index) + 1
+    # The generator of each edge class and the signed letter of each edge item, 0 on the tree.
+    gens = itertools.count(1)
+    gen_index = [0 if tree else next(gens) for tree in in_tree]
+    letters = [gen_index[k] * s for k, s in zip(complex.classes[:6 * complex.scheme.tet_count],
+                                                 complex.signs)]
 
     relators = []
     scheme = complex.scheme
     for tet, face in zip(scheme.a_tets, scheme.a_faces):
-        word = []
-        for edge, walk in _EDGE_WALKS[face]:
-            idx, sign = eclass[(tet, edge)]
-            if in_tree[idx]:
-                continue
-            word.append(gen_index[idx] * walk * sign)
-        relators.append(tuple(word))
-    return Presentation(len(gen_index), tuple(relators))
+        x = 6 * (tet - 1)
+        (e, u), (f, v), (g, w) = _EDGE_WALKS[face]
+        relators.append(tuple(filter(None, (letters[x + e] * u, letters[x + f] * v,
+                                            letters[x + g] * w))))
+    return Presentation(in_tree.count(False), tuple(relators))
 
 
 # -- Tietze simplification -----------------------------------------------------
@@ -384,9 +375,13 @@ class AbelianInvariants:
 
 
 def relator_matrix(p: Presentation) -> list[list[int]]:
+    return _exponent_rows(p.generator_count, p.relators)
+
+
+def _exponent_rows(generator_count: int, relators: Iterable[Word]) -> list[list[int]]:
     rows = []
-    for r in p.relators:
-        row = [0] * p.generator_count
+    for r in relators:
+        row = [0] * generator_count
         for s in r:
             row[abs(s) - 1] += 1 if s > 0 else -1
         rows.append(row)
@@ -397,7 +392,8 @@ def abelianization(p: Presentation) -> AbelianInvariants:
     """Rank and torsion of the abelianized group, via Smith normal form."""
     if not p.relators or p.generator_count == 0:
         return AbelianInvariants(p.generator_count, ())
-    factors = smith_normal_form(relator_matrix(p))
+    # A repeated relator only repeats its row, which leaves the row lattice as it is.
+    factors = smith_normal_form(_exponent_rows(p.generator_count, dict.fromkeys(p.relators)))
     nonzero = [f for f in factors if f]
     return AbelianInvariants(p.generator_count - len(nonzero),
                              tuple(f for f in nonzero if f > 1))

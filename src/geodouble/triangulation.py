@@ -35,12 +35,16 @@ the orientation relation of the two tetrahedra.  ``glue`` alone feeds
 these links to one signed union-find over a single flat index space of 11n
 items for n tetrahedra: edge e of tetrahedron t is 6(t-1)+(e-1), in
 0..6n-1; its vertex v is the corner 6n+4(t-1)+v, in 6n..10n-1; and the
-tetrahedron itself is 10n+(t-1), in 10n..11n-1.  ``boundary_surfaces``
-only counts what ``glue`` recorded.
+tetrahedron itself is 10n+(t-1), in 10n..11n-1.  A ``GluedComplex`` holds
+the result in columns over that space, ``classes[x]`` (the class of item x
+among those of its kind, numbered by least item) and ``signs[x]`` (its sign
+against that item), and in per-class columns.  Consumers read only these;
+the record views such as ``edge_classes`` are built on first read.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -396,23 +400,69 @@ class EdgeClass:
 
 @dataclass(eq=False)
 class GluedComplex:
+    """What ``glue`` found, in the module docstring's columns."""
+
     scheme: GluingScheme
-    edge_classes: tuple[EdgeClass, ...]
-    vertex_classes: tuple[tuple[tuple[int, int], ...], ...]
     orientable: bool
     closed: bool
-    edge_lookup: dict[tuple[int, int], tuple[int, int]] = field(repr=False)
-    vertex_lookup: dict[tuple[int, int], int] = field(repr=False)
+    classes: list[int] = field(repr=False)
+    signs: list[int] = field(repr=False)
+    edge_roots: list[int] = field(repr=False)
+    valences: list[int] = field(repr=False)
+    edge_consistent: list[bool] = field(repr=False)
+    vertex_sizes: list[int] = field(repr=False)
     link_orientable: tuple[bool, ...] = field(repr=False)
-    tet_components: tuple[frozenset[int], ...] = field(repr=False)
+    component_count: int = field(repr=False)
 
     @property
     def vertex_class_count(self) -> int:
-        return len(self.vertex_classes)
+        return len(self.vertex_sizes)
 
     @property
     def connected(self) -> bool:
-        return len(self.tet_components) == 1
+        return self.component_count == 1
+
+    def edge_end_classes(self) -> Iterator[tuple[int, int]]:
+        """The vertex classes at the tail and head of each edge class's least item."""
+        classes, c0 = self.classes, 6 * self.scheme.tet_count
+        for root in self.edge_roots:
+            tail, head = EDGE_ENDS[root % 6 + 1]
+            yield classes[c0 + root // 6 * 4 + tail], classes[c0 + root // 6 * 4 + head]
+
+    def _by_class(self, kind: int, count: int) -> list[list[int]]:
+        """The items of kind 0 (edges), 1 (corners) or 2 (tetrahedra) by class,
+        counted from the kind's first item, in increasing order."""
+        start, stop = (0, 6, 10, 11)[kind:kind + 2]
+        buckets: list[list[int]] = [[] for _ in range(count)]
+        n = self.scheme.tet_count
+        for x, k in enumerate(self.classes[start * n:stop * n]):
+            buckets[k].append(x)
+        return buckets
+
+    @functools.cached_property
+    def edge_classes(self) -> tuple[EdgeClass, ...]:
+        sign = self.signs
+        return tuple(EdgeClass(tuple((x // 6 + 1, x % 6 + 1, sign[x]) for x in items), ok)
+                     for items, ok in zip(self._by_class(0, len(self.valences)),
+                                          self.edge_consistent))
+
+    @functools.cached_property
+    def vertex_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return tuple(tuple((x // 4 + 1, x % 4) for x in items)
+                     for items in self._by_class(1, len(self.vertex_sizes)))
+
+    @functools.cached_property
+    def tet_components(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(x + 1 for x in items)
+                     for items in self._by_class(2, self.component_count))
+
+    @functools.cached_property
+    def edge_lookup(self) -> dict[tuple[int, int], tuple[int, int]]:
+        return {(t, e): (k, s) for k, ec in enumerate(self.edge_classes) for t, e, s in ec.members}
+
+    @functools.cached_property
+    def vertex_lookup(self) -> dict[tuple[int, int], int]:
+        return {corner: k for k, vclass in enumerate(self.vertex_classes) for corner in vclass}
 
 
 def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
@@ -459,50 +509,27 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
             else:
                 parent[x], sign[x] = y, sx
 
-    bounds = (0, c0, t0, 11 * n)
-    edges, corners, tets = (_classes(parent, sign, a, b) for a, b in zip(bounds, bounds[1:]))
-    bad = {parent[x] for x in clashes}
-
-    edge_classes = []
-    edge_lookup: dict[tuple[int, int], tuple[int, int]] = {}
-    for k, (root, items) in enumerate(edges.items()):
-        members = tuple((x // 6 + 1, x % 6 + 1, sign[x]) for x in items)
-        same, reversed_ = (k, 1), (k, -1)
-        for t, e, s in members:
-            edge_lookup[t, e] = same if s == 1 else reversed_
-        edge_classes.append(EdgeClass(members, root not in bad))
-
-    vertex_classes = tuple(tuple(((x - c0) // 4 + 1, (x - c0) % 4) for x in items)
-                           for items in corners.values())
-    vertex_lookup = {corner: k for k, vclass in enumerate(vertex_classes) for corner in vclass}
+    # One increasing pass turns parent and sign into the class and sign columns:
+    # a lesser parent already holds its class (numbered by least item) and sign.
+    roots, sizes = ([], [], []), ([], [], [])
+    for kind, (start, stop) in enumerate(((0, c0), (c0, t0), (t0, 11 * n))):
+        root, size = roots[kind], sizes[kind]
+        for x in range(start, stop):
+            p = parent[x]
+            if p == x:
+                parent[x] = len(size)
+                root.append(x)
+                size.append(1)
+            else:
+                parent[x] = k = parent[p]
+                sign[x] *= sign[p]
+                size[k] += 1
+    consistent = tuple([True] * len(size) for size in sizes)
+    for x in clashes:
+        consistent[(x >= c0) + (x >= t0)][parent[x]] = False
     return GluedComplex(
-        scheme=scheme,
-        edge_classes=tuple(edge_classes),
-        vertex_classes=vertex_classes,
-        orientable=all(root < t0 for root in bad),
-        closed=scheme.is_closed,
-        edge_lookup=edge_lookup,
-        vertex_lookup=vertex_lookup,
-        link_orientable=tuple(root not in bad for root in corners),
-        tet_components=tuple(frozenset(x - t0 + 1 for x in items) for items in tets.values()),
-    )
-
-
-def _classes(parent: list[int], sign: list[int], start: int, stop: int) -> dict[int, list[int]]:
-    """Items start..stop-1 by class, keyed by root in order of least item.
-
-    Points each item straight at its root: in increasing order, its parent
-    already does so and carries its sign to that root."""
-    buckets: dict[int, list[int]] = {}
-    for x in range(start, stop):
-        p = parent[x]
-        if p == x:
-            buckets[x] = [x]
-        else:
-            parent[x] = root = parent[p]
-            sign[x] *= sign[p]
-            buckets[root].append(x)
-    return buckets
+        scheme, all(consistent[2]), scheme.is_closed, parent, sign, roots[0], sizes[0],
+        consistent[0], sizes[1], tuple(consistent[1]), len(sizes[2]))
 
 
 # -- boundary (vertex link) surfaces -----------------------------------------
@@ -538,21 +565,18 @@ def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
     # edges: an edge class has a tail and a head end (one end when it is
     # glued to itself reversed), each in the link of the vertex class at
     # its first member's tail or head.
-    vertex_counts = [0] * len(complex.vertex_classes)
-    for ec in complex.edge_classes:
-        t, e, _ = ec.members[0]
-        tail, head = EDGE_ENDS[e]
-        vertex_counts[complex.vertex_lookup[(t, tail)]] += 1
-        if ec.orientation_consistent:
-            vertex_counts[complex.vertex_lookup[(t, head)]] += 1
+    vertex_counts = [0] * complex.vertex_class_count
+    for (tail, head), consistent in zip(complex.edge_end_classes(), complex.edge_consistent):
+        vertex_counts[tail] += 1
+        if consistent:
+            vertex_counts[head] += 1
 
     components = []
-    for idx, vclass in enumerate(complex.vertex_classes):
+    for idx, (tri_count, orientable) in enumerate(zip(complex.vertex_sizes,
+                                                       complex.link_orientable)):
         # In a closed complex every link-triangle side is glued to exactly
         # one other side, so the sides pair up.
-        tri_count = len(vclass)
         side_count = 3 * tri_count // 2
-        orientable = complex.link_orientable[idx]
         chi = vertex_counts[idx] - side_count + tri_count
         genus = (2 - chi) // 2 if orientable else 2 - chi
         components.append(BoundaryComponent(idx, tri_count, side_count, vertex_counts[idx],
@@ -577,8 +601,8 @@ def dihedral_admissible(valence: int) -> bool:
 
 
 def dihedral_report(complex: GluedComplex) -> tuple[DihedralEntry, ...]:
-    return tuple(DihedralEntry(i, ec.valence, ec.angle_degrees, ec.admissible)
-                 for i, ec in enumerate(complex.edge_classes))
+    return tuple(DihedralEntry(i, v, Fraction(360, v), dihedral_admissible(v))
+                 for i, v in enumerate(complex.valences))
 
 
 def handle_structure(complex: GluedComplex) -> tuple[int, int]:
@@ -592,4 +616,4 @@ def handle_structure(complex: GluedComplex) -> tuple[int, int]:
     if not complex.connected:
         raise GluingError("complex is disconnected")
     genus = len(complex.scheme.a_tets) - complex.scheme.tet_count + 1
-    return genus, len(complex.edge_classes)
+    return genus, len(complex.valences)

@@ -6,6 +6,11 @@ then stdout verbatim).  The examples run inside a temporary directory
 holding ``f4.scheme``, written the way the README writes it, because
 ``scheme info`` echoes the path it was given.
 
+``SCHEME_EXAMPLES`` pins ``scheme info`` and ``pres from-scheme`` the same
+way on schemes beyond the family: the identity and crossed doubles, a
+complex whose vertex link is non-orientable, and a partial scheme.  Their
+files are written beside ``f4.scheme``.
+
 To re-record after an intended output change:
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
@@ -22,6 +27,8 @@ from pathlib import Path
 import pytest
 
 from geodouble.cli import main
+
+from test_triangulation import CROSSED_DOUBLE, IDENTITY_DOUBLE, NONORIENTABLE_LINK
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -47,7 +54,23 @@ EXAMPLES: dict[str, list[str]] = {
     "audit_sweep": ["audit", "--sweep"],
 }
 
-CASES = [(name, machine) for name in EXAMPLES for machine in (False, True)]
+# Three tetrahedra, eight of their twelve faces paired.
+PARTIAL = """tets 3
+pair 1.132 2.453
+pair 1.264 2.516 edgeorder 6 5 1
+pair 2.132 3.264
+pair 3.453 3.516 edgeorder 1 6 5
+"""
+
+SCHEMES = {"identity_double": IDENTITY_DOUBLE, "crossed_double": CROSSED_DOUBLE,
+           "nonorientable_link": NONORIENTABLE_LINK, "partial": PARTIAL}
+
+SCHEME_EXAMPLES: dict[str, list[str]] = {
+    f"{row.replace(' ', '_').replace('-', '_')}.{name}": [*row.split(), f"{name}.scheme"]
+    for row in ("scheme info", "pres from-scheme") for name in SCHEMES}
+
+ALL_EXAMPLES = {**EXAMPLES, **SCHEME_EXAMPLES}
+CASES = [(name, machine) for name in ALL_EXAMPLES for machine in (False, True)]
 
 
 def _golden_path(name: str, machine: bool) -> Path:
@@ -62,9 +85,11 @@ def _run(argv: list[str]) -> str:
     return f"exit={code}\n{out.getvalue()}"
 
 
-def _write_scheme() -> None:
+def _write_schemes() -> None:
     # geodouble scheme family --n 4 > f4.scheme
     Path("f4.scheme").write_text(_run(EXAMPLES["scheme_family"]).split("\n", 1)[1])
+    for name, text in SCHEMES.items():
+        Path(f"{name}.scheme").write_text(text)
 
 
 @pytest.mark.parametrize("name,machine", CASES,
@@ -72,8 +97,8 @@ def _write_scheme() -> None:
 def test_readme_example_matches_golden(name, machine, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GEODOUBLE_SEED", raising=False)
-    _write_scheme()
-    argv = (["--machine"] if machine else []) + EXAMPLES[name]
+    _write_schemes()
+    argv = (["--machine"] if machine else []) + ALL_EXAMPLES[name]
     assert _run(argv) == _golden_path(name, machine).read_text()
 
 
@@ -96,7 +121,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        _write_scheme()
+        _write_schemes()
         for name, machine in CASES:
-            argv = (["--machine"] if machine else []) + EXAMPLES[name]
+            argv = (["--machine"] if machine else []) + ALL_EXAMPLES[name]
             _golden_path(name, machine).write_text(_run(argv))

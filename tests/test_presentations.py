@@ -367,6 +367,27 @@ class TestAbelianization:
     def test_free_group(self):
         assert abelianization_rank(Presentation(3, ())) == 3
 
+    def test_repeated_relators_change_nothing(self):
+        # Each distinct relator is reduced once; the matrix keeps every row.
+        rng = random.Random(17)
+        for _ in range(150):
+            gens = rng.randint(1, 3)
+            distinct = Presentation(gens, tuple(random_relators(rng, gens, rng.randint(1, 4))))
+            rows = distinct.relators
+            repeated = Presentation(gens, tuple(rng.choice(rows) for _ in range(3 * len(rows))))
+            deduplicated = Presentation(gens, tuple(dict.fromkeys(repeated.relators)))
+            inv = abelianization(repeated)
+            assert inv == abelianization(deduplicated)
+            factors = [f for f in minors_invariant_factors(relator_matrix(repeated)) if f]
+            assert inv.rank == gens - len(factors)
+            assert inv.torsion == tuple(f for f in factors if f > 1)
+            assert len(relator_matrix(repeated)) == len(repeated.relators)
+
+    def test_family_relators_repeat(self):
+        p = presentation_from_complex(family_complex(64))
+        assert len(p.relators) == 128 and len(set(p.relators)) == 2
+        assert abelianization(p) == abelianization(Presentation(2, tuple(set(p.relators))))
+
 
 class TestRankArithmetic:
     def test_covering_bound_examples(self):

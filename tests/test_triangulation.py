@@ -1,19 +1,24 @@
 import copy
 import dataclasses
+import gc
 import inspect
 import pickle
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geodouble import construction, triangulation
+from geodouble.cli import main
 from geodouble.construction import family_scheme
-from geodouble.presentations import presentation_from_complex
+from geodouble.presentations import abelianization, presentation_from_complex
 from geodouble.triangulation import (
     EDGE_ENDS,
+    EdgeClass,
     FACES,
     FACE_SIGN,
     FACE_WALK_SIGNS,
@@ -104,6 +109,7 @@ def assert_glue_matches_flood(scheme):
     c = glue(scheme, require_closed=False)
     edges, verts, comps = flood_identifications(scheme)
     forest = forest_edge_signs(scheme)
+    assert_columns_match_flood(c, edges, verts, comps, forest)
     assert [ec.orientation_consistent for ec in c.edge_classes] == \
            [consistent for _, consistent in edges]
     assert len(c.edge_lookup) == 6 * scheme.tet_count
@@ -122,6 +128,29 @@ def assert_glue_matches_flood(scheme):
     assert c.tet_components == tuple(comps)
     assert c.orientable == brute_orientable(scheme)
     return sum(1 for _, consistent in edges if not consistent)
+
+
+def assert_columns_match_flood(c, edges, verts, comps, forest):
+    """Check glue's columns, before any view is read, item by item against
+    the flood-fill classes and the forest signs."""
+    n = c.scheme.tet_count
+    assert len(c.classes) == len(c.signs) == 11 * n
+    assert c.valences == [len(members) for members, _ in edges]
+    assert c.edge_consistent == [consistent for _, consistent in edges]
+    assert c.edge_roots == [6 * (members[0][0] - 1) + members[0][1] - 1 for members, _ in edges]
+    for k, (members, _) in enumerate(edges):
+        for t, e, _ in members:
+            x = 6 * (t - 1) + e - 1
+            assert (c.classes[x], c.signs[x]) == (k, forest[(t, e)])
+    assert c.vertex_class_count == len(c.vertex_sizes) == len(verts)
+    assert c.vertex_sizes == [len(vclass) for vclass in verts]
+    for k, vclass in enumerate(verts):
+        for t, v in vclass:
+            assert c.classes[6 * n + 4 * (t - 1) + v] == k
+    assert c.component_count == len(comps)
+    for k, comp in enumerate(comps):
+        for t in comp:
+            assert c.classes[10 * n + t - 1] == k
 
 
 class TestModelConstants:
@@ -668,6 +697,63 @@ class TestHandleStructure:
         assert not c.connected
         with pytest.raises(GluingError, match="disconnected"):
             handle_structure(c)
+
+
+class TestColumns:
+    VIEWS = ("edge_classes", "vertex_classes", "edge_lookup", "vertex_lookup", "tet_components")
+
+    def test_no_hot_path_builds_the_views(self, monkeypatch, tmp_path, capsys):
+        made = []
+
+        def recording_glue(*args, **kwargs):
+            made.append(real_glue(*args, **kwargs))
+            return made[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an EdgeClass record was built")
+
+        real_glue = triangulation.glue
+        monkeypatch.setattr(triangulation, "glue", recording_glue)
+        monkeypatch.setattr(construction, "glue", recording_glue)
+        monkeypatch.setattr(EdgeClass, "__init__", refuse)
+        # The family_sweep library op, then the CLI rows that glue.
+        scheme = family_scheme(64)
+        c = triangulation.glue(parse_scheme(render_scheme(scheme)))
+        assert [comp.genus for comp in boundary_surfaces(c).components] == [63]
+        assert handle_structure(c) == (65, 2)
+        assert [d.valence for d in dihedral_report(c)] == [192, 192]
+        assert abelianization(presentation_from_complex(c)).rank == 0
+        assert construction.verify_family(64).passed
+        path = tmp_path / "f64.scheme"
+        path.write_text(render_scheme(scheme))
+        for argv in (["family", "verify", "--n", "64"], ["scheme", "info", str(path)],
+                     ["pres", "from-scheme", str(path)]):
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(made) == 5
+        for c in made:
+            assert not set(self.VIEWS) & set(vars(c))
+
+    def test_views_are_built_once_on_read(self):
+        c = glue(parse_scheme(NONORIENTABLE_LINK))
+        for name in self.VIEWS:
+            assert name not in vars(c)
+            assert getattr(c, name) is getattr(c, name)
+            assert name in vars(c)
+
+    def test_glue_retains_little_memory(self):
+        # About 7.6 MB while glue built per-item records; the columns need about 0.7 MB.
+        scheme = family_scheme(4096)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            c = glue(scheme)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2_000_000
+        assert c.vertex_class_count == 1 and c.orientable
 
 
 class TestScaling:
