@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import math
 import os
 import random
 import sys
@@ -30,44 +31,32 @@ from .freegroups import stallings_graph, word_from_str, word_to_str
 
 
 class Report:
-    def __init__(self, command: str):
+    """A command's report; each line is rendered in the output mode as it is added."""
+
+    def __init__(self, command: str, machine: bool):
         self.command = command
-        self.rows: list[tuple] = []
+        self.machine = machine
+        self.lines: list[str] = []
+        self.failed = False
 
     def kv(self, key: str, value) -> None:
-        self.rows.append(("kv", key, value))
+        self.lines.append(f"{key}={value}" if self.machine else f"{key} = {value}")
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
-        self.rows.append(("check", name, bool(ok), detail))
+        self.failed = self.failed or not ok
+        if self.machine:
+            self.lines.append(f"check.{name}={'pass' if ok else 'fail'}")
+        else:
+            detail = f"  ({detail})" if detail else ""
+            self.lines.append(f"{'PASS' if ok else 'FAIL'} {name}{detail}")
 
     def text(self, line: str) -> None:
-        self.rows.append(("text", line))
+        if not self.machine:
+            self.lines.append(line)
 
-    @property
-    def failed(self) -> bool:
-        return any(row[0] == "check" and not row[2] for row in self.rows)
-
-    def render(self, machine: bool = False) -> str:
-        lines = []
-        if machine:
-            lines.append(f"command={self.command}")
-            for row in self.rows:
-                if row[0] == "kv":
-                    lines.append(f"{row[1]}={row[2]}")
-                elif row[0] == "check":
-                    lines.append(f"check.{row[1]}={'pass' if row[2] else 'fail'}")
-        else:
-            lines.append(f"command: {self.command}")
-            for row in self.rows:
-                if row[0] == "kv":
-                    lines.append(f"{row[1]} = {row[2]}")
-                elif row[0] == "check":
-                    status = "PASS" if row[2] else "FAIL"
-                    detail = f"  ({row[3]})" if row[3] else ""
-                    lines.append(f"{status} {row[1]}{detail}")
-                else:
-                    lines.append(row[1])
-        return "\n".join(lines) + "\n"
+    def render(self) -> str:
+        head = f"command={self.command}" if self.machine else f"command: {self.command}"
+        return "\n".join([head, *self.lines]) + "\n"
 
 
 def parse_complex_number(text: str) -> complex:
@@ -160,8 +149,16 @@ def command(path: str, *specs):
     return register
 
 
+def _ratio(p: int, q: int) -> str:
+    """``str(Fraction(p, q))`` for p >= 0 and q > 0, with one gcd."""
+    g = math.gcd(p, q)
+    return f"{p // g}" if g == q else f"{p // g}/{q // g}"
+
+
 @command("family report", _arg("--n-min", type=int, default=4),
-         _arg("--n-max", type=int, default=13), _arg("--epsilon", type=str, default=None))
+         _arg("--n-max", type=int, default=13, help="one row per admissible n in "
+              "[n-min, n-max] (7 lines each under --machine): cost is linear in the range"),
+         _arg("--epsilon", type=str, default=None))
 def cmd_family_report(args, rep: Report) -> None:
     rep.command += f" --n-min {args.n_min} --n-max {args.n_max}"
     rep.kv("columns", "n bgenus rank_bound fix_rank ratio ratio_dec "
@@ -170,23 +167,21 @@ def cmd_family_report(args, rep: Report) -> None:
     for n in range(args.n_min, args.n_max + 1):
         if not construction.is_admissible(n):
             continue
-        st = construction.family_stats(n)
-        strict = strict and st.ratio_closed < 2 and st.ratio_cusped < 2
-        if args.machine:
-            rep.kv(f"row.{n}.boundary_genus", st.boundary_genus)
-            rep.kv(f"row.{n}.rank_upper_closed", st.rank_upper_closed)
-            rep.kv(f"row.{n}.fix_rank_closed", st.fix_rank_closed)
-            rep.kv(f"row.{n}.ratio_closed", st.ratio_closed)
-            rep.kv(f"row.{n}.fix_rank_cusped", st.fix_rank_cusped)
-            rep.kv(f"row.{n}.rank_upper_cusped", f"<{st.rank_upper_cusped}")
-            rep.kv(f"row.{n}.ratio_cusped", st.ratio_cusped)
+        bgenus, bound, fix, cbound, cfix = construction.family_ranks(n)
+        # Each ratio is below 2 exactly when fix < 2 * bound, for bound > 0.
+        strict = strict and 0 < bound and fix < 2 * bound and 0 < cbound and cfix < 2 * cbound
+        ratio, cratio = _ratio(fix, bound), _ratio(cfix, cbound)
+        if rep.machine:
+            rep.kv(f"row.{n}.boundary_genus", bgenus)
+            rep.kv(f"row.{n}.rank_upper_closed", bound)
+            rep.kv(f"row.{n}.fix_rank_closed", fix)
+            rep.kv(f"row.{n}.ratio_closed", ratio)
+            rep.kv(f"row.{n}.fix_rank_cusped", cfix)
+            rep.kv(f"row.{n}.rank_upper_cusped", f"<{cbound}")
+            rep.kv(f"row.{n}.ratio_cusped", cratio)
         else:
-            rep.text(
-                f"{n:5d} {st.boundary_genus:6d} {st.rank_upper_closed:10d} "
-                f"{st.fix_rank_closed:8d} {str(st.ratio_closed):>9s} "
-                f"{float(st.ratio_closed):.6f} {st.fix_rank_cusped:10d} "
-                f"{'<' + str(st.rank_upper_cusped):>12s} "
-                f"{str(st.ratio_cusped):>12s} {float(st.ratio_cusped):.6f}")
+            rep.text(f"{n:5d} {bgenus:6d} {bound:10d} {fix:8d} {ratio:>9s} {fix / bound:.6f} "
+                     f"{cfix:10d} {'<' + str(cbound):>12s} {cratio:>12s} {cfix / cbound:.6f}")
     rep.check("all_ratios_below_two", strict)
     if args.epsilon is not None:
         eps = Fraction(args.epsilon)
@@ -516,13 +511,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    rep = Report(args.path)
+    rep = Report(args.path, args.machine)
     try:
         text = args.func(args, rep)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    sys.stdout.write(rep.render(machine=args.machine) if text is None else text)
+    sys.stdout.write(rep.render() if text is None else text)
     return 1 if rep.failed else 0
 
 

@@ -87,19 +87,25 @@ class FamilyStats:
     ratio_cusped: Fraction
 
 
+def family_ranks(n: int) -> tuple[int, int, int, int, int]:
+    """Boundary genus, closed bound and fix rank, cusped bound and fix rank; n unchecked."""
+    return n - 1, n + 3, 2 * n - 2, n + 4, 2 * n - 3
+
+
 def family_stats(n: int) -> FamilyStats:
     _check_admissible(n)
+    boundary_genus, bound, fix, cusped_bound, cusped_fix = family_ranks(n)
     return FamilyStats(
         n=n,
         handlebody_genus=n + 1,
-        boundary_genus=n - 1,
-        rank_upper_closed=n + 3,
-        fix_rank_closed=2 * (n - 1),
-        ratio_closed=Fraction(2 * n - 2, n + 3),
-        rank_upper_cusped=n + 4,
+        boundary_genus=boundary_genus,
+        rank_upper_closed=bound,
+        fix_rank_closed=fix,
+        ratio_closed=Fraction(fix, bound),
+        rank_upper_cusped=cusped_bound,
         rank_upper_cusped_strict=True,
-        fix_rank_cusped=2 * n - 3,
-        ratio_cusped=Fraction(2 * n - 3, n + 4),
+        fix_rank_cusped=cusped_fix,
+        ratio_cusped=Fraction(cusped_fix, cusped_bound),
     )
 
 

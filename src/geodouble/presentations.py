@@ -76,6 +76,14 @@ class Presentation:
                 cleaned.append(w)
         object.__setattr__(self, "relators", tuple(cleaned))
 
+    @classmethod
+    def _trusted(cls, generator_count: int, relators: Iterable[Word]) -> "Presentation":
+        """Skip the letter-range check for letters known to lie in range; still reduce."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "relators", tuple(filter(None, map(cyclic_reduce, relators))))
+        return self
+
     def __str__(self) -> str:
         gens = ", ".join(chr(ord("a") + i) for i in range(self.generator_count))
         rels = ", ".join(word_to_str(r) for r in self.relators)
@@ -132,7 +140,7 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
         (e, u), (f, v), (g, w) = _EDGE_WALKS[face]
         relators.append(tuple(filter(None, (letters[x + e] * u, letters[x + f] * v,
                                             letters[x + g] * w))))
-    return Presentation(in_tree.count(False), tuple(relators))
+    return Presentation._trusted(in_tree.count(False), relators)
 
 
 # -- Tietze simplification -----------------------------------------------------

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from geodouble import cli, presentations, triangulation
+from geodouble import cli, construction, presentations, triangulation
 from geodouble.cli import main, parse_complex_number, parse_matrix
-from geodouble.construction import family_scheme
+from geodouble.construction import family_scheme, family_stats, is_admissible
 from geodouble.triangulation import render_scheme
 
 
@@ -80,6 +81,122 @@ class TestFamily:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "row.4.ratio_closed=6/7" in out1
+
+
+def expected_report(n_min, n_max, machine, epsilon=None):
+    """``family report`` output written from ``family_stats`` and ``Fraction``."""
+    stats = [family_stats(n) for n in range(n_min, n_max + 1) if is_admissible(n)]
+    strict = all(st.ratio_closed < 2 and st.ratio_cusped < 2 for st in stats)
+    columns = ("n bgenus rank_bound fix_rank ratio ratio_dec "
+               "cusped_fix cusped_bound cusped_ratio cusped_ratio_dec")
+    sep = "=" if machine else " = "
+    lines = [f"command{'=' if machine else ': '}family report --n-min {n_min} --n-max {n_max}",
+             f"columns{sep}{columns}"]
+    for st in stats:
+        n = st.n
+        if machine:
+            lines += [f"row.{n}.boundary_genus={st.boundary_genus}",
+                      f"row.{n}.rank_upper_closed={st.rank_upper_closed}",
+                      f"row.{n}.fix_rank_closed={st.fix_rank_closed}",
+                      f"row.{n}.ratio_closed={st.ratio_closed}",
+                      f"row.{n}.fix_rank_cusped={st.fix_rank_cusped}",
+                      f"row.{n}.rank_upper_cusped=<{st.rank_upper_cusped}",
+                      f"row.{n}.ratio_cusped={st.ratio_cusped}"]
+        else:
+            lines.append(
+                f"{n:5d} {st.boundary_genus:6d} {st.rank_upper_closed:10d} "
+                f"{st.fix_rank_closed:8d} {str(st.ratio_closed):>9s} "
+                f"{float(st.ratio_closed):.6f} {st.fix_rank_cusped:10d} "
+                f"{'<' + str(st.rank_upper_cusped):>12s} "
+                f"{str(st.ratio_cusped):>12s} {float(st.ratio_cusped):.6f}")
+    if machine:
+        lines.append(f"check.all_ratios_below_two={'pass' if strict else 'fail'}")
+    else:
+        lines.append(f"{'PASS' if strict else 'FAIL'} all_ratios_below_two")
+    if epsilon is not None:
+        eps = Fraction(epsilon)
+        lines += [f"epsilon{sep}{eps}",
+                  f"min_n_for_ratio{sep}{construction.min_n_for_ratio(eps)}"]
+    return int(not strict), "\n".join(lines) + "\n"
+
+
+class TestFamilyReportRows:
+    """Every row of ``family report`` against ``family_stats``: the ratio
+    text is ``str(Fraction)``, the decimal ``float(Fraction)`` to six places,
+    whole-number ratios (n = 5 closed, n = 7 cusped) included."""
+
+    @pytest.mark.parametrize("machine", [False, True])
+    @pytest.mark.parametrize("epsilon", [None, "0.05", "1/1000"])
+    def test_rows_match_family_stats(self, capsys, machine, epsilon):
+        argv = ["family", "report", "--n-min", "4", "--n-max", "3000"]
+        argv = (["--machine"] if machine else []) + argv
+        argv += ["--epsilon", epsilon] if epsilon is not None else []
+        code, out = run(capsys, *argv)
+        assert (code, out) == expected_report(4, 3000, machine, epsilon)
+        assert code == 0
+
+    @pytest.mark.parametrize("machine", [False, True])
+    def test_ratio_two_fails_the_check(self, capsys, monkeypatch, machine):
+        """The strictness check reads each row: a member whose fix rank
+        reaches twice its bound fails it, and ``family_stats`` agrees."""
+        ranks = construction.family_ranks
+
+        def touching_two(n):
+            row = ranks(n)
+            return (*row[:2], 2 * row[1], *row[3:]) if n == 10 else row
+
+        monkeypatch.setattr(construction, "family_ranks", touching_two)
+        assert family_stats(10).ratio_closed == 2
+        code, out = run(capsys, *(["--machine"] if machine else []),
+                        "family", "report", "--n-min", "4", "--n-max", "40")
+        assert (code, out) == expected_report(4, 40, machine)
+        assert code == 1
+
+
+class TestFailingCheckOutput:
+    """A failing check through ``cli.main``: exit 1 and only its own line
+    differs from the passing report."""
+
+    @pytest.mark.parametrize("machine", [False, True])
+    def test_one_failing_check(self, capsys, monkeypatch, machine):
+        flag = ["--machine"] if machine else []
+        code, passing = run(capsys, *flag, "family", "verify", "--n", "4")
+        assert code == 0
+        real = construction.verify_family
+
+        def one_failure(n):
+            checks = list(real(n).checks)
+            checks[2] = construction.FamilyCheck("vertex_class_count", 1, 7)
+            return construction.FamilyReport(n, tuple(checks))
+
+        monkeypatch.setattr(construction, "verify_family", one_failure)
+        code, failing = run(capsys, *flag, "family", "verify", "--n", "4")
+        assert code == 1
+        if machine:
+            old, new = "check.vertex_class_count=pass", "check.vertex_class_count=fail"
+        else:
+            old = "PASS vertex_class_count  (expected 1, got 1)"
+            new = "FAIL vertex_class_count  (expected 1, got 7)"
+        assert passing.splitlines().count(old) == 1
+        assert failing.splitlines() == [new if line == old else line
+                                        for line in passing.splitlines()]
+
+    @pytest.mark.parametrize("argv", [
+        ["fg", "fold", "--rank", "2", "--gens", "aa,b,abA"],
+        ["audit", "--g", "2", "--m", "1", "--l", "0", "--orientable", "--separating"],
+    ], ids=["fg_fold", "audit_case"])
+    def test_text_rows_stay_out_of_machine_output(self, capsys, monkeypatch, argv):
+        written = []
+        text = cli.Report.text
+
+        def record(self, line):
+            written.append(line)
+            text(self, line)
+
+        monkeypatch.setattr(cli.Report, "text", record)
+        code, out = run(capsys, "--machine", *argv)
+        assert code == 0 and written
+        assert not set(written) & set(out.splitlines())
 
 
 class TestScheme:

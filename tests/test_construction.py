@@ -93,6 +93,15 @@ class TestFamilyStats:
     def test_n100_ratio(self):
         assert family_stats(100).ratio_closed == Fraction(198, 103)
 
+    def test_fields_eq_and_repr(self):
+        st = family_stats(5)
+        assert repr(st) == (
+            "FamilyStats(n=5, handlebody_genus=6, boundary_genus=4, rank_upper_closed=8, "
+            "fix_rank_closed=8, ratio_closed=Fraction(1, 1), rank_upper_cusped=9, "
+            "rank_upper_cusped_strict=True, fix_rank_cusped=7, ratio_cusped=Fraction(7, 9))")
+        assert st == family_stats(5) and st != family_stats(7)
+        assert hash(st) == hash(family_stats(5))
+
     def test_ratios_strictly_below_two(self):
         for n in range(4, 500):
             if is_admissible(n):

@@ -9,7 +9,8 @@ holding ``f4.scheme``, written the way the README writes it, because
 ``SCHEME_EXAMPLES`` pins ``scheme info`` and ``pres from-scheme`` the same
 way on schemes beyond the family: the identity and crossed doubles, a
 complex whose vertex link is non-orientable, and a partial scheme.  Their
-files are written beside ``f4.scheme``.
+files are written beside ``f4.scheme``.  ``REPORT_EXAMPLES`` pins
+``family report`` on edge ranges of n.
 
 To re-record after an intended output change:
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -69,7 +70,19 @@ SCHEME_EXAMPLES: dict[str, list[str]] = {
     f"{row.replace(' ', '_').replace('-', '_')}.{name}": [*row.split(), f"{name}.scheme"]
     for row in ("scheme info", "pres from-scheme") for name in SCHEMES}
 
-ALL_EXAMPLES = {**EXAMPLES, **SCHEME_EXAMPLES}
+# ``family report`` on edge ranges: below the family (no rows, a vacuous
+# pass), reversed (empty), a single inadmissible n, and a longer range
+# with ``--epsilon``.
+REPORT_EXAMPLES: dict[str, list[str]] = {
+    f"family_report.{name}": ["family", "report", *flags]
+    for name, flags in {
+        "below_family": ["--n-min", "1", "--n-max", "3"],
+        "reversed": ["--n-min", "20", "--n-max", "10"],
+        "inadmissible_only": ["--n-min", "6", "--n-max", "6"],
+        "epsilon_range": ["--n-min", "4", "--n-max", "40", "--epsilon", "0.05"],
+    }.items()}
+
+ALL_EXAMPLES = {**EXAMPLES, **SCHEME_EXAMPLES, **REPORT_EXAMPLES}
 CASES = [(name, machine) for name in ALL_EXAMPLES for machine in (False, True)]
 
 

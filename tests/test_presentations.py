@@ -168,6 +168,38 @@ class TestPresentationFromComplex:
             p = presentation_from_complex(c)
             assert abelianization_rank(p) == chain_h1_rank(c)
 
+    def test_trusted_build_matches_checked_constructor(self, monkeypatch):
+        """The face words ``presentation_from_complex`` writes, passed through
+        the checked ``Presentation(...)``, give the same presentation; many
+        of them carry a cancelling pair that must still be reduced away."""
+        from test_triangulation import oracle_schemes
+        written = []
+        trusted = Presentation._trusted.__func__
+
+        def record(cls, generator_count, relators):
+            written.append((generator_count, tuple(relators)))
+            return trusted(cls, generator_count, written[-1][1])
+
+        monkeypatch.setattr(Presentation, "_trusted", classmethod(record))
+        complexes = [family_complex(n) for n in (4, 5, 64)]
+        complexes += [glue(s, require_closed=False) for s in oracle_schemes()]
+        built = cancelling = 0
+        for c in complexes:
+            try:
+                p = presentation_from_complex(c)
+            except GluingError:
+                continue
+            count, words = written.pop()
+            assert p == Presentation(count, words)
+            built += 1
+            cancelling += any(cyclic_reduce(word) != word for word in words)
+        assert built > 250 and cancelling > 100
+
+    def test_checked_constructor_still_checks(self):
+        with pytest.raises(ValueError, match="relator letter 2 outside generators"):
+            Presentation(1, ((1, 2),))
+        assert Presentation(1, ((1, -1),)).relators == ()
+
     def test_family_n4_first_homology(self):
         # Two generators x, y with abelianized relators (1,2) and (-2,1):
         # determinant 5, so H1 is cyclic of order 5.
