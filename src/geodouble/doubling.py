@@ -26,7 +26,11 @@ through the whole tail, so once the tail is long the pass carries the
 tail's permutation of the cosets instead, at O(index) per letter.  On an
 infinite-index subgroup the read stops at the first letter the graph
 lacks; only a tail that reads far from a non-base vertex is read again
-at the next syllable.
+at the next syllable.  Both passes pay their fixed costs once per word:
+the intake checks of ``DoubleWord`` and the rank check of pass 1 are
+C-level passes over all the word's letters, with a per-syllable scan only
+to name a fault, and pass 2 is one loop per syllable over the graph's own
+columns and spanning tree, with no helper call per syllable.
 
 This is a computable stand-in for doubling a manifold along boundary:
 the fundamental group of the double is the amalgamated product of two
@@ -51,6 +55,8 @@ import random
 import weakref
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from .freegroups import (
@@ -73,6 +79,36 @@ _SIDE_NAMES = {UNPRIMED: "u", PRIMED: "p"}
 Syllable = tuple[int, Word]
 
 
+def _well_formed(syllables: tuple) -> bool:
+    # Whether every syllable is a (side, word) pair of tuples, every side 0
+    # or 1 and every letter a nonzero int, by C-level passes over the whole
+    # word; a word that fails, or the empty word, goes through _checked.
+    if not {*map(type, syllables)} <= {tuple} or {*map(len, syllables)} != {2}:
+        return False
+    sides, words = zip(*syllables)
+    if not {*map(type, words)} <= {tuple} or sides.count(0) + sides.count(1) != len(sides):
+        return False
+    letters = tuple(chain.from_iterable(words))
+    return {*map(type, letters)} <= {int} and 0 not in letters
+
+
+def _checked(syllables: Iterable) -> tuple[Syllable, ...]:
+    # The syllables as tuples, checked one by one: the side, then any
+    # non-integer letter, then a zero letter.
+    out = []
+    for side, word in syllables:
+        if side not in (UNPRIMED, PRIMED):
+            raise ValueError(f"side must be 0 or 1, got {side}")
+        word = tuple(word)
+        if not set(map(type, word)) <= {int}:
+            bad = next(x for x in word if type(x) is not int)
+            raise WordError(f"letter {bad!r} is not an integer")
+        if 0 in word:
+            raise WordError("0 is not a letter")
+        out.append((side, word))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class DoubleWord:
     """A raw (not yet normalised) element of the double."""
@@ -80,19 +116,10 @@ class DoubleWord:
     syllables: tuple[Syllable, ...]
 
     def __post_init__(self) -> None:
-        syllables = []
-        for side, word in self.syllables:
-            if side not in (UNPRIMED, PRIMED):
-                raise ValueError(f"side must be 0 or 1, got {side}")
-            word = tuple(word)
-            # Letters are nonzero ints; both tests run in C, not per letter.
-            if not set(map(type, word)) <= {int}:
-                bad = next(x for x in word if type(x) is not int)
-                raise WordError(f"letter {bad!r} is not an integer")
-            if 0 in word:
-                raise WordError("0 is not a letter")
-            syllables.append((side, word))
-        object.__setattr__(self, "syllables", tuple(syllables))
+        syllables = self.syllables
+        if type(syllables) is not tuple or not _well_formed(syllables):
+            syllables = _checked(syllables)
+        object.__setattr__(self, "syllables", syllables)
 
     @classmethod
     def from_str(cls, text: str, rank: int | None = None) -> "DoubleWord":
@@ -137,30 +164,16 @@ class NormalForm:
 # Pass 2 of ``Double.normal_form`` on a complete (finite-index) graph reads
 # the whole tail at every syllable x while the tail has at most
 # TABLE_FACTOR * V letters, V the vertex count, and carries the tail's action
-# on the vertices once it is longer.  A read costs about 115-140 ns per tail
-# letter; updating the action costs about 40-60 ns per vertex for each of the
-# |x| + |t(u)| + 1 passes (CPython 3.11, 2-vCPU x86 host).  With syllables of
-# 1-3 random letters and mean tree depths 2.2 (V = 16) and 5.6 (V = 1024),
-# the two meet at a tail of 2.6 V and 3.5 V letters.
-TABLE_FACTOR = 3
-
-
-def _append(tail: deque[int], word: Iterable[int]) -> None:
-    # tail := reduced tail * word
-    for s in word:
-        if tail and tail[-1] == -s:
-            tail.pop()
-        else:
-            tail.append(s)
-
-
-def _prepend(tail: deque[int], word: Word) -> None:
-    # tail := reduced word * tail
-    for s in reversed(word):
-        if tail and tail[0] == -s:
-            tail.popleft()
-        else:
-            tail.appendleft(s)
+# on the vertices once it is longer.  A read costs about 80-100 ns per tail
+# letter; updating the action costs about 30-40 ns per vertex at V = 16 and
+# 27-30 ns at V = 1024, for each of the |x| + |t(u)| passes (CPython 3.11,
+# 2-vCPU x86 host).  With syllables of 1-3 random letters and mean tree
+# depths 2.0-2.2 (V = 16) and 5.6 (V = 1024), the two meet at a tail of
+# 1.7 V and 2.5 V letters.  The switch itself costs one pass per tail letter,
+# so words that run on past it favour the lower end: on random words whose
+# tails grow to 4-8 V, normal forms took 15-17 % less time at 2 than at 3
+# for V = 64, 256 and 1024, and the same time for V = 16.
+TABLE_FACTOR = 2
 
 
 class Double:
@@ -170,6 +183,9 @@ class Double:
         self._subgroup = subgroup
         self.rank = subgroup.ambient_rank
         self._complete = subgroup.index() is not None
+        # back[s] is the column of s^-1: reading a word backwards steps
+        # through it.
+        self._back = {-s: col for s, col in subgroup._col.items()}
         # (weak reference to the word normal_form last reduced, whether it
         # lies in H).  One tuple, so a reader sees the two together; the
         # first reference resolves to no word.
@@ -212,6 +228,15 @@ class Double:
         stops, so once the tail is longer than TABLE_FACTOR * V letters the
         pass carries its action on the vertices instead, act[v] = v * tail^-1,
         and u = act[0 * x^-1].
+
+        Cost: pass 1 is linear in the letters.  Pass 2 costs O(|x| + |t(u)|)
+        per syllable plus its read, which on a complete graph is at most
+        TABLE_FACTOR * V letters, or O(V) per letter of x and t(u) once the
+        action is carried.  On an infinite-index subgroup the read has no
+        such cap: a tail that reads far from 0 * x^-1 is read again at every
+        syllable, so the worst case is quadratic in the length of the word
+        (H = <a, bAB> with u:a^k then alternating p:B, u:b reads all of a^k
+        at each syllable).
         """
         stack = self._reduce(dword)
         in_h = not stack or stack[0][0] is None
@@ -229,11 +254,12 @@ class Double:
         the stack is empty or is that one entry.
         """
         graph, rank = self.subgroup, self.rank
+        syllables = dword.syllables
+        if max(map(abs, chain.from_iterable(map(itemgetter(1), syllables))), default=0) > rank:
+            bad = next(s for _, word in syllables for s in word if abs(s) > rank)
+            raise WordError(f"letter {letter_str(bad)!r} outside the rank-{rank} alphabet")
         stack: list[list] = []
-        for side, word in dword.syllables:
-            if word and max(map(abs, word)) > rank:
-                bad = next(s for s in word if abs(s) > rank)
-                raise WordError(f"letter {letter_str(bad)!r} outside the rank-{rank} alphabet")
+        for side, word in syllables:
             if stack and stack[-1][0] in (side, None):
                 top = stack[-1]
                 top[0] = side
@@ -251,26 +277,58 @@ class Double:
     def _split(self, stack: list[list]) -> NormalForm:
         """Pass 2: split each syllable of a reduced stack with no None entry."""
         graph = self.subgroup
-        # Once set, act[v] = v * tail^-1 for the tail held.
+        back, parent, label = self._back, graph._parent, graph._label
+        limit = TABLE_FACTOR * graph.vertex_count if self._complete else None
         out: list[Syllable] = []
         tail: deque[int] = deque()
+        # Once set, act[v] = v * tail^-1 for the tail held.
         act: list[int] | None = None
-        vertices = range(graph.vertex_count)
-        limit = TABLE_FACTOR * graph.vertex_count
         for side, word, _ in stack:
-            _append(tail, word)  # the tail now holds w = tail * x
+            # The tail becomes w = tail * x.
+            for s in word:
+                if tail and tail[-1] == -s:
+                    tail.pop()
+                else:
+                    tail.append(s)
             if act is not None:
-                act = [act[v] for v in graph.walk(inverse_word(word), vertices)]
-            elif self._complete and len(tail) > limit:
-                act = graph.walk(inverse_word(tail), vertices)
-            u, j = graph.read_back(tail) if act is None else (act[0], 0)
-            head = [tail.popleft() for _ in range(j)]
-            t_u = graph.tree_word(u)
-            rep = (*head, *inverse_word(t_u))
-            _prepend(tail, t_u)
-            if act is not None:
-                act = graph.walk(rep, act)
-            out.append((side, rep))
+                for s in word:
+                    act = [act[v] for v in back[s]]
+                u, rep = act[0], []
+            elif limit is not None:
+                if len(tail) > limit:
+                    act = graph.walk(inverse_word(tail), range(graph.vertex_count))
+                    u = act[0]
+                else:
+                    # Complete: the whole tail reads.
+                    u = 0
+                    for s in reversed(tail):
+                        u = back[s][u]
+                rep = []
+            else:
+                # Read w backwards from the base up to the first letter the
+                # graph lacks; the first j letters are not read.
+                u, j = 0, len(tail)
+                for s in reversed(tail):
+                    col = back.get(s)
+                    if col is None or (v := col[u]) is None:
+                        break
+                    u = v
+                    j -= 1
+                rep = [tail.popleft() for _ in range(j)]
+            # rep := rep * t(u)^-1 and tail := t(u) * tail, one tree edge at a
+            # time from u up to the base.
+            while u:
+                s = label[u]
+                rep.append(-s)
+                if tail and tail[0] == -s:
+                    tail.popleft()
+                else:
+                    tail.appendleft(s)
+                if act is not None:
+                    col = back[s]
+                    act = [col[v] for v in act]
+                u = parent[u]
+            out.append((side, tuple(rep)))
         return NormalForm(tuple(out), tuple(tail))
 
     def swap(self, dword: DoubleWord) -> DoubleWord:

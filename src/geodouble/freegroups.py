@@ -34,7 +34,10 @@ computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
 that tree.  For the double's normal forms it also reads whole words:
 forward with free cancellation, backwards from the base, and, on complete
-graphs, from every vertex at once, one column per letter.
+graphs, from every vertex at once, one column per letter.  The double's
+second normal-form pass reads the stored columns (``_col``) and the tree
+lists (``_parent``, ``_label``) directly, so that each syllable costs one
+loop and no method call; a graph is never changed once built.
 """
 
 from __future__ import annotations
@@ -348,14 +351,15 @@ class SubgroupGraph:
 
         Only for complete graphs (finite index), where every word reads from
         every vertex and each label permutes the vertices; each letter then
-        costs one C-level pass over the starts.
+        composes its column with the ends so far, in one list comprehension.
         """
         if self._index is None:
             raise ValueError("walk needs a complete graph (finite index)")
         cols = self._col
         ends = list(starts)
         for s in word:
-            ends = list(map(cols[s].__getitem__, ends))
+            col = cols[s]
+            ends = [col[v] for v in ends]
         return ends
 
     def schreier_rank_check(self) -> bool:

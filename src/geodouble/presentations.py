@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .freegroups import Word, free_reduce, inverse_word, word_to_str
@@ -78,10 +79,14 @@ class Presentation:
 
     @classmethod
     def _trusted(cls, generator_count: int, relators: Iterable[Word]) -> "Presentation":
-        """Skip the letter-range check for letters known to lie in range; still reduce."""
+        """Skip the letter-range check for letters known to lie in range; still
+        reduce.  Letters are nonzero, so a word whose letters, read
+        cyclically, have no zero-sum neighbours is already cyclically reduced,
+        and a C-level pass finds it so; only the others are reduced."""
         self = object.__new__(cls)
         object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "relators", tuple(filter(None, map(cyclic_reduce, relators))))
+        object.__setattr__(self, "relators", tuple(filter(None, (
+            cyclic_reduce(w) if 0 in map(add, w, w[1:] + w[:1]) else w for w in relators))))
         return self
 
     def __str__(self) -> str:

@@ -1,0 +1,56 @@
+"""The benchmark's own ``double_nf`` checks, run on one warm and one full
+round, so a wrong normal form fails here before the benchmark reports it.
+
+``perfbench/`` is only read: its oracles are loaded under their own module
+name, since ``oracles`` already names this suite's oracles, and the
+workload is handed the ``geodouble`` modules already imported, so the
+classes the other tests use stay the same objects.
+"""
+
+import importlib
+import importlib.util
+import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = ("triangulation", "construction", "freegroups", "doubling", "isometries",
+           "presentations", "cli")
+SEED = 7
+
+
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_workloads():
+    # workloads.py runs ``import oracles as orc`` once, at load.
+    saved = sys.modules.get("oracles")
+    sys.modules["oracles"] = load("perfbench_oracles", BENCH / "oracles.py")
+    try:
+        return load("perfbench_workloads", BENCH / "workloads.py")
+    finally:
+        if saved is None:
+            del sys.modules["oracles"]
+        else:
+            sys.modules["oracles"] = saved
+
+
+def test_double_nf_rounds_pass_the_bench_checks():
+    workloads = bench_workloads()
+    pkg = SimpleNamespace(MODULES=MODULES,
+                          **{m: importlib.import_module(f"geodouble.{m}") for m in MODULES})
+    cls = workloads.WORKLOADS["double_nf"]
+    notes = {}
+    workload = cls(pkg, random.Random(f"double_nf/{SEED}/setup"), notes)
+    kinds = set()
+    for label, warm in (("warm", True), (0, False)):
+        for op in workload.round(random.Random(f"double_nf/{SEED}/{label}"), warm=warm):
+            assert op.check(op.run()) is None, (op.kind, op.size)
+            kinds.add(op.kind)
+    assert kinds == {"nf.finite", "nf.infinite", "cli.double_fixtest"}
+    assert notes["tail.finite_index"] and notes["tail.infinite_index"]

@@ -6,6 +6,7 @@ import pytest
 
 from geodouble.doubling import (
     PRIMED,
+    TABLE_FACTOR,
     UNPRIMED,
     Double,
     DoubleWord,
@@ -92,6 +93,48 @@ class TestDoubleWordParsing:
         with pytest.raises(WordError) as raised:
             DoubleWord(((UNPRIMED, (1,)), (PRIMED, word)))
         assert str(raised.value) == message
+
+
+class TestFirstFault:
+    """A word with several faults reports the first one a syllable-by-syllable
+    scan meets: in each syllable its side, then any non-integer letter, then
+    a zero letter; ``normal_form`` and ``is_fixed`` then name the first letter
+    outside the rank."""
+
+    @pytest.mark.parametrize("syllables, error, message", [
+        # A bad side in syllable 2 behind a zero letter in syllable 1.
+        (((0, (1, 0)), (2, (1,))), WordError, "0 is not a letter"),
+        (((2, (1,)), (0, (1, 0))), ValueError, "side must be 0 or 1, got 2"),
+        # A non-integer ahead of or behind a zero in the same syllable.
+        (((0, ("a", 0)),), WordError, "letter 'a' is not an integer"),
+        (((0, (0, 1.5)),), WordError, "letter 1.5 is not an integer"),
+        # A bad side ahead of a bad letter, in one syllable and across two.
+        (((5, (0,)),), ValueError, "side must be 0 or 1, got 5"),
+        (((0, (1,)), (-1, (2,)), (1, ("x",))), ValueError, "side must be 0 or 1, got -1"),
+        (((0, (True,)), (7, (1,))), WordError, "letter True is not an integer"),
+        ((([0], (1,)),), ValueError, "side must be 0 or 1, got [0]"),
+        (((3, 5),), ValueError, "side must be 0 or 1, got 3"),
+        (((0, (1,)), (1, 5)), TypeError, "'int' object is not iterable"),
+        (((0, (1,), 2),), ValueError, "too many values to unpack (expected 2)"),
+    ])
+    def test_double_word(self, syllables, error, message):
+        for given in (syllables, list(syllables), iter(syllables)):
+            with pytest.raises(error) as raised:
+                DoubleWord(given)
+            assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("syllables, name", [
+        (((0, (1, 3)), (1, (-4,))), "c"),
+        (((0, (1, 4, 3)), (1, (-3,))), "d"),
+        (((0, (1,)), (1, (2, -3)), (0, (5,))), "C"),
+        (((0, (1,)), (1, (1, -1, 3))), "c"),
+    ])
+    def test_letter_outside_the_rank(self, syllables, name):
+        dbl = Double.from_generators(["aa", "b"], 2)
+        for run in (dbl.normal_form, dbl.is_fixed):
+            with pytest.raises(WordError) as raised:
+                run(DoubleWord(syllables))
+            assert str(raised.value) == f"letter '{name}' outside the rank-2 alphabet"
 
 
 class TestNormalForm:
@@ -499,6 +542,36 @@ class TestReferenceOracle:
                     for i in range(length)))
                 self.check(dbl, word)
             assert len(walks) > before
+
+    def test_infinite_index_worst_case(self):
+        # H = <a, bAB>, u:a^k then alternating p:B, u:b: every syllable
+        # reads the whole a^k part of the tail again (the quadratic case).
+        dbl = Double.from_generators(["a", "bAB"], 2)
+        k = 300
+        word = DoubleWord(((UNPRIMED, (1,) * k),) + tuple(
+            (PRIMED, (-2,)) if i % 2 == 0 else (UNPRIMED, (2,)) for i in range(k)))
+        nf = dbl.normal_form(word)
+        assert nf.syllable_count == k and len(nf.tail) == k
+        self.check(dbl, word)
+
+    @pytest.mark.parametrize("index, length", [(16, 60), (16, 300), (1024, 700)])
+    def test_words_crossing_the_table_switch(self, index, length, monkeypatch):
+        switched = []
+        real_walk = SubgroupGraph.walk
+
+        def recording_walk(graph, word, starts):
+            switched.append(len(word))
+            return real_walk(graph, word, starts)
+
+        monkeypatch.setattr(SubgroupGraph, "walk", recording_walk)
+        rng = random.Random(index + length)
+        dbl = schreier_double(rng, index)
+        word = DoubleWord(tuple(
+            (i % 2, tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randint(1, 3))))
+            for i in range(length)))
+        assert dbl.normal_form(word) == reference_normal_form(dbl, word)
+        # One switch, from a tail just past TABLE_FACTOR * V.
+        assert len(switched) == 1 and switched[0] > TABLE_FACTOR * index
 
     def test_index_1024_short_words(self):
         rng = random.Random(24)
