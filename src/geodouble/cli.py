@@ -163,6 +163,8 @@ def cmd_family_report(args, rep: Report) -> None:
     rep.command += f" --n-min {args.n_min} --n-max {args.n_max}"
     rep.kv("columns", "n bgenus rank_bound fix_rank ratio ratio_dec "
                       "cusped_fix cusped_bound cusped_ratio cusped_ratio_dec")
+    # Checked before the rows, which an invalid epsilon would waste.
+    min_n = None if args.epsilon is None else construction.min_n_for_ratio(args.epsilon)
     strict = True
     for n in range(args.n_min, args.n_max + 1):
         if not construction.is_admissible(n):
@@ -183,10 +185,9 @@ def cmd_family_report(args, rep: Report) -> None:
             rep.text(f"{n:5d} {bgenus:6d} {bound:10d} {fix:8d} {ratio:>9s} {fix / bound:.6f} "
                      f"{cfix:10d} {'<' + str(cbound):>12s} {cratio:>12s} {cfix / cbound:.6f}")
     rep.check("all_ratios_below_two", strict)
-    if args.epsilon is not None:
-        eps = Fraction(args.epsilon)
-        rep.kv("epsilon", eps)
-        rep.kv("min_n_for_ratio", construction.min_n_for_ratio(eps))
+    if min_n is not None:
+        rep.kv("epsilon", Fraction(args.epsilon))
+        rep.kv("min_n_for_ratio", min_n)
 
 
 def _fmt(value) -> str:

@@ -176,7 +176,10 @@ def min_n_for_ratio(epsilon: Rational | float | str) -> int:
     admissible integer past that bound.  Decimal strings and floats are
     converted exactly to rationals before comparing.
     """
-    eps = Fraction(epsilon)
+    try:
+        eps = Fraction(epsilon)
+    except ZeroDivisionError:
+        raise ValueError(f"epsilon {epsilon!r} has a zero denominator") from None
     if not 0 < eps < 2:
         raise ValueError(f"epsilon must lie in (0, 2), got {eps}")
     bound = Fraction(8, 1) / eps - 3

@@ -290,20 +290,19 @@ class Double:
                     tail.pop()
                 else:
                     tail.append(s)
+            if act is None and limit is not None and len(tail) > limit:
+                # Start the table from the empty tail and fold all of w in.
+                act, word = list(range(graph.vertex_count)), tail
             if act is not None:
+                # v * (tail * s)^-1 = (v * s^-1) * tail^-1.
                 for s in word:
                     act = [act[v] for v in back[s]]
                 u, rep = act[0], []
             elif limit is not None:
-                if len(tail) > limit:
-                    act = graph.walk(inverse_word(tail), range(graph.vertex_count))
-                    u = act[0]
-                else:
-                    # Complete: the whole tail reads.
-                    u = 0
-                    for s in reversed(tail):
-                        u = back[s][u]
-                rep = []
+                # Complete: the whole tail reads.
+                u, rep = 0, []
+                for s in reversed(tail):
+                    u = back[s][u]
             else:
                 # Read w backwards from the base up to the first letter the
                 # graph lacks; the first j letters are not read.

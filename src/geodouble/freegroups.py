@@ -32,12 +32,11 @@ per vertex; a stored column's layout follows from the graph alone, so
 equal graphs have equal columns.  The graph answers membership,
 computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
-that tree.  For the double's normal forms it also reads whole words:
-forward with free cancellation, backwards from the base, and, on complete
-graphs, from every vertex at once, one column per letter.  The double's
-second normal-form pass reads the stored columns (``_col``) and the tree
-lists (``_parent``, ``_label``) directly, so that each syllable costs one
-loop and no method call; a graph is never changed once built.
+that tree.  For the double's normal forms it also reads whole words
+forward with free cancellation.  The double's second normal-form pass
+reads the stored columns (``_col``) and the tree lists (``_parent``,
+``_label``) directly, so that each syllable costs one loop and no method
+call; a graph is never changed once built.
 """
 
 from __future__ import annotations
@@ -328,39 +327,6 @@ class SubgroupGraph:
                         if nxt is not None:
                             path.append(nxt)
         return len(path) > len(word) and path[-1] == 0
-
-    def read_back(self, word: Sequence[int]) -> tuple[int, int]:
-        """Read the reduced ``word`` backwards, that is read its inverse,
-        from the base as far as the graph allows.
-
-        Returns (vertex reached, j) where ``word[j:]`` is the part read.
-        """
-        cols = self._col
-        vertex, j = 0, len(word)
-        for s in reversed(word):
-            col = cols.get(-s)
-            nxt = None if col is None else col[vertex]
-            if nxt is None:
-                break
-            vertex = nxt
-            j -= 1
-        return vertex, j
-
-    def walk(self, word: Iterable[int], starts: Iterable[int]) -> list[int]:
-        """The vertex reached reading ``word`` from each of ``starts``.
-
-        Only for complete graphs (finite index), where every word reads from
-        every vertex and each label permutes the vertices; each letter then
-        composes its column with the ends so far, in one list comprehension.
-        """
-        if self._index is None:
-            raise ValueError("walk needs a complete graph (finite index)")
-        cols = self._col
-        ends = list(starts)
-        for s in word:
-            col = cols[s]
-            ends = [col[v] for v in ends]
-        return ends
 
     def schreier_rank_check(self) -> bool:
         """For finite index n in rank k: rank == n(k-1)+1, with the covering

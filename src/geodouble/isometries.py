@@ -64,6 +64,8 @@ class Isometry:
     def __init__(self, a: complex, b: complex, c: complex, d: complex,
                  reversing: bool = False):
         det = a * d - b * c
+        if not cmath.isfinite(det):
+            raise ValueError("matrix determinant is not finite: entries too large")
         if abs(det) < 1e-14:
             raise ValueError("matrix is not invertible")
         s = 1 / cmath.sqrt(det)
@@ -125,16 +127,6 @@ class Isometry:
                 return True
         return False
 
-    def approx_equal(self, other: "Isometry", tol: float | Tolerance | None = None) -> bool:
-        """Equality in the sign quotient: min over +-1 of the entry distance."""
-        if self.reversing != other.reversing:
-            return False
-        t = _tol_value(tol)
-        mine = (self.a, self.b, self.c, self.d)
-        theirs = (other.a, other.b, other.c, other.d)
-        return any(all(abs(x - sign * y) <= t for x, y in zip(mine, theirs))
-                   for sign in (1, -1))
-
     def __repr__(self) -> str:
         rev = ", reversing" if self.reversing else ""
         return f"Isometry([[{self.a}, {self.b}], [{self.c}, {self.d}]]{rev})"
@@ -154,7 +146,9 @@ def classify(g: Isometry, tol: float | Tolerance | None = None) -> ElementClass:
     t = _tol_value(tol)
     if g.is_identity(t):
         return ElementClass.IDENTITY
-    t2 = g.trace() ** 2
+    # A product, not ** 2, which raises OverflowError past the float range.
+    tr = g.trace()
+    t2 = tr * tr
     if abs(t2 - 4) <= t:
         return ElementClass.PARABOLIC
     if abs(t2.imag) <= t and -t <= t2.real < 4:
@@ -217,7 +211,12 @@ def _fixed_points_preserving(g: Isometry, t: float) -> FixedPointSet:
         if abs(a - d) <= t:
             return FixedPointSet(kind="point", points=(INF,))
         return FixedPointSet(kind="pair", points=(b / (d - a), INF))
-    disc = (d - a) ** 2 + 4 * b * c
+    # (d - a) ** 2 as products, which cannot raise OverflowError; the power
+    # also multiplies by 1 + 0j, which sets the signs of zero parts, and so
+    # the branch of the root and the order of the two points.
+    disc = (1 + 0j) * ((d - a) * (d - a)) + 4 * b * c
+    if not cmath.isfinite(disc):
+        raise ValueError("fixed points out of floating-point range: (d - a)^2 + 4bc overflows")
     if abs(disc) <= t * t * 4:
         return FixedPointSet(kind="point", points=((a - d) / (2 * c),))
     root = cmath.sqrt(disc)
@@ -231,10 +230,10 @@ def chordal(p: complex, q: complex) -> float:
     if is_inf(p) and is_inf(q):
         return 0.0
     if is_inf(p):
-        return 2 / math.sqrt(1 + abs(q) ** 2)
+        return 2 / math.hypot(1, abs(q))
     if is_inf(q):
-        return 2 / math.sqrt(1 + abs(p) ** 2)
-    return 2 * abs(p - q) / math.sqrt((1 + abs(p) ** 2) * (1 + abs(q) ** 2))
+        return 2 / math.hypot(1, abs(p))
+    return 2 * abs(p - q) / (math.hypot(1, abs(p)) * math.hypot(1, abs(q)))
 
 
 def _homogeneous(p: complex) -> tuple[complex, complex]:

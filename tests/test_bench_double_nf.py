@@ -1,5 +1,7 @@
 """The benchmark's own ``double_nf`` checks, run on one warm and one full
-round, so a wrong normal form fails here before the benchmark reports it.
+round, so a wrong normal form fails here before the benchmark reports it;
+and a smoke run of every workload's warm round and of the tracer's
+install, so a removed name the benchmark uses or traces fails here too.
 
 ``perfbench/`` is only read: its oracles are loaded under their own module
 name, since ``oracles`` already names this suite's oracles, and the
@@ -40,10 +42,14 @@ def bench_workloads():
             sys.modules["oracles"] = saved
 
 
+def package():
+    return SimpleNamespace(MODULES=MODULES,
+                           **{m: importlib.import_module(f"geodouble.{m}") for m in MODULES})
+
+
 def test_double_nf_rounds_pass_the_bench_checks():
     workloads = bench_workloads()
-    pkg = SimpleNamespace(MODULES=MODULES,
-                          **{m: importlib.import_module(f"geodouble.{m}") for m in MODULES})
+    pkg = package()
     cls = workloads.WORKLOADS["double_nf"]
     notes = {}
     workload = cls(pkg, random.Random(f"double_nf/{SEED}/setup"), notes)
@@ -54,3 +60,20 @@ def test_double_nf_rounds_pass_the_bench_checks():
             kinds.add(op.kind)
     assert kinds == {"nf.finite", "nf.infinite", "cli.double_fixtest"}
     assert notes["tail.finite_index"] and notes["tail.infinite_index"]
+
+
+def test_warm_rounds_pass_and_the_tracer_installs():
+    workloads = bench_workloads()
+    pkg = package()
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(pkg, random.Random(f"{name}/{SEED}/setup"), {})
+        for op in workload.round(random.Random(f"{name}/{SEED}/warm"), warm=True):
+            assert op.check(op.run()) is None, (name, op.kind, op.size)
+    tracing = load("perfbench_tracing", BENCH / "tracing.py")
+    normal_form = pkg.doubling.Double.__dict__["normal_form"]
+    uninstall = tracing.Tracer().install(pkg)
+    try:
+        assert pkg.doubling.Double.__dict__["normal_form"] is not normal_form
+    finally:
+        uninstall()
+    assert pkg.doubling.Double.__dict__["normal_form"] is normal_form

@@ -74,6 +74,11 @@ class TestFamily:
         assert code == 0
         assert "min_n_for_ratio = 79" in out
 
+    @pytest.mark.parametrize("epsilon", ["1/0", "7/0"])
+    def test_report_zero_denominator_epsilon(self, capsys, epsilon):
+        line = run_error(capsys, "family", "report", "--epsilon", epsilon)
+        assert line == f"error: epsilon {epsilon!r} has a zero denominator"
+
     def test_machine_output_deterministic(self, capsys):
         args = ("--machine", "family", "report", "--n-min", "4", "--n-max", "20")
         code1, out1 = run(capsys, *args)
@@ -368,6 +373,28 @@ class TestIso:
     def test_non_finite_matrix_entry_rejected(self, capsys):
         line = run_error(capsys, "iso", "classify", "--m", "nan,0;0,1")
         assert line == "error: complex literal 'nan' is not finite"
+
+    def test_overflowing_determinant_rejected(self, capsys):
+        # det = 2e400: normalising it would give the zero matrix.
+        line = run_error(capsys, "iso", "classify", "--m", "1e200,1e200;-1e200,1e200")
+        assert line == "error: matrix determinant is not finite: entries too large"
+
+    def test_huge_trace_classifies_without_overflow(self, capsys):
+        code, out = run(capsys, "iso", "classify", "--m", "1e200,0;0,1e-200")
+        assert code == 0
+        assert out.splitlines()[1:] == ["class = loxodromic", "fixed_set = pair",
+                                        "fixed_points = (-0-0j) (inf+0j)"]
+
+    def test_far_fixed_point_commute_without_overflow(self, capsys):
+        code, out = run(capsys, "iso", "commute", "--m1", "2,1e160;0,0.5",
+                        "--m2", "3,0;0,0.3333333333333333")
+        assert code == 0
+        assert out.splitlines()[1:] == ["commute = False", "criterion = none",
+                                        "PASS commute_iff_criterion"]
+
+    def test_overflowing_fixed_point_equation_rejected(self, capsys):
+        line = run_error(capsys, "iso", "classify", "--m", "1e160,1;-1,0")
+        assert line.startswith("error: fixed points out of floating-point range")
 
     def test_table(self, capsys):
         code, out = run(capsys, "iso", "table", "--preserving", "--closed")

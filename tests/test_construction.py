@@ -135,6 +135,10 @@ class TestMinN:
     def test_epsilon_large(self):
         assert min_n_for_ratio(Fraction("1.9")) == 4
 
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="epsilon '1/0' has a zero denominator"):
+            min_n_for_ratio("1/0")
+
     def test_matches_linear_scan(self):
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(3, 7),
                     Fraction(19, 10), Fraction(1, 25), Fraction(1, 100)):

@@ -4,9 +4,9 @@ import time
 
 import pytest
 
+from geodouble import doubling
 from geodouble.doubling import (
     PRIMED,
-    TABLE_FACTOR,
     UNPRIMED,
     Double,
     DoubleWord,
@@ -520,28 +520,35 @@ class TestReferenceOracle:
                 w = random_double_word(rng, 2, dbl.subgroup, max_syllables=10)
                 self.check(dbl, splice_subgroup_words(rng, dbl, w, 2))
 
-    def test_long_words_switch_to_the_action_table(self, monkeypatch):
-        # Tails of 50-400 syllables outgrow TABLE_FACTOR * V on index 2-16,
-        # so the coset action takes over part way through the word.
-        walks = []
-        real_walk = SubgroupGraph.walk
+    @staticmethod
+    def check_switch(dbl, dword):
+        """``normal_form`` equals the reference with the coset table carried
+        from the first syllable (TABLE_FACTOR 0), switched to part way
+        through (2), and never used (a factor no tail reaches)."""
+        reference = reference_normal_form(dbl, dword)
+        with pytest.MonkeyPatch.context() as mp:
+            for factor in (0, 2, 10 ** 9):
+                mp.setattr(doubling, "TABLE_FACTOR", factor)
+                assert dbl.normal_form(dword) == reference, factor
+        # The last syllable read a tail of more than 2 * V letters, since
+        # prepending t(u) adds at most the tree's depth: at 2 the switch
+        # happened.
+        graph = dbl.subgroup
+        depth = max(len(graph.tree_word(v)) for v in range(graph.vertex_count))
+        assert len(reference.tail) - depth > 2 * graph.vertex_count
 
-        def counting_walk(graph, word, starts):
-            walks.append(len(word))
-            return real_walk(graph, word, starts)
-
-        monkeypatch.setattr(SubgroupGraph, "walk", counting_walk)
+    def test_long_words_switch_to_the_action_table(self):
+        # Tails of 50-400 syllables outgrow 2 * V on index 2-16.
         rng = random.Random(23)
         doubles = [Double.from_generators(["aa", "b", "abA"], 2),
                    schreier_double(rng, 3), schreier_double(rng, 16)]
         for dbl in doubles:
-            before = len(walks)
             for length in (50, 120, 400):
                 word = DoubleWord(tuple(
                     (i % 2, tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randint(1, 3))))
                     for i in range(length)))
+                self.check_switch(dbl, word)
                 self.check(dbl, word)
-            assert len(walks) > before
 
     def test_infinite_index_worst_case(self):
         # H = <a, bAB>, u:a^k then alternating p:B, u:b: every syllable
@@ -555,23 +562,13 @@ class TestReferenceOracle:
         self.check(dbl, word)
 
     @pytest.mark.parametrize("index, length", [(16, 60), (16, 300), (1024, 700)])
-    def test_words_crossing_the_table_switch(self, index, length, monkeypatch):
-        switched = []
-        real_walk = SubgroupGraph.walk
-
-        def recording_walk(graph, word, starts):
-            switched.append(len(word))
-            return real_walk(graph, word, starts)
-
-        monkeypatch.setattr(SubgroupGraph, "walk", recording_walk)
+    def test_words_crossing_the_table_switch(self, index, length):
         rng = random.Random(index + length)
         dbl = schreier_double(rng, index)
         word = DoubleWord(tuple(
             (i % 2, tuple(rng.choice([1, 2, -1, -2]) for _ in range(rng.randint(1, 3))))
             for i in range(length)))
-        assert dbl.normal_form(word) == reference_normal_form(dbl, word)
-        # One switch, from a tail just past TABLE_FACTOR * V.
-        assert len(switched) == 1 and switched[0] > TABLE_FACTOR * index
+        self.check_switch(dbl, word)
 
     def test_index_1024_short_words(self):
         rng = random.Random(24)

@@ -250,28 +250,6 @@ class TestWholeWordReading:
         else:
             assert path[-1] == v and len(path) == len(word) + 1
 
-    @given(words, st.sampled_from(GENS))
-    def test_read_back_gives_the_left_representative(self, letters, gens):
-        g = stallings_graph(gens, 3)
-        w = free_reduce(letters)
-        u, j = g.read_back(w)
-        assert w[:j] + inverse_word(g.tree_word(u)) == \
-            inverse_word(g.coset_representative(inverse_word(w)))
-
-    def test_walk_matches_the_permutation_action(self):
-        rng = random.Random(15)
-        perms = [rng.sample(range(6), 6) for _ in range(2)]
-        perms[0] = [1, 2, 3, 4, 5, 0]   # transitive
-        g = permutation_graph(perms, 2)
-        for _ in range(50):
-            w = tuple(rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 9)))
-            assert g.walk(w, [0]) == [g.trace(w)]
-            assert sorted(g.walk(w, range(6))) == list(range(6))
-
-    def test_walk_rejects_incomplete_graphs(self):
-        with pytest.raises(ValueError):
-            stallings_graph(["ab"], 2).walk((1,), [0])
-
 
 def _reads(prev, word, rank):
     """How folding meets ``word`` on the graph of ``prev``: the forward read
@@ -280,8 +258,8 @@ def _reads(prev, word, rank):
     g = stallings_graph(prev, rank)
     w = free_reduce(word_from_str(word, rank))
     i = max(k for k in range(len(w) + 1) if g.trace(w[:k]) is not None)
-    v, j = g.read_back(w)
-    return w, i, g.trace(w[:i]), j, v
+    j = min(k for k in range(len(w) + 1) if g.trace(inverse_word(w[k:])) is not None)
+    return w, i, g.trace(w[:i]), j, g.trace(inverse_word(w[j:]))
 
 
 def _assert_fold_matches_oracle(prev, word):

@@ -53,6 +53,16 @@ class TestClassify:
         with pytest.raises(ValueError):
             Isometry(1, 1, 1, 1)
 
+    def test_overflowing_determinant_rejected(self):
+        # Normalising det = 2e400 would give the zero matrix.
+        with pytest.raises(ValueError, match="not finite"):
+            Isometry(1e200, 1e200, -1e200, 1e200)
+
+    def test_huge_trace_is_loxodromic(self):
+        g = Isometry(1e200, 0, 0, 1e-200)
+        assert classify(g) is ElementClass.LOXODROMIC
+        assert fixed_points(g).points == (0, INF)
+
     def test_reversing_rejected(self):
         with pytest.raises(ValueError):
             classify(Isometry(1, 0, 0, 1, reversing=True))
@@ -144,6 +154,12 @@ class TestFixedPoints:
             assert (g @ g).is_identity(1e-7)
             fps = fixed_points(g, 1e-7)
             assert fps.kind in ("empty", "circle", "line")
+
+    def test_chordal_distance_of_far_points(self):
+        # 1 + |p|^2 overflows for |p| = 1e160; the distance itself does not.
+        assert chordal(1e160j, INF) == pytest.approx(2e-160)
+        assert chordal(1e160j, 0) == pytest.approx(2)
+        assert chordal(1e160, 2e160) == pytest.approx(2 * 1e160 / (1e160 * 2e160))
 
 
 class TestCommute:
