@@ -32,8 +32,22 @@ per vertex; a stored column's layout follows from the graph alone, so
 equal graphs have equal columns.  The graph answers membership,
 computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
-that tree.  For the double's normal forms it also reads whole words
-forward with free cancellation.  The double's second normal-form pass
+that tree.
+
+Words are taken in and read at a cost per batch, not per word, and every
+check keeps its error text.  ``from_generators`` checks the letters and
+the reducedness of all generators in a few C-level passes over them joined
+into one list; if any check fails it reruns the per-word loop, which
+raises the first fault.  ``from_adjacency`` checks the edges column by
+column the same way, with the per-edge loop as its fallback.  Membership,
+``trace`` and coset representatives read the word as given, unreduced:
+each label of a folded graph is a partial injection whose inverse label is
+its inverse map, so a read that completes ends where the read of the free
+reduction ends.  Only a read that stops is done again on the free
+reduction, which also checks the letters.
+
+For the double's normal forms the graph also reads whole words forward
+with free cancellation.  The double's second normal-form pass
 reads the stored columns (``_col``) and the tree lists (``_parent``,
 ``_label``) directly, so that each syllable costs one loop and no method
 call; a graph is never changed once built.
@@ -43,8 +57,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add
+from itertools import chain, compress, repeat
+from operator import add, is_not
 from typing import Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
@@ -127,6 +141,54 @@ def _check_letters(word: Sequence[int], rank: int) -> None:
         raise WordError(f"letter {bad} outside the rank-{rank} alphabet")
 
 
+def _intake(generators: Iterable[Word | str], rank: int) -> tuple[Word, ...]:
+    # The non-empty free reductions of the generators, with the errors of
+    # checking one generator at a time.  The non-empty words are joined with
+    # a 0 after each, and C-level passes over the joined list check them
+    # all: its distinct letters are ints within the rank, its only zeros are
+    # the separators, and no two adjacent entries sum to zero.  A letter
+    # next to a separator sums to itself, so no pair across two words
+    # cancels.  A failed check or an exception reruns the per-word loop,
+    # which raises the first fault; so does a fault met while converting a
+    # generator, after the loop has checked the words before it.
+    words: list[Word] = []
+    try:
+        for g in generators:
+            words.append(word_from_str(g, rank) if isinstance(g, str) else tuple(g))
+    except (TypeError, ValueError):
+        _intake_loop(words, rank)
+        raise
+    words = [*filter(None, words)]
+    joined = [*chain.from_iterable(chain.from_iterable(zip(words, repeat((0,)))))]
+    try:
+        if (_in_rank(set(joined), rank) and joined.count(0) == len(words)
+                and 0 not in map(add, joined, joined[1:])):
+            return tuple(words)
+    except TypeError:
+        pass
+    return _intake_loop(words, rank)
+
+
+def _in_rank(letters: set, rank: int) -> bool:
+    # Whether every letter is an int with |s| <= rank.  An int sum rules out
+    # floats, NaN and other types that the comparisons would let past.
+    try:
+        return type(sum(letters)) is int and not (
+            letters and (min(letters) < -rank or max(letters) > rank))
+    except TypeError:
+        return False
+
+
+def _intake_loop(words: list[Word], rank: int) -> tuple[Word, ...]:
+    gens = []
+    for w in words:
+        _check_letters(w, rank)
+        w = _reduced(w)
+        if w:
+            gens.append(w)
+    return tuple(gens)
+
+
 class SubgroupGraph:
     """Folded core graph of a finitely generated subgroup of a free group.
 
@@ -166,16 +228,9 @@ class SubgroupGraph:
         """Fold the wedge of loops labelled by the generators."""
         if ambient_rank < 0:
             raise ValueError("ambient rank must be >= 0")
-        gens = []
-        for g in generators:
-            w = word_from_str(g, ambient_rank) if isinstance(g, str) else tuple(g)
-            _check_letters(w, ambient_rank)
-            w = _reduced(w)
-            if w:
-                gens.append(w)
+        gens = _intake(generators, ambient_rank)
         # The fold's own columns are dropped once the graph's are built.
-        return cls(ambient_rank, *_canonical_relabel(*_fold(gens, ambient_rank), 0),
-                   tuple(gens))
+        return cls(ambient_rank, *_canonical_relabel(*_fold(gens, ambient_rank), 0), gens)
 
     @classmethod
     def from_adjacency(cls, ambient_rank: int, adjacency: Iterable[dict[int, int]],
@@ -191,17 +246,12 @@ class SubgroupGraph:
             raise ValueError("graph has no vertices")
         if not 0 <= base < n:
             raise ValueError(f"base {base} is not a vertex of a {n}-vertex graph")
-        for v, nbrs in enumerate(adj):
-            for s, w in nbrs.items():
-                if not 1 <= abs(s) <= ambient_rank:
-                    raise ValueError(f"label {s} outside rank {ambient_rank}")
-                if not 0 <= w < n:
-                    raise ValueError(f"edge {v} --{s}--> {w} leaves the {n}-vertex graph")
-                if adj[w].get(-s) != v:
-                    raise ValueError(f"edge {v} --{s}--> {w} lacks its reverse entry")
-        for v, nbrs in enumerate(adj):
-            if v != base and len(nbrs) <= 1:
-                raise ValueError(f"vertex {v} is dangling; graph is not core")
+        # The labels, then the edges, are checked with C-level passes over
+        # the label set and the columns; on any failure the per-edge loop
+        # names the first fault.
+        labels = set().union(*adj)
+        if 0 in labels or not _in_rank(labels, ambient_rank):
+            _check_edges(adj, ambient_rank, base)
         cols, dense, sparse = _fold_columns(ambient_rank, n, chain.from_iterable(adj))
         for s in dense:
             cols[s][:] = map(dict.get, adj, repeat(s))
@@ -212,6 +262,15 @@ class SubgroupGraph:
                     sparse_at[v] = here
                     for s in here:
                         cols[s][v] = nbrs[s]
+        sizes = [*map(len, adj)]
+        entries = sum(sizes)
+        sizes[base] = 2
+        try:
+            edges_ok = min(sizes) > 1 and _inverse_columns(cols, n, entries)
+        except (IndexError, TypeError):
+            edges_ok = False
+        if not edges_ok:
+            _check_edges(adj, ambient_rank, base)
         columns, parent, label = _canonical_relabel(cols, sparse_at, range(n), base)
         if len(parent) != n:
             raise ValueError("graph is not connected from the base vertex")
@@ -250,14 +309,38 @@ class SubgroupGraph:
             return v, rest
         return v, ()
 
+    def _locate(self, word: Iterable[int]) -> tuple[int, Word]:
+        # _read of the free reduction of ``word``.  The word is read first
+        # as given: a read that completes ends where its reduction's does.
+        # A read that stops, at a missing edge, at a letter with no column
+        # (outside the rank, 0 or not an integer) or at an unhashable
+        # letter, is done again on the reduction, which checks the letters.
+        word = tuple(word)
+        cols = self._col
+        v = 0
+        try:
+            for s in word:
+                v = cols[s][v]
+                if v is None:
+                    break
+            else:
+                return v, ()
+        except (KeyError, TypeError):
+            pass
+        return self._read(_reduced(word))
+
     def trace(self, word: Iterable[int]) -> int | None:
         """Endpoint of the path reading ``word`` from the base, or None.
 
-        A letter outside the rank that free reduction leaves in ``word``
-        raises WordError, here and in ``contains`` and
+        Each label of a folded graph is a partial injection and its inverse
+        label is the inverse map, so a read of ``word`` that completes,
+        cancelling pairs included, ends where the read of its free
+        reduction ends; only a read that stops is done again on the free
+        reduction.  A letter outside the rank that free reduction leaves in
+        ``word`` raises WordError, here and in ``contains`` and
         ``coset_representative``.
         """
-        v, rest = self._read(_reduced(word))
+        v, rest = self._locate(word)
         return None if rest else v
 
     def contains(self, word: Iterable[int]) -> bool:
@@ -285,7 +368,7 @@ class SubgroupGraph:
         subgroup map to the empty word, the output is constant on each
         coset, and word * rep(word)^-1 always lies in the subgroup.
         """
-        v, rest = self._read(_reduced(word))
+        v, rest = self._locate(word)
         # Already reduced: the unread rest cannot start with the inverse of
         # the tree edge into v, since that letter can be read at v.
         return self.tree_word(v) + rest
@@ -377,6 +460,49 @@ class SubgroupGraph:
 def stallings_graph(generators: Iterable[Word | str], ambient_rank: int) -> SubgroupGraph:
     """Folded core graph for the subgroup generated by the given words."""
     return SubgroupGraph.from_generators(generators, ambient_rank)
+
+
+def _check_edges(adj: list[dict[int, int]], rank: int, base: int) -> None:
+    # Raises on the first fault of an adjacency, edge by edge.
+    n = len(adj)
+    for v, nbrs in enumerate(adj):
+        for s, w in nbrs.items():
+            if not 1 <= abs(s) <= rank:
+                raise ValueError(f"label {s} outside rank {rank}")
+            if not 0 <= w < n:
+                raise ValueError(f"edge {v} --{s}--> {w} leaves the {n}-vertex graph")
+            if adj[w].get(-s) != v:
+                raise ValueError(f"edge {v} --{s}--> {w} lacks its reverse entry")
+    for v, nbrs in enumerate(adj):
+        if v != base and len(nbrs) <= 1:
+            raise ValueError(f"vertex {v} is dangling; graph is not core")
+
+
+def _inverse_columns(cols: list, n: int, entries: int) -> bool:
+    # Whether the filled fold columns hold all ``entries`` adjacency entries
+    # (a None target is not held) and the column of each label's inverse
+    # takes every target back to its source.  A target that is not a vertex
+    # fails the min, raises IndexError or TypeError as a list index, or, in
+    # a dict column, reads None or fails the sum's type.
+    vertices = [*range(n)]
+    top = len(cols) // 2
+    for s in [*range(1, top + 1), *range(-1, -top - 1, -1)]:
+        col = cols[s]
+        if col is None:
+            continue
+        if type(col) is not list:
+            src, dst = [*col], [*col.values()]
+            if type(sum(dst)) is not int:
+                return False
+        elif None in col:
+            have = [*map(is_not, col, repeat(None))]
+            src, dst = [*compress(vertices, have)], [*compress(col, have)]
+        else:
+            src, dst = vertices, col
+        entries -= len(dst)
+        if dst and min(dst) < 0 or [*map(cols[-s].__getitem__, dst)] != src:
+            return False
+    return not entries
 
 
 # -- folding machinery ------------------------------------------------------

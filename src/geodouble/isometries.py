@@ -216,13 +216,34 @@ def _fixed_points_preserving(g: Isometry, t: float) -> FixedPointSet:
     # the branch of the root and the order of the two points.
     disc = (1 + 0j) * ((d - a) * (d - a)) + 4 * b * c
     if not cmath.isfinite(disc):
-        raise ValueError("fixed points out of floating-point range: (d - a)^2 + 4bc overflows")
+        return FixedPointSet(kind="pair", points=_far_fixed_points(a, b, c, d))
     if abs(disc) <= t * t * 4:
         return FixedPointSet(kind="point", points=((a - d) / (2 * c),))
     root = cmath.sqrt(disc)
     z1 = ((a - d) + root) / (2 * c)
     z2 = ((a - d) - root) / (2 * c)
     return FixedPointSet(kind="pair", points=(z1, z2))
+
+
+def _far_fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
+    # The two fixed points when (d - a)^2 + 4bc overflows.  Dividing it by
+    # m^2, m = |d - a|, scales its principal root by 1/m and keeps the signs
+    # of zero parts, so z1 and z2 keep their order.  Of ((a - d) +- root)/2c,
+    # the one whose sum does not cancel is computed; the other follows from
+    # z1 * z2 = -b/c, as subtracting nearly equal huge numbers would lose it.
+    m = abs(d - a)
+    if 0 < m < math.inf:
+        w = (d - a) / m
+        root = cmath.sqrt((1 + 0j) * (w * w) + 4 * (b / m) * (c / m))
+        if abs(root - w) >= abs(root + w):
+            z1 = (root - w) / (2 * c) * m
+            z2 = -b / (c * z1)
+        else:
+            z2 = -(w + root) / (2 * c) * m
+            z1 = -b / (c * z2)
+        if cmath.isfinite(z1) and cmath.isfinite(z2):
+            return z1, z2
+    raise ValueError("fixed points out of floating-point range: (d - a)^2 + 4bc overflows")
 
 
 def chordal(p: complex, q: complex) -> float:
@@ -233,7 +254,15 @@ def chordal(p: complex, q: complex) -> float:
         return 2 / math.hypot(1, abs(q))
     if is_inf(q):
         return 2 / math.hypot(1, abs(p))
-    return 2 * abs(p - q) / (math.hypot(1, abs(p)) * math.hypot(1, abs(q)))
+    try:
+        dist = 2 * abs(p - q) / (math.hypot(1, abs(p)) * math.hypot(1, abs(q)))
+    except OverflowError:  # a complex p - q whose modulus is past the range
+        dist = math.nan
+    if math.isnan(dist):
+        # |p - q| and the product below it overflow: halve p and q, and
+        # divide before multiplying back.
+        dist = 4 * (abs(p / 2 - q / 2) / math.hypot(1, abs(p))) / math.hypot(1, abs(q))
+    return dist
 
 
 def _homogeneous(p: complex) -> tuple[complex, complex]:

@@ -1,5 +1,6 @@
-"""The benchmark's own ``double_nf`` checks, run on one warm and one full
-round, so a wrong normal form fails here before the benchmark reports it;
+"""The benchmark's own checks: ``double_nf`` on one warm and one full
+round, and ``subgroup_fold`` on one full round, so a wrong normal form,
+fold or coset representative fails here before the benchmark reports it;
 and a smoke run of every workload's warm round and of the tracer's
 install, so a removed name the benchmark uses or traces fails here too.
 
@@ -60,6 +61,20 @@ def test_double_nf_rounds_pass_the_bench_checks():
             kinds.add(op.kind)
     assert kinds == {"nf.finite", "nf.infinite", "cli.double_fixtest"}
     assert notes["tail.finite_index"] and notes["tail.infinite_index"]
+
+
+def test_subgroup_fold_round_passes_the_bench_checks():
+    # One full round: folds of long words and of Schreier generators up to
+    # degree 1024, with membership, coset representatives of probes and
+    # the graph adopted from the permutations' adjacency.
+    workloads = bench_workloads()
+    cls = workloads.WORKLOADS["subgroup_fold"]
+    workload = cls(package(), random.Random(f"subgroup_fold/{SEED}/setup"), {})
+    kinds = set()
+    for op in workload.round(random.Random(f"subgroup_fold/{SEED}/0"), warm=False):
+        assert op.check(op.run()) is None, (op.kind, op.size)
+        kinds.add(op.kind)
+    assert kinds == {"fold.long", "fold.schreier", "cli.fg_fold"}
 
 
 def test_warm_rounds_pass_and_the_tracer_installs():

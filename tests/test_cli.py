@@ -393,8 +393,17 @@ class TestIso:
                                         "PASS commute_iff_criterion"]
 
     def test_overflowing_fixed_point_equation_rejected(self, capsys):
-        line = run_error(capsys, "iso", "classify", "--m", "1e160,1;-1,0")
-        assert line.startswith("error: fixed points out of floating-point range")
+        # One fixed point is about -1e313, past the float range.
+        line = run_error(capsys, "iso", "classify", "--m", "1e308,1e5;-1e-5,0")
+        assert line == ("error: fixed points out of floating-point range: "
+                        "(d - a)^2 + 4bc overflows")
+
+    def test_overflowing_discriminant_with_finite_fixed_points(self, capsys):
+        # (d - a)^2 = 1e320 overflows; the points multiply to -b/c = 1.
+        code, out = run(capsys, "iso", "classify", "--m", "1e160,1;-1,0")
+        assert code == 0
+        assert out.splitlines()[1:] == ["class = loxodromic", "fixed_set = pair",
+                                        "fixed_points = (-1e+160-0j) (-1e-160+0j)"]
 
     def test_table(self, capsys):
         code, out = run(capsys, "iso", "table", "--preserving", "--closed")

@@ -603,6 +603,223 @@ class TestWordIntake:
         g = stallings_graph(gens, rank)
         assert all(map(g.contains, gens))
 
+    @staticmethod
+    def _with_pairs(rng, word, rank, pairs, outside=True):
+        # ``word`` with s s^-1 put in at random places; with ``outside``,
+        # about one s in four lies outside the rank.
+        w = list(word)
+        for _ in range(pairs):
+            if outside and rng.random() < 0.25:
+                s = rng.choice((rank + 1, rank + 7, -rank - 1))
+            else:
+                s = rng.choice([x for x in range(-rank, rank + 1) if x])
+            i = rng.randint(0, len(w))
+            w[i:i] = (s, -s)
+        return tuple(w)
+
+    def test_reads_of_unreduced_words_match_their_reductions(self):
+        # Folds of random words and complete Schreier graphs, ranks 2-4.
+        # Probes are generators, tree words and random words, so reads both
+        # complete and stop; cancelling letters outside the rank never raise.
+        rng = random.Random(73)
+        for trial in range(60):
+            rank = rng.randint(2, 4)
+            if trial % 2:
+                g = permutation_graph(_transitive_perms(rng, rng.randint(2, 12), rank), rank)
+                gens = []
+            else:
+                gens = [_random_reduced(rng, rank, rng.randint(1, 8))
+                        for _ in range(rng.randint(1, 4))]
+                g = stallings_graph(gens, rank)
+            probes = gens + [g.tree_word(v) for v in range(g.vertex_count)]
+            probes += [_random_reduced(rng, rank, rng.randint(1, 10)) for _ in range(10)]
+            probes += [()]
+            words = [self._with_pairs(rng, p, rank, rng.randint(0, 4)) for p in probes]
+            reps = tree_coset_representatives(g, words)
+            for w, rep in zip(words, reps):
+                v, rest = g._read(free_reduce(w))
+                trace = None if rest else v
+                for make in (tuple, list, iter):
+                    assert g.trace(make(w)) == trace
+                    assert g.contains(make(w)) == (trace == 0)
+                    assert g.coset_representative(make(w)) == rep
+
+    def test_complete_reads_do_not_reduce(self, monkeypatch):
+        # A read that completes answers alone, cancelling pairs included.
+        rng = random.Random(79)
+        g = permutation_graph(_transitive_perms(rng, 64, 3), 3)
+        words = [self._with_pairs(rng, g.tree_word(v), 3, 3, outside=False)
+                 for v in range(64)]
+        reps = [g.coset_representative(w) for w in words]
+        monkeypatch.setattr("geodouble.freegroups._reduced", None)
+        assert [g.trace(w) for w in words] == list(range(64))
+        assert [g.coset_representative(w) for w in words] == reps
+        assert g.contains(self._with_pairs(rng, (), 3, 5, outside=False))
+
+    def test_generator_intake_matches_the_per_word_loop(self):
+        # Shuffled generators, some unreduced and some empty, given as
+        # tuples, lists, iterators and strings.
+        rng = random.Random(83)
+        for _ in range(150):
+            rank = rng.randint(2, 4)
+            reduced = [_random_reduced(rng, rank, rng.randint(1, 6))
+                       for _ in range(rng.randint(0, 5))]
+            words = [self._with_pairs(rng, w, rank, rng.randint(0, 2), outside=False)
+                     if rng.random() < 0.3 else w for w in reduced]
+            words += [()] * rng.randint(0, 2)
+            words += [self._with_pairs(rng, (), rank, 1, outside=False)] * rng.randint(0, 1)
+            rng.shuffle(words)
+            expected = tuple(r for r in map(free_reduce, words) if r)
+            key = naive_fold_key(list(expected), rank)
+            for make in (tuple, list, iter, word_to_str):
+                g = stallings_graph([make(w) for w in words], rank)
+                assert g.generators == expected
+                assert all(type(w) is tuple for w in g.generators)
+                assert g.canonical_key() == key
+
+    def test_reduced_generators_take_no_per_word_loop(self, monkeypatch):
+        # Words whose neighbours cancel across their ends, and Schreier
+        # generators, in one C-level pass over all of them.
+        rng = random.Random(89)
+        batches = [[(1, 2), (-2, 1), (-1,), (1, -2)], [(1,), (-1,), (), (1,)], [(), ()]]
+        for size in (8, 64, 256):
+            g = permutation_graph(_transitive_perms(rng, size, 2), 2)
+            batches.append([concat(g.tree_word(v), (s,), inverse_word(g.tree_word(w)))
+                            for v, s, w in g.edges()])
+        expected = [stallings_graph(b, 2) for b in batches]
+        monkeypatch.setattr("geodouble.freegroups._intake_loop", None)
+        for batch, g in zip(batches, expected):
+            got = stallings_graph(batch, 2)
+            assert got == g and got.generators == tuple(w for w in batch if w)
+
+
+NAN = float("nan")
+
+
+class _FirstNan(float):
+    """A NaN with hash 0, which a set holding 0 iterates first: min and max
+    of that set then both return it."""
+
+    def __hash__(self):
+        return 0
+
+
+def _given(gens, make):
+    # Each tuple generator as ``make`` gives it; strings and non-iterables as
+    # they are.  "mixed" cycles through tuple, list and iterator.
+    makes = (tuple, list, iter) if make == "mixed" else (make,)
+    return [makes[i % len(makes)](g) if type(g) is tuple else g for i, g in enumerate(gens)]
+
+
+class TestFirstFault:
+    """Inputs with two faults raise the first one a per-word, per-edge scan
+    meets, with its type and text; non-integer letters that no check rejects
+    are read as they are."""
+
+    @pytest.mark.parametrize("gens, rank, error, message", [
+        # A letter out of range ahead of a string that does not parse.
+        ([(1, 2), (2, 1), (1, 5), "a b"], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+        ([(1, 2), "ae", "a b"], 2, WordError, "letter 'e' outside the rank-2 alphabet"),
+        ([(1,), "ac", (0,)], 2, WordError, "letter 'c' outside the rank-2 alphabet"),
+        # A zero behind an unreduced word.
+        ([(1, -1), "ab", (2, -2, 1), (2, 0), (7,)], 2, WordError,
+         "letter 0 outside the rank-2 alphabet"),
+        ([(1, 2, -2), (0, 1)], 30, WordError, "letter 0 outside the rank-30 alphabet"),
+        # A letter out of range that free reduction would cancel.
+        ([(1,), "bA", (1, 5, -5, 2), (0,)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+        ([(1,), (1, 31, -31), (0,)], 30, WordError, "letter 31 outside the rank-30 alphabet"),
+        # Unhashable and non-integer letters.
+        ([(1,), "b", ([1],), (5,)], 2, TypeError,
+         "'<' not supported between instances of 'list' and 'int'"),
+        ([(1,), (5,), ([1],)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+        ([(NAN,), "a", (5,)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+        ([(_FirstNan("nan"),), "a", (5,)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+        ([(1, 2), "a", (2.5,), (7,)], 2, WordError, "letter 2.5 outside the rank-2 alphabet"),
+        ([(1, 2), "a", ("a",), (7,)], 2, TypeError,
+         "'<' not supported between instances of 'str' and 'int'"),
+        ([(1, -1), (1.5,)], 2, TypeError, "list indices must be integers or slices, not float"),
+        ([(1,), 3, (5,)], 2, TypeError, "'int' object is not iterable"),
+        ([(5,), 3], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+    ])
+    @pytest.mark.parametrize("make", [tuple, list, iter, "mixed"])
+    def test_stallings_graph(self, gens, rank, error, message, make):
+        for outer in (list, iter):
+            with pytest.raises(error) as raised:
+                stallings_graph(outer(_given(gens, make)), rank)
+            assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("rank, adjacency, error, message", [
+        (1, [{1: 0, -1: 0, 2: 0}, {1: 5}], ValueError, "label 2 outside rank 1"),
+        (2, [{1: 0, -1: 0, 2: 3}, {2: 1}], ValueError, "edge 0 --2--> 3 leaves the 2-vertex graph"),
+        (12, [{1: 0, -1: 0, 9: 3}, {9: 1}], ValueError,
+         "edge 0 --9--> 3 leaves the 2-vertex graph"),
+        (2, [{1: 1, -1: 1, 2: 1}, {-1: 0, 1: 0}, {}], ValueError,
+         "edge 0 --2--> 1 lacks its reverse entry"),
+        (12, [{1: 0, -1: 0, 9: 1, -9: 1}, {9: 0, -9: 0, 10: 1}], ValueError,
+         "edge 1 --10--> 1 lacks its reverse entry"),
+        (2, [{1: 1, -1: 2}, {-1: 0}, {1: 0}], ValueError, "vertex 1 is dangling; graph is not core"),
+        (2, [{1: 0, -1: 0}, {2: 1, -2: 1}, {2: 2, -2: 2}], ValueError,
+         "graph is not connected from the base vertex"),
+        (2, [{1: 0, -1: 0, 2: "0"}, {7: 0}], TypeError,
+         "'<=' not supported between instances of 'int' and 'str'"),
+        (12, [{1: 0, -1: 0, 9: 1, -9: 1}, {9: 0, -9: 0, 10: "x"}], TypeError,
+         "'<=' not supported between instances of 'int' and 'str'"),
+        (2, [{1: 0, -1: 0, 2: None}, {1: 9}], TypeError,
+         "'<=' not supported between instances of 'int' and 'NoneType'"),
+        (12, [{1: 0, -1: 0, 9: 1, -9: 1}, {9: 0, -9: 0, 10: None}], TypeError,
+         "'<=' not supported between instances of 'int' and 'NoneType'"),
+        (2, [{1: 0, -1: 0, 2: 0.5}, {7: 0}], TypeError,
+         "list indices must be integers or slices, not float"),
+        (2, [{1: 1.0, -1: 1}, {-1: 0, 1: 0}], TypeError,
+         "list indices must be integers or slices, not float"),
+        (2, [{1: 0, -1: 0, 2: NAN}, {1: 9}], ValueError, "edge 0 --2--> nan leaves the 2-vertex graph"),
+        (2, [{1: 0, -1: 0, "a": 0}, {1: 9}], TypeError, "bad operand type for abs(): 'str'"),
+    ])
+    def test_from_adjacency(self, rank, adjacency, error, message):
+        for outer in (list, iter):
+            with pytest.raises(error) as raised:
+                SubgroupGraph.from_adjacency(rank, outer(adjacency))
+            assert type(raised.value) is error and str(raised.value) == message
+
+    def test_from_adjacency_reads_integer_like_labels_and_targets(self):
+        g = stallings_graph(["aa"], 2)
+        for adjacency in ([{1: True, -1: 1}, {-1: 0, 1: 0}], [{1.0: 1, -1: 1}, {-1: 0, 1: 0}]):
+            adopted = SubgroupGraph.from_adjacency(2, adjacency)
+            assert adopted == g and adopted.export_edge_list() == "0 --a--> 1\n1 --a--> 0"
+
+    @pytest.mark.parametrize("word, error, message", [
+        (([1],), TypeError, "unhashable type: 'list'"),
+        (({},), TypeError, "unhashable type: 'dict'"),
+        ((1, -1, [1]), TypeError, "unhashable type: 'list'"),
+        ((1, [1]), TypeError, "unsupported operand type(s) for +: 'int' and 'list'"),
+        (([1], 1), TypeError, 'can only concatenate list (not "int") to list'),
+        (("a",), TypeError, "'<' not supported between instances of 'str' and 'int'"),
+        ((3.5,), WordError, "letter 3.5 outside the rank-2 alphabet"),
+    ])
+    def test_reads_raise(self, word, error, message):
+        g = stallings_graph(["aa", "b"], 2)
+        for call in (g.trace, g.contains, g.coset_representative):
+            for make in (tuple, list, iter):
+                with pytest.raises(error) as raised:
+                    call(make(word))
+                assert type(raised.value) is error and str(raised.value) == message
+
+    @pytest.mark.parametrize("word, trace, rep", [
+        ((1.5,), None, (1.5,)),
+        ((1, 1.5), None, (1, 1.5)),
+        ((1.0, 1.0), 0, ()),
+        ((True, -1), 0, ()),
+        ((2, NAN, 5), None, (NAN, 5)),
+    ])
+    def test_reads_of_non_integer_letters(self, word, trace, rep):
+        g = stallings_graph(["aa", "b"], 2)
+        for make in (tuple, list, iter):
+            assert g.trace(make(word)) == trace
+            assert g.contains(make(word)) == (trace == 0)
+            got = g.coset_representative(make(word))
+            assert type(got) is tuple and len(got) == len(rep)
+            assert all(x == y or x != x and y != y for x, y in zip(got, rep))
+
 
 class TestSchreier:
     def test_index_three(self):

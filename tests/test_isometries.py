@@ -161,6 +161,53 @@ class TestFixedPoints:
         assert chordal(1e160j, 0) == pytest.approx(2)
         assert chordal(1e160, 2e160) == pytest.approx(2 * 1e160 / (1e160 * 2e160))
 
+    @pytest.mark.parametrize("p, q, expected", [
+        (1e308, -1e308, 4e-308),
+        (-1e308, 1e308, 4e-308),
+        (1e308 * (1 + 1j), -1e308 * (1 + 1j), 2 * math.sqrt(2) * 1e-308),
+        (1e308 * (1 + 1j), 1e308, math.sqrt(2) * 1e-308),
+        (1.7e308, -1e307, 2 * (1 / 1.7e308 + 1 / 1e307)),
+        (1e308 * (1 + 1j), -0.5e308 * (1 + 1j), 3 * math.sqrt(2) * 1e-308),
+    ])
+    def test_chordal_distance_when_the_plain_formula_overflows(self, p, q, expected):
+        # 2|p - q| overflows, or |p - q| does and raises, and the product of
+        # the two norms overflows.
+        try:
+            plain = 2 * abs(p - q) / (math.hypot(1, abs(p)) * math.hypot(1, abs(q)))
+        except OverflowError:
+            plain = math.nan
+        assert math.isnan(plain)
+        assert chordal(p, q) == pytest.approx(expected, rel=1e-6, abs=0)
+        assert chordal(q, p) == chordal(p, q)
+
+    @pytest.mark.parametrize("rows, far_first", [
+        (((1e160, 1), (-1, 0)), True),
+        (((-1e160, 1), (-1, 0)), False),
+        (((1e160j, 1), (-1, 0)), True),
+        (((-1e160j, 1), (-1, 0)), False),
+        (((1e160, 1e5), (-1e-5, 0)), True),
+        (((3e200 + 1e200j, 2), (0.5j, 1e-200)), True),
+        (((1e308, 1), (-1, 0)), True),
+    ])
+    def test_overflowing_discriminant_gives_both_points(self, rows, far_first):
+        # (d - a)^2 overflows, though the points are finite.  They still
+        # sum to (a - d)/c and multiply to -b/c, in the order the finite
+        # formula gives the same matrix with 1e160 or 1e200 scaled to 1e10.
+        g = Isometry.from_rows(rows)
+        a, b, c, d = g.a, g.b, g.c, g.d
+        assert not cmath.isfinite((d - a) * (d - a))
+        fps = fixed_points(g)
+        assert fps.kind == "pair"
+        z1, z2 = fps.points
+        assert cmath.isfinite(z1) and cmath.isfinite(z2)
+        assert abs((z1 + z2) - (a - d) / c) <= 1e-12 * abs((a - d) / c)
+        assert abs(z1 * z2 + b / c) <= 1e-12 * abs(b / c)
+        assert (abs(z1) > abs(z2)) == far_first
+
+    def test_fixed_point_past_the_float_range_rejected(self):
+        with pytest.raises(ValueError, match="fixed points out of floating-point range"):
+            fixed_points(Isometry(1e308, 1e5, -1e-5, 0))
+
 
 class TestCommute:
     def test_diagonal_pair(self):
@@ -205,6 +252,17 @@ class TestCommutingCriterion:
         a = make_pi_rotation(0, INF)
         b = make_pi_rotation(0, INF)
         assert commuting_criterion(a, b) is CommutingCase.SHARED_AXIS
+
+    def test_shared_axis_with_endpoints_near_infinity(self):
+        # Fixed points -1e308, -1e-308 and 1e-308, 1e308: both axes run from
+        # about 0 to about infinity.  |1e308 - (-1e308)| overflows, and the
+        # chordal distance must still read about 4e-308, not nan.
+        a = Isometry(1e308, 1, -1, 0)
+        b = Isometry(-1e308, 1, -1, 0)
+        pa, pb = fixed_points(a).points, fixed_points(b).points
+        assert chordal(pa[0], pb[1]) == pytest.approx(4e-308, rel=1e-6, abs=0)
+        assert commuting_criterion(a, b) is CommutingCase.SHARED_AXIS
+        assert commuting_criterion(b, a) is CommutingCase.SHARED_AXIS
 
     def test_shared_parabolic_point(self):
         a = make_parabolic(2 + 1j, 1)
