@@ -39,6 +39,7 @@ from .presentations import (
     Presentation,
     abelianization,
     abelianization_rank,
+    audit_sweep,
     covering_rank_bound,
     enumerate_audit_cases,
     presentation_from_complex,

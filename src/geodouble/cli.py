@@ -447,13 +447,7 @@ def cmd_audit(args, rep: Report) -> None:
     if args.sweep:
         rep.command += (f" sweep --g-max {args.g_max} --m-max {args.m_max} "
                         f"--l-max {args.l_max}")
-        total = 0
-        all_strict = True
-        for case in presentations.enumerate_audit_cases(args.g_max, args.m_max,
-                                                        args.l_max):
-            report = presentations.rank_audit(case)
-            total += 1
-            all_strict = all_strict and report.strict
+        total, all_strict = presentations.audit_sweep(args.g_max, args.m_max, args.l_max)
         rep.kv("cases", total)
         rep.check("all_final_inequalities_strict", all_strict)
         return

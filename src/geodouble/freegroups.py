@@ -312,17 +312,26 @@ class SubgroupGraph:
     def _locate(self, word: Iterable[int]) -> tuple[int, Word]:
         # _read of the free reduction of ``word``.  The word is read first
         # as given: a read that completes ends where its reduction's does.
-        # A read that stops, at a missing edge, at a letter with no column
-        # (outside the rank, 0 or not an integer) or at an unhashable
-        # letter, is done again on the reduction, which checks the letters.
+        # A read that stops at a missing edge is already _read's answer
+        # when the word has no 0 and no cancelling neighbours, the test
+        # _reduced makes.  Any other stop, at a letter with no column
+        # (outside the rank, 0 or not an integer), at an unhashable letter
+        # or in an unreduced word, is read again on the reduction, which
+        # checks the letters.
         word = tuple(word)
         cols = self._col
         v = 0
+        letters = iter(word)
         try:
-            for s in word:
-                v = cols[s][v]
-                if v is None:
+            for s in letters:
+                nxt = cols[s][v]
+                if nxt is None:
+                    if 0 not in word and 0 not in map(add, word, word[1:]):
+                        rest = (s, *letters)
+                        _check_letters(rest, self.ambient_rank)
+                        return v, rest
                     break
+                v = nxt
             else:
                 return v, ()
         except (KeyError, TypeError):

@@ -64,12 +64,24 @@ class Isometry:
     def __init__(self, a: complex, b: complex, c: complex, d: complex,
                  reversing: bool = False):
         det = a * d - b * c
-        if not cmath.isfinite(det):
+        inf = math.inf
+        try:
+            size = abs(det)
+        except OverflowError:  # finite parts, modulus past the float range
+            size = inf
+        if not size < inf:
             raise ValueError("matrix determinant is not finite: entries too large")
-        if abs(det) < 1e-14:
+        if size < 1e-14:
             raise ValueError("matrix is not invertible")
         s = 1 / cmath.sqrt(det)
-        self.a, self.b, self.c, self.d = a * s, b * s, c * s, d * s
+        a, b, c, d = a * s, b * s, c * s, d * s
+        try:
+            finite = abs(a) < inf and abs(b) < inf and abs(c) < inf and abs(d) < inf
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("matrix entry modulus is not finite: entries too large")
+        self.a, self.b, self.c, self.d = a, b, c, d
         self.reversing = reversing
 
     @classmethod
@@ -119,11 +131,10 @@ class Isometry:
     def is_identity(self, tol: float | Tolerance | None = None) -> bool:
         """Equal to +identity or -identity within tolerance (and preserving)."""
         t = _tol_value(tol)
-        if self.reversing:
+        if self.reversing or abs(self.b) > t or abs(self.c) > t:
             return False
         for sign in (1, -1):
-            if (abs(self.a - sign) <= t and abs(self.d - sign) <= t
-                    and abs(self.b) <= t and abs(self.c) <= t):
+            if abs(self.a - sign) <= t and abs(self.d - sign) <= t:
                 return True
         return False
 

@@ -5,15 +5,21 @@ complex: collapse a spanning tree of the vertex classes, take the
 remaining edge classes as generators, and one relator per face pairing
 (the boundary walk of the glued triangle written in edge-class letters).
 
-``smith_normal_form`` computes invariant factors in polynomial time by
-determinant-modular elimination (Hafner and McCurley 1991): fraction-free
-Bareiss elimination yields the rank r and a nonzero r x r minor D, and the
-extended-gcd row and column steps that follow reduce mod D, so no entry
-reaches D (Bareiss entries are themselves minors, bounded by Hadamard's
-inequality).  The count of invariant factors is the rational rank, which
-drives the abelianization rank used everywhere else.  ``tietze_simplify``
-deduplicates relators by their least rotation (Booth's algorithm), in
-memory linear in the relator length.
+``smith_normal_form`` computes invariant factors in polynomial time.  A
+matrix whose nonzero entries are mostly +-1, as relation matrices of
+presentations are, first goes through a sparse front end: +-1 pivots are
+eliminated on rows kept as dicts, least fill (Markowitz cost) first, each
+adding an invariant factor 1 by unimodular steps.  This is the reduction
+of "badly presented" Z-modules by Havas, Holt and Rees (Linear Algebra
+Appl., 1993).  What is left, or the whole of a dense matrix of general
+entries, goes to determinant-modular elimination (Hafner and McCurley
+1991): fraction-free Bareiss elimination yields the rank r and a nonzero
+r x r minor D, and the extended-gcd row and column steps that follow
+reduce mod D, so no entry reaches D (Bareiss entries are themselves
+minors, bounded by Hadamard's inequality).  The count of invariant factors
+is the rational rank, which drives the abelianization rank used everywhere
+else.  ``tietze_simplify`` deduplicates relators by their least rotation
+(Booth's algorithm), in memory linear in the relator length.
 
 ``rank_audit`` evaluates a region table of affine steps: an arithmetic
 chain bounding twice the rank of the fundamental group of an ambient
@@ -24,17 +30,20 @@ linear in the surface's genus and circle counts.  Topological inputs
 (rank does not drop under doubling, half of the boundary homology
 survives inside, the incompressible-boundary rank gap) enter as named
 assumed steps; all arithmetic between them is exact and the final
-inequality must be strict.
+inequality must be strict.  ``audit_sweep`` walks the same cases as
+``enumerate_audit_cases`` and tests each final margin as an integer from
+the same table, building no per-case objects.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
 from .freegroups import Word, free_reduce, inverse_word, word_to_str
@@ -251,15 +260,85 @@ def _distinct_rows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     sign.  Dropping the others leaves the row lattice, and so the invariant
     factors and the rank, unchanged."""
     rows = [tuple(map(int, row)) for row in matrix]
-    n = len(rows[0]) if rows else 0
-    if any(len(row) != n for row in rows):
+    if len(set(map(len, rows))) > 1:
         raise ValueError("ragged matrix")
     distinct: dict[tuple[int, ...], None] = {}
     for row in dict.fromkeys(rows):
-        lead = next((x for x in row if x), 0)
+        lead = next(filter(None, row), 0)
         if lead:
-            distinct[row if lead > 0 else tuple(-x for x in row)] = None
+            distinct[row if lead > 0 else tuple(map(neg, row))] = None
     return list(distinct)
+
+
+def _unit_pivots(rows: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Eliminate +-1 pivots on sparse rows, least Markowitz cost first.
+
+    A pivot p = +-1 at (i, j) clears column j by adding multiples of row i
+    to the other rows, after which column steps clear row i: both are
+    unimodular, and what is left is p plus the other rows without column j.
+    The cost (entries in row i - 1) * (entries in column j - 1) bounds the
+    fill each pivot makes.  Costs go stale as rows change: a popped pivot
+    whose cost has grown is put back with its new cost, and a changed row
+    puts its +-1 entries in again.  Returns the number of pivots and the
+    distinct nonzero rows left, over the columns still in use."""
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    cols: list[set[int]] = [set() for _ in rows[0]]
+    for i, row in enumerate(sparse):
+        for j in row:
+            cols[j].add(i)
+    heap = [((len(row) - 1) * (len(cols[j]) - 1), i, j)
+            for i, row in enumerate(sparse) for j, x in row.items() if x == 1 or x == -1]
+    heapq.heapify(heap)
+    pivots = 0
+    while heap:
+        cost, i, j = heapq.heappop(heap)
+        row = sparse[i]
+        p = row.get(j)
+        if p != 1 and p != -1:
+            continue
+        targets = cols[j]
+        now = (len(row) - 1) * (len(targets) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, i, j))
+            continue
+        pivots += 1
+        sparse[i] = {}
+        for c in row:
+            cols[c].discard(i)
+        del row[j]
+        for r in targets:
+            other = sparse[r]
+            f = other.pop(j) * p
+            for c, x in row.items():
+                v = other.get(c, 0) - f * x
+                if v:
+                    if c not in other:
+                        cols[c].add(r)
+                    other[c] = v
+                else:
+                    del other[c]
+                    cols[c].discard(r)
+            n = len(other) - 1
+            for c, v in other.items():
+                if v == 1 or v == -1:
+                    heapq.heappush(heap, (n * (len(cols[c]) - 1), r, c))
+        targets.clear()
+    used = [c for c, rs in enumerate(cols) if rs]
+    return pivots, list(dict.fromkeys(tuple(map(row.get, used, itertools.repeat(0)))
+                                      for row in sparse if row))
+
+
+def _mostly_units(rows: list[tuple[int, ...]]) -> bool:
+    """Whether +-1 entries outnumber the other nonzero entries.
+
+    Only then do the front end's pivots pay for its set-up, one pass over
+    the nonzero entries: a dense matrix of general entries has few units,
+    and each elimination mixes its rows into fewer still."""
+    units = zeros = 0
+    for row in rows:
+        units += row.count(1) + row.count(-1)
+        zeros += row.count(0)
+    return 2 * units > len(rows) * len(rows[0]) - zeros
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -345,19 +424,24 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix; r is its
     rank over the rationals.
 
-    Determinant-modular elimination after Hafner and McCurley (1991):
-    zero rows and rows repeated up to sign are dropped; fraction-free
-    Bareiss elimination gives the rank r and a nonzero r x r minor D, which
-    every determinantal divisor Delta_k (k <= r) divides; extended-gcd row
-    and column steps then diagonalise the matrix modulo D, so every entry
-    stays below D.  With the diagonal's gcds with D put into a divisibility
-    chain c1 | c2 | ..., Delta_k = gcd(D, c1*...*ck) and d_k =
-    Delta_k / Delta_(k-1).  Exact over arbitrary-precision integers.
+    Zero rows and rows repeated up to sign are dropped.  When +-1 entries
+    outnumber the other nonzero ones, the sparse front end eliminates +-1
+    pivots first, each an invariant factor 1, and passes on the rows left.
+    Then determinant-modular elimination after Hafner and McCurley (1991):
+    fraction-free Bareiss elimination gives the rank r and a nonzero r x r
+    minor D, which every determinantal divisor Delta_k (k <= r) divides;
+    extended-gcd row and column steps then diagonalise the matrix modulo D,
+    so every entry stays below D.  With the diagonal's gcds with D put into
+    a divisibility chain c1 | c2 | ..., Delta_k = gcd(D, c1*...*ck) and
+    d_k = Delta_k / Delta_(k-1).  Exact over arbitrary-precision integers.
     """
     rows = _distinct_rows(matrix)
+    units = 0
+    if rows and _mostly_units(rows):
+        units, rows = _unit_pivots(rows)
     rank, d = _bareiss(rows)
     if d == 1:
-        return (1,) * rank
+        return (1,) * (units + rank)
     chain = [math.gcd(x, d) for x in _diagonal_mod(rows, d)]
     chain += [d] * (rank - len(chain))
     for i in range(len(chain)):
@@ -370,7 +454,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
         delta = math.gcd(d, minor)
         factors.append(delta // prev)
         prev = delta
-    return tuple(factors)
+    return (1,) * units + tuple(factors)
 
 
 def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
@@ -598,8 +682,9 @@ _REGIONS = {
 }
 
 
-# A sweep meets few distinct values and steps (302 and 1963 at 80/20/20), and
-# a cache hit costs a tenth of building a Fraction or a frozen AuditStep.
+# The cases of a box meet few distinct values and steps (302 and 1963 at
+# 80/20/20), and a cache hit costs a tenth of building a Fraction or a frozen
+# AuditStep.
 @functools.lru_cache(maxsize=1024)
 def _half(numerator: int) -> Fraction:
     return Fraction(numerator, 2)
@@ -636,23 +721,53 @@ def enumerate_audit_cases(genus_max: int, torus_pairs_max: int,
     at the CLI default 10/5/5 and 74 322 at 80/20/20.  A negative maximum
     raises ``AuditError``.
     """
+    return itertools.starmap(AuditCase, _consistent_cases(genus_max, torus_pairs_max,
+                                                          single_circles_max))
+
+
+def audit_sweep(genus_max: int, torus_pairs_max: int,
+                single_circles_max: int) -> tuple[int, bool]:
+    """The number of cases ``enumerate_audit_cases`` gives, and whether
+    ``rank_audit`` finds every final inequality strict.
+
+    Each case's margin c0 + cg*g + cm*m + cl*l - 2*surface_rank is twice
+    ``rank_audit``'s, with (c0, cg, cm, cl) the last step of the case's
+    region in the same table, so it is tested as an integer and no case,
+    step or report object is built.
+    """
+    cases = _consistent_cases(genus_max, torus_pairs_max, single_circles_max)
+    bound = {region: steps[-1][1] for region, steps in _REGIONS.items()}
+    count, all_strict = 0, True
+    for g, m, l, orientable, separating, same_component in cases:
+        k = 2 * m + l
+        c0, cg, cm, cl = bound[orientable, separating, same_component, k > 0]
+        count += 1
+        if c0 + cg * g + cm * m + cl * l <= 2 * surface_rank(g, k, orientable):
+            all_strict = False
+    return count, all_strict
+
+
+def _consistent_cases(genus_max: int, torus_pairs_max: int, single_circles_max: int
+                      ) -> Iterator[tuple[int, int, int, bool, bool, bool]]:
+    """The fields of every consistent case, in the one case order; checks
+    the maxima before the first case is asked for."""
     for name, value in (("genus_max", genus_max), ("torus_pairs_max", torus_pairs_max),
                         ("single_circles_max", single_circles_max)):
         if value < 0:
             raise AuditError(f"{name} must be >= 0, got {value}")
-    return _consistent_cases(genus_max, torus_pairs_max, single_circles_max)
+    return _case_fields(genus_max, torus_pairs_max, single_circles_max)
 
 
-def _consistent_cases(genus_max: int, torus_pairs_max: int,
-                      single_circles_max: int) -> Iterator[AuditCase]:
+def _case_fields(genus_max: int, torus_pairs_max: int, single_circles_max: int
+                 ) -> Iterator[tuple[int, int, int, bool, bool, bool]]:
     for g, m, l in itertools.product(range(genus_max + 1),
                                      range(torus_pairs_max + 1),
                                      range(single_circles_max + 1)):
         if l == 0:
-            yield AuditCase(g, m, l, True, True, False)
+            yield g, m, l, True, True, False
         if m or l:
-            yield AuditCase(g, m, l, True, False, True)
+            yield g, m, l, True, False, True
         if l == 0:
-            yield AuditCase(g, m, l, True, False, False)
+            yield g, m, l, True, False, False
         if g:
-            yield AuditCase(g, m, l, False, False, False)
+            yield g, m, l, False, False, False

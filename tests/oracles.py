@@ -547,6 +547,56 @@ def minors_invariant_factors(matrix) -> tuple[int, ...]:
     return tuple(dets_gcd[k] // dets_gcd[k - 1] for k in range(1, len(dets_gcd)))
 
 
+def local_smith_exponents(matrix, p: int, e: int) -> list[int]:
+    """Smith form over Z/p^e: the exponents k_1 <= k_2 <= ... of its
+    diagonal p^k_i, one per place of the min(rows, cols) diagonal, with e
+    for a diagonal 0.  They are min(v_p(d_i), e) for the invariant factors
+    d_i, and e past the rank.
+
+    Over the local ring every nonzero entry is p^k times a unit, so the
+    pivot is an entry of least valuation k: it divides every other entry of
+    its row and column, which clear without gcd steps.  When no entry has
+    valuation ``low``, all are divisible by p^(low+1), and the search goes
+    one power up."""
+    q = p ** e
+    rows = [[x % q for x in row] for row in matrix]
+    places = min(len(rows), len(rows[0]) if rows else 0)
+    exponents: list[int] = []
+    low = 0
+    while len(exponents) < places and low < e:
+        step = p ** (low + 1)
+        found = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row)
+                      if x % step), None)
+        if found is None:
+            low += 1
+            continue
+        i, j = found
+        top = rows.pop(i)
+        unit = pow(top[j] // p ** low, -1, q)
+        for r, row in enumerate(rows):
+            if row[j]:
+                f = row[j] // p ** low * unit
+                rows[r] = [(x - f * y) % q for x, y in zip(row, top)]
+        # Column j is 0 below the pivot, so column steps clear the pivot's
+        # row without touching the others: drop both.
+        for row in rows:
+            del row[j]
+        exponents.append(low)
+    return exponents + [e] * (places - len(exponents))
+
+
+def truncated_exponents(factors, places: int, p: int, e: int) -> list[int]:
+    """min(v_p(d), e) for each invariant factor, then e up to ``places``."""
+    out = []
+    for d in factors:
+        k = 0
+        while d % p == 0 and k < e:
+            d //= p
+            k += 1
+        out.append(k)
+    return sorted(out) + [e] * (places - len(out))
+
+
 def _det_over_q(matrix) -> int:
     """Determinant by Gaussian elimination over the rationals, for sizes the
     cofactor expansion in ``_det`` cannot reach."""

@@ -379,6 +379,31 @@ class TestIso:
         line = run_error(capsys, "iso", "classify", "--m", "1e200,1e200;-1e200,1e200")
         assert line == "error: matrix determinant is not finite: entries too large"
 
+    @pytest.mark.parametrize("argv", [
+        ("iso", "classify", "--m", "1.5e308+1.5e308j,1;-1,0"),
+        ("iso", "classify", "--m", "1,1.5e308-1.5e308j;0,1"),
+        ("iso", "commute", "--m1", "1,1;0,1", "--m2", "0,-1;1,1.5e308+1.5e308j"),
+        # det = 4e-14: normalising multiplies by 1/sqrt(det) = 5e6, and the
+        # entry 1e308 becomes infinite.
+        ("iso", "classify", "--m", "1e308,2e-7;-2e-7,0"),
+    ])
+    def test_overflowing_entry_modulus_rejected(self, capsys, argv):
+        line = run_error(capsys, *argv)
+        assert line == "error: matrix entry modulus is not finite: entries too large"
+
+    def test_overflowing_entry_modulus_has_no_traceback(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-m", "geodouble", "iso", "classify", "--m",
+             "1.5e308+1.5e308j,1;-1,0"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: matrix entry modulus is not finite: entries too large\n"
+
+    def test_overflowing_determinant_modulus_rejected(self, capsys):
+        # det = 1.5e308 + 1.5e308i has finite parts; its modulus overflows.
+        line = run_error(capsys, "iso", "classify", "--m", "1.5e308+1.5e308j,0;0,1")
+        assert line == "error: matrix determinant is not finite: entries too large"
+
     def test_huge_trace_classifies_without_overflow(self, capsys):
         code, out = run(capsys, "iso", "classify", "--m", "1e200,0;0,1e-200")
         assert code == 0
@@ -455,6 +480,29 @@ class TestPresAudit:
                         "--m-max", "3", "--l-max", "3")
         assert code == 0
         assert "PASS all_final_inequalities_strict" in out
+
+    @pytest.mark.parametrize("box, cases", [(("10", "5", "5"), 877),
+                                            (("80", "20", "20"), 74322)])
+    def test_audit_sweep_output(self, capsys, box, cases):
+        code, out = run(capsys, "audit", "--sweep", "--g-max", box[0],
+                        "--m-max", box[1], "--l-max", box[2])
+        assert code == 0
+        assert out == (f"command: audit sweep --g-max {box[0]} --m-max {box[1]} "
+                       f"--l-max {box[2]}\ncases = {cases}\n"
+                       "PASS all_final_inequalities_strict\n")
+
+    def test_audit_sweep_fails_on_a_zero_margin(self, capsys, monkeypatch):
+        # The orientable separating region without circles bounds twice the
+        # ambient rank by 4 + 4g against 2 * surface rank = 4g.  A bound of
+        # 5g leaves margin g, which is 0 at the one case g = 0 of that region.
+        region = (True, True, False, False)
+        steps = presentations._REGIONS[region]
+        label, _, assumed, strict = steps[-1]
+        monkeypatch.setitem(presentations._REGIONS, region,
+                            steps[:-1] + ((label, (0, 5, 0, 0), assumed, strict),))
+        code, out = run(capsys, "audit", "--sweep")
+        assert code == 1
+        assert out.splitlines()[1:] == ["cases = 877", "FAIL all_final_inequalities_strict"]
 
     def test_audit_inconsistent_params(self, capsys):
         assert main(["audit", "--g", "2", "--m", "1", "--l", "1",

@@ -656,6 +656,63 @@ class TestWordIntake:
         assert [g.coset_representative(w) for w in words] == reps
         assert g.contains(self._with_pairs(rng, (), 3, 5, outside=False))
 
+    @staticmethod
+    def _outcomes(g, word, read):
+        # (trace, contains, coset_representative) from ``read``, a (vertex,
+        # rest) pair, or the type and text of what computing it raised.
+        try:
+            v, rest = read()
+        except Exception as exc:
+            return type(exc), str(exc)
+        trace = None if rest else v
+        return trace, trace == 0, g.tree_word(v) + rest
+
+    def test_stopped_reads_match_a_read_of_the_reduction(self):
+        # Folds of a few short words are mostly of infinite index, so most
+        # reads stop.  Words are reduced, unreduced, or carry a 0, a letter
+        # outside the rank or a letter that is not an int.  Free reduction
+        # raises its own texts on non-int letters, so those words are held
+        # to a read of _reduced(w), the path every stopped read took before.
+        rng = random.Random(97)
+        for _ in range(60):
+            rank = rng.randint(2, 4)
+            g = stallings_graph([_random_reduced(rng, rank, rng.randint(1, 6))
+                                 for _ in range(rng.randint(1, 3))], rank)
+            odd = (0, rank + 1, -rank - 2, 1.5, -0.5, 2.0, True, "x", None, (1,))
+            for kind in [0, 1, 2, 3] * 8:
+                w = _random_reduced(rng, rank, rng.randint(1, 9)) if rng.random() < 0.9 else ()
+                if kind == 1:
+                    w = self._with_pairs(rng, w, rank, rng.randint(1, 3))
+                elif kind >= 2:
+                    i = rng.randint(0, len(w))
+                    w = w[:i] + (rng.choice(odd),) + w[i:]
+                reduce = free_reduce if all(type(s) is int for s in w) else _reduced
+                expected = self._outcomes(g, w, lambda: g._read(reduce(w)))
+                for make in (tuple, list, iter):
+                    got = []
+                    for call in (g.trace, g.contains, g.coset_representative):
+                        try:
+                            got.append(call(make(w)))
+                        except Exception as exc:
+                            got = (type(exc), str(exc))
+                            break
+                    assert tuple(got) == expected, w
+
+    def test_stopped_reduced_reads_read_once(self, monkeypatch):
+        # A reduced word whose read stops at a missing edge is answered by
+        # that read alone: no reduction and no second read.
+        rng = random.Random(101)
+        g = stallings_graph(["aab", "bAba", "cc"], 3)
+        words = [_random_reduced(rng, 3, rng.randint(1, 12)) for _ in range(300)]
+        expected = [(g.trace(w), g.coset_representative(w)) for w in words]
+        assert sum(trace is None for trace, _ in expected) > 250
+        monkeypatch.setattr("geodouble.freegroups._reduced", None)
+        monkeypatch.setattr(SubgroupGraph, "_read", None)
+        assert [(g.trace(w), g.coset_representative(w)) for w in words] == expected
+        with pytest.raises(WordError) as raised:
+            g.trace((1, 2, 4))
+        assert str(raised.value) == "letter 4 outside the rank-3 alphabet"
+
     def test_generator_intake_matches_the_per_word_loop(self):
         # Shuffled generators, some unreduced and some empty, given as
         # tuples, lists, iterators and strings.

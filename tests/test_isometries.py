@@ -58,6 +58,30 @@ class TestClassify:
         with pytest.raises(ValueError, match="not finite"):
             Isometry(1e200, 1e200, -1e200, 1e200)
 
+    @pytest.mark.parametrize("entries", [
+        (1.5e308 + 1.5e308j, 1, -1, 0),                 # finite parts, modulus past the range
+        (1, 0, 1.5e308 - 1.5e308j, 1),
+        (1e308, 2e-7, -2e-7, 0),                        # 1e308 / sqrt(4e-14) is infinite
+    ])
+    def test_overflowing_entry_modulus_rejected(self, entries):
+        with pytest.raises(ValueError) as raised:
+            Isometry(*entries)
+        assert str(raised.value) == "matrix entry modulus is not finite: entries too large"
+
+    def test_overflowing_determinant_modulus_rejected(self):
+        with pytest.raises(ValueError) as raised:
+            Isometry(1.5e308 + 1.5e308j, 0, 0, 1)
+        assert str(raised.value) == "matrix determinant is not finite: entries too large"
+
+    @pytest.mark.parametrize("entries", [
+        (1.2e308 + 1.2e308j, 1, -1, 0),                 # modulus 1.7e308, still finite
+        (1e308, 1e308, 1e-308, 2e-308),                 # moduli sum past the range
+    ])
+    def test_largest_finite_moduli_accepted(self, entries):
+        g = Isometry(*entries)
+        assert not g.is_identity()
+        assert max(abs(g.a), abs(g.b), abs(g.c), abs(g.d)) < math.inf
+
     def test_huge_trace_is_loxodromic(self):
         g = Isometry(1e200, 0, 0, 1e-200)
         assert classify(g) is ElementClass.LOXODROMIC

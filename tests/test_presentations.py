@@ -19,6 +19,7 @@ from geodouble.presentations import (
     Presentation,
     abelianization,
     abelianization_rank,
+    audit_sweep,
     covering_rank_bound,
     cyclic_reduce,
     enumerate_audit_cases,
@@ -29,6 +30,7 @@ from geodouble.presentations import (
     smith_normal_form,
     surface_rank,
     tietze_simplify,
+    _REGIONS,
     _cyclic_canonical,
 )
 from geodouble.triangulation import GluingError, glue, parse_scheme
@@ -38,10 +40,12 @@ from oracles import (
     _det_over_q,
     _rank_over_q,
     chain_h1_rank,
+    local_smith_exponents,
     minors_invariant_factors,
     naive_cyclic_reduce,
     reference_audit_cases,
     reference_rank_audit,
+    truncated_exponents,
 )
 
 
@@ -386,6 +390,108 @@ class TestSmithNormalForm:
         assert math.prod(factors) == abs(_det_over_q(m))
 
 
+def planted(rng, rows, cols, diag, moves):
+    """diag(d) after ``moves`` random row and as many column additions of
+    +-1 times another row or column, rows shuffled: U diag(d) V with U and V
+    unimodular, whose invariant factors are the nonzero d when d is a
+    divisibility chain."""
+    m = [[diag[i] if i == j and i < len(diag) else 0 for j in range(cols)]
+         for i in range(rows)]
+    for _ in range(moves):
+        i, j = rng.sample(range(rows), 2)
+        c = rng.choice((1, -1))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        i, j = rng.sample(range(cols), 2)
+        c = rng.choice((1, -1))
+        for row in m:
+            row[i] += c * row[j]
+    rng.shuffle(m)
+    return m
+
+
+def sparse_unit_matrix(rng, rows, cols, per_row):
+    m = [[0] * cols for _ in range(rows)]
+    for row in m:
+        for j in rng.sample(range(cols), min(per_row, cols)):
+            row[j] = rng.choice((1, -1))
+    return m
+
+
+class TestSmithLocalOracle:
+    """``smith_normal_form`` against Smith forms over Z/p^e, which share no
+    code with it: min(v_p(d_i), e) for each invariant factor d_i."""
+
+    PRIMES = (2, 3, 5, 7)
+
+    def assert_local_forms(self, m, factors, primes=PRIMES, e=4):
+        places = min(len(m), len(m[0]))
+        for p in primes:
+            assert truncated_exponents(factors, places, p, e) == local_smith_exponents(m, p, e)
+
+    def test_local_forms_match_minors(self):
+        rng = random.Random(107)
+        for _ in range(150):
+            m = random_matrix(rng, max_dim=5, bound=12)
+            if rng.random() < 0.5:
+                m = [[x if rng.random() < 0.4 else 0 for x in row] for row in m]
+            factors = minors_invariant_factors(m)
+            for e in (1, 2, 5):
+                self.assert_local_forms(m, factors, e=e)
+
+    def test_random_sparse_and_dense_matrices(self):
+        # 500 sparse +-1 matrices up to 60 x 60 and 500 dense ones: one in
+        # twenty of those is drawn up to 60 x 60 and the rest up to 12 x 12,
+        # since the dense path costs about (size)^3 big-integer steps.
+        rng = random.Random(109)
+        for trial in range(1000):
+            if trial % 2:
+                rows, cols = rng.randint(1, 60), rng.randint(1, 60)
+                m = sparse_unit_matrix(rng, rows, cols, rng.randint(1, 4))
+            else:
+                top = 60 if trial % 40 == 0 else 12
+                rows, cols = rng.randint(1, top), rng.randint(1, top)
+                m = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            factors = smith_normal_form(m)
+            assert_divisibility_chain(factors)
+            self.assert_local_forms(m, factors, e=rng.randint(1, 6))
+
+    @pytest.mark.parametrize("n", [60, 600])
+    def test_planted_factors(self, n):
+        rng = random.Random(113 + n)
+        chain = [1] * (n - n // 10)
+        for _ in range(n // 10):
+            chain.append(chain[-1] * rng.choice((1, 2, 3)))
+        diag = chain[:n - n // 30] + [0] * (n // 30)
+        m = planted(rng, n, n, diag, n)
+        factors = smith_normal_form(m)
+        assert factors == tuple(d for d in diag if d)
+        self.assert_local_forms(m, factors, e=3)
+
+    def test_front_end_leaves_the_factors_unchanged(self, monkeypatch):
+        # The same matrices with the unit-pivot front end and without it.
+        rng = random.Random(127)
+        matrices = [relator_matrix(Presentation(g, tuple(random_relators(rng, g, g))))
+                    for g in (4, 8, 12, 16, 20) for _ in range(20)]
+        matrices += [sparse_unit_matrix(rng, rng.randint(1, 40), rng.randint(1, 40), 3)
+                     for _ in range(60)]
+        matrices += [planted(rng, 30, 25, [1] * 20 + [2, 2, 6], 40) for _ in range(10)]
+        with_front_end = [smith_normal_form(m) for m in matrices]
+        monkeypatch.setattr("geodouble.presentations._mostly_units", lambda rows: False)
+        assert [smith_normal_form(m) for m in matrices] == with_front_end
+
+    def test_sparse_probe_scale_guard(self):
+        # 604 x 601 with four +-1 entries a row, the shape of the doubled
+        # family's relation matrix at n = 100: the dense path alone took
+        # about 10 s; the front end clears all but about 80 rows.
+        rng = random.Random(131)
+        m = sparse_unit_matrix(rng, 604, 601, 4)
+        start = time.perf_counter()
+        factors = smith_normal_form(m)
+        assert time.perf_counter() - start < 2.0
+        assert_divisibility_chain(factors)
+        self.assert_local_forms(m, factors, (2,), e=2)
+
+
 class TestAbelianization:
     def test_closed_surface_rank(self):
         for g in (1, 2, 3):
@@ -602,6 +708,60 @@ class TestRankAuditTable:
     def test_negative_maximum_rejected(self, box, name):
         with pytest.raises(AuditError, match=f"{name} must be >= 0"):
             enumerate_audit_cases(*box)
+
+
+class TestAuditSweep:
+    """``audit_sweep`` checks margins as integers from the region table; it
+    must count and judge the cases as the reference chain does."""
+
+    @staticmethod
+    def reference_cells(box):
+        # Per (g, m, l): the number of consistent cases and whether each
+        # reference chain ends strictly.
+        cells = {}
+        for case in reference_audit_cases(*box):
+            key = (case.genus, case.torus_pairs, case.single_circles)
+            count, strict = cells.get(key, (0, True))
+            cells[key] = count + 1, strict and reference_rank_audit(case).strict
+        return cells
+
+    def test_every_box_up_to_12_6_6(self):
+        cells = self.reference_cells((12, 6, 6))
+        for box in itertools.product(range(13), range(7), range(7)):
+            inside = [value for (g, m, l), value in cells.items()
+                      if g <= box[0] and m <= box[1] and l <= box[2]]
+            expected = sum(c for c, _ in inside), all(s for _, s in inside)
+            assert audit_sweep(*box) == expected, box
+
+    @given(st.integers(-2, 16), st.integers(-2, 8), st.integers(-2, 8))
+    def test_drawn_boxes(self, g, m, l):
+        try:
+            cases = list(enumerate_audit_cases(g, m, l))
+        except AuditError as exc:
+            with pytest.raises(AuditError) as caught:
+                audit_sweep(g, m, l)
+            assert str(caught.value) == str(exc)
+            return
+        assert cases == list(reference_audit_cases(g, m, l))
+        expected = len(cases), all(reference_rank_audit(c).strict for c in cases)
+        assert audit_sweep(g, m, l) == expected
+
+    def test_large_box_scale_guard(self):
+        # The case-count formula at 80/20/20.
+        assert audit_sweep(80, 20, 20) == (74322, True)
+
+    def test_zero_margin_fails(self, monkeypatch):
+        # A bound of 5g in the orientable separating region without circles
+        # leaves margin g against 2 * surface rank = 4g: 0 at g = 0 only.
+        region = (True, True, False, False)
+        steps = _REGIONS[region]
+        label, _, assumed, strict = steps[-1]
+        monkeypatch.setitem(_REGIONS, region,
+                            steps[:-1] + ((label, (0, 5, 0, 0), assumed, strict),))
+        margins = [rank_audit(case).margin for case in enumerate_audit_cases(10, 5, 5)]
+        assert margins.count(0) == 1 and min(margins) == 0
+        assert audit_sweep(10, 5, 5) == (877, False)
+        assert audit_sweep(0, 0, 0) == (2, False)
 
 
 class TestAuditRecords:
