@@ -3,7 +3,8 @@
 ``presentation_from_complex`` reads a group presentation off a glued
 complex: collapse a spanning tree of the vertex classes, take the
 remaining edge classes as generators, and one relator per face pairing
-(the boundary walk of the glued triangle written in edge-class letters).
+(the boundary walk of the glued triangle written in edge-class letters),
+built as three letter columns, one per step of the walk.
 
 ``smith_normal_form`` computes invariant factors in polynomial time.  A
 matrix whose nonzero entries are mostly +-1, as relation matrices of
@@ -86,27 +87,15 @@ class Presentation:
                 cleaned.append(w)
         object.__setattr__(self, "relators", tuple(cleaned))
 
-    @classmethod
-    def _trusted(cls, generator_count: int, relators: Iterable[Word]) -> "Presentation":
-        """Skip the letter-range check for letters known to lie in range; still
-        reduce.  Letters are nonzero, so a word whose letters, read
-        cyclically, have no zero-sum neighbours is already cyclically reduced,
-        and a C-level pass finds it so; only the others are reduced."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "relators", tuple(filter(None, (
-            cyclic_reduce(w) if 0 in map(add, w, w[1:] + w[:1]) else w for w in relators))))
-        return self
-
     def __str__(self) -> str:
         gens = ", ".join(chr(ord("a") + i) for i in range(self.generator_count))
         rels = ", ".join(word_to_str(r) for r in self.relators)
         return f"< {gens} | {rels} >"
 
 
-# The edges of each face, counted from 0, with their walk signs, by face index.
-_EDGE_WALKS = tuple(tuple((e - 1, w) for e, w in zip(FACES[name], FACE_WALK_SIGNS[name]))
-                    for name in FACE_NAMES)
+# Step j of each face's walk, by face index: the edge, counted from 0, and its walk sign.
+_EDGE_WALKS = tuple(tuple((FACES[name][j] - 1, FACE_WALK_SIGNS[name][j]) for name in FACE_NAMES)
+                    for j in range(3))
 
 
 def presentation_from_complex(complex: GluedComplex) -> Presentation:
@@ -130,10 +119,7 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
         incident[vi].append((idx, vt))
         incident[vt].append((idx, vi))
 
-    in_tree = [False] * n_edges
-    seen = [False] * n_vertices
-    seen[0] = True
-    queue = [0]
+    in_tree, seen, queue = [False] * n_edges, [True] + [False] * (n_vertices - 1), [0]
     for v in queue:
         for idx, w in incident[v]:
             if not seen[w]:
@@ -144,17 +130,29 @@ def presentation_from_complex(complex: GluedComplex) -> Presentation:
     # The generator of each edge class and the signed letter of each edge item, 0 on the tree.
     gens = itertools.count(1)
     gen_index = [0 if tree else next(gens) for tree in in_tree]
-    letters = [gen_index[k] * s for k, s in zip(complex.classes[:6 * complex.scheme.tet_count],
-                                                 complex.signs)]
-
-    relators = []
     scheme = complex.scheme
-    for tet, face in zip(scheme.a_tets, scheme.a_faces):
-        x = 6 * (tet - 1)
-        (e, u), (f, v), (g, w) = _EDGE_WALKS[face]
-        relators.append(tuple(filter(None, (letters[x + e] * u, letters[x + f] * v,
-                                            letters[x + g] * w))))
-    return Presentation._trusted(in_tree.count(False), relators)
+    n = scheme.tet_count
+    letters = [gen_index[k] * s for k, s in zip(complex.classes[:6 * n], complex.signs)]
+
+    # Step j of all a-face walks is one column, read at the slots 4 * tet +
+    # face index of a table filled with every sixth letter.  A word is reduced
+    # unless a letter is 0 (the tree) or two cyclic neighbours sum to 0.
+    slots = [4 * t + f for t, f in zip(scheme.a_tets, scheme.a_faces)]
+    signed = {1: letters, -1: list(map(neg, letters))}
+    columns = []
+    for walks in _EDGE_WALKS:
+        table = [0] * (4 * n + 4)
+        for face, (e, w) in enumerate(walks):
+            table[4 + face::4] = signed[w][e::6]
+        columns.append([table[x] for x in slots])
+    a, b, c = columns
+    words, row = zip(a, b, c), a + b + c
+    if 0 in row or 0 in map(add, row, b + c + a):
+        words = filter(None, [cyclic_reduce(filter(None, word)) for word in words])
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "generator_count", in_tree.count(False))
+    object.__setattr__(p, "relators", tuple(words))
+    return p
 
 
 # -- Tietze simplification -----------------------------------------------------
@@ -341,6 +339,14 @@ def _mostly_units(rows: list[tuple[int, ...]]) -> bool:
     return 2 * units > len(rows) * len(rows[0]) - zeros
 
 
+def _front_end(matrix: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The count of +-1 pivots (factors 1) and the distinct nonzero rows left."""
+    rows = _distinct_rows(matrix)
+    if rows and _mostly_units(rows):
+        return _unit_pivots(rows)
+    return 0, rows
+
+
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Rank r and D = |last nonzero pivot| of fraction-free elimination with
     row and column pivoting.  D is a nonzero r x r minor of the matrix, and
@@ -435,10 +441,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     a divisibility chain c1 | c2 | ..., Delta_k = gcd(D, c1*...*ck) and
     d_k = Delta_k / Delta_(k-1).  Exact over arbitrary-precision integers.
     """
-    rows = _distinct_rows(matrix)
-    units = 0
-    if rows and _mostly_units(rows):
-        units, rows = _unit_pivots(rows)
+    units, rows = _front_end(matrix)
     rank, d = _bareiss(rows)
     if d == 1:
         return (1,) * (units + rank)
@@ -458,8 +461,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by fraction-free elimination alone."""
-    return _bareiss(_distinct_rows(matrix))[0]
+    """Rank over the rationals: the front end's pivots plus the rank that
+    fraction-free elimination finds in the rows left."""
+    units, rows = _front_end(matrix)
+    return units + _bareiss(rows)[0]
 
 
 # -- abelianization -------------------------------------------------------------

@@ -25,7 +25,9 @@ A ``GluingScheme`` stores one entry per pairing in five integer columns,
 sorted by the lesser face a: the tetrahedron and face index of a and of b,
 and the rotation.  Face indices 0..3 follow name order (``FACE_NAMES``), so
 the slot 4t + index orders faces as (t, name) does.  ``FacePairing``
-records are made only when ``pairings`` is read.
+records are made only when ``pairings`` is read.  ``parse_scheme`` reads
+``render_scheme``'s text of a scheme with no rotations by columns, if sorted,
+in range and on distinct faces; other text, and so every error, goes by lines.
 
 What a pairing identifies depends only on its two faces and its rotation,
 so a table built at import holds all 4 * 4 * 3 = 48 cases: three edge
@@ -45,8 +47,10 @@ the record views such as ``edge_classes`` are built on first read.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 from typing import Iterable, Iterator
 
 EDGE_ENDS: dict[int, tuple[int, int]] = {
@@ -238,14 +242,35 @@ def _face_token(token: str) -> tuple[int, str]:
         raise SchemeError(f"bad tetrahedron index in {token!r}") from None
 
 
+_CANONICAL = re.compile(r"tets [1-9][0-9]*\n(?:pair [1-9][0-9]*\.(?:{0}) [1-9][0-9]*\.(?:{0})\n)*"
+                        .format("|".join(FACE_NAMES)))
+
+
 def parse_scheme(text: str) -> GluingScheme:
     """Parse the line-oriented scheme format.
 
     Header ``tets N``, then ``pair <i>.<face> <j>.<face> [edgeorder p q r]``
     per pairing; ``#`` starts a comment.  The optional edgeorder lists the
     second face's edges in the order they meet the first face's listed
-    triple, and must preserve its cyclic order.
+    triple, and must preserve its cyclic order.  Canonical text (``_CANONICAL``,
+    with no comment, edgeorder or leading zero) is read by columns; all other
+    text, and every error, comes from the line reader ``_parse_lines``.
     """
+    if _CANONICAL.fullmatch(text):
+        tokens = text.replace(".", " ").split()
+        n, a_tets, b_tets = int(tokens[1]), *(tuple(map(int, tokens[k::5])) for k in (3, 5))
+        a_faces, b_faces = (tuple(map(_FACE_INDEX.__getitem__, tokens[k::5])) for k in (4, 6))
+        sa = [4 * t + f for t, f in zip(a_tets, a_faces)]
+        sb = [4 * t + f for t, f in zip(b_tets, b_faces)]
+        # Sorted, lesser face first (so b has the greatest tet index), each face once.
+        if (all(map(lt, sa, sa[1:])) and all(map(lt, sa, sb))
+                and max(b_tets, default=0) <= n and len(set(sa).union(sb)) == 2 * len(sa)):
+            return GluingScheme._from_columns(n, (a_tets, a_faces, b_tets, b_faces, (0,) * len(sa)))
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> GluingScheme:
+    """``parse_scheme`` line by line, with every check and its message."""
     tet_count: int | None = None
     rows = []
     claimed: set[int] = set()

@@ -664,6 +664,43 @@ def chain_h1_rank(complex: GluedComplex) -> int:
     return (n_e - rank_d1) - rank_d2
 
 
+def reference_face_words(complex: GluedComplex) -> tuple[int, list[Word]]:
+    """The generator count and the unreduced face words of the presentation
+    ``presentation_from_complex`` reads off a connected complex, from the
+    public columns alone: the tree is a breadth-first search from vertex
+    class 0 over the edge classes in order, each edge class joining the
+    vertex classes at the tail and head of its least item; the other edge
+    classes are the generators 1, 2, ... in order; each pairing's a-face is
+    walked edge by edge, letter (generator of the edge's class) * (the
+    edge's sign in its class) * (walk sign), tree edges left out."""
+    n = complex.scheme.tet_count
+    edge_class, corner_class = complex.classes[:6 * n], complex.classes[6 * n:10 * n]
+    ends = {}
+    for x, k in enumerate(edge_class):
+        if k not in ends:
+            tail, head = EDGE_ENDS[x % 6 + 1]
+            ends[k] = (corner_class[4 * (x // 6) + tail], corner_class[4 * (x // 6) + head])
+    tree, seen, queue = set(), {0}, [0]
+    for v in queue:
+        for k in sorted(ends):
+            for here, there in (ends[k], ends[k][::-1]):
+                if here == v and there not in seen:
+                    seen.add(there)
+                    tree.add(k)
+                    queue.append(there)
+    gen = {k: i + 1 for i, k in enumerate(k for k in sorted(ends) if k not in tree)}
+    words = []
+    for tet, face in zip(complex.scheme.a_tets, complex.scheme.a_faces):
+        name = sorted(FACES)[face]
+        word = []
+        for edge, walk in zip(FACES[name], FACE_WALK_SIGNS[name]):
+            x = 6 * (tet - 1) + edge - 1
+            if edge_class[x] not in tree:
+                word.append(gen[edge_class[x]] * complex.signs[x] * walk)
+        words.append(tuple(word))
+    return len(gen), words
+
+
 # -- ratio scan ---------------------------------------------------------------------
 
 

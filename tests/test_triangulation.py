@@ -248,6 +248,72 @@ class TestParsing:
             parse_scheme("tets 1\npair 1.132 1.453 edgeorder 4 3 5\n")
 
 
+# Canonical text and its near misses; each mutant is (old, new) replaced once.
+CANONICAL = "tets 3\npair 1.132 2.453\npair 1.264 3.516\npair 1.453 2.132\npair 2.264 3.132\n"
+MUTANTS = [
+    ("\n", "\r\n"), ("tets 3\n", "tets 3\r\n"), (" ", "\t"), ("1.264 ", "1.264\t"),
+    ("2.453\n", "2.453 \n"), ("3.132\n", "3.132"), ("tets 3\n", "# note\ntets 3\n"),
+    ("3.516\n", "3.516  # trailing\n"), ("2.453\n", "2.453\n\n"), ("tets 3\n", "\ntets 3\n"),
+    ("1.132", "1.132.2"), ("1.132", "01.132"), ("3.516", "1_0.516"), ("3.516", "\u0663.516"),
+    ("2.132", "\uff12.132"), ("1.132", "0.132"), ("3.516", "4.516"), ("2.453", "1.453"),
+    ("2.453", "1.132"), ("1.132 2.453", "2.453 1.132"), ("1.264 3.516", "1.264 1.264"),
+    ("tets 3", "tets 0"), ("tets 3", "tets 03"), ("tets 3", "tets 1"), ("tets 3", "tets 4"),
+    ("pair 1.264 3.516\n", ""), ("1.132", "1.123"), ("pair 1.132", "pair  1.132"),
+    ("2.453\n", "2.453 edgeorder 4 5 3\n"), ("2.453\n", "2.453 edgeorder 3 4 5\n"),
+    ("pair 1.132 2.453\npair 1.264 3.516", "pair 1.264 3.516\npair 1.132 2.453"),
+    ("pair 1.264", "Pair 1.264"),
+]
+
+
+def parse_outcome(parse, text):
+    """What a parser gives for text: the scheme, or its error text and line."""
+    try:
+        return parse(text)
+    except SchemeError as exc:
+        return str(exc), exc.line
+
+
+class TestParsePaths:
+    """``parse_scheme`` reads canonical text by columns and leaves every
+    other text to the line reader ``_parse_lines``: both must agree."""
+
+    def test_paths_agree(self, monkeypatch):
+        rng = random.Random(43)
+        texts = [render_scheme(family_scheme(n)) for n in (4, 5, 17)]
+        texts += [CANONICAL.replace(old, new, 1) for old, new in MUTANTS]
+        for i in range(300):
+            scheme = random_closed_scheme(rng, max_tets=8)
+            keep = 1.0 if i % 2 else 0.6
+            pairings = [p for p in scheme.pairings if rng.random() < keep]
+            if i % 3 == 0:
+                pairings = [FacePairing(p.a, p.b) for p in pairings]
+            texts.append(render_scheme(GluingScheme(scheme.tet_count, pairings)))
+        # Single-character edits of canonical text.
+        for _ in range(400):
+            text = rng.choice(texts[:3] + [CANONICAL])
+            k = rng.randrange(len(text))
+            edit = rng.choice(" \n.0123456789#")
+            texts.append(rng.choice((text[:k] + text[k + 1:], text[:k] + edit + text[k:],
+                                     text[:k] + edit + text[k + 1:])))
+        line_reader = triangulation._parse_lines
+        fallbacks = []
+        monkeypatch.setattr(triangulation, "_parse_lines",
+                            lambda text: fallbacks.append(text) or line_reader(text))
+        for text in texts:
+            assert parse_outcome(parse_scheme, text) == parse_outcome(line_reader, text), text
+        assert len(fallbacks) > 300 and len(texts) - len(fallbacks) > 100
+        assert CANONICAL not in fallbacks
+
+    @pytest.mark.parametrize("n", [4, 5, 4096])
+    def test_canonical_text_takes_the_column_path(self, n, monkeypatch):
+        def refuse(text):
+            raise AssertionError("canonical text went to the line reader")
+
+        monkeypatch.setattr(triangulation, "_parse_lines", refuse)
+        scheme = family_scheme(n)
+        assert parse_scheme(render_scheme(scheme)) == scheme
+
+
 class TestSchemeRecords:
     """Pins the public behaviour of the scheme records: the text, equality,
     ordering, hashing, copying and error text that callers can see."""
