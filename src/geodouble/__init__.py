@@ -38,9 +38,7 @@ from .presentations import (
     AuditCase,
     Presentation,
     abelianization,
-    abelianization_rank,
     audit_sweep,
-    covering_rank_bound,
     enumerate_audit_cases,
     presentation_from_complex,
     rank_audit,

@@ -56,7 +56,6 @@ call; a graph is never changed once built.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import chain, compress, repeat
 from operator import add, is_not
 from typing import Iterable, Iterator, Sequence
@@ -421,14 +420,14 @@ class SubgroupGraph:
         return len(path) > len(word) and path[-1] == 0
 
     def schreier_rank_check(self) -> bool:
-        """For finite index n in rank k: rank == n(k-1)+1, with the covering
-        bound (rank + n - 1)/n met exactly."""
+        """For finite index n in rank k: rank == n(k-1)+1, the Schreier index
+        formula; so the covering bound (rank + n - 1)/n equals k exactly."""
         n = self.index()
         if n is None:
             raise ValueError("subgroup has infinite index")
         k = self.ambient_rank
         rk = self.subgroup_rank()
-        return rk == n * (k - 1) + 1 and Fraction(rk + n - 1, n) == k
+        return rk == n * (k - 1) + 1
 
     # -- canonical form ----------------------------------------------------
 

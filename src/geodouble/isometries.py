@@ -369,57 +369,3 @@ def fix_type_table(orientation_preserving: bool, phi_squared_identity: bool,
     if not phi_squared_identity:
         return frozenset({FixType.TRIVIAL, FixType.CYCLIC})
     return frozenset({FixType.TRIVIAL, FixType.SURFACE})
-
-
-# -- constructors used by the property suites ---------------------------------
-
-
-def _frame(p: complex, q: complex) -> Isometry:
-    """An isometry sending 0 to p and infinity to q (p != q)."""
-    if is_inf(p) and is_inf(q):
-        raise ValueError("frame endpoints must differ")
-    if is_inf(p):
-        return Isometry(q, 1, 1, 0)
-    if is_inf(q):
-        return Isometry(1, p, 0, 1)
-    if abs(p - q) == 0:
-        raise ValueError("frame endpoints must differ")
-    return Isometry(q, p, 1, 1)
-
-
-def make_loxodromic(p: complex, q: complex, eigenvalue: complex) -> Isometry:
-    """Loxodromic (or elliptic, for |eigenvalue| = 1) with axis p..q."""
-    if abs(eigenvalue) == 0:
-        raise ValueError("eigenvalue must be nonzero")
-    f = _frame(p, q)
-    return f @ Isometry(eigenvalue, 0, 0, 1 / eigenvalue) @ f.inverse()
-
-
-def make_elliptic(p: complex, q: complex, angle: float) -> Isometry:
-    """Rotation by ``angle`` about the axis p..q."""
-    return make_loxodromic(p, q, cmath.exp(1j * angle / 2))
-
-
-def make_pi_rotation(p: complex, q: complex) -> Isometry:
-    return make_elliptic(p, q, math.pi)
-
-
-def make_parabolic(p: complex, translation: complex = 1) -> Isometry:
-    """Parabolic fixing the single boundary point p."""
-    if abs(translation) == 0:
-        raise ValueError("translation must be nonzero")
-    shear = Isometry(1, translation, 0, 1)
-    if is_inf(p):
-        return shear
-    f = Isometry(p, 1, 1, 0)  # sends infinity to p
-    return f @ shear @ f.inverse()
-
-
-def random_isometry(rng, reversing: bool = False, scale: float = 1.0) -> Isometry:
-    """A random isometry with entries in a box, rejecting near-singular draws."""
-    while True:
-        entries = [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
-                   for _ in range(4)]
-        a, b, c, d = entries
-        if abs(a * d - b * c) >= 0.1:
-            return Isometry(a, b, c, d, reversing)

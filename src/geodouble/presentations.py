@@ -476,46 +476,25 @@ class AbelianInvariants:
     torsion: tuple[int, ...]
 
 
-def relator_matrix(p: Presentation) -> list[list[int]]:
-    return _exponent_rows(p.generator_count, p.relators)
-
-
-def _exponent_rows(generator_count: int, relators: Iterable[Word]) -> list[list[int]]:
-    rows = []
-    for r in relators:
-        row = [0] * generator_count
-        for s in r:
-            row[abs(s) - 1] += 1 if s > 0 else -1
-        rows.append(row)
-    return rows
-
-
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Rank and torsion of the abelianized group, via Smith normal form."""
     if not p.relators or p.generator_count == 0:
         return AbelianInvariants(p.generator_count, ())
-    # A repeated relator only repeats its row, which leaves the row lattice as it is.
-    factors = smith_normal_form(_exponent_rows(p.generator_count, dict.fromkeys(p.relators)))
+    # One row of exponent sums per distinct relator: a repeated relator only
+    # repeats its row, which leaves the row lattice as it is.
+    rows = []
+    for r in dict.fromkeys(p.relators):
+        row = [0] * p.generator_count
+        for s in r:
+            row[abs(s) - 1] += 1 if s > 0 else -1
+        rows.append(row)
+    factors = smith_normal_form(rows)
     nonzero = [f for f in factors if f]
     return AbelianInvariants(p.generator_count - len(nonzero),
                              tuple(f for f in nonzero if f > 1))
 
 
-def abelianization_rank(p: Presentation) -> int:
-    return abelianization(p).rank
-
-
-# -- covering and surface rank arithmetic ---------------------------------------
-
-
-def covering_rank_bound(rank_h: int, n: int) -> Fraction:
-    """Lower bound (rank_h + n - 1)/n for the rank of a group containing a
-    rank-``rank_h`` subgroup of index n."""
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    if rank_h < 0:
-        raise ValueError("subgroup rank must be >= 0")
-    return Fraction(rank_h + n - 1, n)
+# -- surface rank arithmetic -----------------------------------------------------
 
 
 def surface_rank(genus: int, boundary_circles: int, orientable: bool) -> int:

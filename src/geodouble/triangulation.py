@@ -25,7 +25,9 @@ A ``GluingScheme`` stores one entry per pairing in five integer columns,
 sorted by the lesser face a: the tetrahedron and face index of a and of b,
 and the rotation.  Face indices 0..3 follow name order (``FACE_NAMES``), so
 the slot 4t + index orders faces as (t, name) does.  ``FacePairing``
-records are made only when ``pairings`` is read.  ``parse_scheme`` reads
+records are made only when ``pairings`` is read; the package never reads
+it, the benchmark does.  ``FacePairing`` and ``parse_scheme`` check each
+pairing with one helper, ``_pairing``.  ``parse_scheme`` reads
 ``render_scheme``'s text of a scheme with no rotations by columns, if sorted,
 in range and on distinct faces; other text, and so every error, goes by lines.
 
@@ -40,8 +42,9 @@ items for n tetrahedra: edge e of tetrahedron t is 6(t-1)+(e-1), in
 tetrahedron itself is 10n+(t-1), in 10n..11n-1.  A ``GluedComplex`` holds
 the result in columns over that space, ``classes[x]`` (the class of item x
 among those of its kind, numbered by least item) and ``signs[x]`` (its sign
-against that item), and in per-class columns.  Consumers read only these;
-the record views such as ``edge_classes`` are built on first read.
+against that item), and in per-class columns.  The package reads only
+these.  ``edge_classes``, a tuple of ``EdgeClass`` records built on first
+read, stays as a view because the benchmark reads its valences.
 """
 
 from __future__ import annotations
@@ -124,32 +127,11 @@ class FacePairing:
     rotation: int = 0
 
     def __init__(self, a: FaceSlot, b: FaceSlot, rotation: int = 0) -> None:
-        # Validate, then store with the lesser slot first: swapping the
-        # faces turns the offset of b against a into its negative.
-        sa, sb = _slot(a.tet, a.face), _slot(b.tet, b.face)
-        if sa == sb:
-            raise SchemeError(f"face {a} paired with itself")
-        if rotation not in (0, 1, 2):
-            raise SchemeError(f"rotation {rotation} not in 0..2")
-        if sb < sa:
-            a, b, rotation = b, a, -rotation % 3
+        _, _, rotation = _pairing(a.tet, a.face, b.tet, b.face, rotation)
+        if b < a:  # slots order faces as (tet, face) does
+            a, b = b, a
         for name, value in zip(self.__slots__, (a, b, rotation)):
             object.__setattr__(self, name, value)
-
-    def edge_matches(self) -> Iterator[tuple[tuple[int, int, int], tuple[int, int, int]]]:
-        """Yield ((tet, edge, walk sign), (tet, edge, walk sign)) per matched edge."""
-        ea, eb = FACES[self.a.face], FACES[self.b.face]
-        sa, sb = FACE_WALK_SIGNS[self.a.face], FACE_WALK_SIGNS[self.b.face]
-        for j in range(3):
-            jb = (j + self.rotation) % 3
-            yield (self.a.tet, ea[j], sa[j]), (self.b.tet, eb[jb], sb[jb])
-
-    def corner_matches(self) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
-        """Yield ((tet, vertex), (tet, vertex)) corner identifications."""
-        ca, cb = FACE_CORNERS[self.a.face], FACE_CORNERS[self.b.face]
-        for j in range(3):
-            jb = (j + self.rotation) % 3
-            yield (self.a.tet, ca[j]), (self.b.tet, cb[jb])
 
 
 FACE_NAMES = tuple(sorted(FACES))
@@ -161,9 +143,23 @@ def _slot(tet: int, name: str) -> int:
     face = _FACE_INDEX.get(name)
     if face is None:
         raise SchemeError(f"unknown face name {name!r}")
+    if type(tet) is not int:
+        raise SchemeError(f"tetrahedron index {tet!r} is not an int")
     if tet < 1:
         raise SchemeError(f"tetrahedron index {tet} out of range")
     return 4 * tet + face
+
+
+def _pairing(at: int, a_name: str, bt: int, b_name: str, rotation: int) -> tuple[int, int, int]:
+    """Check a pairing of face at.a_name to face bt.b_name; return its two
+    slots, lesser first, and its rotation against that order: swapping the
+    faces turns the offset of b against a into its negative."""
+    sa, sb = _slot(at, a_name), _slot(bt, b_name)
+    if sa == sb:
+        raise SchemeError(f"face {at}.{a_name} paired with itself")
+    if type(rotation) is not int or rotation not in (0, 1, 2):
+        raise SchemeError(f"rotation {rotation!r} not in 0..2")
+    return (sa, sb, rotation) if sa < sb else (sb, sa, -rotation % 3)
 
 
 def _claim(claimed: set[int], tet_count: int, sa: int, sb: int) -> None:
@@ -188,6 +184,8 @@ class GluingScheme:
     rotations: tuple[int, ...]
 
     def __init__(self, tet_count: int, pairings: Iterable[FacePairing]) -> None:
+        if type(tet_count) is not int:
+            raise SchemeError(f"tet count {tet_count!r} is not an int")
         if tet_count < 1:
             raise SchemeError(f"tet count must be positive, got {tet_count}")
         rows = sorted((p.a.tet, _FACE_INDEX[p.a.face], p.b.tet, _FACE_INDEX[p.b.face],
@@ -307,12 +305,7 @@ def _parse_lines(text: str) -> GluingScheme:
                 if rotation is None:
                     raise SchemeError(f"edge order {order} must preserve the cyclic "
                                       f"order of face {b_name}")
-            # The checks and normalisation of FacePairing.
-            sa, sb = _slot(at, a_name), _slot(bt, b_name)
-            if sa == sb:
-                raise SchemeError(f"face {at}.{a_name} paired with itself")
-            if sb < sa:
-                sa, sb, rotation = sb, sa, -rotation % 3
+            sa, sb, rotation = _pairing(at, a_name, bt, b_name, rotation)
             _claim(claimed, tet_count, sa, sb)
         except SchemeError as exc:
             raise SchemeError(str(exc), lineno) from None
@@ -359,20 +352,22 @@ def _face_gluing(face_a: str, face_b: str, rotation: int):
     orientations of the two link triangles must have relative to each
     other; one link (m = 1) relates the orientations of the tetrahedra.
     """
-    p = FacePairing(FaceSlot(1, face_a), FaceSlot(2, face_b), rotation)
+    ea, wa, ca = FACES[face_a], FACE_WALK_SIGNS[face_a], FACE_CORNERS[face_a]
+    # Face b's tables turned so that position j meets position j of face a.
+    eb, wb, cb = (t[face_b][rotation:] + t[face_b][:rotation]
+                  for t in (FACES, FACE_WALK_SIGNS, FACE_CORNERS))
     links, end_map = [], {}
-    for (_, ea, wa), (_, eb, wb) in p.edge_matches():
-        links.append((6, ea - 1, eb - 1, wa * wb))
+    for e, f, s, t in zip(ea, eb, wa, wb):
+        links.append((6, e - 1, f - 1, s * t))
         # Walk-start maps to walk-start: same intrinsic ends when the walk
         # signs agree, crossed ends otherwise.
         for i in (0, 1):
-            end_map[(ea, i)] = (eb, i if wa == wb else 1 - i)
-    edges, walks = FACES[face_a], FACE_WALK_SIGNS[face_a]
-    for j, ((_, va), (_, vb)) in enumerate(p.corner_matches()):
+            end_map[(e, i)] = (f, i if s == t else 1 - i)
+    for j, (va, vb) in enumerate(zip(ca, cb)):
         # The link-triangle side at corner j joins the walk-end of edge j
         # to the walk-start of edge j+1; transport both ends to face b.
-        p1 = (edges[j], 1 if walks[j] == 1 else 0)
-        q1 = (edges[(j + 1) % 3], 0 if walks[(j + 1) % 3] == 1 else 1)
+        p1 = (ea[j], 1 if wa[j] == 1 else 0)
+        q1 = (ea[(j + 1) % 3], 0 if wa[(j + 1) % 3] == 1 else 1)
         d1 = _ref_direction(_CORNER_ENDS[va], p1, q1)
         d2 = _ref_direction(_CORNER_ENDS[vb], end_map[p1], end_map[q1])
         # Coherent triangle orientations must induce opposite directions
@@ -408,20 +403,6 @@ class EdgeClass:
     def valence(self) -> int:
         return len(self.members)
 
-    @property
-    def angle_over_pi(self) -> Fraction:
-        """The dihedral angle as an exact multiple of pi."""
-        return Fraction(2, self.valence)
-
-    @property
-    def angle_degrees(self) -> Fraction:
-        return Fraction(360, self.valence)
-
-    @property
-    def admissible(self) -> bool:
-        """Angle strictly inside (0, 60) degrees; see ``dihedral_admissible``."""
-        return dihedral_admissible(self.valence)
-
 
 @dataclass(eq=False)
 class GluedComplex:
@@ -454,40 +435,13 @@ class GluedComplex:
             tail, head = EDGE_ENDS[root % 6 + 1]
             yield classes[c0 + root // 6 * 4 + tail], classes[c0 + root // 6 * 4 + head]
 
-    def _by_class(self, kind: int, count: int) -> list[list[int]]:
-        """The items of kind 0 (edges), 1 (corners) or 2 (tetrahedra) by class,
-        counted from the kind's first item, in increasing order."""
-        start, stop = (0, 6, 10, 11)[kind:kind + 2]
-        buckets: list[list[int]] = [[] for _ in range(count)]
-        n = self.scheme.tet_count
-        for x, k in enumerate(self.classes[start * n:stop * n]):
-            buckets[k].append(x)
-        return buckets
-
     @functools.cached_property
     def edge_classes(self) -> tuple[EdgeClass, ...]:
-        sign = self.signs
-        return tuple(EdgeClass(tuple((x // 6 + 1, x % 6 + 1, sign[x]) for x in items), ok)
-                     for items, ok in zip(self._by_class(0, len(self.valences)),
-                                          self.edge_consistent))
-
-    @functools.cached_property
-    def vertex_classes(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return tuple(tuple((x // 4 + 1, x % 4) for x in items)
-                     for items in self._by_class(1, len(self.vertex_sizes)))
-
-    @functools.cached_property
-    def tet_components(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(x + 1 for x in items)
-                     for items in self._by_class(2, self.component_count))
-
-    @functools.cached_property
-    def edge_lookup(self) -> dict[tuple[int, int], tuple[int, int]]:
-        return {(t, e): (k, s) for k, ec in enumerate(self.edge_classes) for t, e, s in ec.members}
-
-    @functools.cached_property
-    def vertex_lookup(self) -> dict[tuple[int, int], int]:
-        return {corner: k for k, vclass in enumerate(self.vertex_classes) for corner in vclass}
+        """The edge classes as records, members in increasing item order."""
+        members: list[list[tuple[int, int, int]]] = [[] for _ in self.valences]
+        for x, (k, s) in enumerate(zip(self.classes[:6 * self.scheme.tet_count], self.signs)):
+            members[k].append((x // 6 + 1, x % 6 + 1, s))
+        return tuple(EdgeClass(tuple(m), ok) for m, ok in zip(members, self.edge_consistent))
 
 
 def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
@@ -574,10 +528,6 @@ class BoundaryComponent:
 @dataclass(frozen=True)
 class BoundarySurfaceStats:
     components: tuple[BoundaryComponent, ...]
-
-    @property
-    def total_triangles(self) -> int:
-        return sum(c.triangle_count for c in self.components)
 
 
 def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:

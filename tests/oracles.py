@@ -2,18 +2,22 @@
 
 Everything here recomputes its answer from first principles (exhaustive
 enumeration, naive rewriting, minors) without sharing the library's
-algorithmic path, so agreement is meaningful.
+algorithmic path, so agreement is meaningful.  The isometry constructors
+at the end build the inputs of the isometry property suites.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
+import math
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
 from geodouble.freegroups import SubgroupGraph, Word, concat, free_reduce, inverse_word
 from geodouble.doubling import Double, DoubleWord, NormalForm, Syllable
+from geodouble.isometries import Isometry, is_inf
 from geodouble.presentations import (
     AuditCase,
     AuditError,
@@ -180,7 +184,26 @@ def permutation_member(perms: list[list[int]], word) -> bool:
     return v == 0
 
 
-# -- orientability ---------------------------------------------------------------
+# -- face matches and orientability -----------------------------------------------
+
+
+def face_matches(p) -> list[tuple[tuple[int, int, int, int], tuple[int, int, int, int]]]:
+    """What pairing p matches, read from the face tables: position j of face
+    a's listed triple against position j + rotation of face b's, each side
+    (tet, edge, walk sign, corner), the corner being where edge j meets
+    edge j + 1 of that face's walk."""
+    def side(slot, shift):
+        rows = list(zip(FACES[slot.face], FACE_WALK_SIGNS[slot.face], FACE_CORNERS[slot.face]))
+        return [(slot.tet, *rows[(j + shift) % 3]) for j in range(3)]
+
+    return list(zip(side(p.a, 0), side(p.b, p.rotation)))
+
+
+def vertex_class_corners(complex: GluedComplex, k: int) -> tuple[tuple[int, int], ...]:
+    """The (tet, vertex) corners in vertex class k, sorted, from ``classes``."""
+    n = complex.scheme.tet_count
+    return tuple((x // 4 + 1, x % 4) for x, j in enumerate(complex.classes[6 * n:10 * n])
+                 if j == k)
 
 
 def _induced_cycle(missing: int) -> tuple[int, int, int]:
@@ -214,95 +237,42 @@ def _pairing_compatible(p, eps) -> bool:
         ia = (ia[0], ia[2], ia[1])
     if eps[p.b.tet] == -1:
         ib = (ib[0], ib[2], ib[1])
-    corner_map = {ca[j]: cb[(j + p.rotation) % 3] for j in range(3)}
+    corner_map = {va: vb for (*_, va), (*_, vb) in face_matches(p)}
     transported = tuple(corner_map[v] for v in ia)
     return not _same_cycle(transported, ib)
 
 
 def brute_link_orientable(complex: GluedComplex, vertex_class: int) -> bool:
-    """Backtracking sign search over the link triangles of one vertex class.
+    """Whether the link triangles of one vertex class can be signed so that
+    every glued side joins two of them coherently.  Each side asks a sign
+    product of its two triangles; the constraints are flooded from each
+    least unsigned triangle, and no signs exist iff one is contradicted."""
+    corners = vertex_class_corners(complex, vertex_class)
 
-    Triangles are signed depth first, in breadth-first order of the side
-    constraints, and a partial assignment is dropped at the first constraint
-    it breaks.  No assignment is skipped unchecked, so the search is
-    exhaustive; since each later triangle meets a signed neighbour, at most
-    one sign survives per step and the search stays short."""
-    scheme = complex.scheme
-    corners = list(complex.vertex_classes[vertex_class])
-    pos = {c: i for i, c in enumerate(corners)}
+    def direction(tet, vertex, x, y):
+        # +1 when the side x->y of the link triangle at the corner runs along
+        # the cycle of its sorted edge ends (tet, edge, 0 tail or 1 head).
+        tri = sorted((tet, e, i) for e, ends in EDGE_ENDS.items() for i in (0, 1)
+                     if ends[i] == vertex)
+        return 1 if tri.index(y) == (tri.index(x) + 1) % 3 else -1
 
-    def corner_ends(tet, vertex):
-        ends = []
-        for e, (i, t) in EDGE_ENDS.items():
-            if i == vertex:
-                ends.append((tet, e, 0))
-            if t == vertex:
-                ends.append((tet, e, 1))
-        return tuple(sorted(ends))
-
-    constraints = []  # (corner index, corner index, required sign product)
-    for p in scheme.pairings:
-        ea, eb = FACES[p.a.face], FACES[p.b.face]
-        wa, wb = FACE_WALK_SIGNS[p.a.face], FACE_WALK_SIGNS[p.b.face]
+    constraints = []  # (corner, corner, required sign product)
+    for p in complex.scheme.pairings:
+        matches = face_matches(p)
         end_map = {}
-        for j in range(3):
-            jb = (j + p.rotation) % 3
-            if wa[j] * wb[jb] == 1:
-                end_map[(p.a.tet, ea[j], 0)] = (p.b.tet, eb[jb], 0)
-                end_map[(p.a.tet, ea[j], 1)] = (p.b.tet, eb[jb], 1)
-            else:
-                end_map[(p.a.tet, ea[j], 0)] = (p.b.tet, eb[jb], 1)
-                end_map[(p.a.tet, ea[j], 1)] = (p.b.tet, eb[jb], 0)
-        ca_list, cb_list = FACE_CORNERS[p.a.face], FACE_CORNERS[p.b.face]
-        for j in range(3):
-            ca = (p.a.tet, ca_list[j])
-            cb = (p.b.tet, cb_list[(j + p.rotation) % 3])
-            if ca not in pos:
+        for (ta, ea, wa, _), (tb, eb, wb, _) in matches:
+            for i in (0, 1):
+                end_map[(ta, ea, i)] = (tb, eb, i if wa == wb else 1 - i)
+        for j, ((ta, ea, wa, va), (tb, _, _, vb)) in enumerate(matches):
+            if (ta, va) not in corners:
                 continue
-            p1 = (p.a.tet, ea[j], 1 if wa[j] == 1 else 0)
-            q1 = (p.a.tet, ea[(j + 1) % 3], 0 if wa[(j + 1) % 3] == 1 else 1)
-            p2, q2 = end_map[p1], end_map[q1]
-
-            def direction(corner, x, y):
-                tri = corner_ends(*corner)
-                for i in range(3):
-                    if tri[i] == x and tri[(i + 1) % 3] == y:
-                        return 1
-                    if tri[i] == y and tri[(i + 1) % 3] == x:
-                        return -1
-                raise AssertionError("side not on triangle")
-
-            d1 = direction(ca, p1, q1)
-            d2 = direction(cb, p2, q2)
-            constraints.append((pos[ca], pos[cb], -d1 * d2))
-
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in corners]
-    for i, j, rel in constraints:
-        nbrs[i].append((j, rel))
-        nbrs[j].append((i, rel))
-    order = []
-    for start in range(len(corners)):
-        if start not in order:
-            order.append(start)
-            for i in order:
-                for j, _ in nbrs[i]:
-                    if j not in order:
-                        order.append(j)
-    signs: dict[int, int] = {}
-
-    def extend(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for s in (1, -1):
-            signs[i] = s
-            if all(signs[j] * s == rel for j, rel in nbrs[i] if j in signs) \
-                    and extend(k + 1):
-                return True
-            del signs[i]
-        return False
-
-    return extend(0)
+            _, en, wn, _ = matches[(j + 1) % 3][0]
+            p1 = (ta, ea, 1 if wa == 1 else 0)
+            q1 = (ta, en, 0 if wn == 1 else 1)
+            d1 = direction(ta, va, p1, q1)
+            d2 = direction(tb, vb, end_map[p1], end_map[q1])
+            constraints.append(((ta, va), (tb, vb), -d1 * d2))
+    return all(consistent for _, consistent in _flood(corners, constraints))
 
 
 # -- identification classes by flood fill ---------------------------------------
@@ -339,7 +309,7 @@ def _flood(items, links) -> list[tuple[tuple, bool]]:
 
 def flood_identifications(scheme: GluingScheme):
     """(edge classes, vertex classes, tetrahedron components) of a possibly
-    open scheme, read from each pairing's matches by flood fill.
+    open scheme, read from each pairing's ``face_matches`` by flood fill.
 
     Edge classes are (members, consistent) with members (tet, edge, sign),
     the sign relative to the class's least edge; vertex classes are sorted
@@ -348,9 +318,9 @@ def flood_identifications(scheme: GluingScheme):
     tets = range(1, scheme.tet_count + 1)
     edge_links, corner_links, tet_links = [], [], []
     for p in scheme.pairings:
-        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
+        for (ta, ea, wa, va), (tb, eb, wb, vb) in face_matches(p):
             edge_links.append(((ta, ea), (tb, eb), wa * wb))
-        corner_links.extend((ca, cb, 1) for ca, cb in p.corner_matches())
+            corner_links.append(((ta, va), (tb, vb), 1))
         tet_links.append((p.a.tet, p.b.tet, 1))
     edges = [(tuple((t, e, s) for (t, e), s in members), consistent)
              for members, consistent in
@@ -377,7 +347,7 @@ def forest_edge_signs(scheme: GluingScheme) -> dict:
     members = {x: [x] for x in items}
     forest = []
     for p in scheme.pairings:
-        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
+        for (ta, ea, wa, _), (tb, eb, wb, _) in face_matches(p):
             lx, ly = label[(ta, ea)], label[(tb, eb)]
             if lx != ly:
                 forest.append(((ta, ea), (tb, eb), wa * wb))
@@ -393,15 +363,15 @@ def flood_link_counts(scheme: GluingScheme) -> dict:
     (tet, vertex) tuple.
 
     Link vertices are classes of edge ends (tet, edge, 0 for the tail or 1
-    for the head), flooded over the end identifications each pairing's
-    ``edge_matches`` makes: walk-start to walk-start, so the same ends when
+    for the head), flooded over the end identifications of each pairing's
+    ``face_matches``: walk-start to walk-start, so the same ends when
     the walk signs agree and crossed ends otherwise.  Each link triangle has
     three sides and the sides glue in pairs.
     """
     tets = range(1, scheme.tet_count + 1)
     end_links = []
     for p in scheme.pairings:
-        for (ta, ea, wa), (tb, eb, wb) in p.edge_matches():
+        for (ta, ea, wa, _), (tb, eb, wb, _) in face_matches(p):
             for i in (0, 1):
                 end_links.append(((ta, ea, i), (tb, eb, i if wa == wb else 1 - i), 1))
     end_class = {}
@@ -620,6 +590,17 @@ def _det_over_q(matrix) -> int:
 # -- chain-complex H1 rank ---------------------------------------------------------
 
 
+def exponent_matrix(relators, generators: int) -> list[list[int]]:
+    """One row per relator: the exponent sum of each generator."""
+    rows = []
+    for r in relators:
+        row = [0] * generators
+        for s in r:
+            row[abs(s) - 1] += 1 if s > 0 else -1
+        rows.append(row)
+    return rows
+
+
 def _rank_over_q(rows: list[list[int]]) -> int:
     mat = [[Fraction(x) for x in row] for row in rows]
     rank = 0
@@ -644,23 +625,21 @@ def _rank_over_q(rows: list[list[int]]) -> int:
 def chain_h1_rank(complex: GluedComplex) -> int:
     """H1 rank of the glued 2-complex from its boundary matrices, no spanning
     tree: dim ker d1 - rank d2 over the rationals."""
-    n_v = complex.vertex_class_count
-    n_e = len(complex.edge_classes)
+    n, classes, signs = complex.scheme.tet_count, complex.classes, complex.signs
+    pairings = complex.scheme.pairings
+    n_v, n_e = complex.vertex_class_count, len(complex.valences)
     d1 = [[0] * n_e for _ in range(n_v)]
-    for idx, ec in enumerate(complex.edge_classes):
-        tet, edge, _ = ec.members[0]
-        i_end, t_end = EDGE_ENDS[edge]
-        d1[complex.vertex_lookup[(tet, t_end)]][idx] += 1
-        d1[complex.vertex_lookup[(tet, i_end)]][idx] -= 1
-    d2 = [[0] * len(complex.scheme.pairings) for _ in range(n_e)]
-    for col, p in enumerate(complex.scheme.pairings):
-        edges = FACES[p.a.face]
-        walks = FACE_WALK_SIGNS[p.a.face]
-        for j in range(3):
-            idx, sign = complex.edge_lookup[(p.a.tet, edges[j])]
-            d2[idx][col] += walks[j] * sign
+    for k, x in enumerate(complex.edge_roots):  # the least item orients its class
+        i_end, t_end = EDGE_ENDS[x % 6 + 1]
+        d1[classes[6 * n + 4 * (x // 6) + t_end]][k] += 1
+        d1[classes[6 * n + 4 * (x // 6) + i_end]][k] -= 1
+    d2 = [[0] * len(pairings) for _ in range(n_e)]
+    for col, p in enumerate(pairings):
+        for edge, walk in zip(FACES[p.a.face], FACE_WALK_SIGNS[p.a.face]):
+            x = 6 * (p.a.tet - 1) + edge - 1
+            d2[classes[x]][col] += walk * signs[x]
     rank_d1 = _rank_over_q(d1) if n_v and n_e else 0
-    rank_d2 = _rank_over_q(d2) if n_e and complex.scheme.pairings else 0
+    rank_d2 = _rank_over_q(d2) if n_e and pairings else 0
     return (n_e - rank_d1) - rank_d2
 
 
@@ -699,6 +678,60 @@ def reference_face_words(complex: GluedComplex) -> tuple[int, list[Word]]:
                 word.append(gen[edge_class[x]] * complex.signs[x] * walk)
         words.append(tuple(word))
     return len(gen), words
+
+
+# -- isometry constructors ------------------------------------------------------------
+
+
+def _frame(p: complex, q: complex) -> Isometry:
+    """An isometry sending 0 to p and infinity to q (p != q)."""
+    if is_inf(p) and is_inf(q):
+        raise ValueError("frame endpoints must differ")
+    if is_inf(p):
+        return Isometry(q, 1, 1, 0)
+    if is_inf(q):
+        return Isometry(1, p, 0, 1)
+    if abs(p - q) == 0:
+        raise ValueError("frame endpoints must differ")
+    return Isometry(q, p, 1, 1)
+
+
+def make_loxodromic(p: complex, q: complex, eigenvalue: complex) -> Isometry:
+    """Loxodromic (or elliptic, for |eigenvalue| = 1) with axis p..q."""
+    if abs(eigenvalue) == 0:
+        raise ValueError("eigenvalue must be nonzero")
+    f = _frame(p, q)
+    return f @ Isometry(eigenvalue, 0, 0, 1 / eigenvalue) @ f.inverse()
+
+
+def make_elliptic(p: complex, q: complex, angle: float) -> Isometry:
+    """Rotation by ``angle`` about the axis p..q."""
+    return make_loxodromic(p, q, cmath.exp(1j * angle / 2))
+
+
+def make_pi_rotation(p: complex, q: complex) -> Isometry:
+    return make_elliptic(p, q, math.pi)
+
+
+def make_parabolic(p: complex, translation: complex = 1) -> Isometry:
+    """Parabolic fixing the single boundary point p."""
+    if abs(translation) == 0:
+        raise ValueError("translation must be nonzero")
+    shear = Isometry(1, translation, 0, 1)
+    if is_inf(p):
+        return shear
+    f = Isometry(p, 1, 1, 0)  # sends infinity to p
+    return f @ shear @ f.inverse()
+
+
+def random_isometry(rng, reversing: bool = False, scale: float = 1.0) -> Isometry:
+    """A random isometry with entries in a box, rejecting near-singular draws."""
+    while True:
+        entries = [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+                   for _ in range(4)]
+        a, b, c, d = entries
+        if abs(a * d - b * c) >= 0.1:
+            return Isometry(a, b, c, d, reversing)
 
 
 # -- ratio scan ---------------------------------------------------------------------

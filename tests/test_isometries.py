@@ -19,6 +19,9 @@ from geodouble.isometries import (
     fix_type_table,
     fixed_points,
     is_inf,
+)
+
+from oracles import (
     make_elliptic,
     make_loxodromic,
     make_parabolic,

@@ -18,15 +18,12 @@ from geodouble.presentations import (
     AuditStep,
     Presentation,
     abelianization,
-    abelianization_rank,
     audit_sweep,
-    covering_rank_bound,
     cyclic_reduce,
     enumerate_audit_cases,
     presentation_from_complex,
     rank_audit,
     rational_rank,
-    relator_matrix,
     smith_normal_form,
     surface_rank,
     tietze_simplify,
@@ -40,6 +37,7 @@ from oracles import (
     _det_over_q,
     _rank_over_q,
     chain_h1_rank,
+    exponent_matrix,
     local_smith_exponents,
     minors_invariant_factors,
     naive_cyclic_reduce,
@@ -158,7 +156,7 @@ class TestPresentationFromComplex:
                      "--relators", ",".join(word_to_str(r) for r in p.relators)])
         out = capsys.readouterr().out
         assert code == 0
-        assert f"h1_rank={20 - _rank_over_q(relator_matrix(p))}" in out.splitlines()
+        assert f"h1_rank={20 - _rank_over_q(exponent_matrix(p.relators, 20))}" in out.splitlines()
 
     def test_h1_rank_matches_chain_complex(self):
         # Independent path: boundary matrices without a spanning tree.
@@ -171,7 +169,7 @@ class TestPresentationFromComplex:
                 cases.append(c)
         for c in cases:
             p = presentation_from_complex(c)
-            assert abelianization_rank(p) == chain_h1_rank(c)
+            assert abelianization(p).rank == chain_h1_rank(c)
 
     def test_column_build_matches_reference_words(self):
         """The presentation equals the checked ``Presentation(...)`` of face
@@ -463,7 +461,7 @@ class TestSmithLocalOracle:
     def test_front_end_leaves_the_factors_unchanged(self, monkeypatch):
         # The same matrices with the unit-pivot front end and without it.
         rng = random.Random(127)
-        matrices = [relator_matrix(Presentation(g, tuple(random_relators(rng, g, g))))
+        matrices = [exponent_matrix(Presentation(g, tuple(random_relators(rng, g, g))).relators, g)
                     for g in (4, 8, 12, 16, 20) for _ in range(20)]
         matrices += [sparse_unit_matrix(rng, rng.randint(1, 40), rng.randint(1, 40), 3)
                      for _ in range(60)]
@@ -496,7 +494,7 @@ class TestSmithLocalOracle:
 class TestAbelianization:
     def test_closed_surface_rank(self):
         for g in (1, 2, 3):
-            assert abelianization_rank(surface_presentation(g)) == 2 * g
+            assert abelianization(surface_presentation(g)).rank == 2 * g
 
     def test_torsion_only(self):
         inv = abelianization(Presentation(1, (w("aaa"),)))
@@ -504,10 +502,10 @@ class TestAbelianization:
         assert inv.torsion == (3,)
 
     def test_free_group(self):
-        assert abelianization_rank(Presentation(3, ())) == 3
+        assert abelianization(Presentation(3, ())).rank == 3
 
     def test_repeated_relators_change_nothing(self):
-        # Each distinct relator is reduced once; the matrix keeps every row.
+        # Each distinct relator is reduced once; the oracle's matrix keeps every row.
         rng = random.Random(17)
         for _ in range(150):
             gens = rng.randint(1, 3)
@@ -517,10 +515,10 @@ class TestAbelianization:
             deduplicated = Presentation(gens, tuple(dict.fromkeys(repeated.relators)))
             inv = abelianization(repeated)
             assert inv == abelianization(deduplicated)
-            factors = [f for f in minors_invariant_factors(relator_matrix(repeated)) if f]
+            matrix = exponent_matrix(repeated.relators, gens)
+            factors = [f for f in minors_invariant_factors(matrix) if f]
             assert inv.rank == gens - len(factors)
             assert inv.torsion == tuple(f for f in factors if f > 1)
-            assert len(relator_matrix(repeated)) == len(repeated.relators)
 
     def test_family_relators_repeat(self):
         p = presentation_from_complex(family_complex(64))
@@ -529,27 +527,6 @@ class TestAbelianization:
 
 
 class TestRankArithmetic:
-    def test_covering_bound_examples(self):
-        assert covering_rank_bound(3, 2) == 2
-        assert covering_rank_bound(5, 1) == 5
-        assert covering_rank_bound(2, 2) == Fraction(3, 2)
-
-    def test_covering_bound_index_two_pattern(self):
-        # Subgroup of rank 2n-2 at index 2 bounds the ambient rank by n - 1/2.
-        for n in (2, 5, 9):
-            assert covering_rank_bound(2 * n - 2, 2) == n - Fraction(1, 2)
-
-    def test_covering_bound_monotone_in_index(self):
-        for rank_h in (1, 3, 10):
-            values = [covering_rank_bound(rank_h, n) for n in range(1, 10)]
-            assert all(a >= b for a, b in zip(values, values[1:]))
-
-    def test_covering_bound_errors(self):
-        with pytest.raises(ValueError):
-            covering_rank_bound(3, 0)
-        with pytest.raises(ValueError):
-            covering_rank_bound(-1, 2)
-
     def test_surface_rank_values(self):
         assert surface_rank(3, 0, True) == 6
         assert surface_rank(2, 2, True) == 5

@@ -42,6 +42,7 @@ from oracles import (
     flood_identifications,
     flood_link_counts,
     forest_edge_signs,
+    vertex_class_corners,
 )
 
 IDENTITY_DOUBLE = """tets 2
@@ -112,20 +113,14 @@ def assert_glue_matches_flood(scheme):
     assert_columns_match_flood(c, edges, verts, comps, forest)
     assert [ec.orientation_consistent for ec in c.edge_classes] == \
            [consistent for _, consistent in edges]
-    assert len(c.edge_lookup) == 6 * scheme.tet_count
-    for idx, (ec, (members, consistent)) in enumerate(zip(c.edge_classes, edges)):
+    for ec, (members, consistent) in zip(c.edge_classes, edges):
         # No signs satisfy every link of a class glued to itself reversed;
         # there glue reports the signs of the link-order spanning forest.
         if consistent:
             assert ec.members == members
         assert ec.members == tuple((t, e, forest[(t, e)]) for t, e, _ in members)
-        for t, e, s in ec.members:
-            assert c.edge_lookup[(t, e)] == (idx, s)
-    assert c.vertex_classes == tuple(verts)
-    assert c.vertex_lookup == {v: i for i, vc in enumerate(verts) for v in vc}
     assert c.link_orientable == tuple(
         brute_link_orientable(c, i) for i in range(len(verts)))
-    assert c.tet_components == tuple(comps)
     assert c.orientable == brute_orientable(scheme)
     return sum(1 for _, consistent in edges if not consistent)
 
@@ -389,11 +384,58 @@ class TestSchemeRecords:
         (FaceSlot(1, "132"), FaceSlot(1, "132"), 1, "face 1.132 paired with itself"),
         (FaceSlot(1, "132"), FaceSlot(2, "453"), 3, "rotation 3 not in 0..2"),
         (FaceSlot(0, "123"), FaceSlot(0, "123"), 3, "unknown face name '123'"),
+        # Only a plain int is a tetrahedron index or a rotation.
+        (FaceSlot(True, "132"), FaceSlot(1, "453"), True, "tetrahedron index True is not an int"),
+        (FaceSlot(1.5, "132"), FaceSlot(1, "453"), 0, "tetrahedron index 1.5 is not an int"),
+        (FaceSlot(1, "132"), FaceSlot("1", "453"), 0, "tetrahedron index '1' is not an int"),
+        (FaceSlot(1, "132"), FaceSlot(1, "453"), True, "rotation True not in 0..2"),
+        (FaceSlot(1, "132"), FaceSlot(1, "453"), 1.0, "rotation 1.0 not in 0..2"),
     ])
     def test_error_text(self, a, b, rotation, message):
         with pytest.raises(SchemeError) as info:
             FacePairing(a, b, rotation)
         assert str(info.value) == message and info.value.line is None
+
+    @pytest.mark.parametrize("tet_count, pairings, outcome", [
+        (1, [((1, "132"), (1, "132"), 0)], "face 1.132 paired with itself"),
+        (1, [((1, "123"), (1, "453"), 0)], "unknown face name '123'"),
+        (1, [((0, "132"), (1, "453"), 0)], "tetrahedron index 0 out of range"),
+        (1, [((1, "132"), (2, "453"), 0)], "face 2.453 beyond tet count 1"),
+        (2, [((1, "132"), (2, "132"), 0), ((1, "132"), (2, "453"), 0)],
+         "face 1.132 appears in more than one pairing"),
+        # Swapped to 2.453 3.132 with the rotation negated, then claimed lesser face first.
+        (1, [((3, "132"), (2, "453"), 1)], "face 2.453 beyond tet count 1"),
+        (3, [((3, "132"), (2, "453"), 1)], "tets 3\npair 2.453 3.132 edgeorder 2 1 3\n"),
+    ])
+    def test_records_and_text_share_the_checks(self, tet_count, pairings, outcome):
+        # Each pairing as a record and as a line: rotation r lists b's edges from the r-th.
+        text = f"tets {tet_count}\n" + "".join(
+            "pair %d.%s %d.%s edgeorder %d %d %d\n" % (*a, *b, *(FACES[b[1]] * 2)[r:r + 3])
+            for a, b, r in pairings)
+
+        def records():
+            return GluingScheme(tet_count, [FacePairing(FaceSlot(*a), FaceSlot(*b), r)
+                                            for a, b, r in pairings])
+
+        for build in (records, lambda: parse_scheme(text)):
+            try:
+                assert render_scheme(build()) == outcome
+            except SchemeError as exc:
+                assert str(exc) == ("" if build is records else f"line {exc.line}: ") + outcome
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_accepted_schemes_round_trip(self, data):
+        # Plain ints, and values that compare equal to them but are not ints.
+        value = st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([1.0, 2.5, "1"]))
+        slot = st.builds(FaceSlot, value, st.sampled_from(sorted(FACES)))
+        try:
+            scheme = GluingScheme(data.draw(value), [
+                FacePairing(data.draw(slot), data.draw(slot), data.draw(value))
+                for _ in range(data.draw(st.integers(0, 3)))])
+        except SchemeError:
+            return
+        assert parse_scheme(render_scheme(scheme)) == scheme
 
     @pytest.mark.parametrize("line, message", [
         ("pair 1.123 1.453", "line 2: unknown face name '123'"),
@@ -477,6 +519,8 @@ class TestSchemeRecords:
          "face 1.132 appears in more than one pairing"),
         (1, [((2, "132"), (3, "453"))], "face 2.132 beyond tet count 1"),
         (0, [], "tet count must be positive, got 0"),
+        (True, [], "tet count True is not an int"),
+        (1.0, [], "tet count 1.0 is not an int"),
     ])
     def test_constructor_claim_order(self, tet_count, pairings, message):
         records = tuple(FacePairing(FaceSlot(*a), FaceSlot(*b)) for a, b in pairings)
@@ -583,8 +627,7 @@ class TestGlue:
             assert len(members) == 6 * scheme.tet_count
             assert len(set(members)) == len(members)
             assert sum(ec.valence for ec in c.edge_classes) == 6 * scheme.tet_count
-            vmembers = [v for vc in c.vertex_classes for v in vc]
-            assert len(set(vmembers)) == 4 * scheme.tet_count
+            assert sum(c.vertex_sizes) == 4 * scheme.tet_count
 
     def test_relabeling_invariance(self):
         rng = random.Random(29)
@@ -608,7 +651,7 @@ class TestGlue:
         c1, c2 = glue(s), glue(s)
         assert [ec.members for ec in c1.edge_classes] == \
                [ec.members for ec in c2.edge_classes]
-        assert c1.vertex_classes == c2.vertex_classes
+        assert c1.classes == c2.classes and c1.signs == c2.signs
 
 
 class TestBoundarySurfaces:
@@ -630,7 +673,7 @@ class TestBoundarySurfaces:
     def test_family_face_and_edge_counts(self, n):
         # Triangles come one per tetrahedron vertex, sides glue in pairs.
         stats = boundary_surfaces(glue(family_scheme(n)))
-        assert stats.total_triangles == 4 * n
+        assert sum(c.triangle_count for c in stats.components) == 4 * n
         assert sum(c.edge_count for c in stats.components) == (3 * 4 * n) // 2 == 6 * n
 
     def test_identity_double_links_are_spheres(self):
@@ -673,7 +716,7 @@ class TestBoundarySurfaces:
             components = boundary_surfaces(c).components
             assert len(components) == len(expected)
             for comp in components:
-                triangles, vertices, chi = expected[c.vertex_classes[comp.vertex_class]]
+                triangles, vertices, chi = expected[vertex_class_corners(c, comp.vertex_class)]
                 assert comp.triangle_count == triangles
                 assert comp.vertex_count == vertices
                 assert comp.euler_characteristic == chi
@@ -740,10 +783,6 @@ class TestDihedral:
         assert by_valence[6].angle_degrees == Fraction(60)
         assert not by_valence[6].admissible
 
-    def test_symbolic_angle(self):
-        ec = glue(family_scheme(4)).edge_classes[0]
-        assert ec.angle_over_pi == Fraction(2, 12)
-
 
 class TestHandleStructure:
     def test_family_values(self):
@@ -766,7 +805,7 @@ class TestHandleStructure:
 
 
 class TestColumns:
-    VIEWS = ("edge_classes", "vertex_classes", "edge_lookup", "vertex_lookup", "tet_components")
+    VIEWS = ("edge_classes",)
 
     def test_no_hot_path_builds_the_views(self, monkeypatch, tmp_path, capsys):
         made = []
