@@ -129,9 +129,6 @@ class FamilyReport:
     def passed(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failures(self) -> tuple[FamilyCheck, ...]:
-        return tuple(c for c in self.checks if not c.ok)
-
 
 def verify_family(n: int) -> FamilyReport:
     """Glue the family scheme and check every claimed invariant.

@@ -22,8 +22,9 @@ with one backward read of tail * syllable from the base, since coset
 representatives and the action on cosets come straight from the folded
 graph (Kapovich-Myasnikov, "Stallings foldings and subgroups of free
 groups", J. Algebra 2002).  On a finite-index subgroup that read runs
-through the whole tail, so once the tail is long the pass carries the
-tail's permutation of the cosets instead, at O(index) per letter.  On an
+through the whole tail, so for a long word the pass carries the tail's
+permutation of the cosets instead, at O(index) per letter; which of the
+two it does is decided once per word, before the first syllable.  On an
 infinite-index subgroup the read stops at the first letter the graph
 lacks; only a tail that reads far from a non-base vertex is read again
 at the next syllable.  Both passes pay their fixed costs once per word:
@@ -152,27 +153,22 @@ class NormalForm:
     def syllable_count(self) -> int:
         return len(self.syllables)
 
-    def side_flipped(self) -> "NormalForm":
-        return NormalForm(tuple((1 - s, w) for s, w in self.syllables), self.tail)
-
     def __str__(self) -> str:
         parts = [f"{_SIDE_NAMES[s]}:{word_to_str(w)}" for s, w in self.syllables]
         parts.append(f"| {word_to_str(self.tail)}")
         return " ".join(parts)
 
 
-# Pass 2 of ``Double.normal_form`` on a complete (finite-index) graph reads
-# the whole tail at every syllable x while the tail has at most
-# TABLE_FACTOR * V letters, V the vertex count, and carries the tail's action
-# on the vertices once it is longer.  A read costs about 80-100 ns per tail
-# letter; updating the action costs about 30-40 ns per vertex at V = 16 and
-# 27-30 ns at V = 1024, for each of the |x| + |t(u)| passes (CPython 3.11,
-# 2-vCPU x86 host).  With syllables of 1-3 random letters and mean tree
-# depths 2.0-2.2 (V = 16) and 5.6 (V = 1024), the two meet at a tail of
-# 1.7 V and 2.5 V letters.  The switch itself costs one pass per tail letter,
-# so words that run on past it favour the lower end: on random words whose
-# tails grow to 4-8 V, normal forms took 15-17 % less time at 2 than at 3
-# for V = 64, 256 and 1024, and the same time for V = 16.
+# Pass 2 of ``Double.normal_form`` picks its mode once per word: on a complete
+# (finite-index) graph it carries the tail's action on the vertices from the
+# first syllable when the pass-1 stack holds more than TABLE_FACTOR * V
+# letters, V the vertex count, and otherwise reads the whole tail at every
+# syllable.  A read costs about 80-100 ns per tail letter; updating the action
+# costs about 30-40 ns per vertex at V = 16 and 27-30 ns at V = 1024, for each
+# of the |x| + |t(u)| passes (CPython 3.11, 2-vCPU x86 host).  With syllables
+# of 1-3 random letters and mean tree depths 2.0-2.2 (V = 16) and 5.6
+# (V = 1024), the two meet at a tail of 1.7 V and 2.5 V letters, and the
+# tails of random words grow with the letters read.
 TABLE_FACTOR = 2
 
 
@@ -201,15 +197,6 @@ class Double:
     def from_generators(cls, generators: Iterable[Word | str], rank: int) -> "Double":
         return cls(stallings_graph(generators, rank))
 
-    def left_representative(self, word: Iterable[int]) -> Word:
-        """Canonical representative of the left coset word*H.
-
-        Derived from the graph's (right-coset) representative by inversion:
-        rep_left(w) = rep(w^-1)^-1, so rep_left(w)^-1 * w lies in H and the
-        output is constant on each left coset, empty exactly on H.
-        """
-        return inverse_word(self.subgroup.coset_representative(inverse_word(word)))
-
     def normal_form(self, dword: DoubleWord) -> NormalForm:
         """Rewrite to the unique alternating normal form with right tail.
 
@@ -225,16 +212,18 @@ class Double:
 
         The tail is read from 0 * x^-1, not from the base, so a carried
         vertex cannot answer that read.  On a complete graph the read never
-        stops, so once the tail is longer than TABLE_FACTOR * V letters the
-        pass carries its action on the vertices instead, act[v] = v * tail^-1,
-        and u = act[0 * x^-1].
+        stops, so when the reduced stack holds more than TABLE_FACTOR * V
+        letters the pass carries the tail's action on the vertices from the
+        first syllable instead, act[v] = v * tail^-1, and u = act[0 * x^-1].
+        The mode is fixed for the whole word.
 
         Cost: pass 1 is linear in the letters.  Pass 2 costs O(|x| + |t(u)|)
-        per syllable plus its read, which on a complete graph is at most
-        TABLE_FACTOR * V letters, or O(V) per letter of x and t(u) once the
-        action is carried.  On an infinite-index subgroup the read has no
-        such cap: a tail that reads far from 0 * x^-1 is read again at every
-        syllable, so the worst case is quadratic in the length of the word
+        per syllable plus its read of the tail, which on a complete graph
+        runs only for words of at most TABLE_FACTOR * V letters after pass 1,
+        or O(V) per letter of x and t(u) when the action is carried.  On an
+        infinite-index subgroup the read has no such cap: a tail that reads
+        far from 0 * x^-1 is read again at every syllable, so the worst case
+        is quadratic in the length of the word
         (H = <a, bAB> with u:a^k then alternating p:B, u:b reads all of a^k
         at each syllable).
         """
@@ -278,11 +267,12 @@ class Double:
         """Pass 2: split each syllable of a reduced stack with no None entry."""
         graph = self.subgroup
         back, parent, label = self._back, graph._parent, graph._label
-        limit = TABLE_FACTOR * graph.vertex_count if self._complete else None
         out: list[Syllable] = []
         tail: deque[int] = deque()
-        # Once set, act[v] = v * tail^-1 for the tail held.
-        act: list[int] | None = None
+        # act[v] = v * tail^-1 for the tail held, from the first syllable or never.
+        carry = self._complete and (sum(map(len, map(itemgetter(1), stack)))
+                                    > TABLE_FACTOR * graph.vertex_count)
+        act = list(range(graph.vertex_count)) if carry else None
         for side, word, _ in stack:
             # The tail becomes w = tail * x.
             for s in word:
@@ -290,19 +280,11 @@ class Double:
                     tail.pop()
                 else:
                     tail.append(s)
-            if act is None and limit is not None and len(tail) > limit:
-                # Start the table from the empty tail and fold all of w in.
-                act, word = list(range(graph.vertex_count)), tail
             if act is not None:
                 # v * (tail * s)^-1 = (v * s^-1) * tail^-1.
                 for s in word:
                     act = [act[v] for v in back[s]]
                 u, rep = act[0], []
-            elif limit is not None:
-                # Complete: the whole tail reads.
-                u, rep = 0, []
-                for s in reversed(tail):
-                    u = back[s][u]
             else:
                 # Read w backwards from the base up to the first letter the
                 # graph lacks; the first j letters are not read.

@@ -31,26 +31,11 @@ DEFAULT_TOL = 1e-9
 INF = complex(math.inf, 0.0)
 
 
-def is_inf(z: complex) -> bool:
-    return cmath.isinf(z)
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison tolerance; every numeric equality in this module is
-    |difference| <= tol after determinant normalisation."""
-
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        _tol_value(self.tol)
-
-
-def _tol_value(tol: float | Tolerance | None) -> float:
+def _tol_value(tol: float | None) -> float:
     """The tolerance as a float; the one check that it is positive and finite."""
     if tol is None:
         return DEFAULT_TOL
-    t = tol.tol if isinstance(tol, Tolerance) else float(tol)
+    t = float(tol)
     if not 0 < t < math.inf:
         raise ValueError(f"tolerance must be a positive finite number, got {t!r}")
     return t
@@ -89,9 +74,6 @@ class Isometry:
         (a, b), (c, d) = (tuple(r) for r in rows)
         return cls(a, b, c, d, reversing)
 
-    def matrix(self) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-        return ((self.a, self.b), (self.c, self.d))
-
     def trace(self) -> complex:
         return self.a + self.d
 
@@ -119,16 +101,16 @@ class Isometry:
 
     def apply(self, z: complex) -> complex:
         """Act on a boundary point (INF is the point at infinity)."""
-        if self.reversing and not is_inf(z):
+        if self.reversing and not cmath.isinf(z):
             z = z.conjugate()
-        if is_inf(z):
+        if cmath.isinf(z):
             return INF if abs(self.c) == 0 else self.a / self.c
         denom = self.c * z + self.d
         if abs(denom) == 0:
             return INF
         return (self.a * z + self.b) / denom
 
-    def is_identity(self, tol: float | Tolerance | None = None) -> bool:
+    def is_identity(self, tol: float | None = None) -> bool:
         """Equal to +identity or -identity within tolerance (and preserving)."""
         t = _tol_value(tol)
         if self.reversing or abs(self.b) > t or abs(self.c) > t:
@@ -150,7 +132,7 @@ class ElementClass(Enum):
     LOXODROMIC = "loxodromic"
 
 
-def classify(g: Isometry, tol: float | Tolerance | None = None) -> ElementClass:
+def classify(g: Isometry, tol: float | None = None) -> ElementClass:
     """Conjugacy class of an orientation-preserving isometry by its trace."""
     if g.reversing:
         raise ValueError("classification applies to orientation-preserving isometries")
@@ -180,7 +162,7 @@ class FixedPointSet:
     line_direction: complex | None = None
 
 
-def fixed_points(g: Isometry, tol: float | Tolerance | None = None) -> FixedPointSet:
+def fixed_points(g: Isometry, tol: float | None = None) -> FixedPointSet:
     """Fixed points of the boundary action.
 
     Preserving isometries have 1 or 2 boundary fixed points (or all of the
@@ -259,11 +241,11 @@ def _far_fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple[c
 
 def chordal(p: complex, q: complex) -> float:
     """Chordal distance on the boundary sphere, handling infinity."""
-    if is_inf(p) and is_inf(q):
+    if cmath.isinf(p) and cmath.isinf(q):
         return 0.0
-    if is_inf(p):
+    if cmath.isinf(p):
         return 2 / math.hypot(1, abs(q))
-    if is_inf(q):
+    if cmath.isinf(q):
         return 2 / math.hypot(1, abs(p))
     try:
         dist = 2 * abs(p - q) / (math.hypot(1, abs(p)) * math.hypot(1, abs(q)))
@@ -277,7 +259,7 @@ def chordal(p: complex, q: complex) -> float:
 
 
 def _homogeneous(p: complex) -> tuple[complex, complex]:
-    return (1, 0) if is_inf(p) else (p, 1)
+    return (1, 0) if cmath.isinf(p) else (p, 1)
 
 
 def cross_ratio(a: complex, b: complex, c: complex, d: complex) -> complex:
@@ -294,7 +276,7 @@ def cross_ratio(a: complex, b: complex, c: complex, d: complex) -> complex:
     return det(pa, pc) * det(pb, pd) / denom
 
 
-def commute(a: Isometry, b: Isometry, tol: float | Tolerance | None = None) -> bool:
+def commute(a: Isometry, b: Isometry, tol: float | None = None) -> bool:
     """Is the commutator a b a^-1 b^-1 equal to +-identity within tolerance?"""
     comm = a @ b @ a.inverse() @ b.inverse()
     return comm.is_identity(tol)
@@ -308,7 +290,7 @@ class CommutingCase(Enum):
 
 
 def commuting_criterion(a: Isometry, b: Isometry,
-                        tol: float | Tolerance | None = None) -> CommutingCase:
+                        tol: float | None = None) -> CommutingCase:
     """Which commuting configuration two nontrivial preserving isometries
     are in, if any.
 
@@ -344,7 +326,7 @@ def commuting_criterion(a: Isometry, b: Isometry,
         if (ca is ElementClass.ELLIPTIC and cb is ElementClass.ELLIPTIC
                 and abs(a.trace()) <= pt_tol and abs(b.trace()) <= pt_tol):
             cr = cross_ratio(pa[0], pa[1], pb[0], pb[1])
-            if not is_inf(cr) and abs(cr + 1) <= pt_tol:
+            if not cmath.isinf(cr) and abs(cr + 1) <= pt_tol:
                 return CommutingCase.PERPENDICULAR_PI_ROTATIONS
     return CommutingCase.NONE
 

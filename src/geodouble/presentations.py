@@ -202,14 +202,16 @@ def _drop_generator(word: Word, gen: int) -> Word:
                  for s in word)
 
 
-def tietze_simplify(p: Presentation, max_relator_length: int = 16) -> Presentation:
+MAX_RELATOR_LENGTH = 16
+
+
+def tietze_simplify(p: Presentation) -> Presentation:
     """Simplify by free/cyclic reduction, deduplication, and elimination of
     generators that some short relator uses exactly once.
 
     Substitution is only attempted on relators of length at most
-    ``max_relator_length`` (length-1 relators always qualify), which keeps
-    the rewriting from blowing up.  The generator count never increases and
-    the presented group is unchanged.
+    ``MAX_RELATOR_LENGTH``, which keeps the rewriting from blowing up.  The
+    generator count never increases and the presented group is unchanged.
     """
     gens = p.generator_count
     relators = list(p.relators)
@@ -232,7 +234,7 @@ def tietze_simplify(p: Presentation, max_relator_length: int = 16) -> Presentati
         # exactly once.
         for ri in sorted(range(len(relators)), key=lambda i: len(relators[i])):
             r = relators[ri]
-            if len(r) > max_relator_length and len(r) > 1:
+            if len(r) > MAX_RELATOR_LENGTH:
                 continue
             counts: dict[int, int] = {}
             for s in r:
@@ -438,8 +440,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     minor D, which every determinantal divisor Delta_k (k <= r) divides;
     extended-gcd row and column steps then diagonalise the matrix modulo D,
     so every entry stays below D.  With the diagonal's gcds with D put into
-    a divisibility chain c1 | c2 | ..., Delta_k = gcd(D, c1*...*ck) and
-    d_k = Delta_k / Delta_(k-1).  Exact over arbitrary-precision integers.
+    a divisibility chain c1 | c2 | ..., Delta_k = gcd(D, c1*...*ck) for
+    k <= r.  That gcd is c1*...*ck, the k-th determinantal divisor of the
+    lattice L + D*Z^n, which divides Delta_k of L, Delta_r and so the r x r
+    minor D; so d_k = c_k.  Exact over arbitrary-precision integers.
     """
     units, rows = _front_end(matrix)
     rank, d = _bareiss(rows)
@@ -451,20 +455,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
         for j in range(i + 1, len(chain)):
             g = math.gcd(chain[i], chain[j])
             chain[i], chain[j] = g, chain[i] // g * chain[j]
-    factors, minor, prev = [], 1, 1
-    for c in chain[:rank]:
-        minor *= c
-        delta = math.gcd(d, minor)
-        factors.append(delta // prev)
-        prev = delta
-    return (1,) * units + tuple(factors)
-
-
-def rational_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals: the front end's pivots plus the rank that
-    fraction-free elimination finds in the rows left."""
-    units, rows = _front_end(matrix)
-    return units + _bareiss(rows)[0]
+    return (1,) * units + tuple(chain[:rank])
 
 
 # -- abelianization -------------------------------------------------------------
@@ -489,9 +480,8 @@ def abelianization(p: Presentation) -> AbelianInvariants:
             row[abs(s) - 1] += 1 if s > 0 else -1
         rows.append(row)
     factors = smith_normal_form(rows)
-    nonzero = [f for f in factors if f]
-    return AbelianInvariants(p.generator_count - len(nonzero),
-                             tuple(f for f in nonzero if f > 1))
+    return AbelianInvariants(p.generator_count - len(factors),
+                             tuple(f for f in factors if f > 1))
 
 
 # -- surface rank arithmetic -----------------------------------------------------

@@ -140,7 +140,7 @@ _FACE_INDEX = {name: i for i, name in enumerate(FACE_NAMES)}
 
 def _slot(tet: int, name: str) -> int:
     """The slot 4 * tet + face index of a valid face."""
-    face = _FACE_INDEX.get(name)
+    face = _FACE_INDEX.get(name) if type(name) is str else None
     if face is None:
         raise SchemeError(f"unknown face name {name!r}")
     if type(tet) is not int:

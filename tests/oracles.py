@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from geodouble.freegroups import SubgroupGraph, Word, concat, free_reduce, inverse_word
 from geodouble.doubling import Double, DoubleWord, NormalForm, Syllable
-from geodouble.isometries import Isometry, is_inf
+from geodouble.isometries import Isometry
 from geodouble.presentations import (
     AuditCase,
     AuditError,
@@ -476,7 +476,9 @@ def reference_normal_form(self: Double, dword: DoubleWord) -> NormalForm:
                 # an absorbed subgroup syllable: merge back and redo.
                 w = concat(out.pop()[1], w)
                 continue
-            rep = self.left_representative(w)
+            # The canonical representative of the left coset w * H, from
+            # the graph's right-coset one: rep(w^-1)^-1.
+            rep = inverse_word(self.subgroup.coset_representative(inverse_word(w)))
             carry = concat(inverse_word(rep), w)
             out.append((side, rep))
             break
@@ -685,11 +687,11 @@ def reference_face_words(complex: GluedComplex) -> tuple[int, list[Word]]:
 
 def _frame(p: complex, q: complex) -> Isometry:
     """An isometry sending 0 to p and infinity to q (p != q)."""
-    if is_inf(p) and is_inf(q):
+    if cmath.isinf(p) and cmath.isinf(q):
         raise ValueError("frame endpoints must differ")
-    if is_inf(p):
+    if cmath.isinf(p):
         return Isometry(q, 1, 1, 0)
-    if is_inf(q):
+    if cmath.isinf(q):
         return Isometry(1, p, 0, 1)
     if abs(p - q) == 0:
         raise ValueError("frame endpoints must differ")
@@ -718,7 +720,7 @@ def make_parabolic(p: complex, translation: complex = 1) -> Isometry:
     if abs(translation) == 0:
         raise ValueError("translation must be nonzero")
     shear = Isometry(1, translation, 0, 1)
-    if is_inf(p):
+    if cmath.isinf(p):
         return shear
     f = Isometry(p, 1, 1, 0)  # sends infinity to p
     return f @ shear @ f.inverse()

@@ -9,6 +9,10 @@ import pytest
 from geodouble import cli, construction, presentations, triangulation
 from geodouble.cli import main, parse_complex_number, parse_matrix
 from geodouble.construction import family_scheme, family_stats, is_admissible
+from geodouble.doubling import DoubleWord
+from geodouble.freegroups import stallings_graph
+from geodouble.isometries import Isometry, commuting_criterion
+from geodouble.presentations import Presentation, surface_rank
 from geodouble.triangulation import render_scheme
 
 
@@ -522,6 +526,30 @@ class TestExitCodes:
 
     def test_missing_required_usage_error(self, capsys):
         assert main(["family", "verify"]) == 2
+
+
+class TestErrorTexts:
+    """Error texts of the library's own argument checks, and the one
+    ``error:`` line the CLI prints for those it reaches."""
+
+    @pytest.mark.parametrize("call, message, argv", [
+        (lambda: parse_matrix("1,0"), "matrix needs two ';'-separated rows",
+         ["iso", "classify", "--m", "1,0"]),
+        (lambda: DoubleWord.from_str("ab"), "syllable 'ab' needs a side prefix u: or p:",
+         ["double", "nf", "--rank", "2", "--H", "aa,b", "--word", "ab"]),
+        (lambda: Presentation(-1, ()), "generator count must be >= 0", None),
+        (lambda: surface_rank(0, -1, True), "boundary circle count must be >= 0", None),
+        (lambda: stallings_graph([], -1), "ambient rank must be >= 0", None),
+        (lambda: commuting_criterion(Isometry(1, 0, 0, 1, reversing=True), Isometry(1, 1, 0, 1)),
+         "criterion applies to orientation-preserving isometries", None),
+    ], ids=["parse_matrix", "double_word", "presentation", "surface_rank", "stallings_graph",
+            "commuting_criterion"])
+    def test_message(self, capsys, call, message, argv):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+        if argv:
+            assert run_error(capsys, *argv) == f"error: {message}"
 
 
 class TestCommandTable:

@@ -64,7 +64,7 @@ class TestVerifyFamily:
     @pytest.mark.parametrize("n", [4, 5, 8])
     def test_all_assertions_pass(self, n):
         report = verify_family(n)
-        assert report.passed, report.failures()
+        assert report.passed, [c for c in report.checks if not c.ok]
 
     def test_n4_angle_thirty_degrees(self):
         report = verify_family(4)

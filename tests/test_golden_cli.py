@@ -10,7 +10,8 @@ holding ``f4.scheme``, written the way the README writes it, because
 way on schemes beyond the family: the identity and crossed doubles, a
 complex whose vertex link is non-orientable, and a partial scheme.  Their
 files are written beside ``f4.scheme``.  ``REPORT_EXAMPLES`` pins
-``family report`` on edge ranges of n.
+``family report`` on edge ranges of n, and ``BRANCH_EXAMPLES`` pins output
+branches that no README example reaches.
 
 To re-record after an intended output change:
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
@@ -82,7 +83,15 @@ REPORT_EXAMPLES: dict[str, list[str]] = {
         "epsilon_range": ["--n-min", "4", "--n-max", "40", "--epsilon", "0.05"],
     }.items()}
 
-ALL_EXAMPLES = {**EXAMPLES, **SCHEME_EXAMPLES, **REPORT_EXAMPLES}
+# Output branches no README example reaches: the circle and the line that a
+# reversing involution fixes, and an audit step tagged [assumed, strict].
+BRANCH_EXAMPLES: dict[str, list[str]] = {
+    "iso_classify.circle": ["iso", "classify", "--m", "0,1;1,0", "--rev"],
+    "iso_classify.line": ["iso", "classify", "--m", "1,0;0,1", "--rev"],
+    "audit_case.rank_gap_witness": ["audit", "--g", "2", "--orientable", "--separating"],
+}
+
+ALL_EXAMPLES = {**EXAMPLES, **SCHEME_EXAMPLES, **REPORT_EXAMPLES, **BRANCH_EXAMPLES}
 CASES = [(name, machine) for name in ALL_EXAMPLES for machine in (False, True)]
 
 

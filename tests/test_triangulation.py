@@ -390,6 +390,8 @@ class TestSchemeRecords:
         (FaceSlot(1, "132"), FaceSlot("1", "453"), 0, "tetrahedron index '1' is not an int"),
         (FaceSlot(1, "132"), FaceSlot(1, "453"), True, "rotation True not in 0..2"),
         (FaceSlot(1, "132"), FaceSlot(1, "453"), 1.0, "rotation 1.0 not in 0..2"),
+        # Only a str is a face name; an unhashable one is not looked up.
+        (FaceSlot(1, ["132"]), FaceSlot(1, "453"), 0, "unknown face name ['132']"),
     ])
     def test_error_text(self, a, b, rotation, message):
         with pytest.raises(SchemeError) as info:
