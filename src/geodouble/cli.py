@@ -31,7 +31,8 @@ from .freegroups import stallings_graph, word_from_str, word_to_str
 
 
 class Report:
-    """A command's report; each line is rendered in the output mode as it is added."""
+    """A command's report; each line is rendered in the output mode as it is
+    added.  An entry of ``lines`` may hold several lines joined by newlines."""
 
     def __init__(self, command: str, machine: bool):
         self.command = command
@@ -40,7 +41,13 @@ class Report:
         self.failed = False
 
     def kv(self, key: str, value) -> None:
-        self.lines.append(f"{key}={value}" if self.machine else f"{key} = {value}")
+        self.kvs(key, (("", value),))
+
+    def kvs(self, prefix: str, pairs) -> None:
+        """Add one key/value line per (name, value) pair, keyed prefix + name,
+        as a single entry of ``lines``."""
+        sep = "=" if self.machine else " = "
+        self.lines.append("\n".join([f"{prefix}{name}{sep}{value}" for name, value in pairs]))
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         self.failed = self.failed or not ok
@@ -174,13 +181,10 @@ def cmd_family_report(args, rep: Report) -> None:
         strict = strict and 0 < bound and fix < 2 * bound and 0 < cbound and cfix < 2 * cbound
         ratio, cratio = _ratio(fix, bound), _ratio(cfix, cbound)
         if rep.machine:
-            rep.kv(f"row.{n}.boundary_genus", bgenus)
-            rep.kv(f"row.{n}.rank_upper_closed", bound)
-            rep.kv(f"row.{n}.fix_rank_closed", fix)
-            rep.kv(f"row.{n}.ratio_closed", ratio)
-            rep.kv(f"row.{n}.fix_rank_cusped", cfix)
-            rep.kv(f"row.{n}.rank_upper_cusped", f"<{cbound}")
-            rep.kv(f"row.{n}.ratio_cusped", cratio)
+            rep.kvs(f"row.{n}.", (
+                ("boundary_genus", bgenus), ("rank_upper_closed", bound),
+                ("fix_rank_closed", fix), ("ratio_closed", ratio), ("fix_rank_cusped", cfix),
+                ("rank_upper_cusped", f"<{cbound}"), ("ratio_cusped", cratio)))
         else:
             rep.text(f"{n:5d} {bgenus:6d} {bound:10d} {fix:8d} {ratio:>9s} {fix / bound:.6f} "
                      f"{cfix:10d} {'<' + str(cbound):>12s} {cratio:>12s} {cfix / cbound:.6f}")

@@ -39,7 +39,10 @@ the orientation relation of the two tetrahedra.  ``glue`` alone feeds
 these links to one signed union-find over a single flat index space of 11n
 items for n tetrahedra: edge e of tetrahedron t is 6(t-1)+(e-1), in
 0..6n-1; its vertex v is the corner 6n+4(t-1)+v, in 6n..10n-1; and the
-tetrahedron itself is 10n+(t-1), in 10n..11n-1.  A ``GluedComplex`` holds
+tetrahedron itself is 10n+(t-1), in 10n..11n-1.  A find that reaches an
+item whose parent is a root (most do, on the family) folds that item's
+sign into the link and steps to the root with no write; only deeper paths
+are halved (Tarjan and van Leeuwen, J. ACM 1984).  A ``GluedComplex`` holds
 the result in columns over that space, ``classes[x]`` (the class of item x
 among those of its kind, numbered by least item) and ``signs[x]`` (its sign
 against that item), and in per-class columns.  The package reads only
@@ -342,10 +345,11 @@ def _ref_direction(tri: tuple[tuple[int, int], ...],
 
 
 def _face_gluing(face_a: str, face_b: str, rotation: int):
-    """The seven links (m, ka, kb, rel) of gluing face_a of tetrahedron ta
-    to face_b of tetrahedron tb (both counted from 0): each joins the flat
-    items m * ta + ka and m * tb + kb of one kind, counted from the kind's
-    first item, with value(a) = rel * value(b).
+    """The seven links (m, k, ka, kb, rel) of gluing face_a of tetrahedron
+    ta to face_b of tetrahedron tb (both counted from 0): each joins the flat
+    items m * ta + ka and m * tb + kb of kind k (0 edges, 1 corners, 2
+    tetrahedra), counted from the kind's first item, with value(a) =
+    rel * value(b).
 
     Three edge links (m = 6) carry the relative arrow sign; three corner
     links (m = 4) carry the link-side sign, the sign that coherent
@@ -358,7 +362,7 @@ def _face_gluing(face_a: str, face_b: str, rotation: int):
                   for t in (FACES, FACE_WALK_SIGNS, FACE_CORNERS))
     links, end_map = [], {}
     for e, f, s, t in zip(ea, eb, wa, wb):
-        links.append((6, e - 1, f - 1, s * t))
+        links.append((6, 0, e - 1, f - 1, s * t))
         # Walk-start maps to walk-start: same intrinsic ends when the walk
         # signs agree, crossed ends otherwise.
         for i in (0, 1):
@@ -372,10 +376,10 @@ def _face_gluing(face_a: str, face_b: str, rotation: int):
         d2 = _ref_direction(_CORNER_ENDS[vb], end_map[p1], end_map[q1])
         # Coherent triangle orientations must induce opposite directions
         # on the glued side: o1*d1 = -o2*d2.
-        links.append((4, va, vb, -d1 * d2))
+        links.append((4, 1, va, vb, -d1 * d2))
     # Coherent orientation needs the glued faces' normals to point in
     # opposite effective directions: eps_a * eps_b = -s(Fa) * s(Fb).
-    links.append((1, 0, 0, -FACE_SIGN[face_a] * FACE_SIGN[face_b]))
+    links.append((1, 2, 0, 0, -FACE_SIGN[face_a] * FACE_SIGN[face_b]))
     return tuple(links)
 
 
@@ -462,23 +466,35 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
     # item of its class; its signs are then products along the forest of
     # the links that merged two classes, as path halving keeps them.  A link
     # that contradicts the signs already imposed records its root in clashes.
-    # Items of kind m start at first[m] + m, as tetrahedra count from 1.
+    # Items of kind k, m to a tetrahedron, start at first[k] + m, as
+    # tetrahedra count from 1.  Most reads end one step from a root, whose
+    # sign is 1: a step whose parent q is a root only folds sign[x] into the
+    # link and stops, with no write; a deeper step halves, pointing x at its
+    # grandparent g.
     n = scheme.tet_count
     c0, t0 = 6 * n, 10 * n
-    first = {6: -6, 4: c0 - 4, 1: t0 - 1}
+    first = (-6, c0 - 4, t0 - 1)
     parent, sign, clashes = list(range(11 * n)), [1] * (11 * n), []
     for ta, fa, tb, fb, r in scheme._rows():
-        for m, ka, kb, rel in _GLUINGS[fa][fb][r]:
-            base = first[m]
+        for m, k, ka, kb, rel in _GLUINGS[fa][fb][r]:
+            base = first[k]
             x, y, sx = m * ta + ka + base, m * tb + kb + base, rel
             while (q := parent[x]) != x:
-                sign[x] *= sign[q]
-                sx *= sign[x]
-                parent[x] = x = parent[q]
+                if (g := parent[q]) == q:
+                    sx *= sign[x]
+                    x = q
+                    break
+                sign[x] = s = sign[x] * sign[q]
+                sx *= s
+                parent[x] = x = g
             while (q := parent[y]) != y:
-                sign[y] *= sign[q]
-                sx *= sign[y]
-                parent[y] = y = parent[q]
+                if (g := parent[q]) == q:
+                    sx *= sign[y]
+                    y = q
+                    break
+                sign[y] = s = sign[y] * sign[q]
+                sx *= s
+                parent[y] = y = g
             # The link now asks value(x) = sx * value(y) of the two roots.
             if x == y:
                 if sx != 1:

@@ -245,34 +245,42 @@ def _pairing_compatible(p, eps) -> bool:
 def brute_link_orientable(complex: GluedComplex, vertex_class: int) -> bool:
     """Whether the link triangles of one vertex class can be signed so that
     every glued side joins two of them coherently.  Each side asks a sign
-    product of its two triangles; the constraints are flooded from each
-    least unsigned triangle, and no signs exist iff one is contradicted."""
+    product of its two triangles (``corner_links``); the constraints are
+    flooded from each least unsigned triangle, and no signs exist iff one
+    is contradicted."""
     corners = vertex_class_corners(complex, vertex_class)
-
-    def direction(tet, vertex, x, y):
-        # +1 when the side x->y of the link triangle at the corner runs along
-        # the cycle of its sorted edge ends (tet, edge, 0 tail or 1 head).
-        tri = sorted((tet, e, i) for e, ends in EDGE_ENDS.items() for i in (0, 1)
-                     if ends[i] == vertex)
-        return 1 if tri.index(y) == (tri.index(x) + 1) % 3 else -1
-
-    constraints = []  # (corner, corner, required sign product)
-    for p in complex.scheme.pairings:
-        matches = face_matches(p)
-        end_map = {}
-        for (ta, ea, wa, _), (tb, eb, wb, _) in matches:
-            for i in (0, 1):
-                end_map[(ta, ea, i)] = (tb, eb, i if wa == wb else 1 - i)
-        for j, ((ta, ea, wa, va), (tb, _, _, vb)) in enumerate(matches):
-            if (ta, va) not in corners:
-                continue
-            _, en, wn, _ = matches[(j + 1) % 3][0]
-            p1 = (ta, ea, 1 if wa == 1 else 0)
-            q1 = (ta, en, 0 if wn == 1 else 1)
-            d1 = direction(ta, va, p1, q1)
-            d2 = direction(tb, vb, end_map[p1], end_map[q1])
-            constraints.append(((ta, va), (tb, vb), -d1 * d2))
+    constraints = [link for p in complex.scheme.pairings for link in corner_links(p)
+                   if link[0] in corners]
     return all(consistent for _, consistent in _flood(corners, constraints))
+
+
+def _link_direction(tet, vertex, x, y) -> int:
+    # +1 when the side x->y of the link triangle at the corner runs along
+    # the cycle of its sorted edge ends (tet, edge, 0 tail or 1 head).
+    tri = sorted((tet, e, i) for e, ends in EDGE_ENDS.items() for i in (0, 1)
+                 if ends[i] == vertex)
+    return 1 if tri.index(y) == (tri.index(x) + 1) % 3 else -1
+
+
+def corner_links(p) -> list:
+    """The three (corner, corner, required sign product) constraints of
+    pairing p on link triangles, in match order: the link-triangle side at
+    match j joins the walk-end of edge j to the walk-start of edge j + 1,
+    and coherent triangles must run along it in opposite directions."""
+    matches = face_matches(p)
+    end_map = {}
+    for (ta, ea, wa, _), (tb, eb, wb, _) in matches:
+        for i in (0, 1):
+            end_map[(ta, ea, i)] = (tb, eb, i if wa == wb else 1 - i)
+    links = []
+    for j, ((ta, ea, wa, va), (tb, _, _, vb)) in enumerate(matches):
+        _, en, wn, _ = matches[(j + 1) % 3][0]
+        p1 = (ta, ea, 1 if wa == 1 else 0)
+        q1 = (ta, en, 0 if wn == 1 else 1)
+        d1 = _link_direction(ta, va, p1, q1)
+        d2 = _link_direction(tb, vb, end_map[p1], end_map[q1])
+        links.append(((ta, va), (tb, vb), -d1 * d2))
+    return links
 
 
 # -- identification classes by flood fill ---------------------------------------
@@ -309,52 +317,78 @@ def _flood(items, links) -> list[tuple[tuple, bool]]:
 
 def flood_identifications(scheme: GluingScheme):
     """(edge classes, vertex classes, tetrahedron components) of a possibly
-    open scheme, read from each pairing's ``face_matches`` by flood fill.
+    open scheme, read from each pairing's ``signed_links`` by flood fill.
 
     Edge classes are (members, consistent) with members (tet, edge, sign),
     the sign relative to the class's least edge; vertex classes are sorted
     tuples of (tet, vertex); components are frozensets of tetrahedra.
     """
-    tets = range(1, scheme.tet_count + 1)
-    edge_links, corner_links, tet_links = [], [], []
-    for p in scheme.pairings:
-        for (ta, ea, wa, va), (tb, eb, wb, vb) in face_matches(p):
-            edge_links.append(((ta, ea), (tb, eb), wa * wb))
-            corner_links.append(((ta, va), (tb, vb), 1))
-        tet_links.append((p.a.tet, p.b.tet, 1))
+    edge_classes, corner_classes, tet_classes = signed_floods(scheme)
     edges = [(tuple((t, e, s) for (t, e), s in members), consistent)
-             for members, consistent in
-             _flood([(t, e) for t in tets for e in EDGE_ENDS], edge_links)]
-    verts = [tuple(v for v, _ in members) for members, _ in
-             _flood([(t, v) for t in tets for v in range(4)], corner_links)]
-    comps = [frozenset(t for t, _ in members) for members, _ in _flood(tets, tet_links)]
+             for members, consistent in edge_classes]
+    verts = [tuple(v for v, _ in members) for members, _ in corner_classes]
+    comps = [frozenset(t for t, _ in members) for members, _ in tet_classes]
     return edges, verts, comps
 
 
-def forest_edge_signs(scheme: GluingScheme) -> dict:
-    """Sign of every (tet, edge) relative to the least edge of its class,
-    read along the spanning forest that keeps each edge link, in pairing
-    and match order, that joins two different classes.
+def signed_links(scheme: GluingScheme):
+    """Each pairing's links, in pairing and match order, as three lists of
+    (x, y, rel) meaning value(x) = rel * value(y): edges (tet, edge) with
+    the relative arrow sign of ``face_matches``, corners (tet, vertex) with
+    the link-side sign of ``corner_links``, and tetrahedra with the sign
+    product of tetrahedron orientations that ``_pairing_compatible`` allows
+    (it depends on that product alone)."""
+    edges, corners, tets = [], [], []
+    for p in scheme.pairings:
+        for (ta, ea, wa, _), (tb, eb, wb, _) in face_matches(p):
+            edges.append(((ta, ea), (tb, eb), wa * wb))
+        corners += corner_links(p)
+        compatible = _pairing_compatible(p, {p.a.tet: 1, p.b.tet: 1})
+        tets.append((p.a.tet, p.b.tet, 1 if compatible else -1))
+    return edges, corners, tets
 
-    In a class glued to itself reversed no signs satisfy every link; these
-    are the ones a union-find reports that imposes the links in that order,
+
+def _kind_items(scheme: GluingScheme):
+    """Every edge (tet, edge), corner (tet, vertex) and tetrahedron, sorted."""
+    tets = range(1, scheme.tet_count + 1)
+    return ([(t, e) for t in tets for e in EDGE_ENDS], [(t, v) for t in tets for v in range(4)],
+            list(tets))
+
+
+def signed_floods(scheme: GluingScheme):
+    """``_flood`` of each kind's items under its ``signed_links``: per kind,
+    the classes as (sorted (item, sign) pairs, consistent).  A vertex class
+    is consistent iff its link is orientable, and every component iff the
+    complex is."""
+    return tuple(_flood(items, links)
+                 for items, links in zip(_kind_items(scheme), signed_links(scheme)))
+
+
+def forest_signs(scheme: GluingScheme) -> tuple[dict, dict, dict]:
+    """Sign of every edge (tet, edge), corner (tet, vertex) and tetrahedron
+    relative to the least item of its class, read along the spanning forest
+    that keeps each of its kind's ``signed_links``, in pairing and match
+    order, that joins two different classes.
+
+    In an inconsistent class no signs satisfy every link; these are the
+    ones a union-find reports that imposes the links in that order,
     whichever root it keeps: each item's sign to its root is the product
     along its forest path.  Classes are tracked by naive relabelling.
     """
-    tets = range(1, scheme.tet_count + 1)
-    items = [(t, e) for t in tets for e in EDGE_ENDS]
-    label = {x: x for x in items}
-    members = {x: [x] for x in items}
-    forest = []
-    for p in scheme.pairings:
-        for (ta, ea, wa, _), (tb, eb, wb, _) in face_matches(p):
-            lx, ly = label[(ta, ea)], label[(tb, eb)]
+    signs = []
+    for items, links in zip(_kind_items(scheme), signed_links(scheme)):
+        label = {x: x for x in items}
+        members = {x: [x] for x in items}
+        forest = []
+        for x, y, rel in links:
+            lx, ly = label[x], label[y]
             if lx != ly:
-                forest.append(((ta, ea), (tb, eb), wa * wb))
+                forest.append((x, y, rel))
                 for z in members[ly]:
                     label[z] = lx
                 members[lx] += members.pop(ly)
-    return {x: s for members, _ in _flood(items, forest) for x, s in members}
+        signs.append({x: s for members, _ in _flood(items, forest) for x, s in members})
+    return tuple(signs)
 
 
 def flood_link_counts(scheme: GluingScheme) -> dict:

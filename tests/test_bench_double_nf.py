@@ -1,6 +1,7 @@
 """The benchmark's own checks: ``double_nf`` on one warm and one full
-round, and ``subgroup_fold`` on one full round, so a wrong normal form,
-fold or coset representative fails here before the benchmark reports it;
+round, and ``subgroup_fold`` and ``family_sweep`` on one full round each,
+so a wrong normal form, fold, coset representative, glued complex or
+family row fails here before the benchmark reports it;
 and a smoke run of every workload's warm round and of the tracer's
 install, so a removed name the benchmark uses or traces fails here too.
 
@@ -75,6 +76,21 @@ def test_subgroup_fold_round_passes_the_bench_checks():
         assert op.check(op.run()) is None, (op.kind, op.size)
         kinds.add(op.kind)
     assert kinds == {"fold.long", "fold.schreier", "cli.fg_fold"}
+
+
+def test_family_sweep_round_passes_the_bench_checks():
+    # One full round: the library pipeline up to n = 4096 (parse, glue,
+    # boundary, handles, angles, presentation and its abelianization),
+    # `family verify` up to n = 512 and `family report` up to n = 4096.
+    workloads = bench_workloads()
+    cls = workloads.WORKLOADS["family_sweep"]
+    workload = cls(package(), random.Random(f"family_sweep/{SEED}/setup"), {})
+    sizes = {}
+    for op in workload.round(random.Random(f"family_sweep/{SEED}/0"), warm=False):
+        assert op.check(op.run()) is None, (op.kind, op.size)
+        sizes.setdefault(op.kind, set()).add(op.size)
+    assert sizes == {"family": set(cls.LIB_N), "cli.family_verify": set(cls.VERIFY_N),
+                     "cli.family_report": set(cls.REPORT_N)}
 
 
 def test_warm_rounds_pass_and_the_tracer_installs():

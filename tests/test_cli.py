@@ -11,8 +11,8 @@ from geodouble.cli import main, parse_complex_number, parse_matrix
 from geodouble.construction import family_scheme, family_stats, is_admissible
 from geodouble.doubling import DoubleWord
 from geodouble.freegroups import stallings_graph
-from geodouble.isometries import Isometry, commuting_criterion
-from geodouble.presentations import Presentation, surface_rank
+from geodouble.isometries import Isometry, commuting_criterion, fixed_points
+from geodouble.presentations import AuditCase, Presentation, surface_rank
 from geodouble.triangulation import render_scheme
 
 
@@ -542,8 +542,14 @@ class TestErrorTexts:
         (lambda: stallings_graph([], -1), "ambient rank must be >= 0", None),
         (lambda: commuting_criterion(Isometry(1, 0, 0, 1, reversing=True), Isometry(1, 1, 0, 1)),
          "criterion applies to orientation-preserving isometries", None),
+        # An inversion in a circle of radius 1e-5: r^2 = 1e-10 is inside the tolerance.
+        (lambda: fixed_points(Isometry(0, 1e-10, 1, 0, reversing=True)),
+         "degenerate reversing involution", ["iso", "classify", "--m", "0,1e-10;1,0", "--rev"]),
+        (lambda: AuditCase(genus=-1, torus_pairs=0, single_circles=0, orientable=True,
+                           separating=True).validate(),
+         "orientable genus must be >= 0", ["audit", "--g", "-1", "--orientable", "--separating"]),
     ], ids=["parse_matrix", "double_word", "presentation", "surface_rank", "stallings_graph",
-            "commuting_criterion"])
+            "commuting_criterion", "fixed_points", "audit_case"])
     def test_message(self, capsys, call, message, argv):
         with pytest.raises(ValueError) as info:
             call()

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from geodouble.freegroups import (
     SubgroupGraph,
     WordError,
+    _inverse_columns,
     _reduced,
     concat,
     free_reduce,
@@ -85,6 +86,12 @@ class TestStallingsGraph:
         assert g.subgroup_rank() == 3
         assert g.index() == 2
         assert g.schreier_rank_check()
+
+    def test_equality_with_other_types_and_repr(self):
+        g = stallings_graph(["aa", "b", "abA"], 2)
+        assert g.__eq__("graph") is NotImplemented
+        assert g != "graph" and g == stallings_graph(["b", "aa", "aBA"], 2)
+        assert repr(g) == "SubgroupGraph(rank=2, vertices=2, edges=4)"
 
     def test_whole_group(self):
         g = stallings_graph(["a", "b"], 2)
@@ -410,6 +417,12 @@ def _transitive_perms(rng, size, rank):
 class TestColumnLayout:
     """The graph kept as one target column per label, with the tree found
     by the relabelling pass, against oracles that see only ``edges()``."""
+
+    def test_inverse_check_rejects_a_non_integer_dict_target(self):
+        # Two vertices joined by one edge of label 1, in dict columns
+        # (cols[-1] is the last entry); a float target sums to a float.
+        assert _inverse_columns([None, {0: 1}, {1: 0}], 2, 2) is True
+        assert _inverse_columns([None, {0: 1.0}, {1: 0}], 2, 2) is False
 
     @pytest.mark.parametrize("kind", ["schreier-1024", "fold-10000"])
     def test_tree_words_match_the_breadth_first_oracle(self, kind):

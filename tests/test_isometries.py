@@ -334,7 +334,25 @@ class TestCommutingCriterion:
         assert hits == 0
 
 
+class TestIsometryRecord:
+    def test_pole_maps_to_infinity(self):
+        # z -> -1/z: the denominator c*z + d vanishes at z = 0.
+        g = Isometry(0, -1, 1, 0)
+        assert g.apply(0) == INF
+        assert g.apply(INF) == 0
+
+    def test_repr(self):
+        assert repr(Isometry(0, -1, 1, 0)) == "Isometry([[0j, (-1+0j)], [(1+0j), 0j]])"
+        assert repr(Isometry(2, 1, 1, 1, reversing=True)) == \
+            "Isometry([[(2+0j), (1+0j)], [(1+0j), (1+0j)]], reversing)"
+
+
 class TestCrossRatio:
+    def test_repeated_point_gives_infinity(self):
+        # a = d makes the denominator (a, d)(b, c) vanish.
+        assert cross_ratio(0, 1, 2, 0) == INF
+        assert cross_ratio(INF, 1, 2, INF) == INF
+
     def test_perpendicular_axes_give_minus_one(self):
         assert abs(cross_ratio(0, INF, 1j, -1j) + 1) < 1e-12
         assert abs(cross_ratio(1, -1, 1j, -1j) + 1) < 1e-12

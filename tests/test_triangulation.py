@@ -41,7 +41,8 @@ from oracles import (
     brute_orientable,
     flood_identifications,
     flood_link_counts,
-    forest_edge_signs,
+    forest_signs,
+    signed_floods,
     vertex_class_corners,
 )
 
@@ -77,10 +78,10 @@ pair 1.264 1.453
 """
 
 
-def random_pairings(rng, max_tets=3):
+def random_pairings(rng, max_tets=3, min_tets=1):
     """A tet count and FacePairing records that pair up all of its faces
     at random, each with a random rotation."""
-    tets = rng.randint(1, max_tets)
+    tets = rng.randint(min_tets, max_tets)
     slots = [(t, f) for t in range(1, tets + 1) for f in FACES]
     rng.shuffle(slots)
     return tets, [FacePairing(FaceSlot(*slots.pop()), FaceSlot(*slots.pop()), rng.randint(0, 2))
@@ -109,7 +110,7 @@ def assert_glue_matches_flood(scheme):
     return the number of orientation-inconsistent edge classes."""
     c = glue(scheme, require_closed=False)
     edges, verts, comps = flood_identifications(scheme)
-    forest = forest_edge_signs(scheme)
+    forest = forest_signs(scheme)
     assert_columns_match_flood(c, edges, verts, comps, forest)
     assert [ec.orientation_consistent for ec in c.edge_classes] == \
            [consistent for _, consistent in edges]
@@ -118,7 +119,7 @@ def assert_glue_matches_flood(scheme):
         # there glue reports the signs of the link-order spanning forest.
         if consistent:
             assert ec.members == members
-        assert ec.members == tuple((t, e, forest[(t, e)]) for t, e, _ in members)
+        assert ec.members == tuple((t, e, forest[0][(t, e)]) for t, e, _ in members)
     assert c.link_orientable == tuple(
         brute_link_orientable(c, i) for i in range(len(verts)))
     assert c.orientable == brute_orientable(scheme)
@@ -127,25 +128,29 @@ def assert_glue_matches_flood(scheme):
 
 def assert_columns_match_flood(c, edges, verts, comps, forest):
     """Check glue's columns, before any view is read, item by item against
-    the flood-fill classes and the forest signs."""
+    the flood-fill classes and the forest signs of all three kinds."""
     n = c.scheme.tet_count
-    assert len(c.classes) == len(c.signs) == 11 * n
     assert c.valences == [len(members) for members, _ in edges]
     assert c.edge_consistent == [consistent for _, consistent in edges]
     assert c.edge_roots == [6 * (members[0][0] - 1) + members[0][1] - 1 for members, _ in edges]
+    assert c.vertex_class_count == len(c.vertex_sizes) == len(verts)
+    assert c.vertex_sizes == [len(vclass) for vclass in verts]
+    assert c.component_count == len(comps)
+    classes, signs = [None] * (11 * n), [None] * (11 * n)
+    edge_signs, corner_signs, tet_signs = forest
     for k, (members, _) in enumerate(edges):
         for t, e, _ in members:
             x = 6 * (t - 1) + e - 1
-            assert (c.classes[x], c.signs[x]) == (k, forest[(t, e)])
-    assert c.vertex_class_count == len(c.vertex_sizes) == len(verts)
-    assert c.vertex_sizes == [len(vclass) for vclass in verts]
+            classes[x], signs[x] = k, edge_signs[(t, e)]
     for k, vclass in enumerate(verts):
         for t, v in vclass:
-            assert c.classes[6 * n + 4 * (t - 1) + v] == k
-    assert c.component_count == len(comps)
+            x = 6 * n + 4 * (t - 1) + v
+            classes[x], signs[x] = k, corner_signs[(t, v)]
     for k, comp in enumerate(comps):
         for t in comp:
-            assert c.classes[10 * n + t - 1] == k
+            classes[10 * n + t - 1], signs[10 * n + t - 1] = k, tet_signs[t]
+    assert c.classes == classes
+    assert c.signs == signs
 
 
 class TestModelConstants:
@@ -276,6 +281,22 @@ class TestParsePaths:
         rng = random.Random(43)
         texts = [render_scheme(family_scheme(n)) for n in (4, 5, 17)]
         texts += [CANONICAL.replace(old, new, 1) for old, new in MUTANTS]
+        # Out-of-order text with a duplicate face, a face beyond the tet count
+        # or a face paired with itself: the line reader names the first line.
+        head, *pairs = render_scheme(family_scheme(7)).splitlines()
+        for fault in ("pair 3.132 5.264", "pair 8.264 2.132", "pair 6.516 6.516"):
+            for k in (0, 5, len(pairs)):
+                for lines in (pairs[::-1], pairs[1::-1] + pairs[2:]):
+                    texts.append("\n".join([head, *lines[:k], fault, *lines[k:]]) + "\n")
+        # Canonical pair lines out of order or written greater face first.
+        for scheme in [family_scheme(4), family_scheme(5)] + [
+                random_closed_scheme(rng, max_tets=30) for _ in range(10)]:
+            head, *pairs = render_scheme(GluingScheme(scheme.tet_count, [
+                FacePairing(p.a, p.b) for p in scheme.pairings])).splitlines()
+            flipped = [" ".join((w, b, a)) for w, a, b in map(str.split, pairs)]
+            for lines in (pairs[1::-1] + pairs[2:], pairs[::-1], flipped[:1] + pairs[1:], flipped,
+                          rng.sample([rng.choice(pair) for pair in zip(pairs, flipped)], len(pairs))):
+                texts.append("\n".join([head, *lines]) + "\n")
         for i in range(300):
             scheme = random_closed_scheme(rng, max_tets=8)
             keep = 1.0 if i % 2 else 0.6
@@ -588,6 +609,26 @@ class TestGlue:
             inconsistent += assert_glue_matches_flood(scheme)
         assert inconsistent > 0
         assert self_glued > 100
+
+    def test_columns_match_flood_on_large_schemes(self):
+        # 40 closed and partial schemes of 30-200 tetrahedra reach deeper
+        # union-find paths than the oracle schemes; brute_orientable cannot
+        # run there, so orientability is read from the signed floods.
+        rng = random.Random(53)
+        inconsistent = nonorientable = 0
+        for i in range(40):
+            tets, records = random_pairings(rng, max_tets=200, min_tets=30)
+            if i % 2:
+                records = [p for p in records if rng.random() < 0.8]
+            scheme = GluingScheme(tets, records)
+            c = glue(scheme, require_closed=False)
+            assert_columns_match_flood(c, *flood_identifications(scheme), forest_signs(scheme))
+            _, corner_classes, tet_classes = signed_floods(scheme)
+            assert c.link_orientable == tuple(ok for _, ok in corner_classes)
+            assert c.orientable == all(ok for _, ok in tet_classes)
+            inconsistent += not all(c.edge_consistent)
+            nonorientable += not c.orientable
+        assert inconsistent > 10 and nonorientable > 10
 
     @settings(max_examples=150, deadline=None)
     @given(st.randoms(use_true_random=False), st.integers(1, 12), st.floats(0, 1))
