@@ -100,10 +100,6 @@ def parse_matrix(text: str) -> list[list[complex]]:
     return out
 
 
-def _gen_words(text: str, rank: int):
-    return [word_from_str(tok, rank) for tok in text.split(",") if tok.strip()]
-
-
 def _read_scheme(path: str) -> triangulation.GluingScheme:
     with open(path, encoding="utf-8") as fh:
         return triangulation.parse_scheme(fh.read())
@@ -252,7 +248,7 @@ def cmd_scheme_family(args, rep: Report) -> str:
 def _fg(args, rep: Report):
     """The folded graph of ``--gens`` that every ``fg`` row reports on."""
     rep.command += f" --rank {args.rank} --gens {args.gens}"
-    return stallings_graph(_gen_words(args.gens, args.rank), args.rank)
+    return stallings_graph(args.gens.split(","), args.rank)
 
 
 @command("fg fold", _RANK, _GENS)
@@ -297,7 +293,7 @@ def cmd_fg_rep(args, rep: Report) -> None:
          _arg("--word", type=str, required=True, help="syllables like 'u:abA p:bb u:a'"))
 def cmd_double_nf(args, rep: Report) -> None:
     rep.command += f" --rank {args.rank} --H {args.H} --word {args.word}"
-    dbl = doubling.Double.from_generators(_gen_words(args.H, args.rank), args.rank)
+    dbl = doubling.Double.from_generators(args.H.split(","), args.rank)
     word = doubling.DoubleWord.from_str(args.word, args.rank)
     nf = dbl.normal_form(word)
     rep.kv("normal_form", str(nf))
@@ -323,7 +319,7 @@ def cmd_double_fixtest(args, rep: Report) -> None:
     rep.command += (
         f" --rank {args.rank} --H {args.H} "
         f"--samples {args.samples} --seed {seed}")
-    dbl = doubling.Double.from_generators(_gen_words(args.H, args.rank), args.rank)
+    dbl = doubling.Double.from_generators(args.H.split(","), args.rank)
     rng = random.Random(seed)
     rep.kv("seed", seed)
     rep.kv("samples", args.samples)

@@ -34,17 +34,18 @@ computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
 that tree.
 
-Words are taken in and read at a cost per batch, not per word, and every
-check keeps its error text.  ``from_generators`` checks the letters and
-the reducedness of all generators in a few C-level passes over them joined
-into one list; if any check fails it reruns the per-word loop, which
-raises the first fault.  ``from_adjacency`` checks the edges column by
-column the same way, with the per-edge loop as its fallback.  Membership,
-``trace`` and coset representatives read the word as given, unreduced:
-each label of a folded graph is a partial injection whose inverse label is
-its inverse map, so a read that completes ends where the read of the free
-reduction ends.  Only a read that stops is done again on the free
-reduction, which also checks the letters.
+Words are taken in and read at a cost per batch, not per word, under one
+letter rule: a letter is a nonzero int (bools count) within the rank.
+``from_generators`` checks the letters and the reducedness of all
+generators in a few C-level passes over them joined into one list; if any
+check fails it reruns the per-word loop, which raises the first fault.
+``from_adjacency`` checks the edges column by column the same way.
+Membership, ``trace`` and coset representatives share one reader, which
+reads the word as given: each label of a folded graph is a partial
+injection whose inverse label is its inverse map, so a read that completes
+ends where the read of the free reduction ends.  A read that stops on a
+reduced word is the answer once its unread rest passes the letter rule;
+any other word is read again as its free reduction.
 
 For the double's normal forms the graph also reads whole words forward
 with free cancellation.  The double's second normal-form pass
@@ -58,7 +59,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import add, is_not
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 Word = tuple[int, ...]
 
@@ -134,10 +135,11 @@ def _reduced(word: Iterable[int]) -> Word:
 
 
 def _check_letters(word: Sequence[int], rank: int) -> None:
-    # Three C-level passes; the letter is looked for only on failure.
-    if word and (min(word) < -rank or max(word) > rank or 0 in word):
-        bad = next(s for s in word if not 1 <= abs(s) <= rank)
-        raise WordError(f"letter {bad} outside the rank-{rank} alphabet")
+    # The batch intake's rule, in C-level passes; the letter is looked for
+    # only on failure.
+    if 0 in word or not _in_rank(word, rank):
+        bad = next(s for s in word if s == 0 or not _in_rank((s,), rank))
+        raise WordError(f"letter {bad!r} outside the rank-{rank} alphabet")
 
 
 def _intake(generators: Iterable[Word | str], rank: int) -> tuple[Word, ...]:
@@ -168,9 +170,10 @@ def _intake(generators: Iterable[Word | str], rank: int) -> tuple[Word, ...]:
     return _intake_loop(words, rank)
 
 
-def _in_rank(letters: set, rank: int) -> bool:
+def _in_rank(letters: Collection, rank: int) -> bool:
     # Whether every letter is an int with |s| <= rank.  An int sum rules out
-    # floats, NaN and other types that the comparisons would let past.
+    # floats, NaN and other types that the comparisons would let past; bools
+    # sum to ints and count as ints.
     try:
         return type(sum(letters)) is int and not (
             letters and (min(letters) < -rank or max(letters) > rank))
@@ -290,52 +293,39 @@ class SubgroupGraph:
         col = self._col.get(label)
         return None if col is None else col[vertex]
 
-    def _read(self, word: Word) -> tuple[int, Word]:
-        # (vertex reached, unread rest) following the reduced word from the
-        # base as far as the graph allows.  Only labels of the rank have
-        # columns, so only the unread rest needs its letters checked.
-        cols = self._col
-        v = 0
-        for i, s in enumerate(word):
-            col = cols.get(s)
-            if col is not None:
-                nxt = col[v]
-                if nxt is not None:
-                    v = nxt
-                    continue
-            rest = word[i:]
-            _check_letters(rest, self.ambient_rank)
-            return v, rest
-        return v, ()
-
     def _locate(self, word: Iterable[int]) -> tuple[int, Word]:
-        # _read of the free reduction of ``word``.  The word is read first
-        # as given: a read that completes ends where its reduction's does.
-        # A read that stops at a missing edge is already _read's answer
-        # when the word has no 0 and no cancelling neighbours, the test
-        # _reduced makes.  Any other stop, at a letter with no column
-        # (outside the rank, 0 or not an integer), at an unhashable letter
-        # or in an unreduced word, is read again on the reduction, which
-        # checks the letters.
+        # (vertex reached, unread rest) of the free reduction of ``word``
+        # read from the base.  A read of ``word`` as given that completes
+        # ends where its reduction's does; one that stops is the answer
+        # when _reduced leaves the word as it is (no 0, no cancelling
+        # neighbours) and the unread rest passes the letter rule.  Any other
+        # word is read again as its reduction; an unhashable letter that
+        # the reduction keeps raises the TypeError of its column lookup.
         word = tuple(word)
         cols = self._col
         v = 0
         letters = iter(word)
+        unhashable = None
         try:
             for s in letters:
                 nxt = cols[s][v]
                 if nxt is None:
-                    if 0 not in word and 0 not in map(add, word, word[1:]):
-                        rest = (s, *letters)
-                        _check_letters(rest, self.ambient_rank)
-                        return v, rest
                     break
                 v = nxt
             else:
                 return v, ()
-        except (KeyError, TypeError):
+        except KeyError:
             pass
-        return self._read(_reduced(word))
+        except TypeError as exc:
+            unhashable = exc
+        reduced = _reduced(word)
+        if reduced != word:
+            return self._locate(reduced)
+        if unhashable:
+            raise unhashable
+        rest = (s, *letters)
+        _check_letters(rest, self.ambient_rank)
+        return v, rest
 
     def trace(self, word: Iterable[int]) -> int | None:
         """Endpoint of the path reading ``word`` from the base, or None.
@@ -343,10 +333,11 @@ class SubgroupGraph:
         Each label of a folded graph is a partial injection and its inverse
         label is the inverse map, so a read of ``word`` that completes,
         cancelling pairs included, ends where the read of its free
-        reduction ends; only a read that stops is done again on the free
-        reduction.  A letter outside the rank that free reduction leaves in
-        ``word`` raises WordError, here and in ``contains`` and
-        ``coset_representative``.
+        reduction ends; only a read of an unreduced word that stops is done
+        again on the free reduction.  A letter that free reduction leaves in
+        ``word`` and that is not a nonzero int within the rank raises
+        WordError when the read stops at or before it, here and in
+        ``contains`` and ``coset_representative``.
         """
         v, rest = self._locate(word)
         return None if rest else v
@@ -477,8 +468,8 @@ def _check_edges(adj: list[dict[int, int]], rank: int, base: int) -> None:
         for s, w in nbrs.items():
             if not 1 <= abs(s) <= rank:
                 raise ValueError(f"label {s} outside rank {rank}")
-            if not 0 <= w < n:
-                raise ValueError(f"edge {v} --{s}--> {w} leaves the {n}-vertex graph")
+            if not (isinstance(w, int) and 0 <= w < n):
+                raise ValueError(f"edge {v} --{s}--> {w!r} leaves the {n}-vertex graph")
             if adj[w].get(-s) != v:
                 raise ValueError(f"edge {v} --{s}--> {w} lacks its reverse entry")
     for v, nbrs in enumerate(adj):

@@ -47,7 +47,7 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
-from .freegroups import Word, free_reduce, inverse_word, word_to_str
+from .freegroups import Word, _in_rank, free_reduce, inverse_word, word_to_str
 from .triangulation import (
     FACE_NAMES,
     FACES,
@@ -77,12 +77,13 @@ class Presentation:
     def __post_init__(self) -> None:
         if self.generator_count < 0:
             raise ValueError("generator count must be >= 0")
+        n = self.generator_count
         cleaned = []
         for r in self.relators:
             w = cyclic_reduce(r)
-            for s in w:
-                if not 1 <= abs(s) <= self.generator_count:
-                    raise ValueError(f"relator letter {s} outside generators")
+            if not _in_rank(w, n):
+                bad = next(s for s in w if not _in_rank((s,), n))
+                raise ValueError(f"relator letter {bad!r} outside generators")
             if w:
                 cleaned.append(w)
         object.__setattr__(self, "relators", tuple(cleaned))
@@ -341,14 +342,6 @@ def _mostly_units(rows: list[tuple[int, ...]]) -> bool:
     return 2 * units > len(rows) * len(rows[0]) - zeros
 
 
-def _front_end(matrix: Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
-    """The count of +-1 pivots (factors 1) and the distinct nonzero rows left."""
-    rows = _distinct_rows(matrix)
-    if rows and _mostly_units(rows):
-        return _unit_pivots(rows)
-    return 0, rows
-
-
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
     """Rank r and D = |last nonzero pivot| of fraction-free elimination with
     row and column pivoting.  D is a nonzero r x r minor of the matrix, and
@@ -445,7 +438,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     lattice L + D*Z^n, which divides Delta_k of L, Delta_r and so the r x r
     minor D; so d_k = c_k.  Exact over arbitrary-precision integers.
     """
-    units, rows = _front_end(matrix)
+    units, rows = 0, _distinct_rows(matrix)
+    if rows and _mostly_units(rows):
+        units, rows = _unit_pivots(rows)
     rank, d = _bareiss(rows)
     if d == 1:
         return (1,) * (units + rank)

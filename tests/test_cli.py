@@ -532,29 +532,34 @@ class TestErrorTexts:
     """Error texts of the library's own argument checks, and the one
     ``error:`` line the CLI prints for those it reaches."""
 
-    @pytest.mark.parametrize("call, message, argv", [
+    @pytest.mark.parametrize("call, message, argvs", [
         (lambda: parse_matrix("1,0"), "matrix needs two ';'-separated rows",
-         ["iso", "classify", "--m", "1,0"]),
+         [["iso", "classify", "--m", "1,0"]]),
         (lambda: DoubleWord.from_str("ab"), "syllable 'ab' needs a side prefix u: or p:",
-         ["double", "nf", "--rank", "2", "--H", "aa,b", "--word", "ab"]),
-        (lambda: Presentation(-1, ()), "generator count must be >= 0", None),
-        (lambda: surface_rank(0, -1, True), "boundary circle count must be >= 0", None),
-        (lambda: stallings_graph([], -1), "ambient rank must be >= 0", None),
+         [["double", "nf", "--rank", "2", "--H", "aa,b", "--word", "ab"]]),
+        (lambda: Presentation(-1, ()), "generator count must be >= 0", []),
+        (lambda: surface_rank(0, -1, True), "boundary circle count must be >= 0", []),
+        # The rank is checked ahead of the letters it bounds.
+        (lambda: stallings_graph([], -1), "ambient rank must be >= 0",
+         [["fg", "fold", "--rank", "-1", "--gens", "a"],
+          ["double", "nf", "--rank", "-1", "--H", "a", "--word", "u:a"]]),
         (lambda: commuting_criterion(Isometry(1, 0, 0, 1, reversing=True), Isometry(1, 1, 0, 1)),
-         "criterion applies to orientation-preserving isometries", None),
+         "criterion applies to orientation-preserving isometries", []),
         # An inversion in a circle of radius 1e-5: r^2 = 1e-10 is inside the tolerance.
         (lambda: fixed_points(Isometry(0, 1e-10, 1, 0, reversing=True)),
-         "degenerate reversing involution", ["iso", "classify", "--m", "0,1e-10;1,0", "--rev"]),
+         "degenerate reversing involution",
+         [["iso", "classify", "--m", "0,1e-10;1,0", "--rev"]]),
         (lambda: AuditCase(genus=-1, torus_pairs=0, single_circles=0, orientable=True,
                            separating=True).validate(),
-         "orientable genus must be >= 0", ["audit", "--g", "-1", "--orientable", "--separating"]),
+         "orientable genus must be >= 0",
+         [["audit", "--g", "-1", "--orientable", "--separating"]]),
     ], ids=["parse_matrix", "double_word", "presentation", "surface_rank", "stallings_graph",
             "commuting_criterion", "fixed_points", "audit_case"])
-    def test_message(self, capsys, call, message, argv):
+    def test_message(self, capsys, call, message, argvs):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
-        if argv:
+        for argv in argvs:
             assert run_error(capsys, *argv) == f"error: {message}"
 
 

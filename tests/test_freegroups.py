@@ -3,7 +3,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from geodouble.freegroups import (
     SubgroupGraph,
@@ -562,6 +562,14 @@ class TestColumnLayout:
             SubgroupGraph.from_adjacency(1, adjacency, base=base)
 
 
+def _oracle_reads(g, words):
+    # (trace, coset representative) of each word by the oracle: the trace is
+    # the vertex whose tree word the representative is, if any, since a
+    # tree word followed by an unread rest is no tree word.
+    vertex = {g.tree_word(v): v for v in range(g.vertex_count)}
+    return [(vertex.get(rep), rep) for rep in tree_coset_representatives(g, words)]
+
+
 class TestWordIntake:
     """Reads and folding skip the free-reduction loop on reduced words;
     answers and error texts are those of reducing every word."""
@@ -584,8 +592,7 @@ class TestWordIntake:
             w = tuple(rng.choice([-2, -1, 1, 2]) for _ in range(rng.randint(0, 12)))
             r = free_reduce(w)
             for g in graphs:
-                v, rest = g._read(r)
-                trace, rep = (None if rest else v), g.tree_word(v) + rest
+                [(trace, rep)] = _oracle_reads(g, [w])
                 for word in (w, r):
                     for make in (tuple, list, iter):
                         assert g.trace(make(word)) == trace
@@ -648,10 +655,7 @@ class TestWordIntake:
             probes += [_random_reduced(rng, rank, rng.randint(1, 10)) for _ in range(10)]
             probes += [()]
             words = [self._with_pairs(rng, p, rank, rng.randint(0, 4)) for p in probes]
-            reps = tree_coset_representatives(g, words)
-            for w, rep in zip(words, reps):
-                v, rest = g._read(free_reduce(w))
-                trace = None if rest else v
+            for w, (trace, rep) in zip(words, _oracle_reads(g, words)):
                 for make in (tuple, list, iter):
                     assert g.trace(make(w)) == trace
                     assert g.contains(make(w)) == (trace == 0)
@@ -670,22 +674,38 @@ class TestWordIntake:
         assert g.contains(self._with_pairs(rng, (), 3, 5, outside=False))
 
     @staticmethod
-    def _outcomes(g, word, read):
-        # (trace, contains, coset_representative) from ``read``, a (vertex,
-        # rest) pair, or the type and text of what computing it raised.
+    def _outcomes(g, word, make=tuple):
+        # (trace, contains, coset_representative) of ``make(word)``, or the
+        # type and text of what the first of them raised.
+        got = []
+        for call in (g.trace, g.contains, g.coset_representative):
+            try:
+                got.append(call(make(word)))
+            except Exception as exc:
+                return type(exc), str(exc)
+        return tuple(got)
+
+    @classmethod
+    def _expected(cls, g, word):
+        # The outcomes of an int word by free reduction, the letter rule and
+        # the oracle.  A word with another letter is held to a read of
+        # _reduced(word), whose errors are free reduction's own.
         try:
-            v, rest = read()
+            r = _reduced(word)
         except Exception as exc:
             return type(exc), str(exc)
-        trace = None if rest else v
-        return trace, trace == 0, g.tree_word(v) + rest
+        if any(type(s) is not int for s in word):
+            return cls._outcomes(g, r)
+        rank = g.ambient_rank
+        if bad := [s for s in r if not 1 <= abs(s) <= rank]:
+            return WordError, f"letter {bad[0]} outside the rank-{rank} alphabet"
+        [(trace, rep)] = _oracle_reads(g, [r])
+        return trace, trace == 0, rep
 
     def test_stopped_reads_match_a_read_of_the_reduction(self):
         # Folds of a few short words are mostly of infinite index, so most
         # reads stop.  Words are reduced, unreduced, or carry a 0, a letter
-        # outside the rank or a letter that is not an int.  Free reduction
-        # raises its own texts on non-int letters, so those words are held
-        # to a read of _reduced(w), the path every stopped read took before.
+        # outside the rank or a letter that is not an int.
         rng = random.Random(97)
         for _ in range(60):
             rank = rng.randint(2, 4)
@@ -699,32 +719,82 @@ class TestWordIntake:
                 elif kind >= 2:
                     i = rng.randint(0, len(w))
                     w = w[:i] + (rng.choice(odd),) + w[i:]
-                reduce = free_reduce if all(type(s) is int for s in w) else _reduced
-                expected = self._outcomes(g, w, lambda: g._read(reduce(w)))
+                expected = self._expected(g, w)
                 for make in (tuple, list, iter):
-                    got = []
-                    for call in (g.trace, g.contains, g.coset_representative):
-                        try:
-                            got.append(call(make(w)))
-                        except Exception as exc:
-                            got = (type(exc), str(exc))
-                            break
-                    assert tuple(got) == expected, w
+                    assert self._outcomes(g, w, make) == expected, w
 
     def test_stopped_reduced_reads_read_once(self, monkeypatch):
         # A reduced word whose read stops at a missing edge is answered by
-        # that read alone: no reduction and no second read.
+        # that read alone: no free reduction loop and no second read.
         rng = random.Random(101)
         g = stallings_graph(["aab", "bAba", "cc"], 3)
         words = [_random_reduced(rng, 3, rng.randint(1, 12)) for _ in range(300)]
         expected = [(g.trace(w), g.coset_representative(w)) for w in words]
         assert sum(trace is None for trace, _ in expected) > 250
-        monkeypatch.setattr("geodouble.freegroups._reduced", None)
-        monkeypatch.setattr(SubgroupGraph, "_read", None)
+        reads = []
+        locate = SubgroupGraph._locate
+        monkeypatch.setattr("geodouble.freegroups.free_reduce", None)
+        monkeypatch.setattr(SubgroupGraph, "_locate",
+                            lambda self, word: reads.append(word) or locate(self, word))
         assert [(g.trace(w), g.coset_representative(w)) for w in words] == expected
+        assert len(reads) == 2 * len(words)
         with pytest.raises(WordError) as raised:
             g.trace((1, 2, 4))
         assert str(raised.value) == "letter 4 outside the rank-3 alphabet"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reads_keep_the_letter_rule(self, data):
+        # Random folds of rank 2-3 read int words with odd letters put in.
+        # A read returns a result of nonzero ints within the rank, or raises
+        # WordError naming a bad letter, or TypeError for a letter that no
+        # int adds to.  An int word gets the oracle's answer for its free
+        # reduction, or the error of its first bad letter.
+        rank = data.draw(st.integers(2, 3))
+        letter = st.integers(-rank, rank).filter(bool)
+        gens = data.draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=3))
+        g = stallings_graph(gens, rank)
+        w = data.draw(st.lists(letter, max_size=12))
+        for odd in data.draw(st.lists(st.sampled_from(
+                [0, rank + 1, -rank - 2, 1.5, NAN, True, "x", None]), max_size=3)):
+            w.insert(data.draw(st.integers(0, len(w))), odd)
+        w = tuple(w)
+
+        def fits(s):
+            return isinstance(s, int) and 1 <= abs(s) <= rank
+
+        expected = None
+        if all(type(s) is int for s in w):
+            try:
+                r = free_reduce(w)
+            except WordError as exc:
+                expected = str(exc)
+            else:
+                bad = [s for s in r if not fits(s)]
+                [(trace, rep)] = _oracle_reads(g, [r])
+                expected = (f"letter {bad[0]} outside the rank-{rank} alphabet" if bad
+                            else (trace, trace == 0, rep))
+        got = []
+        for call in (g.trace, g.contains, g.coset_representative):
+            try:
+                got.append(call(w))
+            except WordError as exc:
+                got = str(exc)
+                named = {f"letter {s!r} outside the rank-{rank} alphabet"
+                         for s in w if not fits(s)}
+                assert got in named or got == "0 is not a letter" and 0 in w
+                break
+            except TypeError:
+                got = TypeError
+                assert expected is None and ("x" in w or None in w)
+                break
+        else:
+            trace, member, rep = got
+            assert trace is None or 0 <= trace < g.vertex_count
+            assert member == (trace == 0)
+            assert type(rep) is tuple and all(map(fits, rep))
+            got = tuple(got)
+        assert expected is None or got == expected
 
     def test_generator_intake_matches_the_per_word_loop(self):
         # Shuffled generators, some unreduced and some empty, given as
@@ -783,8 +853,9 @@ def _given(gens, make):
 
 class TestFirstFault:
     """Inputs with two faults raise the first one a per-word, per-edge scan
-    meets, with its type and text; non-integer letters that no check rejects
-    are read as they are."""
+    meets, with its type and text.  A letter is a nonzero int (a bool counts)
+    within the rank, and an edge target an int vertex; a letter that only a
+    completed read meets is read through its column."""
 
     @pytest.mark.parametrize("gens, rank, error, message", [
         # A letter out of range ahead of a string that does not parse.
@@ -799,15 +870,13 @@ class TestFirstFault:
         ([(1,), "bA", (1, 5, -5, 2), (0,)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
         ([(1,), (1, 31, -31), (0,)], 30, WordError, "letter 31 outside the rank-30 alphabet"),
         # Unhashable and non-integer letters.
-        ([(1,), "b", ([1],), (5,)], 2, TypeError,
-         "'<' not supported between instances of 'list' and 'int'"),
+        ([(1,), "b", ([1],), (5,)], 2, WordError, "letter [1] outside the rank-2 alphabet"),
         ([(1,), (5,), ([1],)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
-        ([(NAN,), "a", (5,)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
-        ([(_FirstNan("nan"),), "a", (5,)], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+        ([(NAN,), "a", (5,)], 2, WordError, "letter nan outside the rank-2 alphabet"),
+        ([(_FirstNan("nan"),), "a", (5,)], 2, WordError, "letter nan outside the rank-2 alphabet"),
         ([(1, 2), "a", (2.5,), (7,)], 2, WordError, "letter 2.5 outside the rank-2 alphabet"),
-        ([(1, 2), "a", ("a",), (7,)], 2, TypeError,
-         "'<' not supported between instances of 'str' and 'int'"),
-        ([(1, -1), (1.5,)], 2, TypeError, "list indices must be integers or slices, not float"),
+        ([(1, 2), "a", ("a",), (7,)], 2, WordError, "letter 'a' outside the rank-2 alphabet"),
+        ([(1, -1), (1.5,)], 2, WordError, "letter 1.5 outside the rank-2 alphabet"),
         ([(1,), 3, (5,)], 2, TypeError, "'int' object is not iterable"),
         ([(5,), 3], 2, WordError, "letter 5 outside the rank-2 alphabet"),
     ])
@@ -830,18 +899,19 @@ class TestFirstFault:
         (2, [{1: 1, -1: 2}, {-1: 0}, {1: 0}], ValueError, "vertex 1 is dangling; graph is not core"),
         (2, [{1: 0, -1: 0}, {2: 1, -2: 1}, {2: 2, -2: 2}], ValueError,
          "graph is not connected from the base vertex"),
-        (2, [{1: 0, -1: 0, 2: "0"}, {7: 0}], TypeError,
-         "'<=' not supported between instances of 'int' and 'str'"),
-        (12, [{1: 0, -1: 0, 9: 1, -9: 1}, {9: 0, -9: 0, 10: "x"}], TypeError,
-         "'<=' not supported between instances of 'int' and 'str'"),
-        (2, [{1: 0, -1: 0, 2: None}, {1: 9}], TypeError,
-         "'<=' not supported between instances of 'int' and 'NoneType'"),
-        (12, [{1: 0, -1: 0, 9: 1, -9: 1}, {9: 0, -9: 0, 10: None}], TypeError,
-         "'<=' not supported between instances of 'int' and 'NoneType'"),
-        (2, [{1: 0, -1: 0, 2: 0.5}, {7: 0}], TypeError,
-         "list indices must be integers or slices, not float"),
-        (2, [{1: 1.0, -1: 1}, {-1: 0, 1: 0}], TypeError,
-         "list indices must be integers or slices, not float"),
+        # Targets that are not ints, bools aside.
+        (2, [{1: 0, -1: 0, 2: "0"}, {7: 0}], ValueError,
+         "edge 0 --2--> '0' leaves the 2-vertex graph"),
+        (12, [{1: 0, -1: 0, 9: 1, -9: 1}, {9: 0, -9: 0, 10: "x"}], ValueError,
+         "edge 1 --10--> 'x' leaves the 2-vertex graph"),
+        (2, [{1: 0, -1: 0, 2: None}, {1: 9}], ValueError,
+         "edge 0 --2--> None leaves the 2-vertex graph"),
+        (12, [{1: 0, -1: 0, 9: 1, -9: 1}, {9: 0, -9: 0, 10: None}], ValueError,
+         "edge 1 --10--> None leaves the 2-vertex graph"),
+        (2, [{1: 0, -1: 0, 2: 0.5}, {7: 0}], ValueError,
+         "edge 0 --2--> 0.5 leaves the 2-vertex graph"),
+        (2, [{1: 1.0, -1: 1}, {-1: 0, 1: 0}], ValueError,
+         "edge 0 --1--> 1.0 leaves the 2-vertex graph"),
         (2, [{1: 0, -1: 0, 2: NAN}, {1: 9}], ValueError, "edge 0 --2--> nan leaves the 2-vertex graph"),
         (2, [{1: 0, -1: 0, "a": 0}, {1: 9}], TypeError, "bad operand type for abs(): 'str'"),
     ])
@@ -863,8 +933,13 @@ class TestFirstFault:
         ((1, -1, [1]), TypeError, "unhashable type: 'list'"),
         ((1, [1]), TypeError, "unsupported operand type(s) for +: 'int' and 'list'"),
         (([1], 1), TypeError, 'can only concatenate list (not "int") to list'),
-        (("a",), TypeError, "'<' not supported between instances of 'str' and 'int'"),
+        (("a",), WordError, "letter 'a' outside the rank-2 alphabet"),
         ((3.5,), WordError, "letter 3.5 outside the rank-2 alphabet"),
+        # Non-integer letters that stop the read.
+        ((1.5,), WordError, "letter 1.5 outside the rank-2 alphabet"),
+        ((1, 1.5), WordError, "letter 1.5 outside the rank-2 alphabet"),
+        ((2, NAN, 5), WordError, "letter nan outside the rank-2 alphabet"),
+        ((None,), WordError, "letter None outside the rank-2 alphabet"),
     ])
     def test_reads_raise(self, word, error, message):
         g = stallings_graph(["aa", "b"], 2)
@@ -875,20 +950,18 @@ class TestFirstFault:
                 assert type(raised.value) is error and str(raised.value) == message
 
     @pytest.mark.parametrize("word, trace, rep", [
-        ((1.5,), None, (1.5,)),
-        ((1, 1.5), None, (1, 1.5)),
         ((1.0, 1.0), 0, ()),
         ((True, -1), 0, ()),
-        ((2, NAN, 5), None, (NAN, 5)),
+        ((1, 2, True), None, (1, 2, 1)),
     ])
     def test_reads_of_non_integer_letters(self, word, trace, rep):
+        # A read that completes takes a letter equal to an int as that int,
+        # and a bool counts as an int.
         g = stallings_graph(["aa", "b"], 2)
         for make in (tuple, list, iter):
             assert g.trace(make(word)) == trace
             assert g.contains(make(word)) == (trace == 0)
-            got = g.coset_representative(make(word))
-            assert type(got) is tuple and len(got) == len(rep)
-            assert all(x == y or x != x and y != y for x, y in zip(got, rep))
+            assert g.coset_representative(make(word)) == rep
 
 
 class TestSchreier:

@@ -194,6 +194,14 @@ class TestPresentationFromComplex:
             Presentation(1, ((1, 2),))
         assert Presentation(1, ((1, -1),)).relators == ()
 
+    def test_relator_letters_follow_the_word_letter_rule(self):
+        # A float letter in the range is no generator, as in freegroups.
+        for relator, bad in (((1.5, 2), 1.5), ((1, 2.0), 2.0)):
+            with pytest.raises(ValueError) as raised:
+                Presentation(2, (relator,))
+            assert str(raised.value) == f"relator letter {bad} outside generators"
+        assert Presentation(2, ((True, 2),)).relators == ((True, 2),)
+
     def test_family_n4_first_homology(self):
         # Two generators x, y with abelianized relators (1,2) and (-2,1):
         # determinant 5, so H1 is cyclic of order 5.
