@@ -3,7 +3,8 @@
 Words over a rank-k free group are tuples of nonzero integers: +i is the
 i-th generator and -i its inverse.  The string form uses lowercase letters
 for generators and uppercase for inverses, so ``"abA"`` is a*b*a^-1 and
-``"1"`` (or the empty string) is the identity.
+``"1"`` (or the empty string) is the identity.  A letter past z is written
+``[27]``, its inverse ``[-27]``; only a-z and A-Z are parsed.
 
 A finitely generated subgroup is represented by its folded core graph: a
 base-pointed graph with edges labelled by generators, folded so that no
@@ -70,6 +71,8 @@ class WordError(ValueError):
 
 def word_from_str(text: str, rank: int | None = None) -> Word:
     """Parse ``"abA"`` into ``(1, 2, -1)``; ``""`` and ``"1"`` are empty."""
+    if rank is not None:
+        _check_count(rank, "ambient rank")
     text = text.strip()
     if text in ("", "1"):
         return ()
@@ -91,7 +94,9 @@ def word_from_str(text: str, rank: int | None = None) -> Word:
 
 
 def letter_str(s: int) -> str:
-    return chr(ord("a") + s - 1) if s > 0 else chr(ord("A") - s - 1)
+    if -26 <= s <= 26:
+        return chr(ord("a") + s - 1) if s > 0 else chr(ord("A") - s - 1)
+    return f"[{s}]"
 
 
 def word_to_str(word: Iterable[int]) -> str:
@@ -132,6 +137,14 @@ def _reduced(word: Iterable[int]) -> Word:
     if 0 in w or 0 in map(add, w, w[1:]):
         return free_reduce(w)
     return w
+
+
+def _check_count(value: int, name: str) -> None:
+    # A rank or generator count is a plain int >= 0; bools are refused.
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an int")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
 
 
 def _check_letters(word: Sequence[int], rank: int) -> None:
@@ -228,8 +241,7 @@ class SubgroupGraph:
     @classmethod
     def from_generators(cls, generators: Iterable[Word | str], ambient_rank: int) -> "SubgroupGraph":
         """Fold the wedge of loops labelled by the generators."""
-        if ambient_rank < 0:
-            raise ValueError("ambient rank must be >= 0")
+        _check_count(ambient_rank, "ambient rank")
         gens = _intake(generators, ambient_rank)
         # The fold's own columns are dropped once the graph's are built.
         return cls(ambient_rank, *_canonical_relabel(*_fold(gens, ambient_rank), 0), gens)
@@ -242,6 +254,7 @@ class SubgroupGraph:
         The graph must be nonempty, folded, connected from the base, and
         core (no dangling vertices besides possibly the base).
         """
+        _check_count(ambient_rank, "ambient rank")
         adj = [dict(d) for d in adjacency]
         n = len(adj)
         if not n:

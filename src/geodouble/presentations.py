@@ -6,21 +6,20 @@ remaining edge classes as generators, and one relator per face pairing
 (the boundary walk of the glued triangle written in edge-class letters),
 built as three letter columns, one per step of the walk.
 
-``smith_normal_form`` computes invariant factors in polynomial time.  A
-matrix whose nonzero entries are mostly +-1, as relation matrices of
-presentations are, first goes through a sparse front end: +-1 pivots are
-eliminated on rows kept as dicts, least fill (Markowitz cost) first, each
-adding an invariant factor 1 by unimodular steps.  This is the reduction
-of "badly presented" Z-modules by Havas, Holt and Rees (Linear Algebra
-Appl., 1993).  What is left, or the whole of a dense matrix of general
-entries, goes to determinant-modular elimination (Hafner and McCurley
-1991): fraction-free Bareiss elimination yields the rank r and a nonzero
-r x r minor D, and the extended-gcd row and column steps that follow
-reduce mod D, so no entry reaches D (Bareiss entries are themselves
-minors, bounded by Hadamard's inequality).  The count of invariant factors
-is the rational rank, which drives the abelianization rank used everywhere
-else.  ``tietze_simplify`` deduplicates relators by their least rotation
-(Booth's algorithm), in memory linear in the relator length.
+``smith_normal_form`` computes invariant factors in polynomial time, down
+one route.  A sparse front end first eliminates +-1 pivots on rows kept as
+dicts, least fill (Markowitz cost) first, each adding an invariant factor
+1 by unimodular steps; a matrix with no +-1 entry passes it untouched.
+This is the reduction of "badly presented" Z-modules by Havas, Holt and
+Rees (Linear Algebra Appl., 1993).  What is left goes to
+determinant-modular elimination (Hafner and McCurley 1991): fraction-free
+Bareiss elimination yields the rank r and a nonzero r x r minor D, and the
+extended-gcd row and column steps that follow reduce mod D, so no entry
+reaches D (Bareiss entries are themselves minors, bounded by Hadamard's
+inequality).  The count of invariant factors is the rational rank, which
+drives the abelianization rank used everywhere else.  ``tietze_simplify``
+deduplicates relators by their least rotation (Booth's algorithm), in
+memory linear in the relator length.
 
 ``rank_audit`` evaluates a region table of affine steps: an arithmetic
 chain bounding twice the rank of the fundamental group of an ambient
@@ -47,7 +46,8 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
-from .freegroups import Word, _in_rank, free_reduce, inverse_word, word_to_str
+from .freegroups import (Word, _check_count, _in_rank, free_reduce, inverse_word, letter_str,
+                         word_to_str)
 from .triangulation import (
     FACE_NAMES,
     FACES,
@@ -75,8 +75,7 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        if self.generator_count < 0:
-            raise ValueError("generator count must be >= 0")
+        _check_count(self.generator_count, "generator count")
         n = self.generator_count
         cleaned = []
         for r in self.relators:
@@ -89,7 +88,7 @@ class Presentation:
         object.__setattr__(self, "relators", tuple(cleaned))
 
     def __str__(self) -> str:
-        gens = ", ".join(chr(ord("a") + i) for i in range(self.generator_count))
+        gens = ", ".join(map(letter_str, range(1, self.generator_count + 1)))
         rels = ", ".join(word_to_str(r) for r in self.relators)
         return f"< {gens} | {rels} >"
 
@@ -281,7 +280,10 @@ def _unit_pivots(rows: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]
     fill each pivot makes.  Costs go stale as rows change: a popped pivot
     whose cost has grown is put back with its new cost, and a changed row
     puts its +-1 entries in again.  Returns the number of pivots and the
-    distinct nonzero rows left, over the columns still in use."""
+    distinct nonzero rows left, over the columns still in use; rows with no
+    +-1 entry, or no rows, come back as they are."""
+    if not any(1 in row or -1 in row for row in rows):
+        return 0, rows
     sparse = [{j: x for j, x in enumerate(row) if x} for row in rows]
     cols: list[set[int]] = [set() for _ in rows[0]]
     for i, row in enumerate(sparse):
@@ -327,19 +329,6 @@ def _unit_pivots(rows: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]
     used = [c for c, rs in enumerate(cols) if rs]
     return pivots, list(dict.fromkeys(tuple(map(row.get, used, itertools.repeat(0)))
                                       for row in sparse if row))
-
-
-def _mostly_units(rows: list[tuple[int, ...]]) -> bool:
-    """Whether +-1 entries outnumber the other nonzero entries.
-
-    Only then do the front end's pivots pay for its set-up, one pass over
-    the nonzero entries: a dense matrix of general entries has few units,
-    and each elimination mixes its rows into fewer still."""
-    units = zeros = 0
-    for row in rows:
-        units += row.count(1) + row.count(-1)
-        zeros += row.count(0)
-    return 2 * units > len(rows) * len(rows[0]) - zeros
 
 
 def _bareiss(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
@@ -425,22 +414,20 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix; r is its
     rank over the rationals.
 
-    Zero rows and rows repeated up to sign are dropped.  When +-1 entries
-    outnumber the other nonzero ones, the sparse front end eliminates +-1
-    pivots first, each an invariant factor 1, and passes on the rows left.
-    Then determinant-modular elimination after Hafner and McCurley (1991):
-    fraction-free Bareiss elimination gives the rank r and a nonzero r x r
-    minor D, which every determinantal divisor Delta_k (k <= r) divides;
-    extended-gcd row and column steps then diagonalise the matrix modulo D,
-    so every entry stays below D.  With the diagonal's gcds with D put into
-    a divisibility chain c1 | c2 | ..., Delta_k = gcd(D, c1*...*ck) for
-    k <= r.  That gcd is c1*...*ck, the k-th determinantal divisor of the
-    lattice L + D*Z^n, which divides Delta_k of L, Delta_r and so the r x r
-    minor D; so d_k = c_k.  Exact over arbitrary-precision integers.
+    Zero rows and rows repeated up to sign are dropped.  The sparse front
+    end eliminates +-1 pivots first, each an invariant factor 1, and passes
+    on the rows left; then determinant-modular elimination after Hafner and
+    McCurley (1991): fraction-free Bareiss elimination gives the rank r and
+    a nonzero r x r minor D, which every determinantal divisor Delta_k
+    (k <= r) divides; extended-gcd row and column steps then diagonalise
+    the matrix modulo D, so every entry stays below D.  With the diagonal's
+    gcds with D put into a divisibility chain c1 | c2 | ...,
+    Delta_k = gcd(D, c1*...*ck) for k <= r.  That gcd is c1*...*ck, the
+    k-th determinantal divisor of the lattice L + D*Z^n, which divides
+    Delta_k of L, Delta_r and so the r x r minor D; so d_k = c_k.  Exact
+    over arbitrary-precision integers.
     """
-    units, rows = 0, _distinct_rows(matrix)
-    if rows and _mostly_units(rows):
-        units, rows = _unit_pivots(rows)
+    units, rows = _unit_pivots(_distinct_rows(matrix))
     rank, d = _bareiss(rows)
     if d == 1:
         return (1,) * (units + rank)
@@ -464,8 +451,6 @@ class AbelianInvariants:
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Rank and torsion of the abelianized group, via Smith normal form."""
-    if not p.relators or p.generator_count == 0:
-        return AbelianInvariants(p.generator_count, ())
     # One row of exponent sums per distinct relator: a repeated relator only
     # repeats its row, which leaves the row lattice as it is.
     rows = []

@@ -1,7 +1,8 @@
 """The benchmark's own checks: ``double_nf`` on one warm and one full
-round, and ``subgroup_fold`` and ``family_sweep`` on one full round each,
-so a wrong normal form, fold, coset representative, glued complex or
-family row fails here before the benchmark reports it;
+round, and ``subgroup_fold``, ``family_sweep`` and ``algebra_mix`` on one
+full round each, so a wrong normal form, fold, coset representative,
+glued complex, family row, invariant factor, abelianization, Tietze
+output, audit or isometry answer fails here before the benchmark reports it;
 and a smoke run of every workload's warm round and of the tracer's
 install, so a removed name the benchmark uses or traces fails here too.
 
@@ -91,6 +92,25 @@ def test_family_sweep_round_passes_the_bench_checks():
         sizes.setdefault(op.kind, set()).add(op.size)
     assert sizes == {"family": set(cls.LIB_N), "cli.family_verify": set(cls.VERIFY_N),
                      "cli.family_report": set(cls.REPORT_N)}
+
+
+def test_algebra_mix_round_passes_the_bench_checks():
+    # One full round: dense SNF up to 9 x 9, abelianization and Tietze up
+    # to 20 generators, audits and their CLI sweeps up to 10/5/5, isometry
+    # batches of every kind and `pres h1rank` up to 20 generators.
+    workloads = bench_workloads()
+    cls = workloads.WORKLOADS["algebra_mix"]
+    workload = cls(package(), random.Random(f"algebra_mix/{SEED}/setup"), {})
+    sizes = {}
+    for op in workload.round(random.Random(f"algebra_mix/{SEED}/0"), warm=False):
+        assert op.check(op.run()) is None, (op.kind, op.size)
+        sizes.setdefault(op.kind, set()).add(op.size)
+    generators = set(cls.PRESENTATION_GENERATORS)
+    assert sizes == {"snf": set(cls.SNF_SIZES), "abelianization": generators,
+                     "tietze": generators, "audit": {s[0] for s in cls.AUDIT_SIZES},
+                     "cli.audit_sweep": {s[0] for s in cls.AUDIT_SIZES},
+                     **{f"iso.{kind}": set(cls.ISO_BATCHES) for kind in cls.ISO_KINDS},
+                     "cli.pres_h1rank": set(cls.CLI_H1_GENERATORS)}
 
 
 def test_warm_rounds_pass_and_the_tracer_installs():

@@ -9,8 +9,8 @@ import pytest
 from geodouble import cli, construction, presentations, triangulation
 from geodouble.cli import main, parse_complex_number, parse_matrix
 from geodouble.construction import family_scheme, family_stats, is_admissible
-from geodouble.doubling import DoubleWord
-from geodouble.freegroups import stallings_graph
+from geodouble.doubling import Double, DoubleWord
+from geodouble.freegroups import SubgroupGraph, stallings_graph, word_from_str
 from geodouble.isometries import Isometry, commuting_criterion, fixed_points
 from geodouble.presentations import AuditCase, Presentation, surface_rank
 from geodouble.triangulation import render_scheme
@@ -467,6 +467,13 @@ class TestPresAudit:
         assert code == 0
         assert "h1_rank = 2" in out
 
+    def test_pres_h1rank_names_generators_past_z(self, capsys):
+        code, out = run(capsys, "pres", "h1rank", "--gens", "30", "--relators", "")
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "presentation = < a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s, t, "
+            "u, v, w, x, y, z, [27], [28], [29], [30] |  >")
+
     def test_pres_simplify(self, capsys):
         code, out = run(capsys, "pres", "simplify", "--gens", "2",
                         "--relators", "b")
@@ -553,8 +560,23 @@ class TestErrorTexts:
                            separating=True).validate(),
          "orientable genus must be >= 0",
          [["audit", "--g", "-1", "--orientable", "--separating"]]),
+        # Ranks and generator counts are plain ints >= 0, checked where they enter.
+        (lambda: stallings_graph(["a"], 2.0), "ambient rank 2.0 is not an int", []),
+        (lambda: stallings_graph(["a"], True), "ambient rank True is not an int", []),
+        (lambda: Double.from_generators(["a"], "2"), "ambient rank '2' is not an int", []),
+        (lambda: SubgroupGraph.from_adjacency(-1, [{1: 0, -1: 0}]),
+         "ambient rank must be >= 0", []),
+        (lambda: SubgroupGraph.from_adjacency(1.0, [{1: 0, -1: 0}]),
+         "ambient rank 1.0 is not an int", []),
+        (lambda: word_from_str("a", -1), "ambient rank must be >= 0", []),
+        (lambda: word_from_str("a", 2.5), "ambient rank 2.5 is not an int", []),
+        (lambda: Presentation(2.0, ((1,),)), "generator count 2.0 is not an int", []),
+        (lambda: Presentation(False, ()), "generator count False is not an int", []),
     ], ids=["parse_matrix", "double_word", "presentation", "surface_rank", "stallings_graph",
-            "commuting_criterion", "fixed_points", "audit_case"])
+            "commuting_criterion", "fixed_points", "audit_case", "float_rank", "bool_rank",
+            "str_rank", "adjacency_negative_rank", "adjacency_float_rank",
+            "word_negative_rank", "word_float_rank", "float_generator_count",
+            "bool_generator_count"])
     def test_message(self, capsys, call, message, argvs):
         with pytest.raises(ValueError) as info:
             call()

@@ -128,6 +128,9 @@ class TestFirstFault:
         (((0, (1, 4, 3)), (1, (-3,))), "d"),
         (((0, (1,)), (1, (2, -3)), (0, (5,))), "C"),
         (((0, (1,)), (1, (1, -1, 3))), "c"),
+        # Letters past z have their own names.
+        (((0, (40,)),), "[40]"),
+        (((0, (1,)), (1, (2, -27))), "[-27]"),
     ])
     def test_letter_outside_the_rank(self, syllables, name):
         dbl = Double.from_generators(["aa", "b"], 2)

@@ -40,6 +40,18 @@ class TestWords:
         assert word_to_str((1, 2, -1)) == "abA"
         assert word_to_str(()) == "1"
 
+    def test_letters_past_z_have_printable_names(self):
+        assert word_to_str((26, 27, -27, 40)) == "z[27][-27][40]"
+        assert [letter_str(s) for s in (1, 26, -1, -26)] == ["a", "z", "A", "Z"]
+        names = [letter_str(s) for s in range(-300, 301) if s]
+        assert len(set(names)) == len(names)
+        for name in names:
+            assert name.isprintable() and not set(name) & set(" ,|:<>="), name
+        w = tuple(range(1, 27)) + tuple(range(-26, 0))
+        assert word_from_str(word_to_str(w)) == w
+        with pytest.raises(WordError):
+            word_from_str("[27]")
+
     def test_parse_rank_check(self):
         with pytest.raises(WordError):
             word_from_str("abc", rank=2)

@@ -84,11 +84,13 @@ REPORT_EXAMPLES: dict[str, list[str]] = {
     }.items()}
 
 # Output branches no README example reaches: the circle and the line that a
-# reversing involution fixes, and an audit step tagged [assumed, strict].
+# reversing involution fixes, an audit step tagged [assumed, strict], and
+# generators past z, named [27] and [28].
 BRANCH_EXAMPLES: dict[str, list[str]] = {
     "iso_classify.circle": ["iso", "classify", "--m", "0,1;1,0", "--rev"],
     "iso_classify.line": ["iso", "classify", "--m", "1,0;0,1", "--rev"],
     "audit_case.rank_gap_witness": ["audit", "--g", "2", "--orientable", "--separating"],
+    "pres_h1rank.past_z": ["pres", "h1rank", "--gens", "28", "--relators", "ab"],
 }
 
 ALL_EXAMPLES = {**EXAMPLES, **SCHEME_EXAMPLES, **REPORT_EXAMPLES, **BRANCH_EXAMPLES}

@@ -12,6 +12,7 @@ from geodouble.construction import family_complex
 from geodouble.freegroups import inverse_word, word_to_str
 from geodouble.freegroups import word_from_str as w
 from geodouble.presentations import (
+    AbelianInvariants,
     AuditCase,
     AuditError,
     AuditReport,
@@ -103,6 +104,13 @@ class TestPresentationBasics:
     def test_letter_range_checked(self):
         with pytest.raises(ValueError):
             Presentation(1, (w("ab"),))
+
+    def test_generators_past_z_are_named(self):
+        # Generator 28 used to print as the separator "|".
+        assert str(Presentation(28, ((27, 28),))) == (
+            "< a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s, t, u, v, w, x, y, z, "
+            "[27], [28] | [27][28] >")
+        assert str(Presentation(2, (w("abAB"),))) == "< a, b | abAB >"
 
     def test_cyclic_reduce(self):
         assert cyclic_reduce(w("abA")) == (2,)
@@ -309,6 +317,18 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
 
+    @pytest.mark.parametrize("matrix, factors", [
+        ([], ()), ([[]], ()), ([[], []], ()), ([[0, 0, 0]], ()), ([[0, 0]] * 3, ()),
+        ([[0, 1, 0], [0, 0, 0], [0, -1, 0]], (1,)),
+        ([[0, 2, 0], [0, 4, 6]], (2, 6)),
+        ([[0, 3], [0, 0], [0, -6]], (3,)),
+        ([[0], [5], [0], [-10]], (5,)),
+        ([[2, 0, 0, 0], [0, 0, 0, 0], [1, 0, 3, 0]], (1, 6)),
+        ([[0, 0, 4], [0, 0, 6], [0, 0, 0]], (2,)),
+    ])
+    def test_zero_rows_and_columns(self, matrix, factors):
+        assert smith_normal_form(matrix) == factors
+
     def test_bezout_pivot_that_divides(self):
         # The pivot divides the entries it clears; elimination must not cycle.
         m = [[-1, 0], [-1, 0], [0, 2], [3, 0], [-1, 1]]
@@ -464,15 +484,20 @@ class TestSmithLocalOracle:
         self.assert_local_forms(m, factors, e=3)
 
     def test_front_end_leaves_the_factors_unchanged(self, monkeypatch):
-        # The same matrices with the unit-pivot front end and without it.
+        # The same matrices with the unit-pivot front end and without it:
+        # presentation, sparse +-1, planted, dense [-9, 9] and unit-free ones.
         rng = random.Random(127)
         matrices = [exponent_matrix(Presentation(g, tuple(random_relators(rng, g, g))).relators, g)
                     for g in (4, 8, 12, 16, 20) for _ in range(20)]
         matrices += [sparse_unit_matrix(rng, rng.randint(1, 40), rng.randint(1, 40), 3)
                      for _ in range(60)]
         matrices += [planted(rng, 30, 25, [1] * 20 + [2, 2, 6], 40) for _ in range(10)]
+        matrices += [dense_matrix(rng, k) for k in range(2, 31)]
+        for rows, cols in [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(30)]:
+            matrices.append([[rng.choice((0, 2, -2, 3, -5, 6, -9)) for _ in range(cols)]
+                             for _ in range(rows)])
         with_front_end = [smith_normal_form(m) for m in matrices]
-        monkeypatch.setattr("geodouble.presentations._mostly_units", lambda rows: False)
+        monkeypatch.setattr("geodouble.presentations._unit_pivots", lambda rows: (0, rows))
         assert [smith_normal_form(m) for m in matrices] == with_front_end
 
     def test_sparse_probe_scale_guard(self):
@@ -500,6 +525,13 @@ class TestAbelianization:
 
     def test_free_group(self):
         assert abelianization(Presentation(3, ())).rank == 3
+
+    def test_no_relators_or_no_generators(self):
+        assert abelianization(Presentation(3, ())) == AbelianInvariants(3, ())
+        assert abelianization(Presentation(0, ())) == AbelianInvariants(0, ())
+        assert abelianization(Presentation(0, ((), ()))) == AbelianInvariants(0, ())
+        # Relators whose exponent rows are all zero.
+        assert abelianization(Presentation(2, (w("abAB"),) * 3)) == AbelianInvariants(2, ())
 
     def test_repeated_relators_change_nothing(self):
         # Each distinct relator is reduced once; the oracle's matrix keeps every row.
