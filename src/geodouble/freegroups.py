@@ -4,7 +4,7 @@ Words over a rank-k free group are tuples of nonzero integers: +i is the
 i-th generator and -i its inverse.  The string form uses lowercase letters
 for generators and uppercase for inverses, so ``"abA"`` is a*b*a^-1 and
 ``"1"`` (or the empty string) is the identity.  A letter past z is written
-``[27]``, its inverse ``[-27]``; only a-z and A-Z are parsed.
+``[27]``, its inverse ``[-27]``, and is read back the same way.
 
 A finitely generated subgroup is represented by its folded core graph: a
 base-pointed graph with edges labelled by generators, folded so that no
@@ -57,6 +57,7 @@ call; a graph is never changed once built.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import add, is_not
@@ -69,21 +70,32 @@ class WordError(ValueError):
     """Malformed word string or letter outside the ambient alphabet."""
 
 
+# A letter written by number, as ``letter_str`` writes those past z.
+_NAMED = re.compile(r"\[(-?[1-9][0-9]*)\]")
+
+
 def word_from_str(text: str, rank: int | None = None) -> Word:
-    """Parse ``"abA"`` into ``(1, 2, -1)``; ``""`` and ``"1"`` are empty."""
+    """Parse ``"abA"`` into ``(1, 2, -1)``; ``""`` and ``"1"`` are empty.
+    ``[s]`` is the letter s for any nonzero int s, so ``"[27][-27]"`` is
+    ``(27, -27)``."""
     if rank is not None:
         _check_count(rank, "ambient rank")
     text = text.strip()
     if text in ("", "1"):
         return ()
     letters = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - ord("a") + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch) - ord("A") + 1))
-        else:
-            raise WordError(f"bad letter {ch!r} in word {text!r}")
+    # Split on the bracketed names: the odd parts are their numbers.
+    for i, part in enumerate(_NAMED.split(text)):
+        if i % 2:
+            letters.append(int(part))
+            continue
+        for ch in part:
+            if "a" <= ch <= "z":
+                letters.append(ord(ch) - ord("a") + 1)
+            elif "A" <= ch <= "Z":
+                letters.append(-(ord(ch) - ord("A") + 1))
+            else:
+                raise WordError(f"bad letter {ch!r} in word {text!r}")
     if rank is not None:
         for s in letters:
             if abs(s) > rank:

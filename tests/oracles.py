@@ -19,10 +19,14 @@ from geodouble.freegroups import SubgroupGraph, Word, concat, free_reduce, inver
 from geodouble.doubling import Double, DoubleWord, NormalForm, Syllable
 from geodouble.isometries import Isometry
 from geodouble.presentations import (
+    MAX_RELATOR_LENGTH,
     AuditCase,
     AuditError,
     AuditReport,
     AuditStep,
+    Presentation,
+    _cyclic_canonical,
+    cyclic_reduce,
     surface_rank,
 )
 from geodouble.triangulation import (
@@ -621,6 +625,102 @@ def _det_over_q(matrix) -> int:
             if f:
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[c])]
     return int(det)
+
+
+# -- Tietze simplification and homomorphism counts -----------------------------------
+
+
+def _substitute(word: Word, gen: int, image: Word) -> Word:
+    out: list[int] = []
+    for s in word:
+        if s == gen:
+            out.extend(image)
+        elif s == -gen:
+            out.extend(inverse_word(image))
+        else:
+            out.append(s)
+    return free_reduce(out)
+
+
+def _drop_generator(word: Word, gen: int) -> Word:
+    return tuple(s - (1 if s > gen else 0) if s > 0 else s + (1 if -s > gen else 0)
+                 for s in word)
+
+
+def reference_tietze(p: Presentation) -> Presentation:
+    """``tietze_simplify`` as one whole pass a round: every relator is
+    cyclically reduced and keyed by Booth's least rotation, and every
+    elimination substitutes letter by letter, freely reduces the whole
+    word and renumbers it letter by letter."""
+    gens = p.generator_count
+    relators = list(p.relators)
+    while True:
+        # Normalise and deduplicate.
+        seen: set[Word] = set()
+        cleaned: list[Word] = []
+        for r in relators:
+            w = cyclic_reduce(r)
+            if not w:
+                continue
+            key = _cyclic_canonical(w)
+            if key in seen:
+                continue
+            seen.add(key)
+            cleaned.append(w)
+        relators = cleaned
+
+        # Eliminate through the shortest relator that uses some generator
+        # exactly once.
+        for ri in sorted(range(len(relators)), key=lambda i: len(relators[i])):
+            r = relators[ri]
+            if len(r) > MAX_RELATOR_LENGTH:
+                continue
+            counts: dict[int, int] = {}
+            for s in r:
+                counts[abs(s)] = counts.get(abs(s), 0) + 1
+            g = next((g for g, cnt in counts.items() if cnt == 1), 0)
+            if g:
+                break
+        else:
+            return Presentation(gens, tuple(relators))
+        pos = next(i for i, s in enumerate(r) if abs(s) == g)
+        rotated = r[pos:] + r[:pos]  # starts with +-g
+        image = inverse_word(rotated[1:]) if rotated[0] > 0 else rotated[1:]
+        relators = [_drop_generator(_substitute(w, g, image), g)
+                    for i, w in enumerate(relators) if i != ri]
+        gens -= 1
+
+
+S3 = list(itertools.permutations(range(3)))
+S4 = list(itertools.permutations(range(4)))
+
+
+def hom_count(generator_count: int, relators, perms) -> int:
+    """The number of homomorphisms from <1..generator_count | relators> to
+    the group whose elements are ``perms`` (permutations of range(n) as
+    tuples, closed under composition): every assignment of elements to the
+    generators, kept when each relator composes to the identity.  A
+    relator is checked as soon as its largest generator is assigned."""
+    index = {perm: i for i, perm in enumerate(perms)}
+    times = [[index[tuple(q[x] for x in p)] for q in perms] for p in perms]  # p then q
+    identity = index[tuple(range(len(perms[0])))]
+    inverse = [row.index(identity) for row in times]
+    due: list[list[Word]] = [[] for _ in range(generator_count + 1)]
+    for r in relators:
+        due[max(map(abs, r), default=0)].append(tuple(r))
+
+    def count(assigned: list[int]) -> int:
+        for r in due[len(assigned)]:
+            x = identity
+            for s in r:
+                x = times[x][assigned[s - 1] if s > 0 else inverse[assigned[-s - 1]]]
+            if x != identity:
+                return 0
+        if len(assigned) == generator_count:
+            return 1
+        return sum(count(assigned + [e]) for e in range(len(perms)))
+
+    return count([])
 
 
 # -- chain-complex H1 rank ---------------------------------------------------------

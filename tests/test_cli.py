@@ -474,6 +474,15 @@ class TestPresAudit:
             "presentation = < a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s, t, "
             "u, v, w, x, y, z, [27], [28], [29], [30] |  >")
 
+    def test_pres_h1rank_reads_generators_past_z(self, capsys):
+        code, out = run(capsys, "pres", "h1rank", "--gens", "28", "--relators", "[27]")
+        assert code == 0
+        assert out.splitlines()[1:3] == [
+            "presentation = < a, b, c, d, e, f, g, h, i, j, k, l, m, n, o, p, q, r, s, t, "
+            "u, v, w, x, y, z, [27], [28] | [27] >", "h1_rank = 27"]
+        assert run_error(capsys, "pres", "h1rank", "--gens", "28", "--relators", "[29]") == (
+            "error: letter '[29]' outside the rank-28 alphabet")
+
     def test_pres_simplify(self, capsys):
         code, out = run(capsys, "pres", "simplify", "--gens", "2",
                         "--relators", "b")

@@ -47,10 +47,12 @@ class TestWords:
         assert len(set(names)) == len(names)
         for name in names:
             assert name.isprintable() and not set(name) & set(" ,|:<>="), name
-        w = tuple(range(1, 27)) + tuple(range(-26, 0))
+        w = tuple(range(1, 301)) + tuple(range(-300, 0))
         assert word_from_str(word_to_str(w)) == w
-        with pytest.raises(WordError):
-            word_from_str("[27]")
+        assert word_from_str("[27]a[-300]", 300) == (27, 1, -300)
+        for bad in ("[0]", "[27", "27]", "[+27]", "[ 27]", "[027]", "[x]"):
+            with pytest.raises(WordError, match="bad letter"):
+                word_from_str(bad)
 
     def test_parse_rank_check(self):
         with pytest.raises(WordError):

@@ -51,6 +51,7 @@ EXAMPLES: dict[str, list[str]] = {
     "iso_commute": ["iso", "commute", "--m1", "i,0;0,-i", "--m2", "0,1;-1,0"],
     "iso_table": ["iso", "table", "--reversing", "--phi2-id"],
     "pres_from_scheme": ["pres", "from-scheme", "f4.scheme"],
+    "pres_simplify": ["pres", "simplify", "--scheme", "f4.scheme"],
     "audit_case": ["audit", "--g", "2", "--m", "1", "--l", "0", "--orientable",
                    "--separating"],
     "audit_sweep": ["audit", "--sweep"],

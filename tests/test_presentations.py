@@ -27,23 +27,28 @@ from geodouble.presentations import (
     smith_normal_form,
     surface_rank,
     tietze_simplify,
+    MAX_RELATOR_LENGTH,
     _REGIONS,
     _cyclic_canonical,
 )
 from geodouble.triangulation import GluingError, glue, parse_scheme
 
 from oracles import (
+    S3,
+    S4,
     _det,
     _det_over_q,
     _rank_over_q,
     chain_h1_rank,
     exponent_matrix,
+    hom_count,
     local_smith_exponents,
     minors_invariant_factors,
     naive_cyclic_reduce,
     reference_audit_cases,
     reference_face_words,
     reference_rank_audit,
+    reference_tietze,
     truncated_exponents,
 )
 
@@ -273,6 +278,104 @@ class TestTietze:
         long_rel = tuple([1] + [2] * 20)
         p = Presentation(2, (long_rel,))
         assert tietze_simplify(p).generator_count == 2
+
+
+def chain_presentation(g):
+    """a = b^2, b = c^2, ... with a^2 = 1 on g generators: Tietze leaves
+    2^g letters on one generator."""
+    return Presentation(g, ((1, 1),) + tuple((-i, i + 1, i + 1) for i in range(1, g)))
+
+
+def raw_presentation(g, relators):
+    """A presentation holding ``relators`` as given, unreduced and empty
+    ones included, the way ``presentation_from_complex`` builds one."""
+    p = object.__new__(Presentation)
+    object.__setattr__(p, "generator_count", g)
+    object.__setattr__(p, "relators", tuple(relators))
+    return p
+
+
+def letter_invariant(word):
+    letters = tuple(sorted(word))
+    return min(letters, tuple(-s for s in reversed(letters)))
+
+
+class TestTietzeOracle:
+    """``tietze_simplify`` against ``reference_tietze``, which keys and
+    rewrites every relator in every round."""
+
+    @staticmethod
+    def seeded_cases():
+        rng = random.Random(71)
+        for _ in range(3000):
+            g = rng.choice((1, 2, 3, 4, 6, 8, 12, 30))
+            relators = []
+            for _ in range(rng.randint(0, 6)):
+                r = tuple(rng.choice((1, -1)) * rng.randint(1, g)
+                          for _ in range(rng.randint(1, 24)))
+                relators.append(r)
+                kind = rng.randrange(5)
+                k = rng.randrange(len(r))
+                if kind == 0:  # a planted rotation, inverted or not
+                    u = r[k:] + r[:k]
+                    relators.append(inverse_word(u) if rng.random() < 0.5 else u)
+                elif kind == 1:  # an anagram, most often not a rotation
+                    relators.append(tuple(rng.sample(r, len(r))))
+                elif kind == 2:  # self-cancelling, and empty
+                    relators += [r[:k] + inverse_word(r[:k]), ()]
+            rng.shuffle(relators)
+            if rng.random() < 0.5:
+                yield raw_presentation(g, relators)
+            else:
+                yield Presentation(g, tuple(relators))
+
+    def test_matches_reference(self):
+        seen = dict.fromkeys(("rotation", "anagram", "long", "empty", "past_z"), 0)
+        for p in self.seeded_cases():
+            q = tietze_simplify(p)
+            assert q == reference_tietze(p), p
+            words = [cyclic_reduce(r) for r in p.relators]
+            seen["empty"] += () in words
+            seen["long"] += any(len(r) > MAX_RELATOR_LENGTH for r in words)
+            seen["past_z"] += p.generator_count > 26 and q.generator_count < p.generator_count
+            for u, v in itertools.combinations(filter(None, words), 2):
+                if letter_invariant(u) == letter_invariant(v):
+                    same = _cyclic_canonical(u) == _cyclic_canonical(v)
+                    seen["rotation" if same else "anagram"] += 1
+        assert min(seen.values()) > 100, seen
+
+    def test_chain_matches_reference(self):
+        for g in range(1, 17):
+            p = chain_presentation(g)
+            q = tietze_simplify(p)
+            assert q == reference_tietze(p)
+            assert q.generator_count == 1 and q.relators == ((1,) * 2 ** g,)
+
+
+class TestHomCounts:
+    """Homomorphism counts into S3 and S4, which Tietze moves keep."""
+
+    def test_hand_counts(self):
+        assert hom_count(1, [(1,) * 5], S4) == 1  # S4 has no element of order 5
+        assert hom_count(2, [], S3) == 36
+        assert hom_count(2, [(1, 2, -1, -2)], S3) == 18  # commuting pairs: 6 * 3 classes
+        assert hom_count(1, [(1, 1)], S3) == 4
+
+    def test_s4_counts_survive_tietze(self):
+        # Three generators, so that an image can hold two others, whose
+        # order the counts see and the abelianization does not.
+        rng = random.Random(73)
+        eliminated = 0
+        for _ in range(300):
+            relators = tuple(tuple(rng.choice((1, -1)) * rng.randint(1, 3)
+                                   for _ in range(rng.randint(3, 8)))
+                             for _ in range(rng.randint(2, 3)))
+            p = Presentation(3, relators)
+            q = tietze_simplify(p)
+            assert (hom_count(q.generator_count, q.relators, S4)
+                    == hom_count(3, p.relators, S4)), p
+            eliminated += q.generator_count < 3
+        assert eliminated > 250
 
 
 class TestSmithNormalForm:
