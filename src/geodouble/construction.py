@@ -179,8 +179,9 @@ def min_n_for_ratio(epsilon: Rational | float | str) -> int:
         raise ValueError(f"epsilon {epsilon!r} has a zero denominator") from None
     if not 0 < eps < 2:
         raise ValueError(f"epsilon must lie in (0, 2), got {eps}")
-    bound = Fraction(8, 1) / eps - 3
-    n = max(4, int(bound) + 1)
-    while n % 3 == 0 or Fraction(2 * n - 2, n + 3) <= 2 - eps:
+    n = int(8 / eps - 3)
+    while True:
         n += 1
-    return n
+        _, bound, fix, _, _ = family_ranks(n)
+        if is_admissible(n) and Fraction(fix, bound) > 2 - eps:
+            return n

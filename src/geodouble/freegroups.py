@@ -324,13 +324,13 @@ class SubgroupGraph:
         # ends where its reduction's does; one that stops is the answer
         # when _reduced leaves the word as it is (no 0, no cancelling
         # neighbours) and the unread rest passes the letter rule.  Any other
-        # word is read again as its reduction; an unhashable letter that
-        # the reduction keeps raises the TypeError of its column lookup.
+        # word is read again as its reduction.  A letter with no column,
+        # unhashable ones included, stops the read; one that cannot be added
+        # to its neighbours fails the letter rule on the whole word.
         word = tuple(word)
         cols = self._col
         v = 0
         letters = iter(word)
-        unhashable = None
         try:
             for s in letters:
                 nxt = cols[s][v]
@@ -339,15 +339,15 @@ class SubgroupGraph:
                 v = nxt
             else:
                 return v, ()
-        except KeyError:
+        except (KeyError, TypeError):
             pass
-        except TypeError as exc:
-            unhashable = exc
-        reduced = _reduced(word)
+        try:
+            reduced = _reduced(word)
+        except TypeError:
+            _check_letters(word, self.ambient_rank)
+            raise
         if reduced != word:
             return self._locate(reduced)
-        if unhashable:
-            raise unhashable
         rest = (s, *letters)
         _check_letters(rest, self.ambient_rank)
         return v, rest

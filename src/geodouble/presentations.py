@@ -646,18 +646,24 @@ class AuditReport:
 # assumed, strict), where form = (c0, cg, cm, cl) gives the value
 # (c0 + cg*g + cm*m + cl*l) / 2.  The last step is the bound.  A "rounded
 # up" step takes an integer-valued x + 1/2 to x + 1, so it is affine too.
-_CUT_H1 = "first homology rank of the cut manifold (half survives)"
-_CUT_PI1 = "cut manifold rank >= its first homology rank"
-_DOUBLED = "doubled manifold rank (doubling keeps rank)"
-_INDEX_2 = "twice ambient rank >= doubled rank + 1 (index-2 cover)"
+# Four regions share one chain from a boundary genus (label, form): half the
+# boundary homology survives in the cut manifold (Hatcher, Notes on Basic
+# 3-Manifold Topology, Lemma 3.5), pi1 rank >= H1 rank, doubling keeps
+# rank, and the index-2 cover adds one.
+def _cut_and_double(label: str, form: tuple[int, int, int, int]) -> tuple:
+    return ((label, form, False, False),
+            ("first homology rank of the cut manifold (half survives)", form, True, False),
+            ("cut manifold rank >= its first homology rank", form, False, False),
+            ("doubled manifold rank (doubling keeps rank)", form, True, False),
+            ("twice ambient rank >= doubled rank + 1 (index-2 cover)",
+             (form[0] + 2, *form[1:]), False, False))
+
+
 _PIECE_BOUND = "twice ambient rank, via rank(double) >= rank(piece)"
-_TWO_COMPONENTS = (
-    ("sum of the two boundary component genera 2(g + m)", (0, 4, 4, 0), False, False),
-    (_CUT_H1, (0, 4, 4, 0), True, False),
-    (_CUT_PI1, (0, 4, 4, 0), False, False),
-    (_DOUBLED, (0, 4, 4, 0), True, False),
-    (_INDEX_2, (2, 4, 4, 0), False, False),
-)
+_TWO_COMPONENTS = _cut_and_double("sum of the two boundary component genera 2(g + m)",
+                                  (0, 4, 4, 0))
+_NON_ORIENTABLE_GENUS = ("glued boundary genus (orienting double cover plus annuli) "
+                         "g - 1 + 2m + l")
 _REGIONS = {
     (True, True, False, True): (
         ("cut piece boundary genus (annuli cap the circle pairs)", (0, 2, 2, 1), False, False),
@@ -670,30 +676,16 @@ _REGIONS = {
         ("cut piece rank, rounded up to the next integer", (2, 2, 0, 0), False, False),
         (_PIECE_BOUND, (4, 4, 0, 0), True, False),
     ),
-    (True, False, True, True): (
-        ("glued boundary component genus 2g + 2m + l - 1", (-2, 4, 4, 2), False, False),
-        (_CUT_H1, (-2, 4, 4, 2), True, False),
-        (_CUT_PI1, (-2, 4, 4, 2), False, False),
-        (_DOUBLED, (-2, 4, 4, 2), True, False),
-        (_INDEX_2, (0, 4, 4, 2), False, False),
-    ),
+    (True, False, True, True): _cut_and_double(
+        "glued boundary component genus 2g + 2m + l - 1", (-2, 4, 4, 2)),
     (True, False, False, True): _TWO_COMPONENTS,
     (True, False, False, False): _TWO_COMPONENTS,
-    (False, False, False, True): (
-        ("glued boundary genus (orienting double cover plus annuli) g - 1 + 2m + l",
-         (-2, 2, 4, 2), False, False),
-        (_CUT_H1, (-2, 2, 4, 2), True, False),
-        (_CUT_PI1, (-2, 2, 4, 2), False, False),
-        (_DOUBLED, (-2, 2, 4, 2), True, False),
-        (_INDEX_2, (0, 2, 4, 2), False, False),
-    ),
+    (False, False, False, True): _cut_and_double(_NON_ORIENTABLE_GENUS, (-2, 2, 4, 2)),
     (False, False, False, False): (
-        ("glued boundary genus (orienting double cover plus annuli) g - 1 + 2m + l",
-         (-2, 2, 4, 2), False, False),
+        (_NON_ORIENTABLE_GENUS, (-2, 2, 4, 2), False, False),
         ("incompressible boundary rank gap witness (g-1) + 1/2", (-1, 2, 4, 2), True, True),
         ("cut manifold rank, rounded up to the next integer", (0, 2, 4, 2), False, False),
-        (_DOUBLED, (0, 2, 4, 2), True, False),
-        (_INDEX_2, (2, 2, 4, 2), False, False),
+        *_cut_and_double("", (0, 2, 4, 2))[-2:],
     ),
 }
 

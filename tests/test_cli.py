@@ -326,15 +326,11 @@ class TestDouble:
         line = run_error(capsys, "double", "fixtest", "--rank", rank, "--H", "")
         assert line == f"error: --rank must be at least 1, got {rank}"
 
-    def test_bad_seed_variable_only_fails_fixtest_without_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("GEODOUBLE_SEED", "x")
-        code, out = run(capsys, "family", "verify", "--n", "4")
-        assert code == 0 and "FAIL" not in out
-        fixtest = ("double", "fixtest", "--rank", "2", "--H", "aa", "--samples", "5")
-        line = run_error(capsys, *fixtest)
-        assert line == "error: GEODOUBLE_SEED must be an integer, got 'x'"
-        code, out = run(capsys, *fixtest, "--seed", "3")
-        assert code == 0 and "seed = 3" in out
+    @pytest.mark.parametrize("value", ["x", "11"])
+    def test_seed_variable_is_not_read(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GEODOUBLE_SEED", value)
+        code, out = run(capsys, "double", "fixtest", "--rank", "2", "--H", "aa", "--samples", "5")
+        assert code == 0 and "--samples 5 --seed 0" in out and "seed = 0" in out
 
     def test_fixtest_seed_changes_stream(self, capsys):
         _, out1 = run(capsys, "double", "fixtest", "--rank", "2", "--H", "aa",
@@ -603,14 +599,12 @@ class TestCommandTable:
             assert main([group, "--help"]) == 0
             assert f"usage: geodouble {group} " in capsys.readouterr().out
 
-    def test_parser_built_once_seed_read_per_call(self, capsys, monkeypatch):
+    def test_parser_built_once_seed_read_per_call(self, capsys):
         cli.build_parser.cache_clear()
         argv = ("--machine", "double", "fixtest", "--rank", "2", "--H", "aa", "--samples", "5")
-        monkeypatch.setenv("GEODOUBLE_SEED", "11")
-        code, out = run(capsys, *argv)
+        code, out = run(capsys, *argv, "--seed", "11")
         assert code == 0 and "seed=11" in out.splitlines()
-        monkeypatch.setenv("GEODOUBLE_SEED", "12")
-        code, out = run(capsys, *argv)
+        code, out = run(capsys, *argv, "--seed", "12")
         assert code == 0 and "seed=12" in out.splitlines()
         assert cli.build_parser.cache_info().misses == 1
 

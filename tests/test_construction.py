@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -140,9 +141,21 @@ class TestMinN:
             min_n_for_ratio("1/0")
 
     def test_matches_linear_scan(self):
+        # Hand-picked values; seeded draws in (0, 2) with denominators up to
+        # 10^4; draws in (4/3, 2), where the scan starts below 4; and
+        # eps = 8/(k + 3), where the bound 8/eps - 3 is the integer k.
+        rng = random.Random(30)
+        drawn = []
+        for _ in range(300):
+            q = rng.randint(1, 10 ** 4)
+            drawn.append(Fraction(rng.randint(1, 2 * q - 1), q))
+        for _ in range(100):
+            q = rng.randint(1, 10 ** 4)
+            drawn.append(Fraction(4, 3) + Fraction(rng.randint(1, 2 * q - 1), 3 * q))
         for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 10), Fraction(3, 7),
-                    Fraction(19, 10), Fraction(1, 25), Fraction(1, 100)):
-            assert min_n_for_ratio(eps) == scan_min_n(eps)
+                    Fraction(19, 10), Fraction(1, 25), Fraction(1, 100), *drawn,
+                    *(Fraction(8, k + 3) for k in range(2, 200))):
+            assert min_n_for_ratio(eps) == scan_min_n(eps), eps
 
     def test_result_is_minimal_admissible(self):
         for eps in (Fraction(1, 3), Fraction(2, 9), Fraction(1, 50)):

@@ -121,7 +121,6 @@ def _write_schemes() -> None:
                          ids=[f"{n}{'-machine' if m else ''}" for n, m in CASES])
 def test_readme_example_matches_golden(name, machine, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GEODOUBLE_SEED", raising=False)
     _write_schemes()
     argv = (["--machine"] if machine else []) + ALL_EXAMPLES[name]
     assert _run(argv) == _golden_path(name, machine).read_text()
@@ -142,7 +141,6 @@ def test_readme_examples_are_exactly_the_golden_examples():
 
 
 if __name__ == "__main__":
-    os.environ.pop("GEODOUBLE_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
