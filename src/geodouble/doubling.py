@@ -63,11 +63,12 @@ from typing import Iterable
 from .freegroups import (
     SubgroupGraph,
     Word,
-    WordError,
+    _check_count,
+    _check_letters,
+    _in_rank,
     concat,
     free_reduce,
     inverse_word,
-    letter_str,
     stallings_graph,
     word_from_str,
     word_to_str,
@@ -90,22 +91,18 @@ def _well_formed(syllables: tuple) -> bool:
     if not {*map(type, words)} <= {tuple} or sides.count(0) + sides.count(1) != len(sides):
         return False
     letters = tuple(chain.from_iterable(words))
-    return {*map(type, letters)} <= {int} and 0 not in letters
+    return 0 not in letters and _in_rank(letters, None)
 
 
 def _checked(syllables: Iterable) -> tuple[Syllable, ...]:
-    # The syllables as tuples, checked one by one: the side, then any
-    # non-integer letter, then a zero letter.
+    # The syllables as tuples, checked one by one: the side, then the
+    # letters by the letter rule with no rank.
     out = []
     for side, word in syllables:
         if side not in (UNPRIMED, PRIMED):
             raise ValueError(f"side must be 0 or 1, got {side}")
         word = tuple(word)
-        if not set(map(type, word)) <= {int}:
-            bad = next(x for x in word if type(x) is not int)
-            raise WordError(f"letter {bad!r} is not an integer")
-        if 0 in word:
-            raise WordError("0 is not a letter")
+        _check_letters(word)
         out.append((side, word))
     return tuple(out)
 
@@ -245,8 +242,7 @@ class Double:
         graph, rank = self.subgroup, self.rank
         syllables = dword.syllables
         if max(map(abs, chain.from_iterable(map(itemgetter(1), syllables))), default=0) > rank:
-            bad = next(s for _, word in syllables for s in word if abs(s) > rank)
-            raise WordError(f"letter {letter_str(bad)!r} outside the rank-{rank} alphabet")
+            _check_letters([*chain.from_iterable(map(itemgetter(1), syllables))], rank)
         stack: list[list] = []
         for side, word in syllables:
             if stack and stack[-1][0] in (side, None):
@@ -347,6 +343,9 @@ def random_double_word(rng: random.Random, rank: int,
                        in_subgroup: bool = False) -> DoubleWord:
     """Sample a random double word; with ``in_subgroup`` the element is built
     from subgroup generators only, so it is guaranteed to lie in H."""
+    _check_count(rank, "rank")
+    if rank < 1:
+        raise ValueError(f"rank must be at least 1, got {rank}")
     count = rng.randint(0 if in_subgroup else 1, max_syllables)
     letters = [s for s in range(-rank, rank + 1) if s]
     syllables = []

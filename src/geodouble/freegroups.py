@@ -36,17 +36,18 @@ computes the subgroup rank as its first Betti number, detects finite index
 that tree.
 
 Words are taken in and read at a cost per batch, not per word, under one
-letter rule: a letter is a nonzero int (bools count) within the rank.
-``from_generators`` checks the letters and the reducedness of all
-generators in a few C-level passes over them joined into one list; if any
-check fails it reruns the per-word loop, which raises the first fault.
-``from_adjacency`` checks the edges column by column the same way.
-Membership, ``trace`` and coset representatives share one reader, which
-reads the word as given: each label of a folded graph is a partial
-injection whose inverse label is its inverse map, so a read that completes
-ends where the read of the free reduction ends.  A read that stops on a
-reduced word is the answer once its unread rest passes the letter rule;
-any other word is read again as its free reduction.
+letter rule, decided and named by ``_check_letters`` alone: a letter is a
+nonzero int (bools count) within the rank.  ``from_generators`` checks all
+generators in a few C-level passes over them joined into one list, and
+``from_adjacency`` its edges column by column; a failed check reruns a
+per-word or per-edge loop that raises the first fault.  Membership,
+``trace`` and coset representatives share one reader, which reads the word
+as given: each label of a folded graph is a partial injection whose inverse
+label is its inverse map, so a read that completes ends where the read of
+the free reduction ends.  A read that stops checks the whole word, answers
+for a reduced one and reads any other again as its free reduction.  The
+rule's one exception: a read that completes does not check letter types,
+so it reads a float equal to an int as that int.
 
 For the double's normal forms the graph also reads whole words forward
 with free cancellation.  The double's second normal-form pass
@@ -70,8 +71,10 @@ class WordError(ValueError):
     """Malformed word string or letter outside the ambient alphabet."""
 
 
-# A letter written by number, as ``letter_str`` writes those past z.
+# A letter written by number, as ``letter_str`` writes those past z; any
+# other bracket group is bad, named whole or, unclosed, up to a letter.
 _NAMED = re.compile(r"\[(-?[1-9][0-9]*)\]")
+_GROUP = re.compile(r"\[[^][]*\]|\[[^][a-zA-Z]*")
 
 
 def word_from_str(text: str, rank: int | None = None) -> Word:
@@ -95,13 +98,11 @@ def word_from_str(text: str, rank: int | None = None) -> Word:
             elif "A" <= ch <= "Z":
                 letters.append(-(ord(ch) - ord("A") + 1))
             else:
+                if ch == "[":
+                    ch = _GROUP.match(part, part.index(ch))[0]
                 raise WordError(f"bad letter {ch!r} in word {text!r}")
-    if rank is not None:
-        for s in letters:
-            if abs(s) > rank:
-                raise WordError(
-                    f"letter {letter_str(s)!r} outside the rank-{rank} alphabet"
-                )
+    if rank is not None and (bad := [s for s in letters if abs(s) > rank]):
+        raise WordError(f"letter {letter_str(bad[0])!r} outside the rank-{rank} alphabet")
     return tuple(letters)
 
 
@@ -121,7 +122,7 @@ def free_reduce(word: Iterable[int]) -> Word:
     out: list[int] = []
     for s in word:
         if s == 0:
-            raise WordError("0 is not a letter")
+            _check_letters((s,))  # raises, naming it
         if out and out[-1] == -s:
             out.pop()
         else:
@@ -142,11 +143,11 @@ def concat(*words: Iterable[int]) -> Word:
 
 
 def _reduced(word: Iterable[int]) -> Word:
-    # free_reduce(word), with its errors.  Letters are nonzero, so a zero
-    # sum marks a cancelling pair, and two C-level passes find most words
-    # already reduced without the Python loop.
+    # free_reduce(word) of a word whose letters were checked.  Letters are
+    # nonzero, so a zero sum marks a cancelling pair, and one C-level pass
+    # finds most words already reduced without the Python loop.
     w = tuple(word)
-    if 0 in w or 0 in map(add, w, w[1:]):
+    if 0 in map(add, w, w[1:]):
         return free_reduce(w)
     return w
 
@@ -159,12 +160,16 @@ def _check_count(value: int, name: str) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
-def _check_letters(word: Sequence[int], rank: int) -> None:
-    # The batch intake's rule, in C-level passes; the letter is looked for
-    # only on failure.
+def _check_letters(word: Sequence, rank: int | None = None) -> None:
+    # The one letter rule: a letter is a nonzero int (bools count) and, when
+    # the rank is known, within it.  C-level passes decide; only on failure
+    # is the first bad letter looked for, named as the caller wrote it.
     if 0 in word or not _in_rank(word, rank):
         bad = next(s for s in word if s == 0 or not _in_rank((s,), rank))
-        raise WordError(f"letter {bad!r} outside the rank-{rank} alphabet")
+        if rank is not None:
+            raise WordError(f"letter {bad!r} outside the rank-{rank} alphabet")
+        raise WordError("0 is not a letter" if _in_rank((bad,), None)
+                        else f"letter {bad!r} is not an integer")
 
 
 def _intake(generators: Iterable[Word | str], rank: int) -> tuple[Word, ...]:
@@ -195,13 +200,13 @@ def _intake(generators: Iterable[Word | str], rank: int) -> tuple[Word, ...]:
     return _intake_loop(words, rank)
 
 
-def _in_rank(letters: Collection, rank: int) -> bool:
-    # Whether every letter is an int with |s| <= rank.  An int sum rules out
-    # floats, NaN and other types that the comparisons would let past; bools
-    # sum to ints and count as ints.
+def _in_rank(letters: Collection, rank: int | None) -> bool:
+    # Whether every letter is an int with |s| <= rank, or any int when rank
+    # is None.  An int sum rules out floats, NaN and other types that the
+    # comparisons would let past; bools sum to ints and count as ints.
     try:
         return type(sum(letters)) is int and not (
-            letters and (min(letters) < -rank or max(letters) > rank))
+            rank is not None and letters and (min(letters) < -rank or max(letters) > rank))
     except TypeError:
         return False
 
@@ -321,12 +326,10 @@ class SubgroupGraph:
     def _locate(self, word: Iterable[int]) -> tuple[int, Word]:
         # (vertex reached, unread rest) of the free reduction of ``word``
         # read from the base.  A read of ``word`` as given that completes
-        # ends where its reduction's does; one that stops is the answer
-        # when _reduced leaves the word as it is (no 0, no cancelling
-        # neighbours) and the unread rest passes the letter rule.  Any other
-        # word is read again as its reduction.  A letter with no column,
-        # unhashable ones included, stops the read; one that cannot be added
-        # to its neighbours fails the letter rule on the whole word.
+        # ends where its reduction's does.  A read that stops, at a missing
+        # edge or at a letter with no column, checks the whole word against
+        # the letter rule; then it is the answer when _reduced leaves the
+        # word as it is, and any other word is read again as its reduction.
         word = tuple(word)
         cols = self._col
         v = 0
@@ -341,16 +344,11 @@ class SubgroupGraph:
                 return v, ()
         except (KeyError, TypeError):
             pass
-        try:
-            reduced = _reduced(word)
-        except TypeError:
-            _check_letters(word, self.ambient_rank)
-            raise
+        _check_letters(word, self.ambient_rank)
+        reduced = _reduced(word)
         if reduced != word:
             return self._locate(reduced)
-        rest = (s, *letters)
-        _check_letters(rest, self.ambient_rank)
-        return v, rest
+        return v, (s, *letters)
 
     def trace(self, word: Iterable[int]) -> int | None:
         """Endpoint of the path reading ``word`` from the base, or None.
@@ -491,8 +489,7 @@ def _check_edges(adj: list[dict[int, int]], rank: int, base: int) -> None:
     n = len(adj)
     for v, nbrs in enumerate(adj):
         for s, w in nbrs.items():
-            if not 1 <= abs(s) <= rank:
-                raise ValueError(f"label {s} outside rank {rank}")
+            _check_letters((s,), rank)
             if not (isinstance(w, int) and 0 <= w < n):
                 raise ValueError(f"edge {v} --{s}--> {w!r} leaves the {n}-vertex graph")
             if adj[w].get(-s) != v:

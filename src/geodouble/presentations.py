@@ -56,8 +56,8 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
-from .freegroups import (Word, _check_count, _in_rank, free_reduce, inverse_word, letter_str,
-                         word_to_str)
+from .freegroups import (Word, _check_count, _check_letters, free_reduce, inverse_word,
+                         letter_str, word_to_str)
 from .triangulation import (
     FACE_NAMES,
     FACES,
@@ -75,11 +75,8 @@ def cyclic_reduce(word: Iterable[int]) -> Word:
     cyclically reduced, as they are; any other word, and a 0 letter, goes
     through ``free_reduce``."""
     w = tuple(word)
-    try:
-        if 0 not in w and 0 not in map(add, w, w[1:] + w[:1]):
-            return w
-    except TypeError:
-        pass
+    if 0 not in w and 0 not in map(add, w, w[1:] + w[:1]):
+        return w
     w = free_reduce(w)
     i, j = 0, len(w) - 1
     while i < j and w[i] == -w[j]:
@@ -97,16 +94,9 @@ class Presentation:
 
     def __post_init__(self) -> None:
         _check_count(self.generator_count, "generator count")
-        n = self.generator_count
-        cleaned = []
-        for r in self.relators:
-            w = cyclic_reduce(r)
-            if not _in_rank(w, n):
-                bad = next(s for s in w if not _in_rank((s,), n))
-                raise ValueError(f"relator letter {bad!r} outside generators")
-            if w:
-                cleaned.append(w)
-        object.__setattr__(self, "relators", tuple(cleaned))
+        relators = [*map(tuple, self.relators)]
+        _check_letters([*itertools.chain.from_iterable(relators)], self.generator_count)
+        object.__setattr__(self, "relators", tuple(filter(None, map(cyclic_reduce, relators))))
 
     def __str__(self) -> str:
         gens = ", ".join(map(letter_str, range(1, self.generator_count + 1)))

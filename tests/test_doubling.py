@@ -87,18 +87,39 @@ class TestDoubleWordParsing:
         ((1.5,), "letter 1.5 is not an integer"),
         ("ab", "letter 'a' is not an integer"),
         ((1, 2, "B"), "letter 'B' is not an integer"),
-        ((1, True), "letter True is not an integer"),
+        ((1, 2.0), "letter 2.0 is not an integer"),
     ])
     def test_non_integer_letter_raises_at_construction(self, word, message):
         with pytest.raises(WordError) as raised:
             DoubleWord(((UNPRIMED, (1,)), (PRIMED, word)))
         assert str(raised.value) == message
 
+    def test_bool_letters_count_as_ints(self, dbl):
+        w = DoubleWord(((UNPRIMED, (True, 2)), (PRIMED, (-True,))))
+        assert dbl.normal_form(w) == dbl.normal_form(DoubleWord.from_str("u:ab p:A"))
+
+
+class TestRandomDoubleWord:
+    @pytest.mark.parametrize("rank, message", [
+        (0, "rank must be at least 1, got 0"),
+        (-1, "rank must be >= 0"),
+        (1.5, "rank 1.5 is not an int"),
+        (True, "rank True is not an int"),
+    ])
+    def test_rank_is_checked(self, rank, message):
+        with pytest.raises(ValueError) as raised:
+            random_double_word(random.Random(0), rank)
+        assert type(raised.value) is ValueError and str(raised.value) == message
+
+    def test_rank_one(self):
+        w = random_double_word(random.Random(0), 1, max_syllables=3)
+        assert w.syllables and all(abs(s) == 1 for _, word in w.syllables for s in word)
+
 
 class TestFirstFault:
     """A word with several faults reports the first one a syllable-by-syllable
-    scan meets: in each syllable its side, then any non-integer letter, then
-    a zero letter; ``normal_form`` and ``is_fixed`` then name the first letter
+    scan meets: in each syllable its side, then its first letter that is not
+    a nonzero int; ``normal_form`` and ``is_fixed`` then name the first letter
     outside the rank."""
 
     @pytest.mark.parametrize("syllables, error, message", [
@@ -107,11 +128,11 @@ class TestFirstFault:
         (((2, (1,)), (0, (1, 0))), ValueError, "side must be 0 or 1, got 2"),
         # A non-integer ahead of or behind a zero in the same syllable.
         (((0, ("a", 0)),), WordError, "letter 'a' is not an integer"),
-        (((0, (0, 1.5)),), WordError, "letter 1.5 is not an integer"),
+        (((0, (0, 1.5)),), WordError, "0 is not a letter"),
         # A bad side ahead of a bad letter, in one syllable and across two.
         (((5, (0,)),), ValueError, "side must be 0 or 1, got 5"),
         (((0, (1,)), (-1, (2,)), (1, ("x",))), ValueError, "side must be 0 or 1, got -1"),
-        (((0, (True,)), (7, (1,))), WordError, "letter True is not an integer"),
+        (((0, (2.0,)), (7, (1,))), WordError, "letter 2.0 is not an integer"),
         ((([0], (1,)),), ValueError, "side must be 0 or 1, got [0]"),
         (((3, 5),), ValueError, "side must be 0 or 1, got 3"),
         (((0, (1,)), (1, 5)), TypeError, "'int' object is not iterable"),
@@ -128,16 +149,17 @@ class TestFirstFault:
         (((0, (1, 4, 3)), (1, (-3,))), "d"),
         (((0, (1,)), (1, (2, -3)), (0, (5,))), "C"),
         (((0, (1,)), (1, (1, -1, 3))), "c"),
-        # Letters past z have their own names.
         (((0, (40,)),), "[40]"),
         (((0, (1,)), (1, (2, -27))), "[-27]"),
     ])
     def test_letter_outside_the_rank(self, syllables, name):
+        # The letter is named as the word holds it, an int, not by its string name.
+        [bad] = word_from_str(name)
         dbl = Double.from_generators(["aa", "b"], 2)
         for run in (dbl.normal_form, dbl.is_fixed):
             with pytest.raises(WordError) as raised:
                 run(DoubleWord(syllables))
-            assert str(raised.value) == f"letter '{name}' outside the rank-2 alphabet"
+            assert str(raised.value) == f"letter {bad} outside the rank-2 alphabet"
 
 
 class TestNormalForm:
@@ -330,7 +352,8 @@ class TestIsFixedRunsPassOneOnly:
             with pytest.raises(WordError) as raised:
                 double.normal_form(word)
             messages.append(str(raised.value))
-        assert [m.split("'")[1] for m in messages] == ["c", "C", "c", "d"]
+        assert messages == [f"letter {s} outside the rank-{k} alphabet"
+                            for s, k in ((3, 2), (-3, 2), (3, 2), (4, 3))]
         self.refuse_split(monkeypatch)
         for (double, word), message in zip(cases, messages):
             with pytest.raises(WordError) as raised:
@@ -393,9 +416,9 @@ class TestSharedFirstPass:
             good = DoubleWord.from_str(text)
             bad = DoubleWord(((0, (1, 3)),))
             dbl.normal_form(good)
-            with pytest.raises(WordError, match="'c'"):
+            with pytest.raises(WordError, match="letter 3 outside"):
                 dbl.normal_form(bad)
-            with pytest.raises(WordError, match="'c'"):
+            with pytest.raises(WordError, match="letter 3 outside"):
                 dbl.is_fixed(bad)
             assert dbl.is_fixed(good) == self.fixed_by_definition(dbl, good)
             assert dbl.is_fixed(DoubleWord.from_str(text)) == self.fixed_by_definition(dbl, good)
@@ -460,15 +483,14 @@ class TestLettersOutsideRank:
         rng = random.Random(13)
         syllables = tuple((i % 2, (rng.choice([1, 2, -1, -2]),)) for i in range(60))
         word = DoubleWord(syllables + ((1, (letter, 2)),))
-        name = "c" if letter > 0 else "C"
-        with pytest.raises(WordError, match=f"'{name}'"):
+        with pytest.raises(WordError, match=f"letter {letter} outside"):
             dbl.normal_form(word)
 
     def test_raises_on_finite_index_and_in_the_first_syllable(self):
         dbl = schreier_double(random.Random(14), 16)
-        with pytest.raises(WordError, match="'c'"):
+        with pytest.raises(WordError, match="letter 3 outside"):
             dbl.normal_form(DoubleWord(((0, (1, 3)), (1, (2,)))))
-        with pytest.raises(WordError, match="'d'"):
+        with pytest.raises(WordError, match="letter 4 outside"):
             Double.from_generators([], 3).normal_form(DoubleWord(((0, (4,)),)))
 
 

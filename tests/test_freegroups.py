@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geodouble.doubling import Double, DoubleWord
 from geodouble.freegroups import (
     SubgroupGraph,
     WordError,
@@ -18,6 +19,7 @@ from geodouble.freegroups import (
     word_from_str,
     word_to_str,
 )
+from geodouble.presentations import Presentation
 
 from oracles import (
     bounded_products,
@@ -50,9 +52,14 @@ class TestWords:
         w = tuple(range(1, 301)) + tuple(range(-300, 0))
         assert word_from_str(word_to_str(w)) == w
         assert word_from_str("[27]a[-300]", 300) == (27, 1, -300)
-        for bad in ("[0]", "[27", "27]", "[+27]", "[ 27]", "[027]", "[x]"):
-            with pytest.raises(WordError, match="bad letter"):
+        # A bad bracket group is named whole, an unclosed one up to a letter.
+        for bad, named in [("[0]", "[0]"), ("[01]", "[01]"), ("[x]", "[x]"), ("[]", "[]"),
+                           ("[2", "[2"), ("[27", "[27"), ("[2ab", "[2"), ("a[[1]", "["),
+                           ("[+27]", "[+27]"), ("[ 27]", "[ 27]"), ("[027]", "[027]"),
+                           ("27]", "2"), ("[1]]", "]")]:
+            with pytest.raises(WordError) as raised:
                 word_from_str(bad)
+            assert str(raised.value) == f"bad letter {named!r} in word {bad!r}"
 
     def test_parse_rank_check(self):
         with pytest.raises(WordError):
@@ -576,6 +583,20 @@ class TestColumnLayout:
             SubgroupGraph.from_adjacency(1, adjacency, base=base)
 
 
+def _reads_through(g, word):
+    # Whether ``word`` as given reads from the base letter by letter; an
+    # unhashable letter has no column.
+    v = 0
+    for s in word:
+        try:
+            v = g.step(v, s)
+        except TypeError:
+            return False
+        if v is None:
+            return False
+    return True
+
+
 def _oracle_reads(g, words):
     # (trace, coset representative) of each word by the oracle: the trace is
     # the vertex whose tree word the representative is, if any, since a
@@ -586,7 +607,8 @@ def _oracle_reads(g, words):
 
 class TestWordIntake:
     """Reads and folding skip the free-reduction loop on reduced words;
-    answers and error texts are those of reducing every word."""
+    answers are those of reducing every word, and errors those of the one
+    letter rule."""
 
     @given(words)
     def test_reduced_matches_free_reduce(self, w):
@@ -615,16 +637,14 @@ class TestWordIntake:
 
     @pytest.mark.parametrize("word", [(0,), (1, 0), (2, -2, 0), (1, 2, 1, 0, 5)])
     def test_zero_letter_texts(self, word):
-        g = stallings_graph(["aa", "b"], 2)
-        for call in (g.trace, g.contains, g.coset_representative):
-            for make in (tuple, list, iter):
-                with pytest.raises(WordError) as raised:
-                    call(make(word))
-                assert str(raised.value) == "0 is not a letter"
         for rank in (2, 30):
-            with pytest.raises(WordError) as raised:
-                stallings_graph([(1,), word], rank)
-            assert str(raised.value) == f"letter 0 outside the rank-{rank} alphabet"
+            g = stallings_graph(["aa", "b"], rank)
+            for call in (g.trace, g.contains, g.coset_representative,
+                         lambda w: stallings_graph([(1,), w], rank)):
+                for make in (tuple, list, iter):
+                    with pytest.raises(WordError) as raised:
+                        call(make(word))
+                    assert str(raised.value) == f"letter 0 outside the rank-{rank} alphabet"
 
     @pytest.mark.parametrize("rank", [0, 1, 2, 200000])
     def test_from_generators_names_the_first_bad_letter(self, rank):
@@ -653,8 +673,9 @@ class TestWordIntake:
 
     def test_reads_of_unreduced_words_match_their_reductions(self):
         # Folds of random words and complete Schreier graphs, ranks 2-4.
-        # Probes are generators, tree words and random words, so reads both
-        # complete and stop; cancelling letters outside the rank never raise.
+        # Probes are generators, tree words and random words with cancelling
+        # pairs of letters within the rank put in, so reads both complete
+        # and stop.
         rng = random.Random(73)
         for trial in range(60):
             rank = rng.randint(2, 4)
@@ -668,7 +689,8 @@ class TestWordIntake:
             probes = gens + [g.tree_word(v) for v in range(g.vertex_count)]
             probes += [_random_reduced(rng, rank, rng.randint(1, 10)) for _ in range(10)]
             probes += [()]
-            words = [self._with_pairs(rng, p, rank, rng.randint(0, 4)) for p in probes]
+            words = [self._with_pairs(rng, p, rank, rng.randint(0, 4), outside=False)
+                     for p in probes]
             for w, (trace, rep) in zip(words, _oracle_reads(g, words)):
                 for make in (tuple, list, iter):
                     assert g.trace(make(w)) == trace
@@ -699,26 +721,18 @@ class TestWordIntake:
                 return type(exc), str(exc)
         return tuple(got)
 
-    @classmethod
-    def _expected(cls, g, word):
-        # The outcomes of an int word by free reduction, the letter rule and
-        # the oracle.  A word with another letter is held to a read of
-        # _reduced(word), whose errors are free reduction's own, except that
-        # a TypeError there gives way to the letter rule on the whole word.
-        try:
-            r = _reduced(word)
-        except TypeError:
-            rank = g.ambient_rank
-            bad = next(s for s in word if type(s) not in (int, bool) or not 1 <= abs(s) <= rank)
-            return WordError, f"letter {bad!r} outside the rank-{rank} alphabet"
-        except Exception as exc:
-            return type(exc), str(exc)
-        if any(type(s) is not int for s in word):
-            return cls._outcomes(g, r)
+    @staticmethod
+    def _expected(g, word):
+        # The one letter rule: a word with a letter that is not a nonzero int
+        # within the rank raises WordError naming its first such letter,
+        # unless the read of the word as given completes, which reads a float
+        # equal to an int as that int.  Any other word gets the oracle's
+        # answer for its free reduction.
         rank = g.ambient_rank
-        if bad := [s for s in r if not 1 <= abs(s) <= rank]:
-            return WordError, f"letter {bad[0]} outside the rank-{rank} alphabet"
-        [(trace, rep)] = _oracle_reads(g, [r])
+        bad = [s for s in word if type(s) not in (int, bool) or not 1 <= abs(s) <= rank]
+        if bad and not _reads_through(g, word):
+            return WordError, f"letter {bad[0]!r} outside the rank-{rank} alphabet"
+        [(trace, rep)] = _oracle_reads(g, [free_reduce(map(int, word))])
         return trace, trace == 0, rep
 
     def test_stopped_reads_match_a_read_of_the_reduction(self):
@@ -765,55 +779,23 @@ class TestWordIntake:
     @given(st.data())
     def test_reads_keep_the_letter_rule(self, data):
         # Random folds of rank 2-3 read int words with odd letters put in.
-        # A read returns a result of nonzero ints within the rank, or raises
-        # WordError naming a bad letter, or TypeError for a letter that no
-        # int adds to.  An int word gets the oracle's answer for its free
-        # reduction, or the error of its first bad letter.
+        # Each read gets the outcome of the one letter rule, and an answer
+        # has a representative of nonzero ints within the rank.
         rank = data.draw(st.integers(2, 3))
         letter = st.integers(-rank, rank).filter(bool)
         gens = data.draw(st.lists(st.lists(letter, min_size=1, max_size=6), max_size=3))
         g = stallings_graph(gens, rank)
         w = data.draw(st.lists(letter, max_size=12))
         for odd in data.draw(st.lists(st.sampled_from(
-                [0, rank + 1, -rank - 2, 1.5, NAN, True, "x", None]), max_size=3)):
+                [0, rank + 1, -rank - 2, 1.5, 2.0, NAN, True, "x", None]), max_size=3)):
             w.insert(data.draw(st.integers(0, len(w))), odd)
         w = tuple(w)
-
-        def fits(s):
-            return isinstance(s, int) and 1 <= abs(s) <= rank
-
-        expected = None
-        if all(type(s) is int for s in w):
-            try:
-                r = free_reduce(w)
-            except WordError as exc:
-                expected = str(exc)
-            else:
-                bad = [s for s in r if not fits(s)]
-                [(trace, rep)] = _oracle_reads(g, [r])
-                expected = (f"letter {bad[0]} outside the rank-{rank} alphabet" if bad
-                            else (trace, trace == 0, rep))
-        got = []
-        for call in (g.trace, g.contains, g.coset_representative):
-            try:
-                got.append(call(w))
-            except WordError as exc:
-                got = str(exc)
-                named = {f"letter {s!r} outside the rank-{rank} alphabet"
-                         for s in w if not fits(s)}
-                assert got in named or got == "0 is not a letter" and 0 in w
-                break
-            except TypeError:
-                got = TypeError
-                assert expected is None and ("x" in w or None in w)
-                break
-        else:
-            trace, member, rep = got
-            assert trace is None or 0 <= trace < g.vertex_count
-            assert member == (trace == 0)
-            assert type(rep) is tuple and all(map(fits, rep))
-            got = tuple(got)
-        assert expected is None or got == expected
+        expected = self._expected(g, w)
+        for make in (tuple, list, iter):
+            assert self._outcomes(g, w, make) == expected
+        if expected[0] is not WordError:
+            rep = self._outcomes(g, w)[2]
+            assert all(type(s) in (int, bool) and 1 <= abs(s) <= rank for s in rep)
 
     def test_generator_intake_matches_the_per_word_loop(self):
         # Shuffled generators, some unreduced and some empty, given as
@@ -907,7 +889,7 @@ class TestFirstFault:
             assert type(raised.value) is error and str(raised.value) == message
 
     @pytest.mark.parametrize("rank, adjacency, error, message", [
-        (1, [{1: 0, -1: 0, 2: 0}, {1: 5}], ValueError, "label 2 outside rank 1"),
+        (1, [{1: 0, -1: 0, 2: 0}, {1: 5}], WordError, "letter 2 outside the rank-1 alphabet"),
         (2, [{1: 0, -1: 0, 2: 3}, {2: 1}], ValueError, "edge 0 --2--> 3 leaves the 2-vertex graph"),
         (12, [{1: 0, -1: 0, 9: 3}, {9: 1}], ValueError,
          "edge 0 --9--> 3 leaves the 2-vertex graph"),
@@ -932,7 +914,9 @@ class TestFirstFault:
         (2, [{1: 1.0, -1: 1}, {-1: 0, 1: 0}], ValueError,
          "edge 0 --1--> 1.0 leaves the 2-vertex graph"),
         (2, [{1: 0, -1: 0, 2: NAN}, {1: 9}], ValueError, "edge 0 --2--> nan leaves the 2-vertex graph"),
-        (2, [{1: 0, -1: 0, "a": 0}, {1: 9}], TypeError, "bad operand type for abs(): 'str'"),
+        (2, [{1: 0, -1: 0, "a": 0}, {1: 9}], WordError, "letter 'a' outside the rank-2 alphabet"),
+        # A float label equal to an int is no letter.
+        (2, [{1.0: 1, -1: 1}, {-1: 0, 1: 0}], WordError, "letter 1.0 outside the rank-2 alphabet"),
     ])
     def test_from_adjacency(self, rank, adjacency, error, message):
         for outer in (list, iter):
@@ -941,8 +925,9 @@ class TestFirstFault:
             assert type(raised.value) is error and str(raised.value) == message
 
     def test_from_adjacency_reads_integer_like_labels_and_targets(self):
+        # Bools count as ints, as labels and as targets.
         g = stallings_graph(["aa"], 2)
-        for adjacency in ([{1: True, -1: 1}, {-1: 0, 1: 0}], [{1.0: 1, -1: 1}, {-1: 0, 1: 0}]):
+        for adjacency in ([{1: True, -1: 1}, {-1: 0, 1: 0}], [{True: 1, -1: 1}, {-1: 0, 1: 0}]):
             adopted = SubgroupGraph.from_adjacency(2, adjacency)
             assert adopted == g and adopted.export_edge_list() == "0 --a--> 1\n1 --a--> 0"
 
@@ -984,6 +969,49 @@ class TestFirstFault:
             assert g.trace(make(word)) == trace
             assert g.contains(make(word)) == (trace == 0)
             assert g.coset_representative(make(word)) == rep
+
+
+# Bad words in rank 2, each with the place of its first bad letter.
+_BAD_WORDS = [((0,), 0), ((3,), 0), ((3, -3), 0), ((1, 3, -3), 1), ((1.5,), 0), ((1, 2.0), 1),
+              (("a",), 0), ((1, "a"), 1), ((None,), 0), (([1],), 0), ((2, 2.0, -2.0), 1)]
+
+
+class TestOneLetterRule:
+    """Every door that knows the rank raises one WordError text for a bad
+    word, naming its first bad letter as written; reads are held to it
+    unless they complete.  DoubleWord, which does not know the rank, raises
+    its rank-free text for a letter that is not a nonzero int."""
+
+    @pytest.mark.parametrize("word, at", _BAD_WORDS)
+    def test_every_door_names_the_first_bad_letter(self, word, at):
+        bad = word[at]
+        g = stallings_graph(["aa", "b"], 2)
+        doors = [lambda: stallings_graph([word], 2), lambda: Presentation(2, (word,))]
+        if type(bad) is not list:  # a list can be no label
+            # Loops before the bad letter, so no other fault comes first.
+            adjacency = [{s: i, -s: i} if i < at else {s: i} for i, s in enumerate(word)]
+            doors.append(lambda: SubgroupGraph.from_adjacency(2, adjacency))
+        if _reads_through(g, word):
+            int_word = tuple(map(int, word))
+            assert g.trace(word) == g.trace(int_word) is not None
+            assert g.coset_representative(word) == g.coset_representative(int_word)
+        else:
+            doors += [lambda: g.trace(word), lambda: g.contains(word),
+                      lambda: g.coset_representative(word)]
+        if type(bad) is int and bad:
+            dbl = Double(g)
+            doors += [lambda: dbl.normal_form(DoubleWord(((0, word),))),
+                      lambda: dbl.is_fixed(DoubleWord(((1, word),)))]
+        else:
+            with pytest.raises(WordError) as raised:
+                DoubleWord(((0, word),))
+            assert str(raised.value) == ("0 is not a letter" if bad == 0 and type(bad) is int
+                                         else f"letter {bad!r} is not an integer")
+        for door in doors:
+            with pytest.raises(WordError) as raised:
+                door()
+            assert type(raised.value) is WordError
+            assert str(raised.value) == f"letter {bad!r} outside the rank-2 alphabet"
 
 
 class TestSchreier:

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from geodouble.cli import main
 from geodouble.construction import family_complex
-from geodouble.freegroups import inverse_word, word_to_str
+from geodouble.freegroups import WordError, inverse_word, word_to_str
 from geodouble.freegroups import word_from_str as w
 from geodouble.presentations import (
     AbelianInvariants,
@@ -203,16 +203,16 @@ class TestPresentationFromComplex:
         assert built > 250 and cancelling > 100
 
     def test_checked_constructor_still_checks(self):
-        with pytest.raises(ValueError, match="relator letter 2 outside generators"):
+        with pytest.raises(WordError, match="letter 2 outside the rank-1 alphabet"):
             Presentation(1, ((1, 2),))
         assert Presentation(1, ((1, -1),)).relators == ()
 
     def test_relator_letters_follow_the_word_letter_rule(self):
         # A float letter in the range is no generator, as in freegroups.
         for relator, bad in (((1.5, 2), 1.5), ((1, 2.0), 2.0)):
-            with pytest.raises(ValueError) as raised:
+            with pytest.raises(WordError) as raised:
                 Presentation(2, (relator,))
-            assert str(raised.value) == f"relator letter {bad} outside generators"
+            assert str(raised.value) == f"letter {bad} outside the rank-2 alphabet"
         assert Presentation(2, ((True, 2),)).relators == ((True, 2),)
 
     def test_family_n4_first_homology(self):
