@@ -39,8 +39,9 @@ Words are taken in and read at a cost per batch, not per word, under one
 letter rule, decided and named by ``_check_letters`` alone: a letter is a
 nonzero int (bools count) within the rank.  ``from_generators`` checks all
 generators in a few C-level passes over them joined into one list, and
-``from_adjacency`` its edges column by column; a failed check reruns a
-per-word or per-edge loop that raises the first fault.  Membership,
+``_check_letters`` over all their letters names the first fault if these
+fail; ``from_adjacency`` checks its edges column by column, and a failed
+check reruns a per-edge loop that raises the first fault.  Membership,
 ``trace`` and coset representatives share one reader, which reads the word
 as given: each label of a folded graph is a partial injection whose inverse
 label is its inverse map, so a read that completes ends where the read of
@@ -179,15 +180,14 @@ def _intake(generators: Iterable[Word | str], rank: int) -> tuple[Word, ...]:
     # all: its distinct letters are ints within the rank, its only zeros are
     # the separators, and no two adjacent entries sum to zero.  A letter
     # next to a separator sums to itself, so no pair across two words
-    # cancels.  A failed check or an exception reruns the per-word loop,
-    # which raises the first fault; so does a fault met while converting a
-    # generator, after the loop has checked the words before it.
+    # cancels.  When a check fails, or a generator fails to convert,
+    # ``_check_letters`` names the first bad letter of the words so far.
     words: list[Word] = []
     try:
         for g in generators:
             words.append(word_from_str(g, rank) if isinstance(g, str) else tuple(g))
     except (TypeError, ValueError):
-        _intake_loop(words, rank)
+        _check_letters([*chain.from_iterable(words)], rank)
         raise
     words = [*filter(None, words)]
     joined = [*chain.from_iterable(chain.from_iterable(zip(words, repeat((0,)))))]
@@ -197,7 +197,8 @@ def _intake(generators: Iterable[Word | str], rank: int) -> tuple[Word, ...]:
             return tuple(words)
     except TypeError:
         pass
-    return _intake_loop(words, rank)
+    _check_letters([*chain.from_iterable(words)], rank)
+    return tuple(filter(None, map(_reduced, words)))
 
 
 def _in_rank(letters: Collection, rank: int | None) -> bool:
@@ -209,16 +210,6 @@ def _in_rank(letters: Collection, rank: int | None) -> bool:
             rank is not None and letters and (min(letters) < -rank or max(letters) > rank))
     except TypeError:
         return False
-
-
-def _intake_loop(words: list[Word], rank: int) -> tuple[Word, ...]:
-    gens = []
-    for w in words:
-        _check_letters(w, rank)
-        w = _reduced(w)
-        if w:
-            gens.append(w)
-    return tuple(gens)
 
 
 class SubgroupGraph:
@@ -260,8 +251,13 @@ class SubgroupGraph:
         """Fold the wedge of loops labelled by the generators."""
         _check_count(ambient_rank, "ambient rank")
         gens = _intake(generators, ambient_rank)
+        try:
+            folded = _fold(gens, ambient_rank)
+        except TypeError:  # a float that the intake's letter set merged with an int
+            _check_letters([*chain.from_iterable(gens)], ambient_rank)
+            raise
         # The fold's own columns are dropped once the graph's are built.
-        return cls(ambient_rank, *_canonical_relabel(*_fold(gens, ambient_rank), 0), gens)
+        return cls(ambient_rank, *_canonical_relabel(*folded, 0), gens)
 
     @classmethod
     def from_adjacency(cls, ambient_rank: int, adjacency: Iterable[dict[int, int]],

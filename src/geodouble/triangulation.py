@@ -35,7 +35,11 @@ What a pairing identifies depends only on its two faces and its rotation,
 so a table built at import holds all 4 * 4 * 3 = 48 cases: three edge
 links with their relative arrow signs, three corner links with the sign
 that coherent link-triangle orientations need across the glued side, and
-the orientation relation of the two tetrahedra.  ``glue`` alone feeds
+the orientation relation of the two tetrahedra.  Both orientation signs
+come from one parity rule: a face's corners after its missing vertex, or
+the far ends of the edges at a vertex after that vertex, make an even or
+odd permutation, and a corner link carries the tetrahedron link's sign
+times the parities of its two vertices.  ``glue`` alone feeds
 these links to one signed union-find over a single flat index space of 11n
 items for n tetrahedra: edge e of tetrahedron t is 6(t-1)+(e-1), in
 0..6n-1; its vertex v is the corner 6n+4(t-1)+v, in 6n..10n-1; and the
@@ -94,14 +98,9 @@ def _face_walk(edges: tuple[int, int, int]) -> tuple[tuple[int, ...], tuple[int,
     return tuple(corners), tuple(signs)
 
 
-def _face_orientation_sign(corners: tuple[int, ...]) -> int:
-    # +1 when the corners run in the cyclic order that the orientation (0,1,2,3)
-    # of the solid induces on a face: ascending, the last two swapped when the
-    # missing vertex is odd.
-    missing = ({0, 1, 2, 3} - set(corners)).pop()
-    a, b, c = (v for v in range(4) if v != missing)
-    induced = (a, c, b) if missing % 2 else (a, b, c)
-    return 1 if induced in (corners, corners[1:] + corners[:1], corners[2:] + corners[:2]) else -1
+def _parity(perm: tuple[int, ...]) -> int:
+    # +1 for an even permutation of 0..3, -1 for an odd one.
+    return -1 if sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]) % 2 else 1
 
 
 FACE_CORNERS: dict[str, tuple[int, ...]] = {}
@@ -109,7 +108,9 @@ FACE_WALK_SIGNS: dict[str, tuple[int, ...]] = {}
 FACE_SIGN: dict[str, int] = {}
 for _name, _edges in FACES.items():
     FACE_CORNERS[_name], FACE_WALK_SIGNS[_name] = _face_walk(_edges)
-    FACE_SIGN[_name] = _face_orientation_sign(FACE_CORNERS[_name])
+    # +1 when the corners, put after the missing vertex, make an even
+    # permutation: then they run as the orientation (0, 1, 2, 3) induces.
+    FACE_SIGN[_name] = _parity((6 - sum(FACE_CORNERS[_name]), *FACE_CORNERS[_name]))
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -330,18 +331,12 @@ def render_scheme(scheme: GluingScheme) -> str:
 # -- the face-gluing table ----------------------------------------------------
 
 
-# The three edge-ends (edge, 0 for the tail or 1 for the head) meeting each
-# vertex, sorted; these are the corners of the link triangle there.
-_CORNER_ENDS = tuple(
-    tuple(sorted((e, i) for e, ends in EDGE_ENDS.items() for i in (0, 1) if ends[i] == v))
-    for v in range(4))
-
-
-def _ref_direction(tri: tuple[tuple[int, int], ...],
-                   p: tuple[int, int], q: tuple[int, int]) -> int:
-    # Reference boundary cycle of a link triangle is tri[0]->tri[1]->tri[2];
-    # +1 if it traverses p->q, -1 for q->p (index checks both are corners).
-    return 1 if tri.index(q) == (tri.index(p) + 1) % 3 else -1
+# The link triangle at vertex v has its corners at the edge-ends there, and
+# its reference cycle runs through them sorted (in edge order).  Its sign
+# against the orientation the solid induces, up to one sign shared by all
+# four, is the parity of v followed by the far ends of those edges.
+_LINK_SIGN = tuple(_parity((v, *(sum(ends) - v for ends in EDGE_ENDS.values() if v in ends)))
+                   for v in range(4))
 
 
 def _face_gluing(face_a: str, face_b: str, rotation: int):
@@ -351,36 +346,21 @@ def _face_gluing(face_a: str, face_b: str, rotation: int):
     tetrahedra), counted from the kind's first item, with value(a) =
     rel * value(b).
 
-    Three edge links (m = 6) carry the relative arrow sign; three corner
-    links (m = 4) carry the link-side sign, the sign that coherent
-    orientations of the two link triangles must have relative to each
-    other; one link (m = 1) relates the orientations of the tetrahedra.
+    Three edge links (m = 6) carry the relative arrow sign.  One link
+    (m = 1) relates the tetrahedra: coherent orientations make the glued
+    faces' induced orientations opposite, eps_a * eps_b = -s(Fa) * s(Fb).
+    Solids so oriented induce coherent orientations on the link triangles
+    glued there, so each corner link (m = 4) carries that sign times the
+    two triangles' ``_LINK_SIGN``.
     """
     ea, wa, ca = FACES[face_a], FACE_WALK_SIGNS[face_a], FACE_CORNERS[face_a]
     # Face b's tables turned so that position j meets position j of face a.
     eb, wb, cb = (t[face_b][rotation:] + t[face_b][:rotation]
                   for t in (FACES, FACE_WALK_SIGNS, FACE_CORNERS))
-    links, end_map = [], {}
-    for e, f, s, t in zip(ea, eb, wa, wb):
-        links.append((6, 0, e - 1, f - 1, s * t))
-        # Walk-start maps to walk-start: same intrinsic ends when the walk
-        # signs agree, crossed ends otherwise.
-        for i in (0, 1):
-            end_map[(e, i)] = (f, i if s == t else 1 - i)
-    for j, (va, vb) in enumerate(zip(ca, cb)):
-        # The link-triangle side at corner j joins the walk-end of edge j
-        # to the walk-start of edge j+1; transport both ends to face b.
-        p1 = (ea[j], 1 if wa[j] == 1 else 0)
-        q1 = (ea[(j + 1) % 3], 0 if wa[(j + 1) % 3] == 1 else 1)
-        d1 = _ref_direction(_CORNER_ENDS[va], p1, q1)
-        d2 = _ref_direction(_CORNER_ENDS[vb], end_map[p1], end_map[q1])
-        # Coherent triangle orientations must induce opposite directions
-        # on the glued side: o1*d1 = -o2*d2.
-        links.append((4, 1, va, vb, -d1 * d2))
-    # Coherent orientation needs the glued faces' normals to point in
-    # opposite effective directions: eps_a * eps_b = -s(Fa) * s(Fb).
-    links.append((1, 2, 0, 0, -FACE_SIGN[face_a] * FACE_SIGN[face_b]))
-    return tuple(links)
+    tet = -FACE_SIGN[face_a] * FACE_SIGN[face_b]
+    return (*((6, 0, e - 1, f - 1, s * t) for e, f, s, t in zip(ea, eb, wa, wb)),
+            *((4, 1, va, vb, tet * _LINK_SIGN[va] * _LINK_SIGN[vb]) for va, vb in zip(ca, cb)),
+            (1, 2, 0, 0, tet))
 
 
 # One entry per face index a, face index b and rotation: 4 * 4 * 3 = 48.

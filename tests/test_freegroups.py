@@ -828,7 +828,7 @@ class TestWordIntake:
             batches.append([concat(g.tree_word(v), (s,), inverse_word(g.tree_word(w)))
                             for v, s, w in g.edges()])
         expected = [stallings_graph(b, 2) for b in batches]
-        monkeypatch.setattr("geodouble.freegroups._intake_loop", None)
+        monkeypatch.setattr("geodouble.freegroups._reduced", None)
         for batch, g in zip(batches, expected):
             got = stallings_graph(batch, 2)
             assert got == g and got.generators == tuple(w for w in batch if w)
@@ -880,6 +880,9 @@ class TestFirstFault:
         ([(1, -1), (1.5,)], 2, WordError, "letter 1.5 outside the rank-2 alphabet"),
         ([(1,), 3, (5,)], 2, TypeError, "'int' object is not iterable"),
         ([(5,), 3], 2, WordError, "letter 5 outside the rank-2 alphabet"),
+        # A float that a set of the batch's letters merges with an equal int.
+        ([(2,), (1, 2.0)], 2, WordError, "letter 2.0 outside the rank-2 alphabet"),
+        ([(2,), (1, 2.0)], 12, WordError, "letter 2.0 outside the rank-12 alphabet"),
     ])
     @pytest.mark.parametrize("make", [tuple, list, iter, "mixed"])
     def test_stallings_graph(self, gens, rank, error, message, make):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import inspect
+import itertools
 import pickle
 import random
 import re
@@ -19,6 +20,7 @@ from geodouble.presentations import abelianization, presentation_from_complex
 from geodouble.triangulation import (
     EDGE_ENDS,
     EdgeClass,
+    FACE_NAMES,
     FACES,
     FACE_SIGN,
     FACE_WALK_SIGNS,
@@ -37,8 +39,11 @@ from geodouble.triangulation import (
 )
 
 from oracles import (
+    _pairing_compatible,
     brute_link_orientable,
     brute_orientable,
+    corner_links,
+    face_matches,
     flood_identifications,
     flood_link_counts,
     forest_signs,
@@ -182,6 +187,23 @@ class TestModelConstants:
         # edges glue to directed edges.
         assert FACE_WALK_SIGNS["132"] == FACE_WALK_SIGNS["453"]
         assert FACE_WALK_SIGNS["264"] == FACE_WALK_SIGNS["516"]
+
+    def test_gluing_table_matches_the_transport_oracle(self):
+        # All 4 * 4 * 3 entries, each on the pairing of face 1.a with 2.b:
+        # the edge signs from the matched walks, the corner signs by carrying
+        # edge ends across the face, and the one tetrahedron sign under which
+        # the two induced face orientations are opposite.
+        for (ia, fa), (ib, fb), r in itertools.product(
+                enumerate(FACE_NAMES), enumerate(FACE_NAMES), range(3)):
+            p = FacePairing(FaceSlot(1, fa), FaceSlot(2, fb), r)
+            ok = [_pairing_compatible(p, {1: 1, 2: eps}) for eps in (1, -1)]
+            assert ok in ([True, False], [False, True])
+            tet = 1 if ok[0] else -1
+            expected = (
+                *((6, 0, e - 1, f - 1, s * t) for (_, e, s, _), (_, f, t, _) in face_matches(p)),
+                *((4, 1, va, vb, rel) for (_, va), (_, vb), rel in corner_links(p)),
+                (1, 2, 0, 0, tet))
+            assert triangulation._GLUINGS[ia][ib][r] == expected, (fa, fb, r)
 
 
 class TestParsing:
