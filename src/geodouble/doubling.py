@@ -177,8 +177,12 @@ class Double:
         self.rank = subgroup.ambient_rank
         self._complete = subgroup.index() is not None
         # back[s] is the column of s^-1: reading a word backwards steps
-        # through it.
-        self._back = {-s: col for s, col in subgroup._col.items()}
+        # through it.  The carried action iterates whole columns, so on a
+        # complete graph a dict column is copied into a list.
+        vertices = range(subgroup.vertex_count)
+        self._back = {-s: col if type(col) is list or not self._complete
+                      else [*map(col.__getitem__, vertices)]
+                      for s, col in subgroup._col.items()}
         # (weak reference to the word normal_form last reduced, whether it
         # lies in H).  One tuple, so a reader sees the two together; the
         # first reference resolves to no word.
@@ -347,7 +351,6 @@ def random_double_word(rng: random.Random, rank: int,
     if rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
     count = rng.randint(0 if in_subgroup else 1, max_syllables)
-    letters = [s for s in range(-rank, rank + 1) if s]
     syllables = []
     for _ in range(count):
         side = rng.randint(0, 1)
@@ -361,6 +364,9 @@ def random_double_word(rng: random.Random, rank: int,
                     parts.append(g if rng.random() < 0.5 else inverse_word(g))
                 word = concat(*parts)
         else:
-            word = free_reduce(rng.choice(letters) for _ in range(rng.randint(1, max_letters)))
+            # Draw i below 2 * rank and take the i-th letter of -rank..-1,
+            # 1..rank, with no list of the letters built.
+            draws = (rng.randrange(2 * rank) for _ in range(rng.randint(1, max_letters)))
+            word = free_reduce(i - rank + (i >= rank) for i in draws)
         syllables.append((side, word))
     return DoubleWord(tuple(syllables))

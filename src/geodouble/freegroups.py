@@ -19,18 +19,16 @@ union-find (the near-linear scheme of Touikan, "A fast algorithm for
 Stallings' folding process", IJAC 2006).
 
 The fold, and the graph it gives, keep one target column per signed
-label.  A dense column is a list indexed by vertex; a sparse column is a
-dict whose missing vertices read as None, so both read as ``col[v]``.
-The fold gives a label a dense column when the label carries at least 1/8
-of the letters, or when the rank is at most 8; the stored graph does when
-the label has at least one edge per 8 vertices.  At most 16 columns are
-dense, so memory stays linear in the letters however wide the alphabet.
-Each fold vertex lists its sparse labels, so a merge, and the
-breadth-first pass that renumbers the folded graph canonically, visit
-only the dense columns and that vertex's own sparse labels.  That pass
-stores the graph with the spanning tree it found as a parent and a label
-per vertex; a stored column's layout follows from the graph alone, so
-equal graphs have equal columns.  The graph answers membership,
+label, laid out by the rank alone.  In rank up to 8 every label has a list
+column indexed by vertex; in a wider alphabet every label that occurs has
+a dict column whose missing vertices read as None, so both read as
+``col[v]``, and memory stays linear in the letters however wide the
+alphabet, with nothing sized by the largest letter.  There each fold
+vertex lists its labels, so a merge, and the breadth-first pass that
+renumbers the folded graph canonically, visit only that vertex's own
+labels.  That pass stores the graph, in the fold's layout, with the
+spanning tree it found as a parent and a label per vertex, so equal
+graphs have equal columns.  The graph answers membership,
 computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
 that tree.
@@ -60,7 +58,6 @@ call; a graph is never changed once built.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from itertools import chain, compress, repeat
 from operator import add, is_not
 from typing import Collection, Iterable, Iterator, Sequence
@@ -219,10 +216,10 @@ class SubgroupGraph:
     vertex 0, scanning labels a, b, ..., A, B, ...; this relabelling is the
     canonical form used for equality tests.  The graph is stored as one
     target column per signed label that occurs: column s holds, at v, the
-    target of v's s-edge, or None.  A column is a list when its label has
-    at least V/8 edges and otherwise a dict whose missing vertices read as
-    None, so columns, like the graph, compare equal exactly when the
-    graphs do.  Coset representatives read off the
+    target of v's s-edge, or None.  A column is a list in rank up to 8 and
+    otherwise a dict whose missing vertices read as None; the rank alone
+    picks the layout, so columns, like the graph, compare equal exactly
+    when the graphs do.  Coset representatives read off the
     breadth-first spanning tree that the relabelling finds, so they are
     canonical too (and depend on that choice).  The tree is two flat lists,
     each vertex's parent and the label of the edge that found it; a
@@ -280,26 +277,30 @@ class SubgroupGraph:
         labels = set().union(*adj)
         if 0 in labels or not _in_rank(labels, ambient_rank):
             _check_edges(adj, ambient_rank, base)
-        cols, dense, sparse = _fold_columns(ambient_rank, n, chain.from_iterable(adj))
-        for s in dense:
-            cols[s][:] = map(dict.get, adj, repeat(s))
+        try:
+            cols, order = _fold_columns(ambient_rank, n, chain.from_iterable(adj))
+        except TypeError:  # a float that the label set merged with an int
+            _check_edges(adj, ambient_rank, base)
+            raise
         sparse_at = {}
-        if sparse:
+        if type(cols) is list:
+            for s in order:
+                cols[s][:] = map(dict.get, adj, repeat(s))
+        else:
+            sparse_at = dict(enumerate(map(list, adj)))
             for v, nbrs in enumerate(adj):
-                if here := [s for s in nbrs if s in sparse]:
-                    sparse_at[v] = here
-                    for s in here:
-                        cols[s][v] = nbrs[s]
+                for s, w in nbrs.items():
+                    cols[s][v] = w
         sizes = [*map(len, adj)]
         entries = sum(sizes)
         sizes[base] = 2
         try:
-            edges_ok = min(sizes) > 1 and _inverse_columns(cols, n, entries)
+            edges_ok = min(sizes) > 1 and _inverse_columns(cols, order, n, entries)
         except (IndexError, TypeError):
             edges_ok = False
         if not edges_ok:
             _check_edges(adj, ambient_rank, base)
-        columns, parent, label = _canonical_relabel(cols, sparse_at, range(n), base)
+        columns, parent, label = _canonical_relabel(cols, order, sparse_at, range(n), base)
         if len(parent) != n:
             raise ValueError("graph is not connected from the base vertex")
         return cls(ambient_rank, columns, parent, label)
@@ -495,18 +496,15 @@ def _check_edges(adj: list[dict[int, int]], rank: int, base: int) -> None:
             raise ValueError(f"vertex {v} is dangling; graph is not core")
 
 
-def _inverse_columns(cols: list, n: int, entries: int) -> bool:
-    # Whether the filled fold columns hold all ``entries`` adjacency entries
-    # (a None target is not held) and the column of each label's inverse
-    # takes every target back to its source.  A target that is not a vertex
-    # fails the min, raises IndexError or TypeError as a list index, or, in
-    # a dict column, reads None or fails the sum's type.
+def _inverse_columns(cols: list | dict, labels: list[int], n: int, entries: int) -> bool:
+    # Whether the filled fold columns of ``labels`` hold all ``entries``
+    # adjacency entries (a None target is not held) and the column of each
+    # label's inverse takes every target back to its source.  A target that
+    # is not a vertex fails the min, raises IndexError or TypeError as a
+    # list index, or, in a dict column, reads None or fails the sum's type.
     vertices = [*range(n)]
-    top = len(cols) // 2
-    for s in [*range(1, top + 1), *range(-1, -top - 1, -1)]:
+    for s in labels:
         col = cols[s]
-        if col is None:
-            continue
         if type(col) is not list:
             src, dst = [*col], [*col.values()]
             if type(sum(dst)) is not int:
@@ -524,12 +522,11 @@ def _inverse_columns(cols: list, n: int, entries: int) -> bool:
 
 # -- folding machinery ------------------------------------------------------
 
-# A label pair gets list columns, one entry per vertex, when it carries at
-# least 1/_DENSE of the fold's letters or, in a stored graph, has at least
-# one edge per _DENSE vertices; any other label gets dict columns.  At most
-# 2 * _DENSE labels then have lists, so columns take memory linear in the
-# letters.  In rank up to _DENSE every label may have a list within that
-# bound, and the fold skips the count.
+# The rank alone picks the column layout, from the fold to the stored graph.
+# In rank up to _DENSE every label has a list column, one entry per vertex,
+# and the columns are a list indexed by signed label; in a wider alphabet
+# every label that occurs has a dict column, and the columns are a dict
+# keyed by label, so memory stays linear in the letters.
 _DENSE = 8
 
 
@@ -543,29 +540,27 @@ class _Sparse(dict):
         return None
 
 
-def _fold_columns(rank: int, size: int, labels: Iterable[int]
-                  ) -> tuple[list, list[int], set[int]]:
-    # Empty fold columns over ``size`` vertices, indexed by signed label
-    # through negative list indexing: label s is cols[s].  ``labels`` holds
-    # every letter of the generators, or every label of an adjacency, and is
-    # counted only past rank _DENSE.  Returns the columns, the dense labels
-    # in the order a, b, ..., A, B, ... and the set of sparse labels.
+def _fold_columns(rank: int, size: int, labels: Iterable[int]) -> tuple[list | dict, list[int]]:
+    # Empty fold columns over ``size`` vertices and their labels in the
+    # order a, b, ..., A, B, ...  In rank up to _DENSE, label s is cols[s]
+    # through negative list indexing.  Past it, ``labels`` (every letter of
+    # the generators, or every label of an adjacency) names the labels that
+    # get a column; int.__abs__ raises TypeError on a float, which a dict
+    # keyed by label would read as the int it equals.
     if rank <= _DENSE:
-        dense, sparse = list(range(1, rank + 1)), []
+        cols: list | dict = [None] * (2 * rank + 1)
+        order = [*range(1, rank + 1), *range(-1, -rank - 1, -1)]
+        for s in order:
+            cols[s] = [None] * size
     else:
-        counts = Counter(map(abs, labels))
-        total = sum(counts.values())
-        dense = sorted(s for s, c in counts.items() if c * _DENSE >= total)
-        sparse = [s for s, c in counts.items() if c * _DENSE < total]
-    cols: list = [None] * (2 * max(dense + sparse, default=0) + 1)
-    for s in dense:
-        cols[s], cols[-s] = [None] * size, [None] * size
-    for s in sparse:
-        cols[s], cols[-s] = _Sparse(), _Sparse()
-    return cols, dense + [-s for s in dense], {*sparse, *(-s for s in sparse)}
+        letters = sorted({*map(int.__abs__, labels)})
+        order = letters + [-s for s in letters]
+        cols = {s: _Sparse() for s in order}
+    return cols, order
 
 
-def _fold(gens: list[Word], rank: int) -> tuple[list, dict[int, list[int]], list[int]]:
+def _fold(gens: list[Word], rank: int
+          ) -> tuple[list | dict, list[int], dict[int, list[int]], list[int]]:
     # Adds one generator at a time to a graph that is already folded.  Its
     # reduced word is read forwards from the base as far as the graph
     # allows, to letter i at vertex u, then backwards from the base, not
@@ -573,13 +568,15 @@ def _fold(gens: list[Word], rank: int) -> tuple[list, dict[int, list[int]], list
     # and Myasnikov, J. Algebra 2002).  A vertex keeps one target per label; a
     # second target goes onto the merge queue instead, drained before the
     # next generator (Touikan 2006).  Stored targets may be merged-away
-    # vertices, so they are read through find.  Each vertex lists its sparse
-    # labels, so a merge visits the dense columns and those alone.  Returns
-    # the columns, the sparse labels of each vertex that has any, and each
-    # vertex's root; merged-away vertices keep stale entries.
+    # vertices, so they are read through find.  In dict columns each vertex
+    # lists its labels, so a merge visits that vertex's labels alone, and in
+    # list columns every column.  Returns the columns, their labels, each
+    # vertex's labels when the columns are dicts, and each vertex's root;
+    # merged-away vertices keep stale entries.
     size = 1 + sum(map(len, gens))  # at least the vertex count
-    cols, dense, sparse = _fold_columns(rank, size, chain.from_iterable(gens))
-    dense_cols = [(s, cols[s]) for s in dense]
+    cols, order = _fold_columns(rank, size, chain.from_iterable(gens))
+    wide = type(cols) is dict
+    dense_cols = [] if wide else [(s, cols[s]) for s in order]
     sparse_at: dict[int, list[int]] = {}
     parent = [0]
     merges: list[tuple[int, int]] = []
@@ -595,7 +592,7 @@ def _fold(gens: list[Word], rank: int) -> tuple[list, dict[int, list[int]], list
         t = col[v]
         if t is None:
             col[v] = w
-            if s in sparse:
+            if wide:
                 sparse_at.setdefault(v, []).append(s)
         elif t != w:
             merges.append((t, w))
@@ -633,11 +630,9 @@ def _fold(gens: list[Word], rank: int) -> tuple[list, dict[int, list[int]], list
             for x, s, t, p, q in zip(new, mid, mid[1:], path, path[2:]):
                 cols[-s][x] = p
                 cols[t][x] = q
-            if sparse and not sparse.isdisjoint(mid):
+            if wide:
                 for x, s, t in zip(new, mid, mid[1:]):
-                    here = [r for r in (-s, t) if r in sparse]
-                    if here:
-                        sparse_at[x] = here
+                    sparse_at[x] = [-s, t]
             link(u, mid[0], path[1])
             link(v, -mid[-1], path[-2])
         while merges:
@@ -664,32 +659,25 @@ def _fold(gens: list[Word], rank: int) -> tuple[list, dict[int, list[int]], list
     # new ints: a fresh list of find(x) raised the subgroup_fold bench's
     # peak RSS by about 0.8 MB (CPython 3.11 on a 2-vCPU x86 host).
     parent[:] = map(find, parent)
-    return cols, sparse_at, parent
+    return cols, order, sparse_at, parent
 
 
-def _canonical_relabel(cols: list, sparse_at: dict[int, list[int]], root: Sequence[int],
-                       base: int) -> tuple[dict[int, list | _Sparse], list[int], list[int]]:
+def _canonical_relabel(cols: list | dict, labels: list[int], sparse_at: dict[int, list[int]],
+                       root: Sequence[int], base: int
+                       ) -> tuple[dict[int, list | _Sparse], list[int], list[int]]:
     # One breadth-first pass from the base over fold columns, reading each
-    # stored target t as root[t] and, at each vertex, the dense labels and
-    # that vertex's sparse labels in the order a, b, ..., A, B, ...  It
-    # numbers the vertices, writes each edge it reads into its label's
-    # column (the target's number is known by then) and records the edge
-    # that found each vertex as its tree edge.  Vertices it cannot reach are
-    # dropped, so a shorter result means the graph was not connected.  Each
-    # column is then a list or a dict by its own edge count against the
-    # vertex count, so the layout depends on the graph alone.
+    # stored target t as root[t] and, at each vertex, its labels in the order
+    # a, b, ..., A, B, ...: every list column, or the vertex's own labels of
+    # dict columns.  It numbers the vertices, writes each edge it reads into
+    # its label's column, of the fold column's layout (the target's number is
+    # known by then), and records the edge that found each vertex as its
+    # tree edge.  Vertices it cannot reach are dropped, so a shorter result
+    # means the graph was not connected.
     n = len(root)
-    top = len(cols) // 2
-    entries = [(s, col, [None] * n if type(col) is list else _Sparse())
-               for s in [*range(1, top + 1), *range(-1, -top - 1, -1)]
-               if (col := cols[s]) is not None]
-    scan = [e for e in entries if type(e[1]) is list]
-    by_label = {e[0]: e for e in entries}
-
-    def canonical(entry: tuple) -> int:
-        s = entry[0]
-        return s if s > 0 else top - s
-
+    wide = type(cols) is dict
+    entries = [(s, cols[s], _Sparse() if wide else [None] * n) for s in labels]
+    scan = [] if wide else entries
+    place = {s: i for i, s in enumerate(labels)}
     pos = [-1] * n
     pos[base] = 0
     order = [base]
@@ -698,7 +686,7 @@ def _canonical_relabel(cols: list, sparse_at: dict[int, list[int]], root: Sequen
     for i, v in enumerate(order):
         row = scan
         if sparse_at and v in sparse_at:
-            row = sorted(scan + [by_label[s] for s in sparse_at[v]], key=canonical)
+            row = [entries[j] for j in sorted(map(place.__getitem__, sparse_at[v]))]
         for s, col, out in row:
             t = col[v]
             if t is not None:
@@ -715,18 +703,7 @@ def _canonical_relabel(cols: list, sparse_at: dict[int, list[int]], root: Sequen
     for s, _, out in entries:
         if type(out) is list:
             del out[size:]
-            edges = size - out.count(None)
-        else:
-            edges = len(out)
-        if not edges:
-            continue
-        if edges * _DENSE < size:
-            if type(out) is list:
-                out = _Sparse((v, w) for v, w in enumerate(out) if w is not None)
-        elif type(out) is not list:
-            dense = [None] * size
-            for v, w in out.items():
-                dense[v] = w
-            out = dense
+            if out.count(None) == size:
+                continue
         columns[s] = out
     return columns, parent, label

@@ -594,6 +594,21 @@ class TestReferenceOracle:
             for i in range(length)))
         self.check_switch(dbl, word)
 
+    @pytest.mark.parametrize("rank", [9, 10, 11, 12])
+    def test_wide_alphabet_action_table(self, rank):
+        # Past rank 8 the graph keeps dict columns, and words of 40 or more
+        # syllables carry the action, which reads whole columns.
+        rng = random.Random(rank + 25)
+        alphabet = [s for s in range(-rank, rank + 1) if s]
+        for index in (4, 8):
+            dbl = schreier_double(rng, index, rank)
+            for _ in range(5):
+                word = DoubleWord(tuple(
+                    (i % 2, tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 3))))
+                    for i in range(rng.randint(40, 80))))
+                self.check_switch(dbl, word)
+                self.check(dbl, word)
+
     def test_index_1024_short_words(self):
         rng = random.Random(24)
         dbl = schreier_double(rng, 1024)

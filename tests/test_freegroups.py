@@ -9,6 +9,7 @@ from geodouble.doubling import Double, DoubleWord
 from geodouble.freegroups import (
     SubgroupGraph,
     WordError,
+    _Sparse,
     _inverse_columns,
     _reduced,
     concat,
@@ -70,6 +71,12 @@ class TestWords:
     def test_reduce_examples(self):
         assert free_reduce(word_from_str("aA")) == ()
         assert free_reduce(word_from_str("abBa")) == (1, 1)
+
+    def test_reduction_refuses_a_zero_letter(self):
+        for reduce_zero in (lambda: free_reduce((1, 0, -1)), lambda: concat((1,), (0,))):
+            with pytest.raises(WordError) as raised:
+                reduce_zero()
+            assert str(raised.value) == "0 is not a letter"
 
     @given(words)
     def test_reduce_matches_naive_oracle(self, w):
@@ -440,10 +447,10 @@ class TestColumnLayout:
     by the relabelling pass, against oracles that see only ``edges()``."""
 
     def test_inverse_check_rejects_a_non_integer_dict_target(self):
-        # Two vertices joined by one edge of label 1, in dict columns
-        # (cols[-1] is the last entry); a float target sums to a float.
-        assert _inverse_columns([None, {0: 1}, {1: 0}], 2, 2) is True
-        assert _inverse_columns([None, {0: 1.0}, {1: 0}], 2, 2) is False
+        # Two vertices joined by one edge of label 1, in dict columns keyed
+        # by label; a float target sums to a float.
+        assert _inverse_columns({1: {0: 1}, -1: {1: 0}}, [1, -1], 2, 2) is True
+        assert _inverse_columns({1: {0: 1.0}, -1: {1: 0}}, [1, -1], 2, 2) is False
 
     @pytest.mark.parametrize("kind", ["schreier-1024", "fold-10000"])
     def test_tree_words_match_the_breadth_first_oracle(self, kind):
@@ -485,11 +492,11 @@ class TestColumnLayout:
             stallings_graph(["ab"], 3).export_edge_list()
 
     def test_fold_matches_oracles_past_rank_three(self):
-        # Two labels carry most letters and the rest occur a few times, so
-        # past rank 8 the fold keeps the rare ones in dict columns, and
-        # graphs of nine or more vertices store labels with few edges so.
+        # Two labels carry most letters and the rest occur a few times.  The
+        # rank alone picks the layout: every stored column, of a folded or
+        # an adopted graph, is a list in rank up to 8 and a dict past it.
         rng = random.Random(71)
-        mixed = 0
+        layouts = set()
         for _ in range(150):
             rank = rng.randint(4, 12)
             alphabet = [s for s in range(-rank, rank + 1) if s]
@@ -512,8 +519,10 @@ class TestColumnLayout:
                 adjacency[names[w]][-s] = names[v]
             adopted = SubgroupGraph.from_adjacency(rank, adjacency, base=names[0])
             assert adopted == g and hash(adopted) == hash(g), gens
-            mixed += len({isinstance(col, list) for col in g._col.values()}) == 2
-        assert mixed >= 30
+            layout = list if rank <= 8 else _Sparse
+            assert {*map(type, g._col.values()), *map(type, adopted._col.values())} == {layout}
+            layouts.add(layout)
+        assert layouts == {list, _Sparse}
 
     @pytest.mark.parametrize("rank", [2, 12])
     @pytest.mark.parametrize("n", [16, 17, 100])
@@ -549,6 +558,24 @@ class TestColumnLayout:
         large, g = peak(12000)
         assert g.edge_count == 12000
         assert large <= 5 * small
+
+    def test_a_letter_as_wide_as_the_rank_takes_no_memory_in_the_rank(self):
+        # Columns are kept for the labels that occur, and nothing is sized by
+        # the largest letter: a list of columns up to it would take 32 MB.
+        k = 2_000_000
+        builds = [lambda: stallings_graph([(k,)], k),
+                  lambda: SubgroupGraph.from_adjacency(k, [{k: 0, -k: 0}]),
+                  lambda: Double.from_generators([(k,)], k)]
+        for build in builds:
+            tracemalloc.start()
+            try:
+                built = build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            graph = getattr(built, "subgroup", built)
+            assert graph.export_edge_list() == f"0 --[{k}]--> 0" and graph.index() is None
 
     def test_large_rank_with_few_labels_is_fast(self):
         # Only labels that occur get a column: rank 200000 costs nothing.
@@ -920,6 +947,9 @@ class TestFirstFault:
         (2, [{1: 0, -1: 0, "a": 0}, {1: 9}], WordError, "letter 'a' outside the rank-2 alphabet"),
         # A float label equal to an int is no letter.
         (2, [{1.0: 1, -1: 1}, {-1: 0, 1: 0}], WordError, "letter 1.0 outside the rank-2 alphabet"),
+        # Past rank 8 also behind the int it equals.
+        (12, [{1: 1, -1: 1}, {-1: 0, 1.0: 0}], WordError,
+         "letter 1.0 outside the rank-12 alphabet"),
     ])
     def test_from_adjacency(self, rank, adjacency, error, message):
         for outer in (list, iter):
