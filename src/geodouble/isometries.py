@@ -16,6 +16,15 @@ common axis, or two half-turn rotations about perpendicular axes.
 ``commuting_criterion`` detects which configuration holds and ``commute``
 checks the commutator directly, so the equivalence of the two is a
 testable property rather than an assumption.
+
+One routine, ``_normalised``, checks and normalises every matrix: the
+constructor, ``compose``, ``inverse`` and ``commute`` build through it, and
+``commute`` runs the five normalisations of a b a^-1 b^-1 on bare entries,
+with no ``Isometry`` in between.  The predicates share one identity, class
+and fixed-point pass per argument: ``is_identity``, ``classify`` and
+``fixed_points`` check the tolerance once and call the private helpers,
+and ``commuting_criterion`` classifies each argument once and finds each
+argument's fixed points at most once.
 """
 
 from __future__ import annotations
@@ -41,6 +50,43 @@ def _tol_value(tol: float | None) -> float:
     return t
 
 
+def _normalised(a: complex, b: complex, c: complex, d: complex
+                ) -> tuple[complex, complex, complex, complex]:
+    """The entries scaled to determinant 1 by 1/sqrt(det); the one place a
+    matrix is checked and normalised, for every construction and product."""
+    det = a * d - b * c
+    inf = math.inf
+    try:
+        size = abs(det)
+    except OverflowError:  # finite parts, modulus past the float range
+        size = inf
+    if not size < inf:
+        raise ValueError("matrix determinant is not finite: entries too large")
+    if size < 1e-14:
+        raise ValueError("matrix is not invertible")
+    s = 1 / cmath.sqrt(det)
+    a, b, c, d = a * s, b * s, c * s, d * s
+    try:
+        finite = abs(a) < inf and abs(b) < inf and abs(c) < inf and abs(d) < inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("matrix entry modulus is not finite: entries too large")
+    return a, b, c, d
+
+
+def _is_identity(a: complex, b: complex, c: complex, d: complex, t: float) -> bool:
+    """Preserving entries equal to +identity or -identity within ``t``."""
+    if abs(b) > t or abs(c) > t:
+        return False
+    return (abs(a - 1) <= t and abs(d - 1) <= t) or (abs(a + 1) <= t and abs(d + 1) <= t)
+
+
+def _conjugates(a: complex, b: complex, c: complex, d: complex
+                ) -> tuple[complex, complex, complex, complex]:
+    return a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+
+
 class Isometry:
     """A determinant-normalised 2x2 complex matrix with a reversing flag."""
 
@@ -48,25 +94,7 @@ class Isometry:
 
     def __init__(self, a: complex, b: complex, c: complex, d: complex,
                  reversing: bool = False):
-        det = a * d - b * c
-        inf = math.inf
-        try:
-            size = abs(det)
-        except OverflowError:  # finite parts, modulus past the float range
-            size = inf
-        if not size < inf:
-            raise ValueError("matrix determinant is not finite: entries too large")
-        if size < 1e-14:
-            raise ValueError("matrix is not invertible")
-        s = 1 / cmath.sqrt(det)
-        a, b, c, d = a * s, b * s, c * s, d * s
-        try:
-            finite = abs(a) < inf and abs(b) < inf and abs(c) < inf and abs(d) < inf
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError("matrix entry modulus is not finite: entries too large")
-        self.a, self.b, self.c, self.d = a, b, c, d
+        self.a, self.b, self.c, self.d = _normalised(a, b, c, d)
         self.reversing = reversing
 
     @classmethod
@@ -80,11 +108,9 @@ class Isometry:
     def compose(self, other: "Isometry") -> "Isometry":
         """Composition self after other; conjugation flags compose by
         (M, r1) o (N, r2) = (M * conj^r1(N), r1 xor r2)."""
+        na, nb, nc, nd = other.a, other.b, other.c, other.d
         if self.reversing:
-            na, nb, nc, nd = (other.a.conjugate(), other.b.conjugate(),
-                              other.c.conjugate(), other.d.conjugate())
-        else:
-            na, nb, nc, nd = other.a, other.b, other.c, other.d
+            na, nb, nc, nd = _conjugates(na, nb, nc, nd)
         return Isometry(
             self.a * na + self.b * nc, self.a * nb + self.b * nd,
             self.c * na + self.d * nc, self.c * nb + self.d * nd,
@@ -96,7 +122,7 @@ class Isometry:
     def inverse(self) -> "Isometry":
         inv = (self.d, -self.b, -self.c, self.a)
         if self.reversing:
-            inv = tuple(z.conjugate() for z in inv)
+            inv = _conjugates(*inv)
         return Isometry(*inv, reversing=self.reversing)
 
     def apply(self, z: complex) -> complex:
@@ -113,12 +139,7 @@ class Isometry:
     def is_identity(self, tol: float | None = None) -> bool:
         """Equal to +identity or -identity within tolerance (and preserving)."""
         t = _tol_value(tol)
-        if self.reversing or abs(self.b) > t or abs(self.c) > t:
-            return False
-        for sign in (1, -1):
-            if abs(self.a - sign) <= t and abs(self.d - sign) <= t:
-                return True
-        return False
+        return not self.reversing and _is_identity(self.a, self.b, self.c, self.d, t)
 
     def __repr__(self) -> str:
         rev = ", reversing" if self.reversing else ""
@@ -136,13 +157,21 @@ def classify(g: Isometry, tol: float | None = None) -> ElementClass:
     """Conjugacy class of an orientation-preserving isometry by its trace."""
     if g.reversing:
         raise ValueError("classification applies to orientation-preserving isometries")
-    t = _tol_value(tol)
-    if g.is_identity(t):
+    return _class(g, _tol_value(tol))
+
+
+def _class(g: Isometry, t: float) -> ElementClass:
+    """``classify`` of a preserving isometry at a checked tolerance."""
+    if _is_identity(g.a, g.b, g.c, g.d, t):
         return ElementClass.IDENTITY
     # A product, not ** 2, which raises OverflowError past the float range.
-    tr = g.trace()
+    tr = g.a + g.d
     t2 = tr * tr
-    if abs(t2 - 4) <= t:
+    try:
+        near_four = abs(t2 - 4) <= t
+    except OverflowError:  # finite parts, modulus past the float range
+        return ElementClass.LOXODROMIC
+    if near_four:
         return ElementClass.PARABOLIC
     if abs(t2.imag) <= t and -t <= t2.real < 4:
         return ElementClass.ELLIPTIC
@@ -172,14 +201,18 @@ def fixed_points(g: Isometry, tol: float | None = None) -> FixedPointSet:
     """
     t = _tol_value(tol)
     if not g.reversing:
-        return _fixed_points_preserving(g, t)
+        if _is_identity(g.a, g.b, g.c, g.d, t):
+            return FixedPointSet(kind="all")
+        points = _fixed_points_preserving(g, t)
+        return FixedPointSet(kind="point" if len(points) == 1 else "pair", points=points)
     square = g @ g
     if not square.is_identity(max(t, 1e-9) * 10):
         raise ValueError(
             "fixed-point sets of reversing isometries are computed only for involutions")
     a, b, c, d = g.a, g.b, g.c, g.d
-    if abs(c) <= t:
-        # z = mu*conj(z) + nu with |mu| = 1: reflection in a line.
+    if abs(c) <= t and d != 0:
+        # z = mu*conj(z) + nu with |mu| = 1: reflection in a line.  A d that
+        # is 0 makes bc = -1, so c != 0 however small: a circle or nothing.
         mu = a / d
         nu = b / d
         direction = cmath.sqrt(mu)
@@ -195,27 +228,30 @@ def fixed_points(g: Isometry, tol: float | None = None) -> FixedPointSet:
     raise ValueError("degenerate reversing involution")
 
 
-def _fixed_points_preserving(g: Isometry, t: float) -> FixedPointSet:
-    if g.is_identity(t):
-        return FixedPointSet(kind="all")
+def _fixed_points_preserving(g: Isometry, t: float) -> tuple[complex, ...]:
+    """The one or two boundary fixed points of a preserving non-identity."""
     a, b, c, d = g.a, g.b, g.c, g.d
     if abs(c) <= t:
         # Infinity is fixed; the finite fixed point solves (a-d) z + b = 0.
         if abs(a - d) <= t:
-            return FixedPointSet(kind="point", points=(INF,))
-        return FixedPointSet(kind="pair", points=(b / (d - a), INF))
+            return (INF,)
+        return (b / (d - a), INF)
     # (d - a) ** 2 as products, which cannot raise OverflowError; the power
     # also multiplies by 1 + 0j, which sets the signs of zero parts, and so
     # the branch of the root and the order of the two points.
     disc = (1 + 0j) * ((d - a) * (d - a)) + 4 * b * c
-    if not cmath.isfinite(disc):
-        return FixedPointSet(kind="pair", points=_far_fixed_points(a, b, c, d))
-    if abs(disc) <= t * t * 4:
-        return FixedPointSet(kind="point", points=((a - d) / (2 * c),))
+    try:
+        size = abs(disc)
+    except OverflowError:  # finite parts, modulus past the float range
+        size = math.inf
+    if not size < math.inf:
+        return _far_fixed_points(a, b, c, d)
+    if size <= t * t * 4:
+        return ((a - d) / (2 * c),)
     root = cmath.sqrt(disc)
     z1 = ((a - d) + root) / (2 * c)
     z2 = ((a - d) - root) / (2 * c)
-    return FixedPointSet(kind="pair", points=(z1, z2))
+    return z1, z2
 
 
 def _far_fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
@@ -228,11 +264,14 @@ def _far_fixed_points(a: complex, b: complex, c: complex, d: complex) -> tuple[c
     if 0 < m < math.inf:
         w = (d - a) / m
         root = cmath.sqrt((1 + 0j) * (w * w) + 4 * (b / m) * (c / m))
+        two_c = 2 * c
+        if cmath.isinf(two_c):  # |c| past half the float range: halve m instead
+            two_c, m = c, m / 2
         if abs(root - w) >= abs(root + w):
-            z1 = (root - w) / (2 * c) * m
+            z1 = (root - w) / two_c * m
             z2 = -b / (c * z1)
         else:
-            z2 = -(w + root) / (2 * c) * m
+            z2 = -(w + root) / two_c * m
             z1 = -b / (c * z2)
         if cmath.isfinite(z1) and cmath.isfinite(z2):
             return z1, z2
@@ -278,8 +317,38 @@ def cross_ratio(a: complex, b: complex, c: complex, d: complex) -> complex:
 
 def commute(a: Isometry, b: Isometry, tol: float | None = None) -> bool:
     """Is the commutator a b a^-1 b^-1 equal to +-identity within tolerance?"""
-    comm = a @ b @ a.inverse() @ b.inverse()
-    return comm.is_identity(tol)
+    ca, cb, cc, cd = _commutator(a, b)
+    return _is_identity(ca, cb, cc, cd, _tol_value(tol))
+
+
+def _commutator(g: Isometry, h: Isometry) -> tuple[complex, complex, complex, complex]:
+    """The entries of ``g @ h @ g.inverse() @ h.inverse()``, with its five
+    normalisations in its order and the same arithmetic, so they and any
+    error are bit-for-bit those of the composed path.  The flags cancel in
+    pairs, so the commutator preserves orientation."""
+    ga, gb, gc, gd, gr = g.a, g.b, g.c, g.d, g.reversing
+    ha, hb, hc, hd, hr = h.a, h.b, h.c, h.d, h.reversing
+    na, nb, nc, nd = ha, hb, hc, hd
+    if gr:
+        na, nb, nc, nd = _conjugates(na, nb, nc, nd)
+    pa, pb, pc, pd = _normalised(ga * na + gb * nc, ga * nb + gb * nd,  # g @ h
+                                 gc * na + gd * nc, gc * nb + gd * nd)
+    na, nb, nc, nd = gd, -gb, -gc, ga
+    if gr:
+        na, nb, nc, nd = _conjugates(na, nb, nc, nd)
+    na, nb, nc, nd = _normalised(na, nb, nc, nd)  # g.inverse()
+    if gr != hr:  # the flag of g @ h
+        na, nb, nc, nd = _conjugates(na, nb, nc, nd)
+    pa, pb, pc, pd = _normalised(pa * na + pb * nc, pa * nb + pb * nd,
+                                 pc * na + pd * nc, pc * nb + pd * nd)
+    na, nb, nc, nd = hd, -hb, -hc, ha
+    if hr:
+        na, nb, nc, nd = _conjugates(na, nb, nc, nd)
+    na, nb, nc, nd = _normalised(na, nb, nc, nd)  # h.inverse()
+    if hr:  # the flag of g @ h @ g.inverse()
+        na, nb, nc, nd = _conjugates(na, nb, nc, nd)
+    return _normalised(pa * na + pb * nc, pa * nb + pb * nd,
+                       pc * na + pd * nc, pc * nb + pd * nd)
 
 
 class CommutingCase(Enum):
@@ -302,22 +371,22 @@ def commuting_criterion(a: Isometry, b: Isometry,
     t = _tol_value(tol)
     if a.reversing or b.reversing:
         raise ValueError("criterion applies to orientation-preserving isometries")
-    if a.is_identity(t) or b.is_identity(t):
+    ca, cb = _class(a, t), _class(b, t)
+    if ca is ElementClass.IDENTITY or cb is ElementClass.IDENTITY:
         raise ValueError("criterion needs nontrivial isometries")
     # Chordal point matching tolerance: fixed points come out of a square
     # root, so allow the square-root loss relative to the matrix tolerance.
     pt_tol = math.sqrt(t)
-    ca, cb = classify(a, t), classify(b, t)
     if ca is ElementClass.PARABOLIC and cb is ElementClass.PARABOLIC:
-        pa = fixed_points(a, t).points[0]
-        pb = fixed_points(b, t).points[0]
+        pa = _fixed_points_preserving(a, t)[0]
+        pb = _fixed_points_preserving(b, t)[0]
         if chordal(pa, pb) <= pt_tol:
             return CommutingCase.SHARED_PARABOLIC_POINT
         return CommutingCase.NONE
     if ca is ElementClass.PARABOLIC or cb is ElementClass.PARABOLIC:
         return CommutingCase.NONE
-    pa = fixed_points(a, t).points
-    pb = fixed_points(b, t).points
+    pa = _fixed_points_preserving(a, t)
+    pb = _fixed_points_preserving(b, t)
     if len(pa) == 2 and len(pb) == 2:
         direct = max(chordal(pa[0], pb[0]), chordal(pa[1], pb[1]))
         crossed = max(chordal(pa[0], pb[1]), chordal(pa[1], pb[0]))

@@ -17,7 +17,16 @@ from typing import Iterable, Iterator
 
 from geodouble.freegroups import SubgroupGraph, Word, concat, free_reduce, inverse_word
 from geodouble.doubling import Double, DoubleWord, NormalForm, Syllable
-from geodouble.isometries import Isometry
+from geodouble.isometries import (
+    CommutingCase,
+    ElementClass,
+    Isometry,
+    _tol_value,
+    chordal,
+    classify,
+    cross_ratio,
+    fixed_points,
+)
 from geodouble.presentations import (
     MAX_RELATOR_LENGTH,
     AuditCase,
@@ -868,6 +877,48 @@ def random_isometry(rng, reversing: bool = False, scale: float = 1.0) -> Isometr
         a, b, c, d = entries
         if abs(a * d - b * c) >= 0.1:
             return Isometry(a, b, c, d, reversing)
+
+
+# -- isometry predicates, one public call at a time ----------------------------------
+
+
+def composed_commute(a: Isometry, b: Isometry) -> Isometry:
+    """The commutator a b a^-1 b^-1, built one ``Isometry`` product at a time."""
+    return a @ b @ a.inverse() @ b.inverse()
+
+
+def reference_criterion(a: Isometry, b: Isometry, tol: float | None = None) -> CommutingCase:
+    """``commuting_criterion`` through the public ``is_identity``, ``classify``
+    and ``fixed_points``, each of which checks the tolerance and tests for
+    the identity again."""
+    t = _tol_value(tol)
+    if a.reversing or b.reversing:
+        raise ValueError("criterion applies to orientation-preserving isometries")
+    if a.is_identity(t) or b.is_identity(t):
+        raise ValueError("criterion needs nontrivial isometries")
+    pt_tol = math.sqrt(t)
+    ca, cb = classify(a, t), classify(b, t)
+    if ca is ElementClass.PARABOLIC and cb is ElementClass.PARABOLIC:
+        pa = fixed_points(a, t).points[0]
+        pb = fixed_points(b, t).points[0]
+        if chordal(pa, pb) <= pt_tol:
+            return CommutingCase.SHARED_PARABOLIC_POINT
+        return CommutingCase.NONE
+    if ca is ElementClass.PARABOLIC or cb is ElementClass.PARABOLIC:
+        return CommutingCase.NONE
+    pa = fixed_points(a, t).points
+    pb = fixed_points(b, t).points
+    if len(pa) == 2 and len(pb) == 2:
+        direct = max(chordal(pa[0], pb[0]), chordal(pa[1], pb[1]))
+        crossed = max(chordal(pa[0], pb[1]), chordal(pa[1], pb[0]))
+        if min(direct, crossed) <= pt_tol:
+            return CommutingCase.SHARED_AXIS
+        if (ca is ElementClass.ELLIPTIC and cb is ElementClass.ELLIPTIC
+                and abs(a.trace()) <= pt_tol and abs(b.trace()) <= pt_tol):
+            cr = cross_ratio(pa[0], pa[1], pb[0], pb[1])
+            if not cmath.isinf(cr) and abs(cr + 1) <= pt_tol:
+                return CommutingCase.PERPENDICULAR_PI_ROTATIONS
+    return CommutingCase.NONE
 
 
 # -- ratio scan ---------------------------------------------------------------------

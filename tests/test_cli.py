@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geodouble import cli, construction, presentations, triangulation
 from geodouble.cli import main, parse_complex_number, parse_matrix
@@ -436,6 +439,68 @@ class TestIso:
         assert "fix_types = G Z" in out
         code, out = run(capsys, "iso", "table", "--reversing", "--phi2-id")
         assert "pi1(S)" in out
+
+
+def _signed(magnitudes):
+    return st.builds(lambda x, sign: sign * x, magnitudes, st.sampled_from((1, -1)))
+
+
+_REALS = st.one_of(
+    st.floats(-10, 10),
+    _signed(st.floats(1e150, sys.float_info.max)),
+    _signed(st.floats(5e-324, 2.2e-308)),           # subnormal
+    st.just(0.0),
+).map(repr)
+_ENTRIES = st.one_of(
+    _REALS,
+    st.builds(lambda re, im, unit: f"{re}{'' if im.startswith('-') else '+'}{im}{unit}",
+              _REALS, _REALS, st.sampled_from("ji")),
+    st.sampled_from(("inf", "-inf", "nan", "1+infj", "nanj")),
+    st.text(alphabet="0123456789.e+-ij,; x()", max_size=8),   # malformed, mostly
+)
+_MATRICES = st.builds(lambda a, b, c, d: f"{a},{b};{c},{d}",
+                      _ENTRIES, _ENTRIES, _ENTRIES, _ENTRIES)
+_TOLS = st.one_of(st.none(), st.floats(1e-300, 1e3).map(repr),
+                  st.sampled_from(("0", "-1", "nan", "inf")))
+
+
+def _captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestIsoContract:
+    """``iso classify`` (with and without ``--rev``) and ``iso commute`` on
+    moderate, huge, subnormal, zero, non-finite and malformed entries and
+    on valid and invalid tolerances: exit 0, 1 or 2 and no traceback.  Exit
+    1 is one ``error:`` line and nothing else, or a report whose check
+    failed (``commute_iff_criterion``, which floats can break when entries
+    reach 1e150 and past)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from((("classify",), ("classify", "--rev"), ("commute",))),
+           _MATRICES, _MATRICES, _TOLS)
+    def test_exit_status_and_error_lines(self, command, m1, m2, tol):
+        if command[0] == "commute":
+            argv = ["iso", "commute", f"--m1={m1}", f"--m2={m2}"]
+        else:
+            argv = ["iso", "classify", f"--m={m1}", *command[1:]]
+        if tol is not None:
+            argv.append(f"--tol={tol}")
+        code, out, err = _captured(argv)  # an exception (a traceback) fails here
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert err == ""
+        elif code == 1 and err:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
+        elif code == 1:
+            assert "\nFAIL " in out
+        else:
+            assert err.startswith("usage: ")
 
 
 class TestPresAudit:

@@ -6,6 +6,7 @@ import pytest
 
 from geodouble.isometries import (
     INF,
+    _commutator,
     CommutingCase,
     ElementClass,
     FixType,
@@ -20,11 +21,13 @@ from geodouble.isometries import (
 )
 
 from oracles import (
+    composed_commute,
     make_elliptic,
     make_loxodromic,
     make_parabolic,
     make_pi_rotation,
     random_isometry,
+    reference_criterion,
 )
 
 
@@ -88,6 +91,15 @@ class TestClassify:
         assert classify(g) is ElementClass.LOXODROMIC
         assert fixed_points(g).points == (0, INF)
 
+    def test_trace_square_past_the_float_range_is_loxodromic(self):
+        # tr^2 has finite parts but a modulus past the float range, which
+        # abs() refuses with OverflowError; both of its fixed points are found.
+        tr = complex(math.sqrt(1.79e308), 1e153)
+        g = Isometry(tr, 1, -1, 0)
+        assert classify(g) is ElementClass.LOXODROMIC
+        p, q = fixed_points(g).points
+        assert abs(p + tr) <= 1e-15 * abs(tr) and abs(q + 1 / tr) <= 1e-15 / abs(tr)
+
     def test_reversing_rejected(self):
         with pytest.raises(ValueError):
             classify(Isometry(1, 0, 0, 1, reversing=True))
@@ -137,6 +149,15 @@ class TestFixedPoints:
         assert fps.kind == "circle"
         assert abs(fps.center) <= 1e-12
         assert abs(fps.radius - 1) <= 1e-12
+
+    @pytest.mark.parametrize("entries", [
+        (0, 1e200, -1e-200, 0),                         # |c| within tolerance, d = 0
+        (0, 1.9080055990185255e281, -0.5, -1.095477e-318),  # d underflows to 0
+    ])
+    def test_reversing_involution_with_zero_d_is_antipodal(self, entries):
+        # z -> (b/c) / conj(z) with b/c < 0: no boundary fixed point, and no
+        # division by d = 0 for a line.
+        assert fixed_points(Isometry(*entries, reversing=True)).kind == "empty"
 
     def test_non_involution_reversing_rejected(self):
         glide = Isometry(1, 1, 0, 1, reversing=True)  # z -> conj(z) + 1
@@ -232,6 +253,14 @@ class TestFixedPoints:
     def test_fixed_point_past_the_float_range_rejected(self):
         with pytest.raises(ValueError, match="fixed points out of floating-point range"):
             fixed_points(Isometry(1e308, 1e5, -1e-5, 0))
+
+    def test_overflowing_discriminant_with_c_past_half_the_float_range(self):
+        # Normalised, c is about -9e307 and 2c overflows; the points are
+        # about a/c and -b/(c * a/c), which underflows to 0.
+        g = Isometry(1.4922221269149276e154, 1.238198094361662e-308, -1.0003713833242887e308, 0)
+        assert math.isinf(abs(2 * g.c))
+        z1, z2 = fixed_points(g).points
+        assert z1 == pytest.approx(g.a / g.c, rel=1e-12) and z2 == 0
 
 
 class TestCommute:
@@ -332,6 +361,171 @@ class TestCommutingCriterion:
             if commute(a, b, 1e-6) != (tag is not CommutingCase.NONE):
                 hits += 1
         assert hits == 0
+
+
+def _outcome(call):
+    """A call's value, or the type and text of what it raised."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(entries):
+    return [(z.real.hex(), z.imag.hex()) for z in entries]
+
+
+def _point(rng):
+    if rng.random() < 0.1:
+        return INF
+    return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+
+def _axis(rng):
+    while True:
+        p, q = _point(rng), _point(rng)
+        if chordal(p, q) > 0.2:
+            return p, q
+
+
+def _about(rng, p, q):
+    """An elliptic, half-turn or loxodromic with axis p..q."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return make_elliptic(p, q, rng.uniform(0.2, 6))
+    if kind == 1:
+        return make_pi_rotation(p, q)
+    return make_loxodromic(p, q, cmath.rect(rng.uniform(1.2, 4), rng.uniform(0, 6)))
+
+
+def _oracle_pair(rng, i):
+    """The i-th kind of pair: shared axis, shared parabolic point,
+    perpendicular half-turns, unrelated, or reversing (for ``commute``)."""
+    kind = i % 5
+    if kind == 0:
+        p, q = _axis(rng)
+        return _about(rng, p, q), _about(rng, p, q)
+    if kind == 1:
+        p = _point(rng)
+        other = p if rng.random() < 0.7 else _point(rng)
+        return (make_parabolic(p, cmath.rect(rng.uniform(0.3, 2), rng.uniform(0, 6))),
+                make_parabolic(other, cmath.rect(rng.uniform(0.3, 2), rng.uniform(0, 6))))
+    if kind == 2:
+        # 0..infinity and -1..1 meet at right angles; so do their images.
+        h = random_isometry(rng)
+        ends = [h.apply(z) for z in (0, INF, -1, 1)]
+        return make_pi_rotation(*ends[:2]), make_pi_rotation(*ends[2:])
+    if kind == 3:
+        p, q = _axis(rng)
+        return random_isometry(rng), (_about(rng, p, q) if rng.random() < 0.5
+                                      else make_parabolic(p))
+    return (random_isometry(rng, reversing=rng.random() < 0.5),
+            random_isometry(rng, reversing=rng.random() < 0.5))
+
+
+def _huge(rng):
+    """A determinant-1 matrix with one entry of modulus 1e150-1e200."""
+    x = cmath.rect(10 ** rng.uniform(150, 200), rng.uniform(0, 6))
+    v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    if rng.random() < 0.5:
+        return Isometry(x, v, 0, 1 / x, reversing=rng.random() < 0.3)
+    return Isometry(v, x, -1 / x, 0, reversing=rng.random() < 0.3)
+
+
+class TestReferenceOracle:
+    """``commute`` and ``commuting_criterion`` against the composed
+    commutator and the criterion through the public calls."""
+
+    def test_commutator_and_criterion_match_the_composed_path(self):
+        rng = random.Random(34)
+        tags = set()
+        for i in range(10_000):
+            a, b = _oracle_pair(rng, i)
+            for g, h in ((a, b), (b, a)):
+                entries = _commutator(g, h)
+                comm = composed_commute(g, h)
+                assert not comm.reversing
+                assert _bits(entries) == _bits((comm.a, comm.b, comm.c, comm.d))
+            for tol in (1e-9, 1e-6):
+                assert commute(a, b, tol) is comm.is_identity(tol)
+                want = _outcome(lambda: reference_criterion(a, b, tol))
+                assert _outcome(lambda: commuting_criterion(a, b, tol)) == want
+                tags.add(want)
+        assert set(CommutingCase) <= tags
+        assert (ValueError, "criterion applies to orientation-preserving isometries") in tags
+
+    def test_huge_entries_raise_as_the_composed_path_does(self):
+        rng = random.Random(35)
+        seen = set()
+        for _ in range(2_000):
+            a, b = _huge(rng), _huge(rng)
+            want = _outcome(lambda: composed_commute(a, b))
+            got = _outcome(lambda: _commutator(a, b))
+            if isinstance(want, Isometry):
+                assert _bits(got) == _bits((want.a, want.b, want.c, want.d))
+                seen.add("commutator")
+            else:
+                assert got == want
+                seen.add(want)
+            assert _outcome(lambda: commute(a, b)) == \
+                _outcome(lambda: composed_commute(a, b).is_identity())
+            assert _outcome(lambda: commuting_criterion(a, b)) == \
+                _outcome(lambda: reference_criterion(a, b))
+        assert seen >= {
+            "commutator",
+            (ValueError, "matrix determinant is not finite: entries too large"),
+            (ValueError, "matrix is not invertible"),
+        }
+
+
+class TestToleranceEdges:
+    """Each threshold the shared identity and class tests hold, crossed at
+    delta = t/2 (inside) and 2t (outside) by det-1 inputs: (+-1, delta; 0,
+    +-1), its transpose and (x, -1; 1, 0) normalise exactly, and
+    diag(1 + delta, 1/(1 + delta)) to within a rounding."""
+
+    TOLS = (1e-9, 1e-6, 1e-3)
+
+    @pytest.mark.parametrize("t", TOLS)
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_identity(self, t, sign):
+        for delta, inside in ((t / 2, True), (2 * t, False)):
+            near = Isometry(sign, delta, 0, sign)
+            assert (near.a, near.b) == (sign, delta)
+            assert near.is_identity(t) is inside
+            assert commute(near, Isometry(1, 0, 0, 1), t)
+            assert (classify(near, t) is ElementClass.IDENTITY) is inside
+            assert (fixed_points(near, t).kind == "all") is inside
+            assert Isometry(sign, 0, delta, sign).is_identity(t) is inside
+            shifted = Isometry(sign + delta, 0, 0, 1 / (sign + delta))
+            assert shifted.is_identity(t) is inside
+            if inside:
+                with pytest.raises(ValueError, match="nontrivial"):
+                    commuting_criterion(near, Isometry(1, 1, 0, 1), t)
+            else:
+                assert classify(near, t) is ElementClass.PARABOLIC
+                assert commuting_criterion(near, Isometry(1, 1, 0, 1), t) is \
+                    CommutingCase.SHARED_PARABOLIC_POINT
+
+    @pytest.mark.parametrize("t", TOLS)
+    def test_parabolic(self, t):
+        # (x, -1; 1, 0) has determinant 1 and trace x, so tr^2 - 4 = x^2 - 4.
+        for delta, inside in ((t / 2, True), (2 * t, False)):
+            above = Isometry(math.sqrt(4 + delta), -1, 1, 0)
+            below = Isometry(math.sqrt(4 - delta), -1, 1, 0)
+            want = (ElementClass.PARABOLIC if inside else ElementClass.LOXODROMIC,
+                    ElementClass.PARABOLIC if inside else ElementClass.ELLIPTIC)
+            assert (classify(above, t), classify(below, t)) == want
+
+    @pytest.mark.parametrize("t", TOLS)
+    def test_elliptic_band(self, t):
+        # tr^2 = 2 + i*delta off the real axis, and tr^2 = -delta below 0.
+        for delta, inside in ((t / 2, True), (2 * t, False)):
+            want = ElementClass.ELLIPTIC if inside else ElementClass.LOXODROMIC
+            off_axis = Isometry(cmath.sqrt(2 + 1j * delta), -1, 1, 0)
+            below_zero = Isometry(1j * math.sqrt(delta), -1, 1, 0)
+            assert classify(off_axis, t) is want
+            assert classify(below_zero, t) is want
 
 
 class TestIsometryRecord:
