@@ -21,6 +21,7 @@ import cmath
 import functools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -65,20 +66,15 @@ class Report:
         return "\n".join([head, *self.lines]) + "\n"
 
 
+# An i that no digit or point precedes stands for 1i.
+_BARE_I = re.compile(r"(?<![\d.])i")
+
+
 def parse_complex_number(text: str) -> complex:
     """Parse finite complex literals written with i, e.g. ``1+2i``, ``-0.5i``, ``3``."""
-    cleaned = text.strip().replace(" ", "")
-    out = []
-    for idx, ch in enumerate(cleaned):
-        if ch == "i":
-            prev = cleaned[idx - 1] if idx else ""
-            if not (prev.isdigit() or prev == "."):
-                out.append("1")
-            out.append("j")
-        else:
-            out.append(ch)
+    cleaned = _BARE_I.sub("1i", text.strip().replace(" ", "")).replace("i", "j")
     try:
-        value = complex("".join(out))
+        value = complex(cleaned)
     except ValueError:
         raise ValueError(f"bad complex literal {text!r}") from None
     if not cmath.isfinite(value):
@@ -507,7 +503,3 @@ def main(argv=None) -> int:
         return 1
     sys.stdout.write(rep.render() if text is None else text)
     return 1 if rep.failed else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -31,15 +31,17 @@ spanning tree it found as a parent and a label per vertex, so equal
 graphs have equal columns.  The graph answers membership,
 computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
-that tree.
+that tree; its edge list, for export and the canonical key, is one sort of
+the (source, label, target) rows of its positive columns.
 
 Words are taken in and read at a cost per batch, not per word, under one
 letter rule, decided and named by ``_check_letters`` alone: a letter is a
 nonzero int (bools count) within the rank.  ``from_generators`` checks all
 generators in a few C-level passes over them joined into one list, and
 ``_check_letters`` over all their letters names the first fault if these
-fail; ``from_adjacency`` checks its edges column by column, and a failed
-check reruns a per-edge loop that raises the first fault.  Membership,
+fail; ``from_adjacency`` checks its labels and edges in one guarded pass,
+column by column, and any failure in it goes to one per-edge loop,
+``_check_edges``, that raises the first fault.  Membership,
 ``trace`` and coset representatives share one reader, which reads the word
 as given: each label of a folded graph is a partial injection whose inverse
 label is its inverse map, so a read that completes ends where the read of
@@ -272,33 +274,30 @@ class SubgroupGraph:
         if not 0 <= base < n:
             raise ValueError(f"base {base} is not a vertex of a {n}-vertex graph")
         # The labels, then the edges, are checked with C-level passes over
-        # the label set and the columns; on any failure the per-edge loop
-        # names the first fault.
+        # the label set and the columns.  On any failure, or an IndexError or
+        # TypeError from a target that is no vertex or a float label that the
+        # label set merged with an int, the per-edge loop names the first fault.
         labels = set().union(*adj)
-        if 0 in labels or not _in_rank(labels, ambient_rank):
-            _check_edges(adj, ambient_rank, base)
-        try:
-            cols, order = _fold_columns(ambient_rank, n, chain.from_iterable(adj))
-        except TypeError:  # a float that the label set merged with an int
-            _check_edges(adj, ambient_rank, base)
-            raise
-        sparse_at = {}
-        if type(cols) is list:
-            for s in order:
-                cols[s][:] = map(dict.get, adj, repeat(s))
-        else:
-            sparse_at = dict(enumerate(map(list, adj)))
-            for v, nbrs in enumerate(adj):
-                for s, w in nbrs.items():
-                    cols[s][v] = w
         sizes = [*map(len, adj)]
         entries = sum(sizes)
         sizes[base] = 2
+        sparse_at = {}
         try:
-            edges_ok = min(sizes) > 1 and _inverse_columns(cols, order, n, entries)
+            ok = 0 not in labels and _in_rank(labels, ambient_rank)
+            if ok:
+                cols, order = _fold_columns(ambient_rank, n, chain.from_iterable(adj))
+                if type(cols) is list:
+                    for s in order:
+                        cols[s][:] = map(dict.get, adj, repeat(s))
+                else:
+                    sparse_at = dict(enumerate(map(list, adj)))
+                    for v, nbrs in enumerate(adj):
+                        for s, w in nbrs.items():
+                            cols[s][v] = w
+                ok = min(sizes) > 1 and _inverse_columns(cols, order, n, entries)
         except (IndexError, TypeError):
-            edges_ok = False
-        if not edges_ok:
+            ok = False
+        if not ok:
             _check_edges(adj, ambient_rank, base)
         columns, parent, label = _canonical_relabel(cols, order, sparse_at, range(n), base)
         if len(parent) != n:
@@ -443,17 +442,14 @@ class SubgroupGraph:
     # -- canonical form ----------------------------------------------------
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (source, positive label, target), sorted."""
-        # Bucketed by source, labels in increasing order: linear in the edges.
-        rows: list[list[tuple[int, int]]] = [[] for _ in self._parent]
-        for s in sorted(s for s in self._col if s > 0):
-            col = self._col[s]
-            for v, w in enumerate(col) if type(col) is list else col.items():
-                if w is not None:
-                    rows[v].append((s, w))
-        for v, row in enumerate(rows):
-            for s, w in row:
-                yield (v, s, w)
+        """Yield (source, positive label, target), sorted: one sort of the
+        edges read off the positive columns."""
+        rows: list[tuple[int, int, int]] = []
+        for s, col in self._col.items():
+            if s > 0:
+                rows += [(v, s, w) for v, w in (enumerate(col) if type(col) is list
+                                                 else col.items()) if w is not None]
+        yield from sorted(rows)
 
     def canonical_key(self) -> tuple:
         return (self.ambient_rank, len(self._parent), tuple(self.edges()))

@@ -268,8 +268,9 @@ def _eliminate(relators: list[Word], g: int, image: Word, gens: int) -> list[Wor
 
 
 def tietze_simplify(p: Presentation) -> Presentation:
-    """Simplify by free/cyclic reduction, deduplication, and elimination of
-    generators that some short relator uses exactly once.
+    """Simplify by deduplication and elimination of generators that some
+    short relator uses exactly once.  The relators of every
+    ``Presentation`` are already cyclically reduced and non-empty.
 
     Substitution is only attempted on relators of length at most
     ``MAX_RELATOR_LENGTH``, which keeps the rewriting from blowing up.  The
@@ -284,7 +285,7 @@ def tietze_simplify(p: Presentation) -> Presentation:
     generators ends with 2^g letters.
     """
     gens = p.generator_count
-    relators = _deduplicated(filter(None, map(cyclic_reduce, p.relators)))
+    relators = _deduplicated(p.relators)
     while True:
         # Eliminate through the shortest relator that uses some generator
         # exactly once.

@@ -921,6 +921,32 @@ def reference_criterion(a: Isometry, b: Isometry, tol: float | None = None) -> C
     return CommutingCase.NONE
 
 
+# -- complex literals ---------------------------------------------------------------
+
+
+def reference_parse_complex_number(text: str) -> complex:
+    """``cli.parse_complex_number`` as a character loop: an i that no digit
+    (by ``str.isdigit``) or point precedes gets a 1 before it, and each i
+    becomes j."""
+    cleaned = text.strip().replace(" ", "")
+    out = []
+    for idx, ch in enumerate(cleaned):
+        if ch == "i":
+            prev = cleaned[idx - 1] if idx else ""
+            if not (prev.isdigit() or prev == "."):
+                out.append("1")
+            out.append("j")
+        else:
+            out.append(ch)
+    try:
+        value = complex("".join(out))
+    except ValueError:
+        raise ValueError(f"bad complex literal {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return value
+
+
 # -- ratio scan ---------------------------------------------------------------------
 
 
@@ -935,11 +961,42 @@ def scan_min_n(epsilon: Fraction) -> int:
 # -- rank audit: the case-by-case chain ---------------------------------------------
 
 
+def reference_validate(case: AuditCase) -> None:
+    """``AuditCase.validate``'s if-chain as written when the region table
+    was checked against the chain below, so that a changed rule or fault
+    text in the library shows as a difference."""
+    g, m, l = case.genus, case.torus_pairs, case.single_circles
+    if m < 0 or l < 0:
+        raise AuditError("circle counts must be >= 0")
+    if case.orientable:
+        if g < 0:
+            raise AuditError("orientable genus must be >= 0")
+    else:
+        if g < 1:
+            raise AuditError("non-orientable genus must be >= 1")
+        if case.separating:
+            raise AuditError("a pointwise-fixed non-orientable surface never separates")
+        if case.same_component:
+            raise AuditError("same_component applies to the orientable non-separating case")
+    if case.separating:
+        if l != 0:
+            raise AuditError("separating surface forces single_circles = 0")
+        if case.same_component:
+            raise AuditError("separating surface has no same_component case")
+    if case.orientable and not case.separating:
+        if case.same_component and 2 * m + l == 0:
+            raise AuditError("one boundary component needs connecting annuli (k > 0)")
+        if not case.same_component and l != 0:
+            raise AuditError(
+                "a singly-placed circle's annulus joins the two copies, "
+                "forcing same_component")
+
+
 def reference_rank_audit(case: AuditCase) -> AuditReport:
     """The rank-comparison chain written out case by case, replaying each
     step: kept as the reference the region table of ``rank_audit`` must
     match exactly."""
-    case.validate()
+    reference_validate(case)
     g, m, l, k = case.genus, case.torus_pairs, case.single_circles, case.boundary_circles
     target = surface_rank(g, k, case.orientable)
     steps: list[AuditStep] = []
@@ -1003,8 +1060,9 @@ def reference_rank_audit(case: AuditCase) -> AuditReport:
 
 def reference_audit_cases(genus_max: int, torus_pairs_max: int,
                           single_circles_max: int) -> Iterator[AuditCase]:
-    """Every flag combination at every (g, m, l), kept when ``validate``
-    accepts it: the reference ``enumerate_audit_cases`` must match."""
+    """Every flag combination at every (g, m, l), kept when
+    ``reference_validate`` accepts it: the reference
+    ``enumerate_audit_cases`` must match."""
     for g, m, l in itertools.product(range(genus_max + 1),
                                      range(torus_pairs_max + 1),
                                      range(single_circles_max + 1)):
@@ -1012,7 +1070,7 @@ def reference_audit_cases(genus_max: int, torus_pairs_max: int,
                 (True, False), (True, False), (True, False)):
             case = AuditCase(g, m, l, orientable, separating, same)
             try:
-                case.validate()
+                reference_validate(case)
             except AuditError:
                 continue
             yield case

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,8 +16,10 @@ from geodouble.construction import family_scheme, family_stats, is_admissible
 from geodouble.doubling import Double, DoubleWord
 from geodouble.freegroups import SubgroupGraph, stallings_graph, word_from_str
 from geodouble.isometries import Isometry, commuting_criterion, fixed_points
-from geodouble.presentations import AuditCase, Presentation, surface_rank
+from geodouble.presentations import AuditCase, AuditError, Presentation, surface_rank
 from geodouble.triangulation import render_scheme
+
+from oracles import reference_parse_complex_number, reference_validate
 
 
 def run(capsys, *argv):
@@ -50,6 +53,28 @@ class TestParsing:
     def test_complex_literal_must_be_finite(self, text):
         with pytest.raises(ValueError, match="not finite"):
             parse_complex_number(text)
+
+    def test_complex_literals_match_the_character_loop(self):
+        # Strings over the literal alphabet, blanks, a superscript two (a
+        # digit to str.isdigit only), an Arabic-Indic three (a decimal digit
+        # that complex() reads) and the letters of nan and inf: the same
+        # value or the same error text as the character loop.
+        rng = random.Random(97)
+        alphabet = "0123456789.+-eEijJ \t²٣naf"
+        parsed = 0
+
+        def outcome(parse, text):
+            try:
+                return repr(parse(text))
+            except ValueError as exc:
+                return f"ValueError: {exc}"
+
+        for _ in range(100_000):
+            text = "".join(rng.choices(alphabet, k=rng.randint(0, 8)))
+            expected = outcome(reference_parse_complex_number, text)
+            assert outcome(parse_complex_number, text) == expected, text
+            parsed += not expected.startswith("ValueError")
+        assert parsed > 1000
 
     def test_matrix(self):
         assert parse_matrix("i,0;0,-i") == [[1j, 0], [0, -1j]]
@@ -501,6 +526,52 @@ class TestIsoContract:
             assert "\nFAIL " in out
         else:
             assert err.startswith("usage: ")
+
+
+_ORIENTATIONS = ((), ("--orientable",), ("--non-orientable",),
+                 ("--orientable", "--non-orientable"), ("--non-orientable", "--orientable"))
+
+
+class TestAuditContract:
+    """``audit`` on one case, with every flag combination, and ``audit
+    --sweep`` on drawn maxima: exit 0 ends with a ``PASS`` line; exit 1
+    prints nothing on stdout and one ``error:`` line, for one case the text
+    of ``reference_validate``; no run raises."""
+
+    @staticmethod
+    def assert_contract(argv, fault):
+        code, out, err = _captured(argv)  # an exception (a traceback) fails here
+        if fault is None:
+            assert code == 0 and err == "", (argv, err)
+            assert out.splitlines()[-1].startswith("PASS "), out
+        else:
+            assert code == 1 and out == "", (argv, out)
+            assert err == f"error: {fault}\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-3, 60), st.integers(-3, 60), st.integers(-3, 60),
+           st.sampled_from(_ORIENTATIONS), st.booleans(), st.booleans())
+    def test_one_case(self, g, m, l, orientation, separating, same):
+        flags = [*orientation]
+        flags += ["--separating"] * separating + ["--same-component"] * same
+        case = AuditCase(g, m, l, orientation[-1:] != ("--non-orientable",), separating, same)
+        try:
+            reference_validate(case)
+        except AuditError as exc:
+            fault = str(exc)
+        else:
+            fault = None
+        self.assert_contract(["audit", f"--g={g}", f"--m={m}", f"--l={l}", *flags], fault)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-2, 12), st.integers(-2, 12), st.integers(-2, 12))
+    def test_sweep(self, g_max, m_max, l_max):
+        maxima = (("genus_max", g_max), ("torus_pairs_max", m_max),
+                  ("single_circles_max", l_max))
+        fault = next((f"{name} must be >= 0, got {value}" for name, value in maxima
+                      if value < 0), None)
+        self.assert_contract(["audit", "--sweep", f"--g-max={g_max}", f"--m-max={m_max}",
+                              f"--l-max={l_max}"], fault)
 
 
 class TestPresAudit:

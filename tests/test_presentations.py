@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from geodouble import presentations
 from geodouble.cli import main
 from geodouble.construction import family_complex
 from geodouble.freegroups import WordError, inverse_word, word_to_str
@@ -49,6 +50,7 @@ from oracles import (
     reference_face_words,
     reference_rank_audit,
     reference_tietze,
+    reference_validate,
     truncated_exponents,
 )
 
@@ -286,15 +288,6 @@ def chain_presentation(g):
     return Presentation(g, ((1, 1),) + tuple((-i, i + 1, i + 1) for i in range(1, g)))
 
 
-def raw_presentation(g, relators):
-    """A presentation holding ``relators`` as given, unreduced and empty
-    ones included, the way ``presentation_from_complex`` builds one."""
-    p = object.__new__(Presentation)
-    object.__setattr__(p, "generator_count", g)
-    object.__setattr__(p, "relators", tuple(relators))
-    return p
-
-
 def letter_invariant(word):
     letters = tuple(sorted(word))
     return min(letters, tuple(-s for s in reversed(letters)))
@@ -302,7 +295,9 @@ def letter_invariant(word):
 
 class TestTietzeOracle:
     """``tietze_simplify`` against ``reference_tietze``, which keys and
-    rewrites every relator in every round."""
+    rewrites every relator in every round.  The inputs are the relators as
+    drawn, unreduced and empty ones included, and their ``Presentation``,
+    which holds them cyclically reduced and non-empty."""
 
     @staticmethod
     def seeded_cases():
@@ -324,17 +319,14 @@ class TestTietzeOracle:
                 elif kind == 2:  # self-cancelling, and empty
                     relators += [r[:k] + inverse_word(r[:k]), ()]
             rng.shuffle(relators)
-            if rng.random() < 0.5:
-                yield raw_presentation(g, relators)
-            else:
-                yield Presentation(g, tuple(relators))
+            yield relators, Presentation(g, tuple(relators))
 
     def test_matches_reference(self):
         seen = dict.fromkeys(("rotation", "anagram", "long", "empty", "past_z"), 0)
-        for p in self.seeded_cases():
+        for relators, p in self.seeded_cases():
             q = tietze_simplify(p)
             assert q == reference_tietze(p), p
-            words = [cyclic_reduce(r) for r in p.relators]
+            words = [cyclic_reduce(r) for r in relators]
             seen["empty"] += () in words
             seen["long"] += any(len(r) > MAX_RELATOR_LENGTH for r in words)
             seen["past_z"] += p.generator_count > 26 and q.generator_count < p.generator_count
@@ -786,6 +778,25 @@ class TestRankAuditTable:
         else:
             assert_same_report(rank_audit(case), expected)
 
+    def test_validate_matches_reference_texts(self):
+        # Flags are read for their truth, so ints stand in for them too.
+        def fault(check, case):
+            try:
+                check(case)
+            except AuditError as exc:
+                return str(exc)
+            return None
+
+        flags = (True, False, 0, 1, 2)
+        faults = set()
+        for g, m, l in itertools.product(range(-2, 4), repeat=3):
+            for orientable, separating, same in itertools.product(flags, repeat=3):
+                case = AuditCase(g, m, l, orientable, separating, same)
+                expected = fault(reference_validate, case)
+                assert fault(AuditCase.validate, case) == expected, case
+                faults.add(expected)
+        assert len(faults) == 10
+
     def test_one_constant_margin_per_region(self):
         margins = {}
         for case in enumerate_audit_cases(30, 8, 8):
@@ -818,6 +829,75 @@ class TestRankAuditTable:
     def test_negative_maximum_rejected(self, box, name):
         with pytest.raises(AuditError, match=f"{name} must be >= 0"):
             enumerate_audit_cases(*box)
+
+
+def _accepts(case):
+    try:
+        case.validate()
+    except AuditError:
+        return False
+    return True
+
+
+def audit_cone_faults(box=6):
+    """Faults of the audit inequality on the sign cones of (g, m, l).
+
+    A cone fixes which of g, m, l are 0 and which are at least 1; with a
+    flag triple (orientable, separating, same_component) it picks one row of
+    the region table, whose margin c0 + cg*g + cm*m + cl*l - 2*surface_rank
+    is affine there, since k = 2m + l > 0 and the branch of ``surface_rank``
+    are constant on the cone.  An affine margin that is positive at the
+    cone's least point and takes equal, non-negative steps along each free
+    axis is positive at every point of the cone, so checking the cone's
+    points with coordinates up to ``box`` covers every parameter.  Returns
+    one line per fault, naming the cone and flags; validate rejects every
+    negative count."""
+    faults = []
+    for signs in itertools.product((0, 1), repeat=3):
+        points = [p for p in itertools.product(range(box + 1), repeat=3)
+                  if all((x > 0) == bool(s) for x, s in zip(p, signs))]
+        cone = " ".join(f"{axis}{'>=1' if s else '=0'}" for axis, s in zip("gml", signs))
+        for flags in itertools.product((True, False), repeat=3):
+            name = f"{cone} (orientable, separating, same_component) = {flags}"
+            accepted = {_accepts(AuditCase(*p, *flags)) for p in points}
+            if len(accepted) > 1:
+                faults.append(f"{name}: validate accepts only part of the cone")
+                continue
+            if not accepted.pop():
+                continue
+            margin = {p: rank_audit(AuditCase(*p, *flags)).margin for p in points}
+            if margin[signs] <= 0:
+                faults.append(f"{name}: margin {margin[signs]} at {signs}")
+            for i in (i for i, s in enumerate(signs) if s):
+                steps = {margin[(*p[:i], p[i] + 1, *p[i + 1:])] - margin[p]
+                         for p in points if p[i] < box}
+                if len(steps) > 1:
+                    faults.append(f"{name}: unequal margin steps along {'gml'[i]}")
+                elif min(steps) < 0:
+                    faults.append(f"{name}: margin falls along {'gml'[i]}")
+    return faults
+
+
+class TestAuditForEveryParameter:
+    """The final inequality 2*rank(ambient) > rank(surface), for every
+    consistent (g, m, l) and flag triple, from the region table's affine
+    margins; the bounded sweeps check boxes only."""
+
+    def test_every_cone_is_strict(self):
+        assert audit_cone_faults() == []
+
+    def test_a_weaker_index_two_bound_names_its_cones(self, monkeypatch):
+        # Dropping the + 2 of the index-2 cover step lowers the bound of the
+        # regions that end with it by one, to a zero margin.
+        weak = {}
+        for region, steps in _REGIONS.items():
+            label, (c0, *rest), assumed, strict = steps[-1]
+            if label.endswith("(index-2 cover)"):
+                steps = steps[:-1] + ((label, (c0 - 2, *rest), assumed, strict),)
+            weak[region] = steps
+        monkeypatch.setattr(presentations, "_REGIONS", weak)
+        faults = audit_cone_faults()
+        assert len(faults) == 12 and all(": margin 0 at " in f for f in faults), faults
 
 
 class TestAuditSweep:
