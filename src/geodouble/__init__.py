@@ -5,7 +5,6 @@ from .construction import (
     FamilyReport,
     FamilyStats,
     InadmissibleFamilyError,
-    family_complex,
     family_scheme,
     family_stats,
     is_admissible,

@@ -68,12 +68,18 @@ class Report:
 
 # An i that no digit or point precedes stands for 1i.
 _BARE_I = re.compile(r"(?<![\d.])i")
+# What complex() reads beyond an ASCII literal: digits of other scripts,
+# digit-group underscores and enclosing parentheses.
+_NOT_LITERAL = re.compile(r"[^\x00-\x7f]|[_()]")
 
 
 def parse_complex_number(text: str) -> complex:
-    """Parse finite complex literals written with i, e.g. ``1+2i``, ``-0.5i``, ``3``."""
+    """Parse finite ASCII complex literals written with i, e.g. ``1+2i``,
+    ``-0.5i``, ``3``."""
     cleaned = _BARE_I.sub("1i", text.strip().replace(" ", "")).replace("i", "j")
     try:
+        if _NOT_LITERAL.search(text):
+            raise ValueError("not an ASCII literal")
         value = complex(cleaned)
     except ValueError:
         raise ValueError(f"bad complex literal {text!r}") from None
@@ -204,10 +210,10 @@ def cmd_family_verify(args, rep: Report) -> None:
 @command("scheme info", _arg("file"))
 def cmd_scheme_info(args, rep: Report) -> None:
     rep.command += f" {args.file}"
-    complex = triangulation.glue(_read_scheme(args.file), require_closed=False)
+    complex = triangulation.glue(_read_scheme(args.file))
     rep.kv("tets", complex.scheme.tet_count)
     rep.kv("pairings", len(complex.scheme.a_tets))
-    rep.kv("closed", complex.closed)
+    rep.kv("closed", complex.scheme.is_closed)
     rep.kv("edge_classes", len(complex.valences))
     rep.kv("edge_valences", ",".join(map(str, complex.valences)))
     rep.kv("vertex_classes", complex.vertex_class_count)
@@ -217,7 +223,7 @@ def cmd_scheme_info(args, rep: Report) -> None:
         rep.kv(f"dihedral.{entry.edge_class}",
                f"valence={entry.valence} angle_deg={entry.angle_degrees} "
                f"admissible={entry.admissible}")
-    if complex.closed:
+    if complex.scheme.is_closed:
         stats = triangulation.boundary_surfaces(complex)
         for comp in stats.components:
             rep.kv(f"boundary.{comp.vertex_class}",
@@ -336,7 +342,8 @@ def cmd_double_fixtest(args, rep: Report) -> None:
          _arg("--rev", action="store_true"), _TOL)
 def cmd_iso_classify(args, rep: Report) -> None:
     rep.command += f" --m {args.m}" + (" --rev" if args.rev else "")
-    g = isometries.Isometry.from_rows(parse_matrix(args.m), reversing=args.rev)
+    top, bottom = parse_matrix(args.m)
+    g = isometries.Isometry(*top, *bottom, args.rev)
     if args.rev:
         rep.kv("reversing", True)
     else:
@@ -358,8 +365,8 @@ def cmd_iso_classify(args, rep: Report) -> None:
          _arg("--m2", type=str, required=True), _TOL)
 def cmd_iso_commute(args, rep: Report) -> None:
     rep.command += f" --m1 {args.m1} --m2 {args.m2}"
-    g1 = isometries.Isometry.from_rows(parse_matrix(args.m1))
-    g2 = isometries.Isometry.from_rows(parse_matrix(args.m2))
+    g1, g2 = (isometries.Isometry(*top, *bottom)
+              for top, bottom in map(parse_matrix, (args.m1, args.m2)))
     com = isometries.commute(g1, g2, args.tol)
     rep.kv("commute", com)
     tag = isometries.commuting_criterion(g1, g2, args.tol)
@@ -390,7 +397,7 @@ def _pres(args, rep: Report) -> presentations.Presentation:
     ``--scheme`` only when it is non-empty, else ``--gens``/``--relators``.
     """
     if args.scheme or "gens" not in args:
-        complex = triangulation.glue(_read_scheme(args.scheme), require_closed=False)
+        complex = triangulation.glue(_read_scheme(args.scheme))
         p = presentations.presentation_from_complex(complex)
     else:
         relators = [word_from_str(tok, args.gens)
@@ -424,15 +431,30 @@ def cmd_pres_h1rank(args, rep: Report) -> None:
     rep.kv("torsion", ",".join(map(str, inv.torsion)) or "none")
 
 
-@command("audit", _arg("--g", type=int, default=0), _arg("--m", type=int, default=0),
-         _arg("--l", type=int, default=0),
-         _arg("--orientable", dest="orientable", action="store_true", default=True),
-         _arg("--non-orientable", dest="orientable", action="store_false"),
-         _arg("--separating", action="store_true"),
-         _arg("--same-component", dest="same_component", action="store_true"),
-         _arg("--sweep", action="store_true"), _arg("--g-max", type=int, default=10),
-         _arg("--m-max", type=int, default=5), _arg("--l-max", type=int, default=5))
+# The defaults of audit's single-case and sweep options; the parser's are
+# None, so that an option given at its default value counts as given.
+_AUDIT_CASE = {"g": 0, "m": 0, "l": 0, "orientable": True, "separating": False,
+               "same_component": False}
+_AUDIT_SWEEP = {"g_max": 10, "m_max": 5, "l_max": 5}
+
+
+@command("audit", _arg("--g", type=int), _arg("--m", type=int), _arg("--l", type=int),
+         _arg("--orientable", dest="orientable", action="store_const", const=True),
+         _arg("--non-orientable", dest="orientable", action="store_const", const=False),
+         _arg("--separating", action="store_const", const=True),
+         _arg("--same-component", dest="same_component", action="store_const", const=True),
+         _arg("--sweep", action="store_true"), _arg("--g-max", type=int),
+         _arg("--m-max", type=int), _arg("--l-max", type=int))
 def cmd_audit(args, rep: Report) -> None:
+    for dest in _AUDIT_CASE if args.sweep else _AUDIT_SWEEP:
+        value = getattr(args, dest)
+        if value is not None:
+            flag = "--non-orientable" if value is False else "--" + dest.replace("_", "-")
+            args.usage_error(f"argument {flag}: not allowed "
+                             f"{'with' if args.sweep else 'without'} argument --sweep")
+    for dest, default in (_AUDIT_CASE | _AUDIT_SWEEP).items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
     if args.sweep:
         rep.command += (f" sweep --g-max {args.g_max} --m-max {args.m_max} "
                         f"--l-max {args.l_max}")
@@ -486,18 +508,18 @@ def build_parser() -> argparse.ArgumentParser:
                 groups[group] = parent.add_subparsers(dest=f"{group}_cmd", required=True)
             sub = groups[group].add_parser(name)
         _add_arguments(sub, specs)
-        sub.set_defaults(func=handler, path=path)
+        # A handler reports a usage error through its own parser's ``error``.
+        sub.set_defaults(func=handler, path=path, usage_error=sub.error)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    rep = Report(args.path, args.machine)
-    try:
+        rep = Report(args.path, args.machine)
         text = args.func(args, rep)
+    except SystemExit as exc:  # a usage error, from the parser or a handler
+        return exc.code if isinstance(exc.code, int) else 2
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -25,7 +25,6 @@ from numbers import Rational
 
 from .triangulation import (
     FACE_NAMES,
-    GluedComplex,
     GluingScheme,
     boundary_surfaces,
     dihedral_report,
@@ -71,8 +70,8 @@ class FamilyStats:
 
     The cusped variant removes a curve from the boundary; only its
     arithmetic consequences are tracked here: the fixed-subgroup rank drops
-    to 2n-3 and the rank bound becomes strict below n+4 (stored as n+4 with
-    the strict flag; reports print the "< n+4" form).
+    to 2n-3 and the rank bound becomes strict below n+4 (stored as n+4;
+    reports print the "< n+4" form).
     """
 
     n: int
@@ -82,7 +81,6 @@ class FamilyStats:
     fix_rank_closed: int
     ratio_closed: Fraction
     rank_upper_cusped: int
-    rank_upper_cusped_strict: bool
     fix_rank_cusped: int
     ratio_cusped: Fraction
 
@@ -103,7 +101,6 @@ def family_stats(n: int) -> FamilyStats:
         fix_rank_closed=fix,
         ratio_closed=Fraction(fix, bound),
         rank_upper_cusped=cusped_bound,
-        rank_upper_cusped_strict=True,
         fix_rank_cusped=cusped_fix,
         ratio_cusped=Fraction(cusped_fix, cusped_bound),
     )
@@ -137,7 +134,7 @@ def verify_family(n: int) -> FamilyReport:
     the counts come out differently than claimed.
     """
     stats = family_stats(n)
-    complex = family_complex(n)
+    complex = glue(family_scheme(n))
     boundary = boundary_surfaces(complex)
     genus, two_handles = handle_structure(complex)
     dihedral = dihedral_report(complex)
@@ -160,10 +157,6 @@ def verify_family(n: int) -> FamilyReport:
                     tuple(d.admissible for d in dihedral)),
     ]
     return FamilyReport(n, tuple(checks))
-
-
-def family_complex(n: int) -> GluedComplex:
-    return glue(family_scheme(n))
 
 
 def min_n_for_ratio(epsilon: Rational | float | str) -> int:

@@ -343,7 +343,7 @@ class Double:
 
 def random_double_word(rng: random.Random, rank: int,
                        subgroup: SubgroupGraph | None = None,
-                       max_syllables: int = 6, max_letters: int = 6,
+                       max_syllables: int = 6,
                        in_subgroup: bool = False) -> DoubleWord:
     """Sample a random double word; with ``in_subgroup`` the element is built
     from subgroup generators only, so it is guaranteed to lie in H."""
@@ -366,7 +366,7 @@ def random_double_word(rng: random.Random, rank: int,
         else:
             # Draw i below 2 * rank and take the i-th letter of -rank..-1,
             # 1..rank, with no list of the letters built.
-            draws = (rng.randrange(2 * rank) for _ in range(rng.randint(1, max_letters)))
+            draws = (rng.randrange(2 * rank) for _ in range(rng.randint(1, 6)))
             word = free_reduce(i - rank + (i >= rank) for i in draws)
         syllables.append((side, word))
     return DoubleWord(tuple(syllables))

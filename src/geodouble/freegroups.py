@@ -39,16 +39,16 @@ letter rule, decided and named by ``_check_letters`` alone: a letter is a
 nonzero int (bools count) within the rank.  ``from_generators`` checks all
 generators in a few C-level passes over them joined into one list, and
 ``_check_letters`` over all their letters names the first fault if these
-fail; ``from_adjacency`` checks its labels and edges in one guarded pass,
-column by column, and any failure in it goes to one per-edge loop,
-``_check_edges``, that raises the first fault.  Membership,
-``trace`` and coset representatives share one reader, which reads the word
-as given: each label of a folded graph is a partial injection whose inverse
-label is its inverse map, so a read that completes ends where the read of
-the free reduction ends.  A read that stops checks the whole word, answers
-for a reduced one and reads any other again as its free reduction.  The
-rule's one exception: a read that completes does not check letter types,
-so it reads a float equal to an int as that int.
+fail; ``from_adjacency`` adopts a graph based at vertex 0, checks its
+labels and edges in one guarded pass, column by column, and sends any
+failure to one per-edge loop, ``_check_edges``, that raises the first
+fault.  Membership, ``trace`` and coset representatives share one reader,
+which reads the word as given: each label of a folded graph is a partial
+injection whose inverse label is its inverse map, so a read that completes
+ends where the read of the free reduction ends.  A read that stops checks
+the whole word, answers for a reduced one and reads any other again as its
+free reduction.  The rule's one exception: a read that completes does not
+check letter types, so it reads a float equal to an int as that int.
 
 For the double's normal forms the graph also reads whole words forward
 with free cancellation.  The double's second normal-form pass
@@ -256,23 +256,21 @@ class SubgroupGraph:
             _check_letters([*chain.from_iterable(gens)], ambient_rank)
             raise
         # The fold's own columns are dropped once the graph's are built.
-        return cls(ambient_rank, *_canonical_relabel(*folded, 0), gens)
+        return cls(ambient_rank, *_canonical_relabel(*folded), gens)
 
     @classmethod
-    def from_adjacency(cls, ambient_rank: int, adjacency: Iterable[dict[int, int]],
-                       base: int = 0) -> "SubgroupGraph":
+    def from_adjacency(cls, ambient_rank: int,
+                       adjacency: Iterable[dict[int, int]]) -> "SubgroupGraph":
         """Adopt an explicit folded graph (labels +i/-i, both directions listed).
 
-        The graph must be nonempty, folded, connected from the base, and
-        core (no dangling vertices besides possibly the base).
+        The graph must be nonempty, folded, connected from its base vertex 0,
+        and core (no dangling vertices besides possibly the base).
         """
         _check_count(ambient_rank, "ambient rank")
         adj = [dict(d) for d in adjacency]
         n = len(adj)
         if not n:
             raise ValueError("graph has no vertices")
-        if not 0 <= base < n:
-            raise ValueError(f"base {base} is not a vertex of a {n}-vertex graph")
         # The labels, then the edges, are checked with C-level passes over
         # the label set and the columns.  On any failure, or an IndexError or
         # TypeError from a target that is no vertex or a float label that the
@@ -280,7 +278,7 @@ class SubgroupGraph:
         labels = set().union(*adj)
         sizes = [*map(len, adj)]
         entries = sum(sizes)
-        sizes[base] = 2
+        sizes[0] = 2
         sparse_at = {}
         try:
             ok = 0 not in labels and _in_rank(labels, ambient_rank)
@@ -298,8 +296,8 @@ class SubgroupGraph:
         except (IndexError, TypeError):
             ok = False
         if not ok:
-            _check_edges(adj, ambient_rank, base)
-        columns, parent, label = _canonical_relabel(cols, order, sparse_at, range(n), base)
+            _check_edges(adj, ambient_rank)
+        columns, parent, label = _canonical_relabel(cols, order, sparse_at, range(n))
         if len(parent) != n:
             raise ValueError("graph is not connected from the base vertex")
         return cls(ambient_rank, columns, parent, label)
@@ -477,7 +475,7 @@ def stallings_graph(generators: Iterable[Word | str], ambient_rank: int) -> Subg
     return SubgroupGraph.from_generators(generators, ambient_rank)
 
 
-def _check_edges(adj: list[dict[int, int]], rank: int, base: int) -> None:
+def _check_edges(adj: list[dict[int, int]], rank: int) -> None:
     # Raises on the first fault of an adjacency, edge by edge.
     n = len(adj)
     for v, nbrs in enumerate(adj):
@@ -488,7 +486,7 @@ def _check_edges(adj: list[dict[int, int]], rank: int, base: int) -> None:
             if adj[w].get(-s) != v:
                 raise ValueError(f"edge {v} --{s}--> {w} lacks its reverse entry")
     for v, nbrs in enumerate(adj):
-        if v != base and len(nbrs) <= 1:
+        if v != 0 and len(nbrs) <= 1:
             raise ValueError(f"vertex {v} is dangling; graph is not core")
 
 
@@ -659,9 +657,9 @@ def _fold(gens: list[Word], rank: int
 
 
 def _canonical_relabel(cols: list | dict, labels: list[int], sparse_at: dict[int, list[int]],
-                       root: Sequence[int], base: int
+                       root: Sequence[int]
                        ) -> tuple[dict[int, list | _Sparse], list[int], list[int]]:
-    # One breadth-first pass from the base over fold columns, reading each
+    # One breadth-first pass from vertex 0 over fold columns, reading each
     # stored target t as root[t] and, at each vertex, its labels in the order
     # a, b, ..., A, B, ...: every list column, or the vertex's own labels of
     # dict columns.  It numbers the vertices, writes each edge it reads into
@@ -675,8 +673,8 @@ def _canonical_relabel(cols: list | dict, labels: list[int], sparse_at: dict[int
     scan = [] if wide else entries
     place = {s: i for i, s in enumerate(labels)}
     pos = [-1] * n
-    pos[base] = 0
-    order = [base]
+    pos[0] = 0
+    order = [0]
     parent = [0]
     label = [0]
     for i, v in enumerate(order):

@@ -33,7 +33,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 DEFAULT_TOL = 1e-9
 
@@ -96,11 +95,6 @@ class Isometry:
                  reversing: bool = False):
         self.a, self.b, self.c, self.d = _normalised(a, b, c, d)
         self.reversing = reversing
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[complex]], reversing: bool = False) -> "Isometry":
-        (a, b), (c, d) = (tuple(r) for r in rows)
-        return cls(a, b, c, d, reversing)
 
     def trace(self) -> complex:
         return self.a + self.d

@@ -394,7 +394,6 @@ class GluedComplex:
 
     scheme: GluingScheme
     orientable: bool
-    closed: bool
     classes: list[int] = field(repr=False)
     signs: list[int] = field(repr=False)
     edge_roots: list[int] = field(repr=False)
@@ -428,18 +427,9 @@ class GluedComplex:
         return tuple(EdgeClass(tuple(m), ok) for m, ok in zip(members, self.edge_consistent))
 
 
-def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
+def glue(scheme: GluingScheme) -> GluedComplex:
     """Compute edge classes, vertex classes and the orientability of a
-    scheme and of each vertex link.
-
-    With ``require_closed`` (the default) every face slot must be paired.
-    Passing False computes the identification data of a partial gluing,
-    which leaves some faces free.
-    """
-    if require_closed and not scheme.is_closed:
-        raise GluingError(f"scheme is not closed: {len(scheme.a_tets)} pairings for "
-                          f"{scheme.tet_count} tetrahedra")
-
+    scheme, closed or partial, and of each vertex link."""
     # One signed union-find over the flat items of the module docstring,
     # with value(x) = sign[x] * value(parent[x]).  A union hangs the greater
     # root under the lesser, so parent[x] <= x and each root is the least
@@ -503,7 +493,7 @@ def glue(scheme: GluingScheme, require_closed: bool = True) -> GluedComplex:
     for x in clashes:
         consistent[(x >= c0) + (x >= t0)][parent[x]] = False
     return GluedComplex(
-        scheme, all(consistent[2]), scheme.is_closed, parent, sign, roots[0], sizes[0],
+        scheme, all(consistent[2]), parent, sign, roots[0], sizes[0],
         consistent[0], sizes[1], tuple(consistent[1]), len(sizes[2]))
 
 
@@ -529,7 +519,7 @@ class BoundarySurfaceStats:
 def boundary_surfaces(complex: GluedComplex) -> BoundarySurfaceStats:
     """Count V, E, F, Euler characteristic, orientability and genus of the
     link surface of every vertex class of a closed complex."""
-    if not complex.closed:
+    if not complex.scheme.is_closed:
         raise GluingError("boundary surfaces need a closed scheme")
 
     # Link vertices are edge ends, identified as glue identified their

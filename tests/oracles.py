@@ -925,9 +925,12 @@ def reference_criterion(a: Isometry, b: Isometry, tol: float | None = None) -> C
 
 
 def reference_parse_complex_number(text: str) -> complex:
-    """``cli.parse_complex_number`` as a character loop: an i that no digit
+    """``cli.parse_complex_number`` as a character loop: text holding a
+    non-ASCII character, ``_``, ``(`` or ``)`` is refused, an i that no digit
     (by ``str.isdigit``) or point precedes gets a 1 before it, and each i
     becomes j."""
+    if any(ord(ch) > 127 or ch in "_()" for ch in text):
+        raise ValueError(f"bad complex literal {text!r}")
     cleaned = text.strip().replace(" ", "")
     out = []
     for idx, ch in enumerate(cleaned):

@@ -1,7 +1,9 @@
 import contextlib
 import io
+import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -48,6 +50,11 @@ class TestParsing:
         assert parse_complex_number("2-i") == 2 - 1j
         with pytest.raises(ValueError):
             parse_complex_number("zz")
+        # complex() reads these; an ASCII literal has no other digits, no
+        # digit-group underscores and no parentheses.
+        for text in ("٣", "1_0", "(2+i)", "(3)"):
+            with pytest.raises(ValueError, match=f"^bad complex literal '{re.escape(text)}'$"):
+                parse_complex_number(text)
 
     @pytest.mark.parametrize("text", ["nan", "1e999", "-1e999", "1e999i", "nan+1i"])
     def test_complex_literal_must_be_finite(self, text):
@@ -57,10 +64,12 @@ class TestParsing:
     def test_complex_literals_match_the_character_loop(self):
         # Strings over the literal alphabet, blanks, a superscript two (a
         # digit to str.isdigit only), an Arabic-Indic three (a decimal digit
-        # that complex() reads) and the letters of nan and inf: the same
-        # value or the same error text as the character loop.
+        # that complex() reads, refused as non-ASCII), the underscore and
+        # parentheses that complex() reads and the literal rule refuses, and
+        # the letters of nan and inf: the same value or the same error text
+        # as the character loop.
         rng = random.Random(97)
-        alphabet = "0123456789.+-eEijJ \t²٣naf"
+        alphabet = "0123456789.+-eEijJ \t²٣naf_()"
         parsed = 0
 
         def outcome(parse, text):
@@ -536,7 +545,8 @@ class TestAuditContract:
     """``audit`` on one case, with every flag combination, and ``audit
     --sweep`` on drawn maxima: exit 0 ends with a ``PASS`` line; exit 1
     prints nothing on stdout and one ``error:`` line, for one case the text
-    of ``reference_validate``; no run raises."""
+    of ``reference_validate``; options of both modes in one call exit 2 with
+    a usage text; no run raises."""
 
     @staticmethod
     def assert_contract(argv, fault):
@@ -572,6 +582,133 @@ class TestAuditContract:
                       if value < 0), None)
         self.assert_contract(["audit", "--sweep", f"--g-max={g_max}", f"--m-max={m_max}",
                               f"--l-max={l_max}"], fault)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.booleans(),
+           st.lists(st.sampled_from(("--g", "--m", "--l", "--g-max", "--m-max", "--l-max")),
+                    unique=True),
+           st.lists(st.sampled_from(("--orientable", "--non-orientable", "--separating",
+                                     "--same-component")), max_size=3),
+           st.sampled_from(("-1", "0", "1", "3", "5", "10")), st.randoms(use_true_random=False))
+    def test_one_mode_per_call(self, sweep, valued, flags, value, rng):
+        # A single-case option given with --sweep, or a maximum given without
+        # it, is a usage error naming one such option, also at its default.
+        argv = [*flags, *(f"{option}={value}" for option in valued)]
+        if sweep:
+            argv.insert(rng.randint(0, len(argv)), "--sweep")
+            # Of --orientable and --non-orientable the later wins, as for a
+            # single case, and is the one named.
+            stray = [o for o in valued if not o.endswith("-max")]
+            stray += [f for f in flags if not f.endswith("orientable")]
+            stray += [f for f in flags if f.endswith("orientable")][-1:]
+        else:
+            stray = [o for o in valued if o.endswith("-max")]
+        code, out, err = _captured(["audit", *argv])
+        if not stray:
+            assert code in (0, 1), (argv, err)
+            if code == 0:
+                assert err == "" and out.splitlines()[-1].startswith("PASS "), out
+            else:
+                assert out == "" and err.count("\n") == 1 and err.startswith("error: "), err
+            return
+        assert code == 2 and out == "", (argv, out)
+        assert err.startswith("usage: geodouble audit "), err
+        match = re.fullmatch(r"geodouble audit: error: argument (\S+): not allowed "
+                             r"(with|without) argument --sweep", err.splitlines()[-1])
+        assert match and match[1] in stray and match[2] == ("with" if sweep else "without"), err
+
+
+# Arguments for the contract of the other rows: counts at and past their
+# bounds and malformed, words and syllables over letters, brackets, signs
+# and digits, and scheme files of at most five tetrahedra with bad headers,
+# unknown faces, self-pairings, repeated faces and bad edgeorders.
+_COUNTS = st.sampled_from(("-1", "0", "1", "2", "4", "5", "6", "27", "x", "2.5"))
+_WORD_TEXT = st.one_of(st.text(alphabet="abAB", max_size=6),
+                       st.text(alphabet="abcABC1[]-0z", max_size=8))
+_GENERATORS = st.lists(_WORD_TEXT, max_size=4).map(",".join)
+_SYLLABLES = st.lists(st.tuples(st.sampled_from(("u:", "p:", "x:", "", "u")), _WORD_TEXT)
+                      .map("".join), max_size=4).map(" ".join)
+_EPSILONS = st.sampled_from(("0", "3", "1/0", "x", "0.1", "1/2", "1"))
+_FACE_TOKENS = st.builds("{}.{}".format, st.integers(-1, 6),
+                         st.sampled_from(triangulation.FACE_NAMES + ("123", "x")))
+_PAIR_LINES = st.builds(
+    lambda a, b, order: f"pair {a} {b}{order}", _FACE_TOKENS, _FACE_TOKENS,
+    st.one_of(st.just(""), st.lists(st.integers(0, 7), max_size=4).map(
+        lambda o: " edgeorder " + " ".join(map(str, o))), st.just(" edge 1 6 5")))
+_SCHEME_TEXTS = st.one_of(
+    st.sampled_from(("tets 1\n", "tets 2\npair 1.132 2.453 edgeorder 3 1 2\n",
+                     render_scheme(family_scheme(4)), render_scheme(family_scheme(5)))),
+    st.builds(lambda header, lines, self_pair: "\n".join([header, *lines, *self_pair]) + "\n",
+              st.sampled_from(("tets 1", "tets 2", "tets 5", "tets 0", "tets -1", "tets x",
+                               "tet 2", "# no header")),
+              st.lists(_PAIR_LINES, max_size=6),
+              st.lists(_FACE_TOKENS.map(lambda f: f"pair {f} {f}"), max_size=1)))
+
+
+def _option(flag, values):
+    return st.tuples(st.just(flag), values).map(list)
+
+
+def _contract_argv(path, scheme):
+    """A strategy of argv lists for the row ``path``, with ``scheme`` the
+    path of a scheme file."""
+    file = st.just([scheme])
+    rank_gens = (_option("--rank", _COUNTS), _option("--gens", _GENERATORS))
+    pres_input = st.one_of(
+        _option("--scheme", st.just(scheme)),
+        st.tuples(_option("--gens", _COUNTS), _option("--relators", _GENERATORS))
+        .map(lambda options: options[0] + options[1]))
+    args = {
+        "family report": (_option("--n-min", _COUNTS), _option("--n-max", _COUNTS),
+                          st.one_of(st.just([]), _option("--epsilon", _EPSILONS))),
+        "family verify": (_option("--n", _COUNTS),),
+        "scheme info": (file,),
+        "scheme canon": (file,),
+        "scheme family": (_option("--n", _COUNTS),),
+        "fg fold": rank_gens,
+        "fg member": (*rank_gens, _option("--word", _WORD_TEXT)),
+        "fg rank": rank_gens,
+        "fg index": rank_gens,
+        "fg rep": (*rank_gens, _option("--word", _WORD_TEXT)),
+        "double nf": (_option("--rank", _COUNTS), _option("--H", _GENERATORS),
+                      _option("--word", _SYLLABLES)),
+        "double fixtest": (_option("--rank", _COUNTS), _option("--H", _GENERATORS),
+                           _option("--samples", _COUNTS), _option("--seed", _COUNTS)),
+        "pres from-scheme": (file,),
+        "pres simplify": (pres_input,),
+        "pres h1rank": (pres_input,),
+    }[path]
+    return st.tuples(*args).map(lambda parts: [*path.split(), *itertools.chain(*parts)])
+
+
+class TestCommandContract:
+    """Every row but ``iso`` and ``audit`` (which have their own contract
+    tests above), with and without ``--machine``, on drawn valid, boundary
+    and malformed arguments and scheme files: exit 0, 1 or 2 and no
+    traceback.  Exit 1 is empty stdout and one ``error:`` line, or a report
+    holding a failed check; exit 2 is a usage text."""
+
+    @pytest.mark.parametrize("path", [p for p in cli.COMMANDS
+                                      if not p.startswith(("iso ", "audit"))])
+    @settings(max_examples=50, deadline=None)
+    @given(machine=st.booleans(), scheme_text=_SCHEME_TEXTS, data=st.data())
+    def test_exit_status_and_error_lines(self, tmp_path_factory, path, machine, scheme_text,
+                                         data):
+        scheme = tmp_path_factory.getbasetemp() / "contract.scheme"
+        scheme.write_text(scheme_text)
+        argv = ["--machine"] * machine + data.draw(_contract_argv(path, str(scheme)))
+        code, out, err = _captured(argv)  # an exception (a traceback) fails here
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            assert err == "", (argv, err)
+        elif code == 1 and err:
+            assert out == "", (argv, out)
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err)
+        elif code == 1:
+            assert "\nFAIL " in out or "=fail\n" in out, (argv, out)
+        else:
+            assert out == "" and err.startswith("usage: "), (argv, out, err)
 
 
 class TestPresAudit:

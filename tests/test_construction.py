@@ -5,7 +5,6 @@ import pytest
 
 from geodouble.construction import (
     InadmissibleFamilyError,
-    family_complex,
     family_scheme,
     family_stats,
     is_admissible,
@@ -18,6 +17,7 @@ from geodouble.triangulation import (
     GluingScheme,
     SchemeError,
     boundary_surfaces,
+    glue,
     handle_structure,
 )
 
@@ -89,7 +89,7 @@ class TestFamilyStats:
         assert st.fix_rank_closed == 6
         assert st.rank_upper_closed == 7
         assert st.fix_rank_cusped == 5
-        assert st.rank_upper_cusped == 8 and st.rank_upper_cusped_strict
+        assert st.rank_upper_cusped == 8
 
     def test_n100_ratio(self):
         assert family_stats(100).ratio_closed == Fraction(198, 103)
@@ -99,7 +99,7 @@ class TestFamilyStats:
         assert repr(st) == (
             "FamilyStats(n=5, handlebody_genus=6, boundary_genus=4, rank_upper_closed=8, "
             "fix_rank_closed=8, ratio_closed=Fraction(1, 1), rank_upper_cusped=9, "
-            "rank_upper_cusped_strict=True, fix_rank_cusped=7, ratio_cusped=Fraction(7, 9))")
+            "fix_rank_cusped=7, ratio_cusped=Fraction(7, 9))")
         assert st == family_stats(5) and st != family_stats(7)
         assert hash(st) == hash(family_stats(5))
 
@@ -117,7 +117,7 @@ class TestFamilyStats:
     def test_stats_agree_with_complex(self):
         for n in (4, 5, 7):
             st = family_stats(n)
-            c = family_complex(n)
+            c = glue(family_scheme(n))
             genus, handles = handle_structure(c)
             assert genus == st.handlebody_genus
             assert boundary_surfaces(c).components[0].genus == st.boundary_genus

@@ -413,13 +413,15 @@ class TestFoldOracles:
         assert (g._col, g._parent, g._label) == \
             (expected._col, expected._parent, expected._label)
         assert list(g._col) == list(expected._col)
-        # The same graph adopted with shuffled vertex names and base.
+        # The same graph adopted with shuffled vertex names, the base kept at 0.
         names = rng.sample(range(size), size)
+        i = names.index(0)
+        names[0], names[i] = 0, names[0]
         shuffled = [{} for _ in range(size)]
         for v, s, w in expected.edges():
             shuffled[names[v]][s] = names[w]
             shuffled[names[w]][-s] = names[v]
-        adopted = SubgroupGraph.from_adjacency(rank, shuffled, base=names[0])
+        adopted = SubgroupGraph.from_adjacency(rank, shuffled)
         assert (adopted._col, adopted._parent, adopted._label) == (g._col, g._parent, g._label)
 
 
@@ -513,11 +515,13 @@ class TestColumnLayout:
             assert [g.coset_representative(p) for p in probes] == \
                 tree_coset_representatives(g, probes), gens
             names = rng.sample(range(g.vertex_count), g.vertex_count)
+            i = names.index(0)
+            names[0], names[i] = 0, names[0]
             adjacency = [{} for _ in names]
             for v, s, w in g.edges():
                 adjacency[names[v]][s] = names[w]
                 adjacency[names[w]][-s] = names[v]
-            adopted = SubgroupGraph.from_adjacency(rank, adjacency, base=names[0])
+            adopted = SubgroupGraph.from_adjacency(rank, adjacency)
             assert adopted == g and hash(adopted) == hash(g), gens
             layout = list if rank <= 8 else _Sparse
             assert {*map(type, g._col.values()), *map(type, adopted._col.values())} == {layout}
@@ -598,16 +602,14 @@ class TestColumnLayout:
             g.contains((1, 2, -4, 3))
         assert g.step(0, 3) is None and g.step(0, -3) is None
 
-    @pytest.mark.parametrize("adjacency, base, message", [
-        ([], 0, "no vertices"),
-        ([{1: 5}], 0, "leaves the 1-vertex graph"),
-        ([{1: -1}, {-1: 0}], 0, "leaves the 2-vertex graph"),
-        ([{1: 0, -1: 0}], -1, "base -1 is not a vertex"),
-        ([{1: 0, -1: 0}], 1, "base 1 is not a vertex"),
+    @pytest.mark.parametrize("adjacency, message", [
+        ([], "no vertices"),
+        ([{1: 5}], "leaves the 1-vertex graph"),
+        ([{1: -1}, {-1: 0}], "leaves the 2-vertex graph"),
     ])
-    def test_from_adjacency_rejects_malformed_input(self, adjacency, base, message):
+    def test_from_adjacency_rejects_malformed_input(self, adjacency, message):
         with pytest.raises(ValueError, match=message):
-            SubgroupGraph.from_adjacency(1, adjacency, base=base)
+            SubgroupGraph.from_adjacency(1, adjacency)
 
 
 def _reads_through(g, word):

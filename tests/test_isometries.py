@@ -239,7 +239,7 @@ class TestFixedPoints:
         # (d - a)^2 overflows, though the points are finite.  They still
         # sum to (a - d)/c and multiply to -b/c, in the order the finite
         # formula gives the same matrix with 1e160 or 1e200 scaled to 1e10.
-        g = Isometry.from_rows(rows)
+        g = Isometry(*rows[0], *rows[1])
         a, b, c, d = g.a, g.b, g.c, g.d
         assert not cmath.isfinite((d - a) * (d - a))
         fps = fixed_points(g)

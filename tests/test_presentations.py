@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from geodouble import presentations
 from geodouble.cli import main
-from geodouble.construction import family_complex
+from geodouble.construction import family_scheme
 from geodouble.freegroups import WordError, inverse_word, word_to_str
 from geodouble.freegroups import word_from_str as w
 from geodouble.presentations import (
@@ -145,13 +145,13 @@ class TestPresentationBasics:
 
 class TestPresentationFromComplex:
     def test_family_n4(self):
-        p = presentation_from_complex(family_complex(4))
+        p = presentation_from_complex(glue(family_scheme(4)))
         assert p.generator_count == 2
         assert len(p.relators) == 8
         assert all(len(r) == 3 for r in p.relators)
 
     def test_single_tet_no_pairings_is_free(self):
-        c = glue(parse_scheme("tets 1"), require_closed=False)
+        c = glue(parse_scheme("tets 1"))
         p = presentation_from_complex(c)
         assert p.generator_count == 3
         assert p.relators == ()
@@ -176,7 +176,7 @@ class TestPresentationFromComplex:
         # Independent path: boundary matrices without a spanning tree.
         rng = random.Random(41)
         from test_triangulation import random_closed_scheme
-        cases = [family_complex(4), family_complex(5)]
+        cases = [glue(family_scheme(4)), glue(family_scheme(5))]
         for _ in range(25):
             c = glue(random_closed_scheme(rng))
             if c.connected and all(ec.orientation_consistent for ec in c.edge_classes):
@@ -190,8 +190,8 @@ class TestPresentationFromComplex:
         words an oracle reads off the public columns; many of those words
         hold a tree edge or a cancelling pair that must be reduced away."""
         from test_triangulation import oracle_schemes
-        complexes = [family_complex(n) for n in (4, 5, 64)]
-        complexes += [glue(s, require_closed=False) for s in oracle_schemes()]
+        complexes = [glue(family_scheme(n)) for n in (4, 5, 64)]
+        complexes += [glue(s) for s in oracle_schemes()]
         built = cancelling = 0
         for c in complexes:
             try:
@@ -220,7 +220,7 @@ class TestPresentationFromComplex:
     def test_family_n4_first_homology(self):
         # Two generators x, y with abelianized relators (1,2) and (-2,1):
         # determinant 5, so H1 is cyclic of order 5.
-        inv = abelianization(presentation_from_complex(family_complex(4)))
+        inv = abelianization(presentation_from_complex(glue(family_scheme(4))))
         assert inv.rank == 0
         assert inv.torsion == (5,)
 
@@ -645,7 +645,7 @@ class TestAbelianization:
             assert inv.torsion == tuple(f for f in factors if f > 1)
 
     def test_family_relators_repeat(self):
-        p = presentation_from_complex(family_complex(64))
+        p = presentation_from_complex(glue(family_scheme(64)))
         assert len(p.relators) == 128 and len(set(p.relators)) == 2
         assert abelianization(p) == abelianization(Presentation(2, tuple(set(p.relators))))
 

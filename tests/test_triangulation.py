@@ -113,7 +113,7 @@ def oracle_schemes():
 def assert_glue_matches_flood(scheme):
     """Compare glue's identification data with the flood-fill oracle;
     return the number of orientation-inconsistent edge classes."""
-    c = glue(scheme, require_closed=False)
+    c = glue(scheme)
     edges, verts, comps = flood_identifications(scheme)
     forest = forest_signs(scheme)
     assert_columns_match_flood(c, edges, verts, comps, forest)
@@ -643,7 +643,7 @@ class TestGlue:
             if i % 2:
                 records = [p for p in records if rng.random() < 0.8]
             scheme = GluingScheme(tets, records)
-            c = glue(scheme, require_closed=False)
+            c = glue(scheme)
             assert_columns_match_flood(c, *flood_identifications(scheme), forest_signs(scheme))
             _, corner_classes, tet_classes = signed_floods(scheme)
             assert c.link_orientable == tuple(ok for _, ok in corner_classes)
@@ -677,11 +677,14 @@ class TestGlue:
             presentation_from_complex(c)
 
     def test_open_scheme_rejected_by_default(self):
+        # An open scheme glues; only boundary_surfaces, which needs every
+        # face paired, rejects it.
         scheme = parse_scheme("tets 1\npair 1.132 1.453\n")
-        with pytest.raises(GluingError, match="not closed"):
-            glue(scheme)
-        c = glue(scheme, require_closed=False)
-        assert not c.closed
+        c = glue(scheme)
+        assert not c.scheme.is_closed
+        assert_glue_matches_flood(scheme)
+        with pytest.raises(GluingError, match="need a closed scheme"):
+            boundary_surfaces(c)
 
     def test_edge_classes_partition(self):
         rng = random.Random(19)
@@ -823,7 +826,7 @@ class TestBoundarySurfaces:
                     assert comp.euler_characteristic % 2 == 0
 
     def test_open_scheme_rejected(self):
-        c = glue(parse_scheme("tets 1\npair 1.132 1.453\n"), require_closed=False)
+        c = glue(parse_scheme("tets 1\npair 1.132 1.453\n"))
         with pytest.raises(GluingError):
             boundary_surfaces(c)
 
