@@ -338,6 +338,11 @@ def cmd_double_fixtest(args, rep: Report) -> None:
     rep.check("fixed_iff_zero_syllables", agree == args.samples)
 
 
+def _unsigned(z: complex) -> complex:
+    # z with its zero parts unsigned: -0.0 + 0.0 is 0.0, and inf stays inf.
+    return complex(z.real + 0.0, z.imag + 0.0)
+
+
 @command("iso classify", _arg("--m", type=str, required=True, help='matrix "a,b;c,d"'),
          _arg("--rev", action="store_true"), _TOL)
 def cmd_iso_classify(args, rep: Report) -> None:
@@ -352,13 +357,13 @@ def cmd_iso_classify(args, rep: Report) -> None:
     fps = isometries.fixed_points(g, args.tol)
     rep.kv("fixed_set", fps.kind)
     if fps.points:
-        rep.kv("fixed_points", " ".join(str(p) for p in fps.points))
+        rep.kv("fixed_points", " ".join(str(_unsigned(p)) for p in fps.points))
     if fps.kind == "circle":
-        rep.kv("center", fps.center)
+        rep.kv("center", _unsigned(fps.center))
         rep.kv("radius", fps.radius)
     elif fps.kind == "line":
-        rep.kv("line_point", fps.line_point)
-        rep.kv("line_direction", fps.line_direction)
+        rep.kv("line_point", _unsigned(fps.line_point))
+        rep.kv("line_direction", _unsigned(fps.line_direction))
 
 
 @command("iso commute", _arg("--m1", type=str, required=True),

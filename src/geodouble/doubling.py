@@ -27,11 +27,12 @@ permutation of the cosets instead, at O(index) per letter; which of the
 two it does is decided once per word, before the first syllable.  On an
 infinite-index subgroup the read stops at the first letter the graph
 lacks; only a tail that reads far from a non-base vertex is read again
-at the next syllable.  Both passes pay their fixed costs once per word:
-the intake checks of ``DoubleWord`` and the rank check of pass 1 are
-C-level passes over all the word's letters, with a per-syllable scan only
-to name a fault, and pass 2 is one loop per syllable over the graph's own
-columns and spanning tree, with no helper call per syllable.
+at the next syllable.  ``DoubleWord`` checks its syllables in turn, each
+side and then each word's letters by the one letter rule.  The rank check
+of pass 1 stays one C-level pass over all the word's letters, with a
+per-letter scan only to name a fault, and pass 2 is one loop per syllable
+over the graph's own columns and spanning tree, with no helper call per
+syllable.
 
 This is a computable stand-in for doubling a manifold along boundary:
 the fundamental group of the double is the amalgamated product of two
@@ -65,7 +66,6 @@ from .freegroups import (
     Word,
     _check_count,
     _check_letters,
-    _in_rank,
     concat,
     free_reduce,
     inverse_word,
@@ -79,19 +79,6 @@ PRIMED = 1
 _SIDE_NAMES = {UNPRIMED: "u", PRIMED: "p"}
 
 Syllable = tuple[int, Word]
-
-
-def _well_formed(syllables: tuple) -> bool:
-    # Whether every syllable is a (side, word) pair of tuples, every side 0
-    # or 1 and every letter a nonzero int, by C-level passes over the whole
-    # word; a word that fails, or the empty word, goes through _checked.
-    if not {*map(type, syllables)} <= {tuple} or {*map(len, syllables)} != {2}:
-        return False
-    sides, words = zip(*syllables)
-    if not {*map(type, words)} <= {tuple} or sides.count(0) + sides.count(1) != len(sides):
-        return False
-    letters = tuple(chain.from_iterable(words))
-    return 0 not in letters and _in_rank(letters, None)
 
 
 def _checked(syllables: Iterable) -> tuple[Syllable, ...]:
@@ -114,10 +101,7 @@ class DoubleWord:
     syllables: tuple[Syllable, ...]
 
     def __post_init__(self) -> None:
-        syllables = self.syllables
-        if type(syllables) is not tuple or not _well_formed(syllables):
-            syllables = _checked(syllables)
-        object.__setattr__(self, "syllables", syllables)
+        object.__setattr__(self, "syllables", _checked(self.syllables))
 
     @classmethod
     def from_str(cls, text: str, rank: int | None = None) -> "DoubleWord":

@@ -56,8 +56,8 @@ from fractions import Fraction
 from operator import add, neg
 from typing import Iterable, Iterator, Sequence
 
-from .freegroups import (Word, _check_count, _check_letters, free_reduce, inverse_word,
-                         letter_str, word_to_str)
+from .freegroups import (Word, _check_count, _check_letters, _in_rank, free_reduce,
+                         inverse_word, letter_str, word_to_str)
 from .triangulation import (
     FACE_NAMES,
     FACES,
@@ -68,16 +68,8 @@ from .triangulation import (
 
 
 def cyclic_reduce(word: Iterable[int]) -> Word:
-    """Freely reduce, then strip cancelling first/last letters.
-
-    Letters are nonzero, so a zero sum of two cyclic neighbours marks a
-    cancelling pair, and two C-level passes return most words, already
-    cyclically reduced, as they are; any other word, and a 0 letter, goes
-    through ``free_reduce``."""
-    w = tuple(word)
-    if 0 not in w and 0 not in map(add, w, w[1:] + w[:1]):
-        return w
-    w = free_reduce(w)
+    """Freely reduce, then strip cancelling first/last letters."""
+    w = free_reduce(word)
     i, j = 0, len(w) - 1
     while i < j and w[i] == -w[j]:
         i += 1
@@ -308,19 +300,18 @@ def tietze_simplify(p: Presentation) -> Presentation:
 # -- Smith normal form ---------------------------------------------------------
 
 
-def _distinct_rows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Nonzero rows of an integer matrix, one per class of rows equal up to
-    sign.  Dropping the others leaves the row lattice, and so the invariant
-    factors and the rank, unchanged."""
-    rows = [tuple(map(int, row)) for row in matrix]
+def _nonzero_rows(matrix: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The nonzero rows of an integer matrix, whose entries are ints (bools
+    count).  One C-level pass decides, as for letters: the sum of the row
+    sums is an int only if every entry is; only on failure is the first bad
+    entry looked for and named."""
+    rows = [*map(tuple, matrix)]
     if len(set(map(len, rows))) > 1:
         raise ValueError("ragged matrix")
-    distinct: dict[tuple[int, ...], None] = {}
-    for row in dict.fromkeys(rows):
-        lead = next(filter(None, row), 0)
-        if lead:
-            distinct[row if lead > 0 else tuple(map(neg, row))] = None
-    return list(distinct)
+    if not _in_rank(map(sum, rows), None):
+        bad = next(x for row in rows for x in row if not isinstance(x, int))
+        raise ValueError(f"matrix entry {bad!r} is not an int")
+    return [*filter(any, rows)]
 
 
 def _unit_pivots(rows: list[tuple[int, ...]]) -> tuple[int, list[tuple[int, ...]]]:
@@ -467,9 +458,10 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix; r is its
     rank over the rationals.
 
-    Zero rows and rows repeated up to sign are dropped.  The sparse front
-    end eliminates +-1 pivots first, each an invariant factor 1, and passes
-    on the rows left; then determinant-modular elimination after Hafner and
+    Entries must be ints (bools count); any other entry raises ValueError
+    naming it.  Zero rows are dropped.  The sparse front end eliminates +-1
+    pivots first, each an invariant factor 1, and passes on the rows left;
+    then determinant-modular elimination after Hafner and
     McCurley (1991): fraction-free Bareiss elimination gives the rank r and
     a nonzero r x r minor D, which every determinantal divisor Delta_k
     (k <= r) divides; extended-gcd row and column steps then diagonalise
@@ -480,7 +472,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     Delta_k of L, Delta_r and so the r x r minor D; so d_k = c_k.  Exact
     over arbitrary-precision integers.
     """
-    units, rows = _unit_pivots(_distinct_rows(matrix))
+    units, rows = _unit_pivots(_nonzero_rows(matrix))
     rank, d = _bareiss(rows)
     if d == 1:
         return (1,) * (units + rank)
@@ -523,6 +515,10 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 def surface_rank(genus: int, boundary_circles: int, orientable: bool) -> int:
     """Rank of a surface group: orientable 2g+k-1 (2g closed), else g+k-1
     (g closed), with genus meaning crosscap count in the non-orientable case."""
+    if type(genus) is not int:
+        raise ValueError(f"genus {genus!r} is not an int")
+    if type(boundary_circles) is not int:
+        raise ValueError(f"boundary circle count {boundary_circles!r} is not an int")
     if boundary_circles < 0:
         raise ValueError("boundary circle count must be >= 0")
     if orientable:
@@ -567,6 +563,10 @@ class AuditCase:
 
     def validate(self) -> None:
         g, m, l = self.genus, self.torus_pairs, self.single_circles
+        if not type(g) is type(m) is type(l) is int:
+            for name, value in (("genus", g), ("torus_pairs", m), ("single_circles", l)):
+                if type(value) is not int:
+                    raise AuditError(f"{name} {value!r} is not an int")
         if m < 0 or l < 0:
             raise AuditError("circle counts must be >= 0")
         if self.orientable:

@@ -445,7 +445,7 @@ class TestIso:
         code, out = run(capsys, "iso", "classify", "--m", "1e200,0;0,1e-200")
         assert code == 0
         assert out.splitlines()[1:] == ["class = loxodromic", "fixed_set = pair",
-                                        "fixed_points = (-0-0j) (inf+0j)"]
+                                        "fixed_points = 0j (inf+0j)"]
 
     def test_far_fixed_point_commute_without_overflow(self, capsys):
         code, out = run(capsys, "iso", "commute", "--m1", "2,1e160;0,0.5",
@@ -465,7 +465,7 @@ class TestIso:
         code, out = run(capsys, "iso", "classify", "--m", "1e160,1;-1,0")
         assert code == 0
         assert out.splitlines()[1:] == ["class = loxodromic", "fixed_set = pair",
-                                        "fixed_points = (-1e+160-0j) (-1e-160+0j)"]
+                                        "fixed_points = (-1e+160+0j) (-1e-160+0j)"]
 
     def test_table(self, capsys):
         code, out = run(capsys, "iso", "table", "--preserving", "--closed")

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geodouble import doubling
 from geodouble.doubling import (
@@ -75,6 +76,16 @@ class TestDoubleWordParsing:
     def test_syllables_stored_as_given_tuples(self):
         w = DoubleWord(((UNPRIMED, [1, -1, 2]), (PRIMED, iter((2, 2)))))
         assert w.syllables == ((UNPRIMED, (1, -1, 2)), (PRIMED, (2, 2)))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.tuples(st.sampled_from([0, 1, False, True]),
+                              st.lists(st.integers().filter(bool), max_size=6),
+                              st.sampled_from([tuple, list]))),
+           st.sampled_from([tuple, list, iter]))
+    def test_every_given_form_is_stored_as_tuples(self, drawn, given_as):
+        syllables = [(side, word_as(word)) for side, word, word_as in drawn]
+        assert DoubleWord(given_as(syllables)).syllables == tuple(
+            (side, tuple(word)) for side, word in syllables)
 
     @pytest.mark.parametrize("word", [(0,), (1, 0), [2, -2, 0, 1], iter((1, 0))])
     def test_zero_letter_raises(self, word):

@@ -412,6 +412,17 @@ class TestSmithNormalForm:
         with pytest.raises(ValueError):
             smith_normal_form([[1, 2], [3]])
 
+    @pytest.mark.parametrize("entry", [2.0, 2.7, "3", Fraction(2), math.inf, math.nan])
+    def test_entries_that_are_not_ints_are_refused(self, entry):
+        for matrix in ([[entry]], [[1, 0], [0, 2]] + [[3, entry]], [[4, 6], (entry, 1)]):
+            with pytest.raises(ValueError) as raised:
+                smith_normal_form(matrix)
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == f"matrix entry {entry!r} is not an int"
+
+    def test_bool_entries_count_as_ints(self):
+        assert smith_normal_form([[True, False], [False, 2]]) == (1, 2)
+
     @pytest.mark.parametrize("matrix, factors", [
         ([], ()), ([[]], ()), ([[], []], ()), ([[0, 0, 0]], ()), ([[0, 0]] * 3, ()),
         ([[0, 1, 0], [0, 0, 0], [0, -1, 0]], (1,)),
@@ -663,6 +674,19 @@ class TestRankArithmetic:
         with pytest.raises(ValueError):
             surface_rank(0, 0, False)
 
+    @pytest.mark.parametrize("genus, circles, message", [
+        (2.5, 1, "genus 2.5 is not an int"),
+        (True, 0, "genus True is not an int"),
+        (1.0, -1, "genus 1.0 is not an int"),
+        (1, 2.0, "boundary circle count 2.0 is not an int"),
+        (-1, False, "boundary circle count False is not an int"),
+    ])
+    def test_surface_rank_counts_are_plain_ints(self, genus, circles, message):
+        for orientable in (True, False):
+            with pytest.raises(ValueError) as raised:
+                surface_rank(genus, circles, orientable)
+            assert type(raised.value) is ValueError and str(raised.value) == message
+
 
 class TestRankAudit:
     def test_orientable_separating_with_boundary(self):
@@ -727,6 +751,17 @@ class TestRankAudit:
             rank_audit(AuditCase(2, 0, 1, True, False, False))  # single circle, diff comps
         with pytest.raises(AuditError):
             rank_audit(AuditCase(0, 0, 0, False, False))  # non-orientable genus 0
+
+    @pytest.mark.parametrize("fields, message", [
+        ((1.5, 0, 0), "genus 1.5 is not an int"),
+        ((True, 0, 0), "genus True is not an int"),
+        ((2, 1.0, -1), "torus_pairs 1.0 is not an int"),
+        ((-1, 0, "1"), "single_circles '1' is not an int"),
+    ])
+    def test_counts_are_plain_ints(self, fields, message):
+        with pytest.raises(AuditError) as raised:
+            rank_audit(AuditCase(*fields, True, True))
+        assert str(raised.value) == message
 
     def test_sweep_all_strict(self):
         count = 0
