@@ -23,16 +23,16 @@ representatives and the action on cosets come straight from the folded
 graph (Kapovich-Myasnikov, "Stallings foldings and subgroups of free
 groups", J. Algebra 2002).  On a finite-index subgroup that read runs
 through the whole tail, so for a long word the pass carries the tail's
-permutation of the cosets instead, at O(index) per letter; which of the
-two it does is decided once per word, before the first syllable.  On an
-infinite-index subgroup the read stops at the first letter the graph
-lacks; only a tail that reads far from a non-base vertex is read again
-at the next syllable.  ``DoubleWord`` checks its syllables in turn, each
-side and then each word's letters by the one letter rule.  The rank check
-of pass 1 stays one C-level pass over all the word's letters, with a
-per-letter scan only to name a fault, and pass 2 is one loop per syllable
-over the graph's own columns and spanning tree, with no helper call per
-syllable.
+permutation of the cosets instead, at one C-level gather of index entries
+per letter; which of the two it does is decided once per word, before the
+first syllable.  On an infinite-index subgroup the read stops at the first
+letter the graph lacks; only a tail that reads far from a non-base vertex
+is read again at the next syllable.  ``DoubleWord`` checks its syllables
+in turn, each side (an int, 0 or 1) and then each word's letters by the
+one letter rule.  The rank check of pass 1 stays one C-level pass over all
+the word's letters, with a per-letter scan only to name a fault, and pass
+2 is one loop per syllable over the graph's own columns and spanning tree,
+with no helper call per syllable.
 
 This is a computable stand-in for doubling a manifold along boundary:
 the fundamental group of the double is the amalgamated product of two
@@ -82,12 +82,13 @@ Syllable = tuple[int, Word]
 
 
 def _checked(syllables: Iterable) -> tuple[Syllable, ...]:
-    # The syllables as tuples, checked one by one: the side, then the
-    # letters by the letter rule with no rank.
+    # The syllables as tuples, checked one by one: the side, an int equal
+    # to 0 or 1 (bools count, as for letters), then the letters by the
+    # letter rule with no rank.
     out = []
     for side, word in syllables:
-        if side not in (UNPRIMED, PRIMED):
-            raise ValueError(f"side must be 0 or 1, got {side}")
+        if side not in (UNPRIMED, PRIMED) or not isinstance(side, int):
+            raise ValueError(f"side must be 0 or 1, got {side!r}")
         word = tuple(word)
         _check_letters(word)
         out.append((side, word))
@@ -144,12 +145,14 @@ class NormalForm:
 # (finite-index) graph it carries the tail's action on the vertices from the
 # first syllable when the pass-1 stack holds more than TABLE_FACTOR * V
 # letters, V the vertex count, and otherwise reads the whole tail at every
-# syllable.  A read costs about 80-100 ns per tail letter; updating the action
-# costs about 30-40 ns per vertex at V = 16 and 27-30 ns at V = 1024, for each
-# of the |x| + |t(u)| passes (CPython 3.11, 2-vCPU x86 host).  With syllables
-# of 1-3 random letters and mean tree depths 2.0-2.2 (V = 16) and 5.6
-# (V = 1024), the two meet at a tail of 1.7 V and 2.5 V letters, and the
-# tails of random words grow with the letters read.
+# syllable.  A read costs about 95-150 ns per tail letter; updating the action,
+# one C-level gather, costs about 12-19 ns per vertex at V = 16 and 9.5-10 ns
+# at V = 1024, for each of the |x| + |t(u)| passes (CPython 3.11, shared
+# 2-vCPU x86 host).  On random words with syllables of 1-3 letters and mean
+# tree depths 1.8-2.2 (V = 16) and 5.6 (V = 1024), carrying from the first
+# syllable and reading throughout take equal time at about 1.1-1.7 V stack
+# letters at V = 16 and 0.8 V at V = 1024, since tails grow with the letters
+# read.  That is below 2, but a lower factor is unmeasured on the benchmark.
 TABLE_FACTOR = 2
 
 
@@ -159,14 +162,16 @@ class Double:
     def __init__(self, subgroup: SubgroupGraph):
         self._subgroup = subgroup
         self.rank = subgroup.ambient_rank
-        self._complete = subgroup.index() is not None
         # back[s] is the column of s^-1: reading a word backwards steps
-        # through it.  The carried action iterates whole columns, so on a
-        # complete graph a dict column is copied into a list.
+        # through it.  On a complete (finite-index) graph gather[s] maps a
+        # carried action act to act[back[s][v]] for every v, in one C-level
+        # call; otherwise gather is None.  With one vertex an itemgetter
+        # returns an item, not a 1-tuple, but then every word lies in H and
+        # pass 1 returns before pass 2 carries.
         vertices = range(subgroup.vertex_count)
-        self._back = {-s: col if type(col) is list or not self._complete
-                      else [*map(col.__getitem__, vertices)]
-                      for s, col in subgroup._col.items()}
+        self._back = back = {-s: col for s, col in subgroup._col.items()}
+        self._gather = {s: itemgetter(*map(col.__getitem__, vertices))
+                        for s, col in back.items()} if subgroup.index() is not None else None
         # (weak reference to the word normal_form last reduced, whether it
         # lies in H).  One tuple, so a reader sees the two together; the
         # first reference resolves to no word.
@@ -205,10 +210,10 @@ class Double:
         Cost: pass 1 is linear in the letters.  Pass 2 costs O(|x| + |t(u)|)
         per syllable plus its read of the tail, which on a complete graph
         runs only for words of at most TABLE_FACTOR * V letters after pass 1,
-        or O(V) per letter of x and t(u) when the action is carried.  On an
-        infinite-index subgroup the read has no such cap: a tail that reads
-        far from 0 * x^-1 is read again at every syllable, so the worst case
-        is quadratic in the length of the word
+        or, when the action is carried, one C-level gather of V entries per
+        letter of x and t(u).  On an infinite-index subgroup the read has no
+        such cap: a tail that reads far from 0 * x^-1 is read again at every
+        syllable, so the worst case is quadratic in the length of the word
         (H = <a, bAB> with u:a^k then alternating p:B, u:b reads all of a^k
         at each syllable).
         """
@@ -250,13 +255,14 @@ class Double:
     def _split(self, stack: list[list]) -> NormalForm:
         """Pass 2: split each syllable of a reduced stack with no None entry."""
         graph = self.subgroup
-        back, parent, label = self._back, graph._parent, graph._label
+        back, gather = self._back, self._gather
+        parent, label = graph._parent, graph._label
         out: list[Syllable] = []
         tail: deque[int] = deque()
         # act[v] = v * tail^-1 for the tail held, from the first syllable or never.
-        carry = self._complete and (sum(map(len, map(itemgetter(1), stack)))
-                                    > TABLE_FACTOR * graph.vertex_count)
-        act = list(range(graph.vertex_count)) if carry else None
+        carry = gather is not None and (sum(map(len, map(itemgetter(1), stack)))
+                                        > TABLE_FACTOR * graph.vertex_count)
+        act = tuple(range(graph.vertex_count)) if carry else None
         for side, word, _ in stack:
             # The tail becomes w = tail * x.
             for s in word:
@@ -267,7 +273,7 @@ class Double:
             if act is not None:
                 # v * (tail * s)^-1 = (v * s^-1) * tail^-1.
                 for s in word:
-                    act = [act[v] for v in back[s]]
+                    act = gather[s](act)
                 u, rep = act[0], []
             else:
                 # Read w backwards from the base up to the first letter the
@@ -290,8 +296,7 @@ class Double:
                 else:
                     tail.appendleft(s)
                 if act is not None:
-                    col = back[s]
-                    act = [col[v] for v in act]
+                    act = itemgetter(*act)(back[s])
                 u = parent[u]
             out.append((side, tuple(rep)))
         return NormalForm(tuple(out), tuple(tail))

@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +149,11 @@ class TestFirstFault:
         (((3, 5),), ValueError, "side must be 0 or 1, got 3"),
         (((0, (1,)), (1, 5)), TypeError, "'int' object is not iterable"),
         (((0, (1,), 2),), ValueError, "too many values to unpack (expected 2)"),
+        # A side equal to 0 or 1 that is not an int, ahead of a bad letter.
+        (((1.0, (1,)), (Fraction(0), (2,))), ValueError, "side must be 0 or 1, got 1.0"),
+        (((0, (1,)), (Fraction(0), (2,))), ValueError,
+         "side must be 0 or 1, got Fraction(0, 1)"),
+        (((0.0, (0,)),), ValueError, "side must be 0 or 1, got 0.0"),
     ])
     def test_double_word(self, syllables, error, message):
         for given in (syllables, list(syllables), iter(syllables)):
@@ -584,6 +590,32 @@ class TestReferenceOracle:
                     for i in range(length)))
                 self.check_switch(dbl, word)
                 self.check(dbl, word)
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_rank_one_powers_switch_to_the_action_table(self, n):
+        # <a^n> has index n, and words of 60 and 200 syllables of a^j,
+        # 1 <= |j| <= 3, leave more than 2n letters after pass 1.
+        rng = random.Random(n + 26)
+        dbl = Double.from_generators([(1,) * n], 1)
+        for length in (60, 200):
+            word = DoubleWord(tuple((i % 2, (rng.choice([1, -1]),) * rng.randint(1, 3))
+                                    for i in range(length)))
+            self.check_switch(dbl, word)
+            self.check(dbl, word)
+
+    def test_index_one_never_reaches_pass_two(self):
+        # H = F_2: every word lies in H, so pass 1 answers even with the
+        # table forced, and pass 2 never meets a one-vertex gather, which
+        # would return an item rather than a 1-tuple.
+        rng = random.Random(28)
+        dbl = Double.from_generators(["a", "b"], 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(doubling, "TABLE_FACTOR", 0)
+            for _ in range(100):
+                word = random_double_word(rng, 2, max_syllables=30)
+                nf = dbl.normal_form(word)
+                assert nf == reference_normal_form(dbl, word)
+                assert nf.syllable_count == 0
 
     def test_infinite_index_worst_case(self):
         # H = <a, bAB>, u:a^k then alternating p:B, u:b: every syllable

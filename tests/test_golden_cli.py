@@ -85,13 +85,17 @@ REPORT_EXAMPLES: dict[str, list[str]] = {
     }.items()}
 
 # Output branches no README example reaches: the circle and the line that a
-# reversing involution fixes, an audit step tagged [assumed, strict], and
-# generators past z, named [27] and [28].
+# reversing involution fixes, an audit step tagged [assumed, strict],
+# generators past z, named [27] and [28], and a normal form whose second pass
+# carries the coset action (13 letters left by pass 1 on an index-3
+# subgroup, more than TABLE_FACTOR * 3).
 BRANCH_EXAMPLES: dict[str, list[str]] = {
     "iso_classify.circle": ["iso", "classify", "--m", "0,1;1,0", "--rev"],
     "iso_classify.line": ["iso", "classify", "--m", "1,0;0,1", "--rev"],
     "audit_case.rank_gap_witness": ["audit", "--g", "2", "--orientable", "--separating"],
     "pres_h1rank.past_z": ["pres", "h1rank", "--gens", "28", "--relators", "ab"],
+    "double_nf.carried": ["double", "nf", "--rank", "2", "--H", "aaa,b,abA,aabAA",
+                          "--word", "u:ab p:aB u:a p:bA u:aab p:Ab u:a"],
 }
 
 ALL_EXAMPLES = {**EXAMPLES, **SCHEME_EXAMPLES, **REPORT_EXAMPLES, **BRANCH_EXAMPLES}
