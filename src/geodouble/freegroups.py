@@ -26,9 +26,10 @@ a dict column whose missing vertices read as None, so both read as
 alphabet, with nothing sized by the largest letter.  There each fold
 vertex lists its labels, so a merge, and the breadth-first pass that
 renumbers the folded graph canonically, visit only that vertex's own
-labels.  That pass stores the graph, in the fold's layout, with the
-spanning tree it found as a parent and a label per vertex, so equal
-graphs have equal columns.  The graph answers membership,
+labels.  The fold ends with every target stored at a live vertex live,
+so that pass reads targets as stored; it stores the graph, in the fold's
+layout, with the spanning tree it found as a parent and a label per
+vertex, so equal graphs have equal columns.  The graph answers membership,
 computes the subgroup rank as its first Betti number, detects finite index
 (the graph is complete), and produces canonical coset representatives from
 that tree; its edge list, for export and the canonical key, is one sort of
@@ -272,16 +273,19 @@ class SubgroupGraph:
         if not n:
             raise ValueError("graph has no vertices")
         # The labels, then the edges, are checked with C-level passes over
-        # the label set and the columns.  On any failure, or an IndexError or
-        # TypeError from a target that is no vertex or a float label that the
-        # label set merged with an int, the per-edge loop names the first fault.
+        # the label set, the keys and the columns: the keys' sum is an int
+        # only if every key is, which catches a float label that the label
+        # set merged with an int.  On any failure, or an IndexError or
+        # TypeError from a target that is no vertex, the per-edge loop names
+        # the first fault.
         labels = set().union(*adj)
         sizes = [*map(len, adj)]
         entries = sum(sizes)
         sizes[0] = 2
         sparse_at = {}
         try:
-            ok = 0 not in labels and _in_rank(labels, ambient_rank)
+            ok = (0 not in labels and _in_rank(labels, ambient_rank)
+                  and type(sum(chain.from_iterable(adj))) is int)
             if ok:
                 cols, order = _fold_columns(ambient_rank, n, chain.from_iterable(adj))
                 if type(cols) is list:
@@ -297,7 +301,7 @@ class SubgroupGraph:
             ok = False
         if not ok:
             _check_edges(adj, ambient_rank)
-        columns, parent, label = _canonical_relabel(cols, order, sparse_at, range(n))
+        columns, parent, label = _canonical_relabel(cols, order, sparse_at, n)
         if len(parent) != n:
             raise ValueError("graph is not connected from the base vertex")
         return cls(ambient_rank, columns, parent, label)
@@ -554,18 +558,19 @@ def _fold_columns(rank: int, size: int, labels: Iterable[int]) -> tuple[list | d
 
 
 def _fold(gens: list[Word], rank: int
-          ) -> tuple[list | dict, list[int], dict[int, list[int]], list[int]]:
+          ) -> tuple[list | dict, list[int], dict[int, list[int]], int]:
     # Adds one generator at a time to a graph that is already folded.  Its
     # reduced word is read forwards from the base as far as the graph
     # allows, to letter i at vertex u, then backwards from the base, not
     # past i, to letter j at vertex v; only word[i:j] adds vertices (Kapovich
     # and Myasnikov, J. Algebra 2002).  A vertex keeps one target per label; a
     # second target goes onto the merge queue instead, drained before the
-    # next generator (Touikan 2006).  Stored targets may be merged-away
-    # vertices, so they are read through find.  In dict columns each vertex
-    # lists its labels, so a merge visits that vertex's labels alone, and in
-    # list columns every column.  Returns the columns, their labels, each
-    # vertex's labels when the columns are dicts, and each vertex's root;
+    # next generator (Touikan 2006).  While folding, stored targets may be
+    # merged-away vertices, so they are read through find.  In dict columns
+    # each vertex lists its labels, so a merge visits that vertex's labels
+    # alone, and in list columns every column.  Returns the columns, their
+    # labels, each live vertex's labels when the columns are dicts, and the
+    # fold's vertex count; every target stored at a live vertex is live, and
     # merged-away vertices keep stale entries.
     size = 1 + sum(map(len, gens))  # at least the vertex count
     cols, order = _fold_columns(rank, size, chain.from_iterable(gens))
@@ -574,6 +579,7 @@ def _fold(gens: list[Word], rank: int
     sparse_at: dict[int, list[int]] = {}
     parent = [0]
     merges: list[tuple[int, int]] = []
+    kept: list[int] = []  # the root each merge keeps
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -648,26 +654,32 @@ def _fold(gens: list[Word], rank: int
                     link(x, s, w)
             for s in sparse_at.pop(y, ()):
                 link(x, s, cols[s][y])
-    # Each entry becomes its root.  Finding from parent[x], not from x,
-    # returns an int object the list already holds, so the roots add no
-    # new ints: a fresh list of find(x) raised the subgroup_fold bench's
-    # peak RSS by about 0.8 MB (CPython 3.11 on a 2-vCPU x86 host).
-    parent[:] = map(find, parent)
-    return cols, order, sparse_at, parent
+            kept.append(x)
+    # An entry at a live vertex that names a merged-away y is the reverse of
+    # an edge of y's class, and y's root, which kept a merge, holds every
+    # label of its class.  So each root that kept a merge is written into
+    # the reverse slot of each of its edges, at the edge's root end, which
+    # leaves every target stored at a live vertex live.
+    for x in kept:
+        if parent[x] == x:
+            for s in sparse_at.get(x, ()) if wide else order:
+                w = cols[s][x]
+                if w is not None:
+                    cols[-s][find(w)] = x
+    return cols, order, sparse_at, len(parent)
 
 
 def _canonical_relabel(cols: list | dict, labels: list[int], sparse_at: dict[int, list[int]],
-                       root: Sequence[int]
-                       ) -> tuple[dict[int, list | _Sparse], list[int], list[int]]:
-    # One breadth-first pass from vertex 0 over fold columns, reading each
-    # stored target t as root[t] and, at each vertex, its labels in the order
-    # a, b, ..., A, B, ...: every list column, or the vertex's own labels of
-    # dict columns.  It numbers the vertices, writes each edge it reads into
+                       n: int) -> tuple[dict[int, list | _Sparse], list[int], list[int]]:
+    # One breadth-first pass from vertex 0 over fold columns of n vertices,
+    # reading each stored target as it is (every target at a vertex it
+    # reaches is live) and, at each vertex, its labels in the order a, b,
+    # ..., A, B, ...: every list column, or the vertex's own labels of dict
+    # columns.  It numbers the vertices, writes each edge it reads into
     # its label's column, of the fold column's layout (the target's number is
     # known by then), and records the edge that found each vertex as its
     # tree edge.  Vertices it cannot reach are dropped, so a shorter result
     # means the graph was not connected.
-    n = len(root)
     wide = type(cols) is dict
     entries = [(s, cols[s], _Sparse() if wide else [None] * n) for s in labels]
     scan = [] if wide else entries
@@ -684,7 +696,6 @@ def _canonical_relabel(cols: list | dict, labels: list[int], sparse_at: dict[int
         for s, col, out in row:
             t = col[v]
             if t is not None:
-                t = root[t]
                 w = pos[t]
                 if w < 0:
                     w = pos[t] = len(order)

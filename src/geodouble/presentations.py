@@ -474,8 +474,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """
     units, rows = _unit_pivots(_nonzero_rows(matrix))
     rank, d = _bareiss(rows)
-    if d == 1:
-        return (1,) * (units + rank)
     chain = [math.gcd(x, d) for x in _diagonal_mod(rows, d)]
     chain += [d] * (rank - len(chain))
     for i in range(len(chain)):

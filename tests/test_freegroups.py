@@ -10,6 +10,8 @@ from geodouble.freegroups import (
     SubgroupGraph,
     WordError,
     _Sparse,
+    _fold,
+    _intake,
     _inverse_columns,
     _reduced,
     concat,
@@ -612,6 +614,91 @@ class TestColumnLayout:
             SubgroupGraph.from_adjacency(1, adjacency)
 
 
+def _fold_classes(folded, graph):
+    # The vertex of ``graph`` (the folded graph, canonically numbered) that
+    # each fold vertex stands for, found from the base along every stored
+    # entry, stale ones included, in either direction; and each class's
+    # least fold vertex, the root that _fold's unions keep.
+    cols, order, _, n = folded
+    around = [[] for _ in range(n)]
+    for s in order:
+        col = cols[s]
+        for v, w in col.items() if type(col) is _Sparse else enumerate(col[:n]):
+            if w is not None:
+                around[v].append((s, w))
+                around[w].append((-s, v))
+    cls = {0: 0}
+    todo = [0]
+    for v in todo:
+        for s, w in around[v]:
+            c = graph.step(cls[v], s)
+            assert c is not None
+            if w not in cls:
+                cls[w] = c
+                todo.append(w)
+            assert cls[w] == c
+    assert len(cls) == n
+    root = {}
+    for v in sorted(cls):
+        root.setdefault(cls[v], v)
+    return cls, root
+
+
+def _assert_fold_targets_are_roots(gens, rank):
+    # After _fold, every target stored at a vertex reachable from the base
+    # is a root, so those vertices are exactly the folded graph's.
+    gens = _intake(gens, rank)
+    folded = _fold(gens, rank)
+    graph = stallings_graph(gens, rank)
+    cls, root = _fold_classes(folded, graph)
+    cols, order, _, n = folded
+    seen = [0]
+    for v in seen:
+        for s in order:
+            w = cols[s][v]
+            if w is not None:
+                assert w == root[cls[w]], (gens, v, s, w)
+                if w not in seen:
+                    seen.append(w)
+    assert len(seen) == graph.vertex_count
+    return n - graph.vertex_count
+
+
+class TestFoldTargets:
+    """_fold leaves live targets at live vertices, which the relabelling
+    pass reads as stored."""
+
+    @pytest.mark.parametrize("rank", [2, 12])
+    def test_merge_heavy_generators(self, rank):
+        # Conjugates u w u^-1 and runs of one letter, over a few labels so
+        # that the words overlap and most new vertices merge away.
+        rng = random.Random(79 + rank)
+        merged = 0
+        for _ in range(150):
+            labels = rng.sample(range(1, rank + 1), min(rank, 3))
+            alphabet = labels + [-s for s in labels]
+            base = [tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                    for _ in range(2)]
+            gens = []
+            for _ in range(rng.randint(1, 8)):
+                u = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+                w = rng.choice(base) + (rng.choice(alphabet),) * rng.randint(0, 3)
+                gens.append(u + w + inverse_word(u))
+            merged += _assert_fold_targets_are_roots(gens, rank) > 0
+        assert merged >= 120
+
+    @pytest.mark.parametrize("rank", [2, 12])
+    def test_a_merged_away_vertex_whose_root_merges_again(self, rank):
+        # aBA folds as 0 -a-> 1 -B-> 2 -A-> 0; the collision of a and A at 0
+        # merges 2 into 1, which keeps its B-loop stored as 1 -B-> 2.  Then a
+        # merges 1 into 0, and 0 takes that stale B-edge over: y = 2 merged
+        # into x = 1, and x then into z = 0.
+        gens = ["aBA", "a"]
+        assert _assert_fold_targets_are_roots(gens, rank) == 2
+        cols, order, _, _ = _fold(_intake(gens, rank), rank)
+        assert [cols[s][0] for s in order] == [0, 0, 0, 0]
+
+
 def _reads_through(g, word):
     # Whether ``word`` as given reads from the base letter by letter; an
     # unhashable letter has no column.
@@ -949,9 +1036,11 @@ class TestFirstFault:
         (2, [{1: 0, -1: 0, "a": 0}, {1: 9}], WordError, "letter 'a' outside the rank-2 alphabet"),
         # A float label equal to an int is no letter.
         (2, [{1.0: 1, -1: 1}, {-1: 0, 1: 0}], WordError, "letter 1.0 outside the rank-2 alphabet"),
-        # Past rank 8 also behind the int it equals.
+        # Also behind the int it equals, in either column layout.
         (12, [{1: 1, -1: 1}, {-1: 0, 1.0: 0}], WordError,
          "letter 1.0 outside the rank-12 alphabet"),
+        (2, [{1: 1, -1: 1}, {-1: 0, 1.0: 0}], WordError, "letter 1.0 outside the rank-2 alphabet"),
+        (8, [{1: 1, -1: 1}, {-1: 0, 1.0: 0}], WordError, "letter 1.0 outside the rank-8 alphabet"),
     ])
     def test_from_adjacency(self, rank, adjacency, error, message):
         for outer in (list, iter):
